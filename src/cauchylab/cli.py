@@ -455,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--out-dir", default="reports", help="report directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="reserved; sweeps are vectorized internally")
 
     for name in HANDLERS:
         sp = sub.add_parser(name)
@@ -482,9 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         cfg = (ExperimentConfig.load(args.config) if args.config
                else ExperimentConfig.from_dict({}))

@@ -21,6 +21,20 @@ Grouping the window into pairs changes only the floating-point summation
 order, never the set of summed terms, so the principal value is
 independent of the truncation radius up to rounding; the radius exists to
 let truncated and windowed parts be studied separately.
+
+``pv_values`` and ``truncated_values`` share one summation primitive,
+``_masked_sums``, with two exact backends chosen from the inputs alone:
+
+* Toeplitz FFT: on a flat or affine graph with every target on the node
+  lattice, or every target on the midpoint lattice, the kernel depends
+  only on the lattice offset, so one FFT correlation gives every sum.  It
+  runs when no offset lies within rounding of the cut and the padded FFT
+  costs less than the dense sum.
+* Dense: every other input, by cache-sized chunks of the kernel matrix
+  in real arithmetic.  It is also the oracle the FFT is tested against.
+
+The backends differ only in summation order, never in the set of summed
+terms.
 """
 
 from __future__ import annotations
@@ -32,13 +46,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve import eval_A
+from .curve import LipschitzCurve, ProfileKind, eval_A
 from .errors import GridAlignmentError, InputError
 from .kernel import CauchyKernel
 from .sampling import ALIGNMENT_TOL, Interval, SampledFunction, lp_norm
 
-# Cap on elements per kernel-matrix chunk in vectorized sweeps.
-_CHUNK_ELEMENTS = 4_000_000
+# Cap on elements per kernel-matrix chunk of the dense backend; chunks
+# this size stay in cache, which is faster than larger ones.
+_CHUNK_ELEMENTS = 32_768
+# FFT work per ``size * log2(size)`` relative to dense work per pair,
+# used to pick the Toeplitz backend only where it is cheaper.
+_FFT_COST = 4
 
 
 class Exclusion(enum.Enum):
@@ -92,22 +110,27 @@ class EvalConfig:
         return self.pv
 
 
-def _classify_alignment(x: float, f: SampledFunction) -> str:
-    """'node', 'midpoint', or 'free' (far from the grid, alignment irrelevant)."""
+def _check_alignment(xs: np.ndarray, f: SampledFunction) -> np.ndarray:
+    """Mask of the free points (far from the grid, alignment irrelevant).
+
+    Every other point must sit on the node or the half-step midpoint
+    lattice; the first one that does not raises.
+    """
     h = f.step
-    if x < f.lower - 1.5 * h or x > f.upper + 1.5 * h:
-        return "free"
-    s = (x - f.origin) / h
-    frac = s - math.floor(s)
-    if frac < ALIGNMENT_TOL or frac > 1.0 - ALIGNMENT_TOL:
-        return "node"
-    if abs(frac - 0.5) < ALIGNMENT_TOL:
-        return "midpoint"
-    raise GridAlignmentError(
-        f"evaluation point {x} sits {frac:.3g} steps past a node; principal "
-        "values need a node or half-step midpoint, regrid the input or move "
-        "the point onto origin + (i + 1/2) * step"
-    )
+    free = (xs < f.lower - 1.5 * h) | (xs > f.upper + 1.5 * h)
+    s = (xs - f.origin) / h
+    frac = s - np.floor(s)
+    aligned = ((frac < ALIGNMENT_TOL) | (frac > 1.0 - ALIGNMENT_TOL)
+               | (np.abs(frac - 0.5) < ALIGNMENT_TOL))
+    bad = np.flatnonzero(~(free | aligned))
+    if bad.size:
+        i = bad[0]
+        raise GridAlignmentError(
+            f"evaluation point {float(xs[i])} sits {float(frac[i]):.3g} steps past a "
+            "node; principal values need a node or half-step midpoint, regrid the "
+            "input or move the point onto origin + (i + 1/2) * step"
+        )
+    return free
 
 
 def apply_truncated(kernel: CauchyKernel, f: SampledFunction, x: float, t: float) -> complex:
@@ -141,7 +164,7 @@ def apply_pv(kernel: CauchyKernel, f: SampledFunction, x: float, cfg: PvConfig) 
             f"pv quadrature step {cfg.quadrature_step} does not match the "
             f"grid step {f.step}"
         )
-    kind = _classify_alignment(x, f)
+    free = bool(_check_alignment(np.array([x], dtype=float), f)[0])
     t = cfg.truncation
     outer = apply_truncated(kernel, f, x, t)
 
@@ -163,7 +186,7 @@ def apply_pv(kernel: CauchyKernel, f: SampledFunction, x: float, cfg: PvConfig) 
             k = k / (math.pi * 1j)
         return k
 
-    if cfg.exclusion is Exclusion.NODE_SKIP or kind == "free":
+    if cfg.exclusion is Exclusion.NODE_SKIP or free:
         idx = np.nonzero(window)[0]
         inner = h * np.sum(k_at(idx) * f.values[idx])
         return outer + complex(inner)
@@ -209,8 +232,7 @@ def pv_values(kernel: CauchyKernel, f: SampledFunction, xs) -> np.ndarray:
     the symmetric-pair principal value up to summation order.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    for x in xs:
-        _classify_alignment(float(x), f)
+    _check_alignment(xs, f)
     return _masked_sums(kernel, f, xs, t=None)
 
 
@@ -224,30 +246,124 @@ def truncated_values(kernel: CauchyKernel, f: SampledFunction, xs, t: float) -> 
 
 def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
                  t: Optional[float]) -> np.ndarray:
-    """Chunked sums of ``h K(x, y) f(y)`` over nodes, masking the diagonal.
+    """Sums of ``h K(x, y) f(y)`` over nodes, masking the diagonal.
 
     ``t = None`` keeps every node farther than a rounding tolerance
     (principal value); otherwise only nodes with ``|x - y| > t`` count.
+
+    Two exact backends compute the same set of terms and differ only in
+    summation order.  The Toeplitz FFT backend runs when the curve is
+    flat or affine, all targets share one lattice of the grid (nodes or
+    half-step midpoints, to rounding), no lattice offset ties the cut,
+    and the FFT is cheaper than the dense sum; every other input goes to
+    the dense backend, which is also the reference for the first.
     """
-    nodes = f.nodes
-    vals = f.values
-    A_nodes = np.asarray(eval_A(kernel.curve, nodes), dtype=float)
-    out = np.empty(xs.size, dtype=np.complex128)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, nodes.size))
     cut = 0.5 * f.step * 1e-6 if t is None else t
-    for lo in range(0, xs.size, chunk):
-        xc = xs[lo : lo + chunk]
-        A_x = np.asarray(eval_A(kernel.curve, xc), dtype=float)
-        D = nodes[None, :] - xc[:, None]
-        keep = np.abs(D) > cut
-        dA = A_nodes[None, :] - A_x[:, None]
-        denom = np.where(keep, D + 1j * dA, 1.0)
-        K = np.where(keep, 1.0 / denom, 0.0)
-        out[lo : lo + chunk] = K @ vals
-    out *= f.step
+    out = _toeplitz_sums(kernel.curve, f, xs, cut)
+    if out is None:
+        out = _dense_sums(kernel.curve, f, xs, cut)
     if kernel.include_prefactor:
         out /= math.pi * 1j
     return out
+
+
+def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
+                cut: float) -> np.ndarray:
+    """``h * sum K(x, y) f(y)`` over nodes with ``|y - x| > cut``, by chunks.
+
+    Each chunk of the kernel matrix is built in real arithmetic,
+    ``Re K = D / (D^2 + dA^2)`` and ``Im K = -dA / (D^2 + dA^2)``, and
+    applied to the columns ``[Re f, Im f]`` by two real matrix products.
+    """
+    nodes = f.nodes
+    V = np.stack([f.values.real, f.values.imag], axis=1)
+    A_nodes = np.asarray(eval_A(curve, nodes), dtype=float)
+    out = np.empty(xs.size, dtype=np.complex128)
+    rows = max(1, _CHUNK_ELEMENTS // nodes.size)
+    for lo in range(0, xs.size, rows):
+        xc = xs[lo : lo + rows]
+        A_x = np.asarray(eval_A(curve, xc), dtype=float)
+        D = nodes - xc[:, None]
+        dA = A_nodes - A_x[:, None]
+        keep = np.abs(D) > cut
+        inv = D * D
+        inv += dA * dA
+        np.divide(1.0, inv, out=inv, where=keep)
+        inv *= keep
+        D *= inv
+        dA *= inv
+        P = D @ V
+        Q = dA @ V
+        out.real[lo : lo + rows] = P[:, 0] + Q[:, 1]
+        out.imag[lo : lo + rows] = P[:, 1] - Q[:, 0]
+    out *= f.step
+    return out
+
+
+def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
+                   cut: float) -> Optional[np.ndarray]:
+    """The sums of ``_dense_sums`` by one FFT correlation, or None.
+
+    On a flat graph a target ``x = origin + (k + par/2) h`` on the node
+    (``par = 0``) or midpoint (``par = 1``) lattice sees the node ``j``
+    at offset ``(j - k - par/2) h``, so the kernel matrix is Toeplitz:
+    ``f`` is correlated with ``1 / (d - par/2)`` over the kept offsets.
+    An affine graph of slope ``s`` multiplies the flat kernel by
+    ``1 / (1 + i s)``.  ``Re f`` and ``Im f`` go through real FFTs, so a
+    real ``f`` on a flat graph gives an exactly real result.
+
+    Returns None, leaving the input to the dense backend, when the curve
+    is curved, the targets are empty, mixed or off-lattice, a lattice
+    offset lies within rounding of ``cut`` (where the dense float
+    comparison decides), or the padded length makes the FFT dearer than
+    the dense sum.
+    """
+    if curve.kind is ProfileKind.FLAT:
+        factor = 1.0
+    elif curve.kind is ProfileKind.AFFINE:
+        factor = 1.0 / (1.0 + 1j * curve.params[0])
+    else:
+        return None
+    n, h = f.count, f.step
+    if xs.size == 0:
+        return None
+    # Coordinates carry rounding relative to their magnitude, not to h;
+    # where that rounding is not far below a step, the lattice is blurred.
+    tol = 64.0 * np.finfo(float).eps * (max(abs(f.lower), abs(f.upper),
+                                           float(np.max(np.abs(xs)))) + h)
+    if not tol < ALIGNMENT_TOL * h:
+        return None
+    q = np.round(2.0 * (xs - f.origin) / h)
+    if not np.all(np.abs(f.origin + 0.5 * h * q - xs) <= tol):
+        return None
+    q = q.astype(np.int64)
+    par = int(q[0]) & 1
+    if np.any((q & 1) != par):
+        return None
+    k = (q - par) // 2
+    k_lo, k_hi = int(k.min()), int(k.max())
+    width = n + k_hi - k_lo
+    size = 1 << (width - 1).bit_length()
+    if _FFT_COST * size * size.bit_length() >= n * xs.size:
+        return None
+    # Offset of node j from target k_hi - r is (j + r - k_hi - par/2) h.
+    m = np.arange(width) - (k_hi + 0.5 * par)
+    keep = np.abs(m) * h > cut
+    if np.any(np.abs(np.abs(m) * h - cut) <= 2.0 * tol):
+        return None
+    kern = np.zeros(width)
+    np.divide(1.0, m, out=kern, where=keep)
+    kern_hat = np.fft.rfft(kern, size)
+
+    def correlate(v: np.ndarray) -> np.ndarray:
+        c = np.fft.irfft(np.conj(np.fft.rfft(v, size)) * kern_hat, size)
+        return c[k_hi - k]
+
+    out = np.zeros(xs.size, dtype=np.complex128)
+    out.real = correlate(f.values.real)
+    if np.any(f.values.imag):
+        out.imag = correlate(f.values.imag)
+    return out * factor
 
 
 def apply_on_window(kernel: CauchyKernel, f: SampledFunction, cfg: EvalConfig) -> SampledFunction:
