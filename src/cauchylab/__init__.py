@@ -27,7 +27,9 @@ from .operator import (
     truncated_values,
 )
 from .bmo import (
+    IntervalSweep,
     MedianResult,
+    OscillationTable,
     VmoProfile,
     average,
     bmo_norm,

@@ -7,6 +7,16 @@ interval family and are therefore lower bounds for the true suprema;
 the default family is every interval with grid-node endpoints and a
 dyadic length, which keeps the candidate count at O(N log N).
 
+Sweeps and oscillation tables are array-backed: ``dyadic_sweep`` returns
+an :class:`IntervalSweep` of center and radius arrays and
+``oscillation_table`` an :class:`OscillationTable` that adds the
+oscillation array.  Both behave as read-only sequences whose rows are
+materialized as ``Interval`` objects only on access, and both expose
+``measures``, ``lowers`` and ``uppers`` arrays for bulk filtering.  The
+sliding windows of one dyadic level are reduced in cache-sized blocks
+(``_CHUNK_ELEMENTS``), row by row, so the block size never changes a
+result.
+
 The median of ``f`` over ``I`` is the smallest node value ``a`` such that
 both level sets ``{f > a}`` and ``{f < a}`` occupy at most half of the
 nodes in ``I``.  That choice is deterministic, is an exact minimizer of
@@ -16,16 +26,19 @@ the oscillation-split family at most one half in modulus.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from operator import index
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import InputError
 from .sampling import Interval, SampledFunction
 
-# Cap on elements per sliding-window chunk in oscillation sweeps.
-_CHUNK_ELEMENTS = 4_000_000
+# Cap on elements per sliding-window block in oscillation sweeps: 32768
+# float64s is 256 KiB, so a block and its deviation buffer stay in cache.
+_CHUNK_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -52,12 +65,27 @@ class VmoProfile:
     far_away: Tuple[Tuple[float, float], ...]
 
 
+def _node_bounds(nodes: np.ndarray, lowers, uppers) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo, hi`` of the sorted ``nodes`` strictly inside ``(lowers, uppers)``.
+
+    ``nodes[lo:hi]`` holds the same nodes, in the same order, as the
+    open-interval mask.  Works elementwise on arrays of intervals.
+    """
+    lo = np.searchsorted(nodes, lowers, "right")
+    hi = np.searchsorted(nodes, uppers, "left")
+    if np.any(hi <= lo):
+        raise InputError("interval does not intersect the grid")
+    return lo, hi
+
+
 def _real_on(f: SampledFunction, domain: Interval) -> np.ndarray:
     vals = f.real_values()
-    mask = f.node_mask(domain)
-    if not np.any(mask):
-        raise InputError("interval does not intersect the grid")
-    return vals[mask]
+    lo, hi = _node_bounds(f.nodes, domain.lower, domain.upper)
+    return vals[lo:hi]
+
+
+def _oscillation(vals: np.ndarray) -> float:
+    return float(np.mean(np.abs(vals - vals.mean())))
 
 
 def average(f: SampledFunction, domain: Interval) -> float:
@@ -67,15 +95,19 @@ def average(f: SampledFunction, domain: Interval) -> float:
 
 def mean_oscillation(f: SampledFunction, domain: Interval) -> float:
     """Mean deviation from the interval average, ``M(f, I)``."""
-    vals = _real_on(f, domain)
-    return float(np.mean(np.abs(vals - vals.mean())))
+    return _oscillation(_real_on(f, domain))
 
 
 def bmo_norm(f: SampledFunction, sweep: Sequence[Interval]) -> float:
     """Largest mean oscillation over the sweep; a lower bound for the sup."""
     if len(sweep) == 0:
         raise InputError("sweep must be non-empty")
-    return max(mean_oscillation(f, I) for I in sweep)
+    vals = f.real_values()
+    if not isinstance(sweep, IntervalSweep):
+        sweep = IntervalSweep(np.array([I.center for I in sweep]),
+                              np.array([I.radius for I in sweep]))
+    lo, hi = _node_bounds(f.nodes, sweep.lowers, sweep.uppers)
+    return max(_oscillation(vals[a:b]) for a, b in zip(lo.tolist(), hi.tolist()))
 
 
 def median(f: SampledFunction, domain: Interval) -> MedianResult:
@@ -95,70 +127,165 @@ def mean_deviation(f: SampledFunction, domain: Interval, center: float) -> float
     return float(np.mean(np.abs(vals - center)))
 
 
+@dataclass(frozen=True, eq=False)
+class IntervalSweep(Sequence):
+    """Intervals ``I(centers[k], radii[k])`` held as arrays.
+
+    Behaves as a ``Sequence[Interval]``: indexing materializes one
+    :class:`Interval`, slicing returns another sweep.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+
+    @property
+    def lowers(self) -> np.ndarray:
+        return self.centers - self.radii
+
+    @property
+    def uppers(self) -> np.ndarray:
+        return self.centers + self.radii
+
+    @property
+    def measures(self) -> np.ndarray:
+        return 2.0 * self.radii
+
+    def __len__(self) -> int:
+        return self.centers.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return IntervalSweep(self.centers[k], self.radii[k])
+        k = index(k)
+        return Interval(float(self.centers[k]), float(self.radii[k]))
+
+    def __iter__(self) -> Iterator[Interval]:
+        return map(Interval, map(float, self.centers), map(float, self.radii))
+
+
+@dataclass(frozen=True, eq=False)
+class OscillationTable(Sequence):
+    """Sweep intervals with their mean oscillations ``oscs``, held as arrays.
+
+    Behaves as a ``Sequence[Tuple[Interval, float]]``: indexing
+    materializes one ``(Interval, float)`` row, slicing returns another
+    table.
+    """
+
+    intervals: IntervalSweep
+    oscs: np.ndarray
+
+    @property
+    def lowers(self) -> np.ndarray:
+        return self.intervals.lowers
+
+    @property
+    def uppers(self) -> np.ndarray:
+        return self.intervals.uppers
+
+    @property
+    def measures(self) -> np.ndarray:
+        return self.intervals.measures
+
+    def __len__(self) -> int:
+        return self.oscs.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return OscillationTable(self.intervals[k], self.oscs[k])
+        k = index(k)
+        return self.intervals[k], float(self.oscs[k])
+
+    def __iter__(self) -> Iterator[Tuple[Interval, float]]:
+        return zip(self.intervals, map(float, self.oscs))
+
+
+def _in_window(f: SampledFunction, window: Optional[Interval]):
+    """Index of the nodes of ``f`` inside the window (every node when absent)."""
+    if window is None:
+        return slice(None)
+    keep = window.contains(f.nodes)
+    if not np.any(keep):
+        raise InputError("window does not intersect the grid")
+    return keep
+
+
+def _levels(nodes: np.ndarray, step: float, max_length: Optional[float] = None
+            ) -> Iterator[Tuple[int, np.ndarray, float]]:
+    """``(w, centers, radius)`` per dyadic level, shortest first.
+
+    Level ``w`` holds the intervals from node ``a`` to node ``a + w``
+    for every ``a``, each of length ``w * step``.
+    """
+    n = nodes.size
+    w = 2
+    while w <= n - 1:
+        if max_length is not None and w * step > max_length:
+            return
+        yield w, 0.5 * (nodes[: n - w] + nodes[w:]), 0.5 * w * step
+        w *= 2
+
+
+def _sweep(levels: List[Tuple[int, np.ndarray, float]]) -> IntervalSweep:
+    if not levels:
+        raise InputError("grid too short for a dyadic interval sweep")
+    return IntervalSweep(
+        np.concatenate([c for _, c, _ in levels]),
+        np.concatenate([np.full(c.size, r) for _, c, r in levels]),
+    )
+
+
+def _level_oscillations(vals: np.ndarray, w: int) -> np.ndarray:
+    """Mean oscillation over the ``w - 1`` interior nodes of each level-``w`` interval.
+
+    Rows are reduced in cache-sized blocks of at most ``_CHUNK_ELEMENTS``
+    elements (one row when a row is longer) through one reused buffer;
+    each row is reduced alone, so the block size never changes a result.
+    """
+    width = w - 1
+    starts = vals.size - w
+    view = np.lib.stride_tricks.sliding_window_view(vals, width)[1 : starts + 1]
+    oscs = np.empty(starts)
+    rows = max(1, _CHUNK_ELEMENTS // width)
+    buf = np.empty(min(rows, starts) * width)
+    for lo in range(0, starts, rows):
+        block = view[lo : lo + rows]
+        dev = buf[: block.size].reshape(block.shape)
+        np.subtract(block, block.mean(axis=1)[:, None], out=dev)
+        np.abs(dev, out=dev)
+        dev.mean(axis=1, out=oscs[lo : lo + rows])
+    return oscs
+
+
 def dyadic_sweep(f: SampledFunction, window: Optional[Interval] = None,
-                 max_length: Optional[float] = None) -> List[Interval]:
+                 max_length: Optional[float] = None) -> IntervalSweep:
     """Every interval with grid-node endpoints and dyadic length in the window.
 
-    Lengths are ``step * 2^m`` for ``m >= 1``; endpoints sit on nodes, so
-    each interval holds ``2^m - 1`` interior nodes.
+    Lengths are ``step * 2^m`` for ``m >= 1`` (at most ``max_length``);
+    endpoints sit on nodes, so each interval holds ``2^m - 1`` interior
+    nodes.
     """
-    nodes = f.nodes
-    if window is not None:
-        keep = window.contains(nodes)
-        if not np.any(keep):
-            raise InputError("window does not intersect the grid")
-        nodes = nodes[keep]
-    n = nodes.size
-    out: List[Interval] = []
-    m = 1
-    while (w := 2**m) <= n - 1:
-        length = w * f.step
-        if max_length is not None and length > max_length:
-            break
-        for a in range(0, n - w):
-            out.append(Interval(0.5 * (nodes[a] + nodes[a + w]), 0.5 * length))
-        m += 1
-    if not out:
-        raise InputError("grid too short for a dyadic interval sweep")
-    return out
+    nodes = f.nodes[_in_window(f, window)]
+    return _sweep(list(_levels(nodes, f.step, max_length)))
 
 
 def oscillation_table(f: SampledFunction, window: Optional[Interval] = None
-                      ) -> List[Tuple[Interval, float]]:
+                      ) -> OscillationTable:
     """Mean oscillation of every dyadic-sweep interval, computed in bulk.
 
-    Equivalent to calling :func:`mean_oscillation` per interval, but the
-    sliding windows of one dyadic level are evaluated together.
+    Each row reduces the interior nodes between its two endpoint nodes,
+    which is :func:`mean_oscillation` of its interval when the step is a
+    power of two; the sliding windows of one dyadic level are evaluated
+    together.
     """
     vals = f.real_values()
-    nodes = f.nodes
-    if window is not None:
-        keep = window.contains(nodes)
-        if not np.any(keep):
-            raise InputError("window does not intersect the grid")
-        vals = vals[keep]
-        nodes = nodes[keep]
-    n = nodes.size
-    out: List[Tuple[Interval, float]] = []
-    m = 1
-    while (w := 2**m) <= n - 1:
-        width = w - 1  # interior nodes per interval
-        starts = n - w  # interval with endpoints nodes[a], nodes[a + w]
-        view = np.lib.stride_tricks.sliding_window_view(vals, width)[1 : starts + 1]
-        oscs = np.empty(starts)
-        rows = max(1, _CHUNK_ELEMENTS // width)
-        for lo in range(0, starts, rows):
-            block = view[lo : lo + rows]
-            means = block.mean(axis=1)
-            oscs[lo : lo + rows] = np.abs(block - means[:, None]).mean(axis=1)
-        for a in range(starts):
-            out.append(
-                (Interval(0.5 * (nodes[a] + nodes[a + w]), 0.5 * w * f.step), oscs[a])
-            )
-        m += 1
-    if not out:
-        raise InputError("grid too short for a dyadic interval sweep")
-    return out
+    keep = _in_window(f, window)
+    vals, nodes = vals[keep], f.nodes[keep]
+    levels = list(_levels(nodes, f.step))
+    sweep = _sweep(levels)
+    return OscillationTable(
+        sweep, np.concatenate([_level_oscillations(vals, w) for w, _, _ in levels])
+    )
 
 
 def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
@@ -178,10 +305,7 @@ def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
     if any(d <= 0 for d in deltas) or any(R <= 0 for R in Rs):
         raise InputError("ladder entries must be positive")
     table = oscillation_table(f, window)
-    measures = np.array([I.measure for I, _ in table])
-    lowers = np.array([I.lower for I, _ in table])
-    uppers = np.array([I.upper for I, _ in table])
-    oscs = np.array([osc for _, osc in table])
+    measures, lowers, uppers, oscs = table.measures, table.lowers, table.uppers, table.oscs
 
     def sup_where(mask: np.ndarray) -> float:
         return float(oscs[mask].max()) if np.any(mask) else 0.0

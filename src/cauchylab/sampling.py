@@ -41,7 +41,7 @@ class Interval:
     radius: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.center) and np.isfinite(self.radius)):
+        if not (math.isfinite(self.center) and math.isfinite(self.radius)):
             raise InputError("interval center and radius must be finite")
         if not self.radius > 0:
             raise InputError(f"interval radius must be positive, got {self.radius}")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cauchylab import BoundReport, InputError
+from cauchylab import BoundReport, InputError, oscillation_table
 from cauchylab.cli import main
 from cauchylab.config import ExperimentConfig
 
@@ -116,6 +116,56 @@ class TestSubcommands:
         data = json.loads((tmp_path / "o" / "operator_convergence.json").read_text())
         # Midpoint-rule outputs converge at second order away from the support.
         assert 3.0 <= data["extras"]["median_ratio"] <= 5.0
+
+    def test_eval_operator_observed_order(self, tmp_path):
+        # Sawtooth graph at the default grid: a real second-order signal.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"curve": {"kind": "sawtooth",
+                                             "params": {"amplitude": 0.5, "period": 2.0}}}))
+        assert run(["eval-operator", "--convergence", "--config", cfg,
+                    "--out-dir", tmp_path / "o"]) == 0
+        data = json.loads((tmp_path / "o" / "operator_convergence.json").read_text())
+        assert abs(data["extras"]["observed_order"] - 2.0) <= 0.05
+        assert data["extras"]["points_at_floor"] <= 0.01 * data["n_rows"]
+
+    def test_eval_operator_rounding_floor(self, tmp_path):
+        # A smooth bump on the flat graph converges to rounding at once: every
+        # difference is noise, so no order is claimed.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "grid": {"step": 0.002, "count": 1000},
+            "input": {"kind": "smooth_bump",
+                      "params": {"center": 0.0, "height": 1.0, "width": 1.0}},
+        }))
+        assert run(["eval-operator", "--convergence", "--config", cfg,
+                    "--out-dir", tmp_path / "o"]) == 0
+        data = json.loads((tmp_path / "o" / "operator_convergence.json").read_text())
+        assert data["extras"]["points_at_floor"] == data["n_rows"]
+        assert np.isnan(data["extras"]["observed_order"])
+
+    def test_bmo_norm_max_length(self, tmp_path, capsys):
+        tree = {"grid": {"step": 0.005, "count": 800}, "bmo": {"max_length": 0.1}}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(tree))
+        assert run(["bmo-norm", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
+        data = json.loads((tmp_path / "o" / "bmo_norm.json").read_text())
+        widths = (2, 4, 8, 16)  # 32 steps is 0.16, past the cap
+        assert data["extras"]["intervals_swept"] == sum(800 - w for w in widths)
+        table = oscillation_table(ExperimentConfig.from_dict(tree).function("symbol"))
+        cols = data["columns"]
+        assert cols["length"] == sorted(set(table.measures[table.measures <= 0.1]))
+        for L, center, lhs in zip(cols["length"], cols["center"], cols["lhs"]):
+            rows = np.flatnonzero(table.measures == L)
+            best = rows[np.argmax(table.oscs[rows])]  # first maximum wins
+            assert (center, lhs) == (table.intervals.centers[best], table.oscs[best])
+        assert data["extras"]["bmo_lower_bound"] == max(cols["lhs"])
+
+        tree["bmo"]["max_length"] = 0.009  # below the shortest sweep length 0.01
+        cfg.write_text(json.dumps(tree))
+        capsys.readouterr()
+        assert run(["bmo-norm", "--config", cfg, "--out-dir", tmp_path / "p"]) == 2
+        assert "no sweep intervals at or below bmo.max_length" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "bmo_norm.json").exists()
 
     def test_vmo_profile_rows(self, tmp_path):
         cfg = tmp_path / "c.json"
