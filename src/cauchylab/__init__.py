@@ -15,13 +15,8 @@ from .kernel import (
     random_smoothness_sweep,
 )
 from .operator import (
-    EvalConfig,
-    Exclusion,
-    PvConfig,
     apply_maximal,
     apply_on_window,
-    apply_pv,
-    apply_truncated,
     operator_norm_lower,
     pv_values,
     truncated_values,

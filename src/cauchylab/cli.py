@@ -29,7 +29,7 @@ from .config import ExperimentConfig
 from .curve import LipschitzCurve
 from .errors import InputError
 from .kernel import CauchyKernel, random_size_sweep, random_smoothness_sweep
-from .operator import EvalConfig, apply_on_window, pv_values
+from .operator import apply_on_window, pv_values
 from .reports import BoundReport, write_report
 from .sampling import (
     Interval,
@@ -116,9 +116,7 @@ def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     kern = cfg.kernel()
     f = cfg.function("input")
-    window = cfg.interval("window")
-    eval_cfg = EvalConfig(window, cfg.pv(f))
-    out = apply_on_window(kern, f, eval_cfg)
+    out = apply_on_window(kern, f, cfg.interval("window"))
     function_to_csv(out, out_dir / "operator_output.csv")
     extras = {
         "output_points": out.count,
@@ -331,8 +329,7 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         if norm == 0:
             raise InputError(f"fk bump at {pos} misses the grid")
         family.append(g.with_values(g.values / norm, source=None))
-    eval_cfg = EvalConfig(window)
-    images = [apply_commutator(b, f, kern, eval_cfg) for f in family]
+    images = [apply_commutator(b, f, kern, window) for f in family]
     h_out = images[0].step
     zs = [int(k) * h_out for k in cfg.get("fk.z_steps")]
     report = compactness.fk_diagnose(images, p, cfg.get("fk.t_ladder"), zs)
@@ -426,10 +423,9 @@ def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> boo
     for spec in cfg.get("commutator_norm.family"):
         fn = make_symbol(spec["kind"], **(spec.get("params", {}) or {}))
         family.append(sample_on(fn, origin, step, count))
-    eval_cfg = EvalConfig(window)
     ratios = []
     for f in family:
-        ratios.append(commutator_norm_lower(b, p, [f], kern, eval_cfg))
+        ratios.append(commutator_norm_lower(b, p, [f], kern, window))
     rep = BoundReport(
         inequality="max_f |[b,C]f|_p / |f|_p over the family (lower bound)",
         columns={"member": np.arange(len(family)), "lhs": np.asarray(ratios)},

@@ -25,7 +25,7 @@ import numpy as np
 from .curve import LipschitzCurve
 from .errors import InputError
 from .kernel import CauchyKernel
-from .operator import EvalConfig, pv_values
+from .operator import _points, pv_values
 from .reports import BoundReport
 from .sampling import Interval, SampledFunction, lp_norm, sample
 
@@ -126,7 +126,7 @@ def commutator_values(b: SampledFunction, f: SampledFunction, kernel: CauchyKern
     by default they come from ``b.value_at``.
     """
     _require_shared_grid(b, f)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = _points(xs)
     if b_outer is None:
         b_outer = b.value_at(xs)
     else:
@@ -138,10 +138,9 @@ def commutator_values(b: SampledFunction, f: SampledFunction, kernel: CauchyKern
 
 
 def apply_commutator(b: SampledFunction, f: SampledFunction, kernel: CauchyKernel,
-                     cfg: EvalConfig) -> SampledFunction:
+                     window: Interval) -> SampledFunction:
     """Commutator output on the midpoint lattice of the declared window."""
-    cfg.pv_for(f)
-    xs = f.midpoints_in(cfg.window)
+    xs = f.midpoints_in(window)
     if xs.size == 0:
         raise InputError("evaluation window contains no midpoint-lattice points")
     vals = commutator_values(b, f, kernel, xs)
@@ -150,7 +149,7 @@ def apply_commutator(b: SampledFunction, f: SampledFunction, kernel: CauchyKerne
 
 def commutator_norm_lower(b: SampledFunction, p: float,
                           family: Sequence[SampledFunction], kernel: CauchyKernel,
-                          cfg: EvalConfig) -> float:
+                          window: Interval) -> float:
     """Largest ``|[b, C] f|_p / |f|_p`` over the family (lower bound only)."""
     if len(family) == 0:
         raise InputError("family must be non-empty")
@@ -159,6 +158,6 @@ def commutator_norm_lower(b: SampledFunction, p: float,
         denom = lp_norm(f, p)
         if denom == 0.0:
             raise InputError("family member has zero norm")
-        image = apply_commutator(b, f, kernel, cfg)
+        image = apply_commutator(b, f, kernel, window)
         best = max(best, lp_norm(image, p) / denom)
     return best

@@ -35,7 +35,7 @@ import numpy as np
 
 from .commutator import commutator_values
 from .errors import InputError
-from .kernel import CauchyKernel
+from .kernel import CauchyKernel, eval_kernel
 from .operator import pv_values
 from .reports import BoundReport
 from .sampling import Interval, SampledFunction, lp_norm, sample_on, shift
@@ -439,22 +439,15 @@ def equicontinuity_terms(b: SampledFunction, f: SampledFunction, kernel: CauchyK
     t = abs(z) / split
 
     nodes = f.nodes
-    from .curve import eval_A  # local import to avoid cycle at module load
-
-    A_nodes = np.asarray(eval_A(kernel.curve, nodes), dtype=float)
     b_x = b.value_at(xs)
     b_xz = b.value_at(xs + z)
     L = np.zeros((4, xs.size), dtype=np.complex128)
     chunk = max(1, 2_000_000 // max(1, nodes.size))
     for lo in range(0, xs.size, chunk):
         xc = xs[lo : lo + chunk]
-        Ax = np.asarray(eval_A(kernel.curve, xc), dtype=float)
-        Axz = np.asarray(eval_A(kernel.curve, xc + z), dtype=float)
-        D = nodes[None, :] - xc[:, None]
-        Dz = D - z
-        far = np.abs(D) > t
-        Kx = 1.0 / (D + 1j * (A_nodes[None, :] - Ax[:, None]))
-        Kxz = 1.0 / (Dz + 1j * (A_nodes[None, :] - Axz[:, None]))
+        far = np.abs(nodes[None, :] - xc[:, None]) > t
+        Kx = eval_kernel(kernel, xc[:, None], nodes)
+        Kxz = eval_kernel(kernel, xc[:, None] + z, nodes)
         fv = f.values[None, :]
         bv = b.values[None, :]
         sl = slice(lo, lo + xc.size)
@@ -463,8 +456,6 @@ def equicontinuity_terms(b: SampledFunction, f: SampledFunction, kernel: CauchyK
         L[2, sl] = np.sum(np.where(~far, Kx * (b_x[sl, None] - bv) * fv, 0), axis=1)
         L[3, sl] = -np.sum(np.where(~far, Kxz * (b_xz[sl, None] - bv) * fv, 0), axis=1)
     L *= f.step
-    if kernel.include_prefactor:
-        L /= math.pi * 1j
 
     g_x = commutator_values(b, f, kernel, xs)
     g_xz = commutator_values(b, f, kernel, xs + z)

@@ -20,7 +20,6 @@ import numpy as np
 from .curve import LipschitzCurve
 from .errors import InputError
 from .kernel import CauchyKernel
-from .operator import Exclusion, PvConfig
 from .sampling import Interval, SampledFunction, function_from_csv, sample_on
 from .symbols import make_symbol
 
@@ -30,7 +29,6 @@ DEFAULTS: Dict[str, Any] = {
     "grid": {"origin": None, "step": 0.001, "count": 2000},
     "symbol": {"kind": "sign", "params": {}},
     "input": {"kind": "indicator", "params": {"lower": -1.0, "upper": 1.0}},
-    "operator": {"truncation": None, "exclusion": "symmetric_pair"},
     "window": {"center": 0.0, "radius": 4.0},
     "kernel_check": {"samples": 100000, "box": 50.0},
     "homogeneity": {
@@ -222,12 +220,6 @@ class ExperimentConfig:
     def interval(self, key: str) -> Interval:
         spec = self.get(key)
         return Interval(float(spec["center"]), _positive(spec["radius"], f"{key}.radius"))
-
-    def pv(self, f: SampledFunction) -> PvConfig:
-        spec = self.get("operator")
-        trunc = spec.get("truncation")
-        mode = Exclusion(spec.get("exclusion", "symmetric_pair"))
-        return PvConfig.for_function(f, truncation=trunc, exclusion=mode)
 
     def rng(self, seed_override: Optional[int] = None) -> np.random.Generator:
         seed = self.get("seed") if seed_override is None else seed_override

@@ -2,9 +2,9 @@
 
 The kernel is ``K(x, y) = 1 / (y - x + i (A(y) - A(x)))``; the constant
 prefactor ``1/(pi i)`` is omitted by convention so the estimate constants
-below are clean.  A single flag can restore it for cross-checks against
-texts that keep it, but the estimate checkers refuse to run in that mode
-because their constants assume the bare kernel.
+below are clean.  Every computation in the package uses this bare
+kernel; a caller that needs the prefactor multiplies by ``1/(pi i)``
+itself.
 
 With ``L`` the Lipschitz constant of the graph, the kernel satisfies the
 standard size and smoothness estimates
@@ -22,7 +22,6 @@ factor-2 cushion away from the admissibility boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,33 +30,21 @@ from .curve import LipschitzCurve, eval_A
 from .errors import InputError, SingularityError
 from .reports import BoundReport
 
-SMOOTHNESS_EXPONENT = 1.0
-
 
 @dataclass(frozen=True)
 class CauchyKernel:
     """Kernel of the Cauchy integral along one Lipschitz graph."""
 
     curve: LipschitzCurve
-    smoothness_exponent: float = SMOOTHNESS_EXPONENT
-    size_constant: float = 0.0
-    include_prefactor: bool = False
 
-    def __post_init__(self):
-        expected = 2.0 * (self.curve.lipschitz_constant + 1.0)
-        if self.size_constant == 0.0:
-            object.__setattr__(self, "size_constant", expected)
-        elif abs(self.size_constant - expected) > 1e-12 * expected:
-            raise InputError(
-                f"size constant must equal 2 (L + 1) = {expected}, "
-                f"got {self.size_constant}"
-            )
-        if self.smoothness_exponent != SMOOTHNESS_EXPONENT:
-            raise InputError("smoothness exponent is fixed to 1")
+    @property
+    def size_constant(self) -> float:
+        """Constant ``2 (L + 1)`` of the smoothness estimate."""
+        return 2.0 * (self.curve.lipschitz_constant + 1.0)
 
     @staticmethod
-    def for_curve(curve: LipschitzCurve, include_prefactor: bool = False) -> "CauchyKernel":
-        return CauchyKernel(curve, include_prefactor=include_prefactor)
+    def for_curve(curve: LipschitzCurve) -> "CauchyKernel":
+        return CauchyKernel(curve)
 
 
 def eval_kernel(kernel: CauchyKernel, x, y):
@@ -69,8 +56,6 @@ def eval_kernel(kernel: CauchyKernel, x, y):
         raise SingularityError("kernel is singular on the diagonal x == y")
     dA = eval_A(kernel.curve, y_arr) - eval_A(kernel.curve, x_arr)
     out = 1.0 / (dy + 1j * dA)
-    if kernel.include_prefactor:
-        out = out / (math.pi * 1j)
     if out.ndim == 0:
         return complex(out)
     return out
@@ -90,23 +75,13 @@ def kernel_modulus(kernel: CauchyKernel, x, y):
         raise SingularityError("kernel is singular on the diagonal x == y")
     dA = eval_A(kernel.curve, y_arr) - eval_A(kernel.curve, x_arr)
     out = 1.0 / np.hypot(dy, dA)
-    if kernel.include_prefactor:
-        out = out / math.pi
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _reject_prefactor(kernel: CauchyKernel) -> None:
-    if kernel.include_prefactor:
-        raise InputError(
-            "estimate checkers require the bare kernel; disable the prefactor"
-        )
-
-
 def check_size(kernel: CauchyKernel, x, y) -> BoundReport:
     """Check ``|K(x, y)| <= 1/|y - x|`` pointwise, with no tolerance."""
-    _reject_prefactor(kernel)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lhs = np.atleast_1d(kernel_modulus(kernel, x, y))
@@ -127,7 +102,6 @@ def check_smoothness(kernel: CauchyKernel, x, y, y_prime, transposed: bool = Fal
     ``transposed`` flag the difference is taken in the first argument,
     ``|K(y, x) - K(y', x)|``, against the same right-hand side.
     """
-    _reject_prefactor(kernel)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     y_prime = np.atleast_1d(np.asarray(y_prime, dtype=float))

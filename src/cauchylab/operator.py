@@ -1,26 +1,24 @@
 """Truncated, principal-value, and maximal Cauchy integrals by quadrature.
 
 The operator applied to a sampled function is a plain midpoint-rule sum
-of ``K(x, y) f(y)`` over grid nodes ``y``.  The singularity at ``y = x``
-is handled combinatorially, not analytically:
+of ``h K(x, y) f(y)`` over grid nodes ``y``.  The singularity at ``y = x``
+is handled by masking, not analytically:
 
 * truncated integrals sum the nodes with ``|x - y| > t``;
-* the principal value adds the window ``0 < |x - y| <= t`` back in by
-  pairing the node at ``x + s`` with the node at ``x - s``.  On a uniform
-  grid the two singular contributions have exactly opposite leading
-  parts, so the pair sum cancels the odd singularity with no
-  curve-specific closed form.
+* the principal value sums every node that does not coincide with ``x``.
+
+On a uniform grid the nodes at ``x + s`` and ``x - s`` carry exactly
+opposite leading singular parts, so grouping them in pairs cancels the
+odd singularity with no curve-specific closed form.  Pairing only
+reorders the summed terms, never changes their set, so the masked sum is
+the symmetric principal value up to rounding.
 
 For the pairing to be exact the evaluation point must sit on the node
 lattice or the half-step midpoint lattice of the grid.  Operator outputs
 are therefore evaluated on the midpoint lattice, where no evaluation
 point can ever collide with a quadrature node; misaligned points are
-rejected with regrid guidance rather than silently mistreated.
-
-Grouping the window into pairs changes only the floating-point summation
-order, never the set of summed terms, so the principal value is
-independent of the truncation radius up to rounding; the radius exists to
-let truncated and windowed parts be studied separately.
+rejected with regrid guidance rather than silently mistreated, and
+non-finite points are rejected outright.
 
 ``pv_values`` and ``truncated_values`` share one summation primitive,
 ``_masked_sums``, with two exact backends chosen from the inputs alone:
@@ -39,9 +37,6 @@ terms.
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,62 +54,22 @@ _CHUNK_ELEMENTS = 32_768
 _FFT_COST = 4
 
 
-class Exclusion(enum.Enum):
-    SYMMETRIC_PAIR = "symmetric_pair"
-    NODE_SKIP = "node_skip"
+def _points(xs) -> np.ndarray:
+    """Evaluation points as a 1-d float array; a non-finite point raises."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(xs))
+    if bad.size:
+        raise InputError(
+            f"evaluation point {float(xs[bad[0]])} at index {int(bad[0])} is not finite"
+        )
+    return xs
 
 
-@dataclass(frozen=True)
-class PvConfig:
-    """Principal-value discretization: window radius, grid step, exclusion mode."""
+def _check_alignment(xs: np.ndarray, f: SampledFunction) -> None:
+    """Reject the first point that is near the grid but off its lattices.
 
-    truncation: float
-    quadrature_step: float
-    exclusion: Exclusion = Exclusion.SYMMETRIC_PAIR
-
-    def __post_init__(self):
-        if not self.quadrature_step > 0:
-            raise InputError("quadrature step must be positive")
-        if not self.truncation > 0:
-            raise InputError("truncation radius must be positive")
-        if self.truncation < self.quadrature_step * (1.0 - 1e-12):
-            raise InputError("truncation must be at least one quadrature step")
-
-    @staticmethod
-    def for_function(f: SampledFunction, truncation: Optional[float] = None,
-                     exclusion: Exclusion = Exclusion.SYMMETRIC_PAIR) -> "PvConfig":
-        """Default window of one grid step."""
-        t = f.step if truncation is None else truncation
-        return PvConfig(t, f.step, exclusion)
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Where operator outputs live: evaluation window plus pv discretization.
-
-    ``pv`` may be omitted, in which case each application uses the
-    default one-step window for its input grid.
-    """
-
-    window: Interval
-    pv: Optional[PvConfig] = None
-
-    def pv_for(self, f: SampledFunction) -> PvConfig:
-        if self.pv is None:
-            return PvConfig.for_function(f)
-        if abs(self.pv.quadrature_step - f.step) > 1e-12 * f.step:
-            raise InputError(
-                f"pv quadrature step {self.pv.quadrature_step} does not match "
-                f"the grid step {f.step}"
-            )
-        return self.pv
-
-
-def _check_alignment(xs: np.ndarray, f: SampledFunction) -> np.ndarray:
-    """Mask of the free points (far from the grid, alignment irrelevant).
-
-    Every other point must sit on the node or the half-step midpoint
-    lattice; the first one that does not raises.
+    Points far from the grid are free; every other point must sit on the
+    node or the half-step midpoint lattice.
     """
     h = f.step
     free = (xs < f.lower - 1.5 * h) | (xs > f.upper + 1.5 * h)
@@ -130,85 +85,6 @@ def _check_alignment(xs: np.ndarray, f: SampledFunction) -> np.ndarray:
             "node; principal values need a node or half-step midpoint, regrid the "
             "input or move the point onto origin + (i + 1/2) * step"
         )
-    return free
-
-
-def apply_truncated(kernel: CauchyKernel, f: SampledFunction, x: float, t: float) -> complex:
-    """Midpoint-rule value of the integral of ``K(x, y) f(y)`` over ``|x - y| > t``."""
-    if not t > 0:
-        raise InputError("truncation radius must be positive")
-    nodes = f.nodes
-    mask = np.abs(nodes - x) > t
-    if not np.any(mask):
-        return 0j
-    y = nodes[mask]
-    dA = eval_A(kernel.curve, y) - float(eval_A(kernel.curve, x))
-    k_vals = 1.0 / ((y - x) + 1j * dA)
-    if kernel.include_prefactor:
-        k_vals = k_vals / (math.pi * 1j)
-    return complex(f.step * np.sum(k_vals * f.values[mask]))
-
-
-def apply_pv(kernel: CauchyKernel, f: SampledFunction, x: float, cfg: PvConfig) -> complex:
-    """Principal value at one aligned point.
-
-    The value is the truncated integral at the window radius plus the
-    symmetric window sum.  In SYMMETRIC_PAIR mode the window nodes are
-    grouped as ``K(x, x+s) f(x+s) + K(x, x-s) f(x-s)`` so the singular
-    odd part cancels pairwise (exactly in exact arithmetic, and to
-    rounding in floats); NODE_SKIP simply sums the window nodes in grid
-    order, skipping the coincident node when ``x`` is a node.
-    """
-    if abs(cfg.quadrature_step - f.step) > 1e-12 * f.step:
-        raise InputError(
-            f"pv quadrature step {cfg.quadrature_step} does not match the "
-            f"grid step {f.step}"
-        )
-    free = bool(_check_alignment(np.array([x], dtype=float), f)[0])
-    t = cfg.truncation
-    outer = apply_truncated(kernel, f, x, t)
-
-    h = f.step
-    nodes = f.nodes
-    offsets = nodes - x
-    # Window nodes: 0 < |y - x| <= t.  Together with the strict outer
-    # region every node is counted exactly once.
-    window = (np.abs(offsets) <= t) & (np.abs(offsets) > 0.5 * h * 1e-6)
-    if not np.any(window):
-        return outer
-    A_x = float(eval_A(kernel.curve, x))
-
-    def k_at(idx: np.ndarray) -> np.ndarray:
-        y = nodes[idx]
-        dA = eval_A(kernel.curve, y) - A_x
-        k = 1.0 / ((y - x) + 1j * dA)
-        if kernel.include_prefactor:
-            k = k / (math.pi * 1j)
-        return k
-
-    if cfg.exclusion is Exclusion.NODE_SKIP or free:
-        idx = np.nonzero(window)[0]
-        inner = h * np.sum(k_at(idx) * f.values[idx])
-        return outer + complex(inner)
-
-    # Symmetric pairing.  x aligned means 2 (x - origin)/h is an integer
-    # m2, and the mirror of node index i is m2 - i.
-    m2 = int(round(2.0 * (x - f.origin) / h))
-    up = np.nonzero(window & (offsets > 0))[0]
-    inner = 0j
-    k_up = k_at(up)
-    for j, i in enumerate(up):
-        term = k_up[j] * f.values[i]
-        mi = m2 - i
-        if 0 <= mi < f.count:
-            y_m = nodes[mi]
-            dA_m = float(eval_A(kernel.curve, y_m)) - A_x
-            k_m = 1.0 / ((y_m - x) + 1j * dA_m)
-            if kernel.include_prefactor:
-                k_m = k_m / (math.pi * 1j)
-            term = term + k_m * f.values[mi]
-        inner += term
-    return outer + complex(h * inner)
 
 
 def apply_maximal(kernel: CauchyKernel, f: SampledFunction, x: float,
@@ -221,27 +97,26 @@ def apply_maximal(kernel: CauchyKernel, f: SampledFunction, x: float,
         raise InputError("truncation radii must be positive")
     if np.any(np.diff(ladder) < 0):
         raise InputError("truncation ladder must be sorted ascending")
-    return max(abs(apply_truncated(kernel, f, x, t)) for t in ladder)
+    return float(max(abs(truncated_values(kernel, f, [x], t)[0]) for t in ladder))
 
 
 def pv_values(kernel: CauchyKernel, f: SampledFunction, xs) -> np.ndarray:
     """Principal values at many aligned points, vectorized.
 
-    Every point must classify as a node, a midpoint, or free (far from
-    the grid).  The sum runs over all non-coincident nodes, which equals
-    the symmetric-pair principal value up to summation order.
+    Every point must be finite and sit on a node, on a midpoint, or far
+    from the grid.  The sum runs over all non-coincident nodes, which
+    equals the symmetric-pair principal value up to summation order.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = _points(xs)
     _check_alignment(xs, f)
     return _masked_sums(kernel, f, xs, t=None)
 
 
 def truncated_values(kernel: CauchyKernel, f: SampledFunction, xs, t: float) -> np.ndarray:
-    """Truncated integrals at many points, vectorized."""
+    """Truncated integrals at many finite points, vectorized."""
     if not t > 0:
         raise InputError("truncation radius must be positive")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    return _masked_sums(kernel, f, xs, t=t)
+    return _masked_sums(kernel, f, _points(xs), t=t)
 
 
 def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
@@ -262,8 +137,6 @@ def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
     out = _toeplitz_sums(kernel.curve, f, xs, cut)
     if out is None:
         out = _dense_sums(kernel.curve, f, xs, cut)
-    if kernel.include_prefactor:
-        out /= math.pi * 1j
     return out
 
 
@@ -366,15 +239,15 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     return out * factor
 
 
-def apply_on_window(kernel: CauchyKernel, f: SampledFunction, cfg: EvalConfig) -> SampledFunction:
+def apply_on_window(kernel: CauchyKernel, f: SampledFunction,
+                    window: Interval) -> SampledFunction:
     """Operator output on the midpoint lattice of the input grid.
 
     The true output has unbounded support, so the caller declares the
     window; half-step evaluation points guarantee no collision with the
     quadrature nodes.
     """
-    cfg.pv_for(f)  # validates step compatibility
-    xs = f.midpoints_in(cfg.window)
+    xs = f.midpoints_in(window)
     if xs.size == 0:
         raise InputError("evaluation window contains no midpoint-lattice points")
     vals = pv_values(kernel, f, xs)
@@ -382,7 +255,7 @@ def apply_on_window(kernel: CauchyKernel, f: SampledFunction, cfg: EvalConfig) -
 
 
 def operator_norm_lower(kernel: CauchyKernel, p: float,
-                        family: Sequence[SampledFunction], cfg: EvalConfig) -> float:
+                        family: Sequence[SampledFunction], window: Interval) -> float:
     """Largest Rayleigh ratio ``|C f|_p / |f|_p`` over the family.
 
     A lower bound for the operator norm only: the family is finite and
@@ -395,6 +268,6 @@ def operator_norm_lower(kernel: CauchyKernel, p: float,
         denom = lp_norm(f, p)
         if denom == 0.0:
             raise InputError("family member has zero norm")
-        out = apply_on_window(kernel, f, cfg)
+        out = apply_on_window(kernel, f, window)
         best = max(best, lp_norm(out, p) / denom)
     return best

@@ -37,7 +37,7 @@ from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import pv_values
 from .reports import BoundReport
-from .sampling import Annulus, Interval, SampledFunction
+from .sampling import Annulus, Interval, SampledFunction, sample
 
 
 class Side(enum.Enum):
@@ -290,8 +290,6 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
     if b.source is not None:
         # The dilate family reaches far outside the base; resample rather
         # than silently measuring only the covered part.
-        from .sampling import sample
-
         wide = sample(b.source, dilate.lower, dilate.upper,
                       max(4096, 4 * cfg.eval_cells))
     else:

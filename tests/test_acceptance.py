@@ -12,17 +12,14 @@ import pytest
 
 from cauchylab import (
     CauchyKernel,
-    EvalConfig,
     Interval,
     LipschitzCurve,
-    PvConfig,
     SampledFunction,
     WitnessCase,
     WitnessConfig,
     WitnessEngineConfig,
     annulus_ladder_reports,
     apply_commutator,
-    apply_pv,
     build_test_function,
     check_invariants,
     homogeneity_check,
@@ -92,10 +89,10 @@ def test_c02_flat_curve_closed_form_oracle():
     t0 = time.perf_counter()
     expect = float(np.log(1.0 / 3.0))
     f1 = sample(indicator(-1.0, 1.0), -1.0, 1.0, 20_000)  # step 1e-4
-    v1 = apply_pv(FLAT, f1, 2.0, PvConfig.for_function(f1))
+    v1 = pv_values(FLAT, f1, [2.0])[0]
     err1 = abs(v1.real - expect)
     f2 = sample(indicator(-1.0, 1.0), -1.0, 1.0, 40_000)  # step 5e-5
-    v2 = apply_pv(FLAT, f2, 2.0, PvConfig.for_function(f2))
+    v2 = pv_values(FLAT, f2, [2.0])[0]
     err2 = abs(v2.real - expect)
     dt = time.perf_counter() - t0
     ok = err1 <= 1e-4 and err2 <= 0.5 * err1 and dt < 5.0
@@ -219,10 +216,10 @@ def test_c09_algebraic_exactness(rng, witness_pair):
     # Commutator bilinearity in the symbol.
     b = sample(lambda y: np.sin(2 * y) + 0.3 * np.sign(y - 0.2), -2, 2, 2000)
     f = sample(lambda y: np.exp(-(y**2)), -2, 2, 2000)
-    cfg = EvalConfig(Interval(0.0, 1.5))
-    one = apply_commutator(b, f, FLAT, cfg)
+    window = Interval(0.0, 1.5)
+    one = apply_commutator(b, f, FLAT, window)
     lam = float(rng.uniform(0.5, 4.0))
-    two = apply_commutator(b.scaled(lam), f, FLAT, cfg)
+    two = apply_commutator(b.scaled(lam), f, FLAT, window)
     bilinear = np.max(np.abs(two.values - lam * one.values)) <= 1e-12 * np.max(
         np.abs(lam * one.values)
     )

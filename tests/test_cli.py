@@ -79,6 +79,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"grid": {"step": None}}))
         assert run(["bmo-norm", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
 
+    def test_removed_operator_block_exit_2(self, tmp_path, capsys):
+        # The principal value has no window radius or exclusion mode to set.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"operator": {"truncation": 0.05, "exclusion": "node_skip"}}))
+        assert run(["eval-operator", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+        assert "unknown config key: operator" in capsys.readouterr().err
+
     def test_constant_symbol_guard_exit_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"symbol": {"kind": "constant", "params": {"value": 2.0}}}))

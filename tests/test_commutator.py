@@ -3,7 +3,6 @@ import pytest
 
 from cauchylab import (
     CauchyKernel,
-    EvalConfig,
     HomogeneityCase,
     InputError,
     Interval,
@@ -30,16 +29,16 @@ def setup_pair(b_fn, f_fn, lo=-2.0, hi=2.0, count=4000):
 class TestApply:
     def test_constant_symbol_vanishes(self):
         b, f = setup_pair(lambda y: np.full_like(y, 3.0), indicator(-1.0, 1.0))
-        out = apply_commutator(b, f, FLAT, EvalConfig(Interval(0.0, 1.5)))
+        out = apply_commutator(b, f, FLAT, Interval(0.0, 1.5))
         scale = 3.0 * lp_norm(f, 2.0)
         assert np.max(np.abs(out.values)) <= 1e-12 * scale
 
     def test_bilinear_in_symbol(self):
         b, f = setup_pair(lambda y: np.sin(2 * y), lambda y: np.exp(-(y**2)))
-        cfg = EvalConfig(Interval(0.0, 1.5))
-        one = apply_commutator(b, f, FLAT, cfg)
+        window = Interval(0.0, 1.5)
+        one = apply_commutator(b, f, FLAT, window)
         lam = -3.7
-        two = apply_commutator(b.scaled(lam), f, FLAT, cfg)
+        two = apply_commutator(b.scaled(lam), f, FLAT, window)
         np.testing.assert_allclose(two.values, lam * one.values, rtol=1e-12, atol=1e-15)
 
     def test_linear_symbol_closed_form(self):
@@ -47,7 +46,7 @@ class TestApply:
         # b(x) C f - C(b f) at x = 2 is (x - y) K(x, y) = -1 on a flat
         # graph, so the value is -measure = -2.
         b, f = setup_pair(ramp(1.0, 0.0), indicator(-1.0, 1.0))
-        out = apply_commutator(b, f, FLAT, EvalConfig(Interval(2.0, 0.01)))
+        out = apply_commutator(b, f, FLAT, Interval(2.0, 0.01))
         x = out.nodes
         assert np.all((x > 1.9) & (x < 2.1))
         np.testing.assert_allclose(out.values.real, -2.0, atol=1e-3)
@@ -57,20 +56,20 @@ class TestApply:
         b = sample(lambda y: y, -2, 2, 100)
         f = sample(lambda y: y, -2, 2, 200)
         with pytest.raises(InputError, match="grid"):
-            apply_commutator(b, f, FLAT, EvalConfig(Interval(0.0, 1.0)))
+            apply_commutator(b, f, FLAT, Interval(0.0, 1.0))
 
     def test_scale_covariance_flat(self):
         # Dilating symbol and input together leaves the Rayleigh ratio
         # invariant on a flat graph, up to quadrature error.
-        cfg1 = EvalConfig(Interval(0.0, 3.0))
+        window1 = Interval(0.0, 3.0)
         b1, f1 = setup_pair(lambda y: np.tanh(y), indicator(-1.0, 1.0),
                             lo=-3.0, hi=3.0, count=6000)
-        r1 = commutator_norm_lower(b1, 2.0, [f1], FLAT, cfg1)
+        r1 = commutator_norm_lower(b1, 2.0, [f1], FLAT, window1)
         lam = 2.0
-        cfg2 = EvalConfig(Interval(0.0, 3.0 / lam))
+        window2 = Interval(0.0, 3.0 / lam)
         b2, f2 = setup_pair(lambda y: np.tanh(lam * y), indicator(-1.0 / lam, 1.0 / lam),
                             lo=-3.0 / lam, hi=3.0 / lam, count=6000)
-        r2 = commutator_norm_lower(b2, 2.0, [f2], FLAT, cfg2)
+        r2 = commutator_norm_lower(b2, 2.0, [f2], FLAT, window2)
         assert r2 == pytest.approx(r1, rel=0.05)
 
 
@@ -123,35 +122,35 @@ class TestHomogeneity:
 class TestNormLower:
     def test_constant_symbol_zero(self):
         b, f = setup_pair(lambda y: np.full_like(y, 5.0), indicator(-1.0, 1.0))
-        v = commutator_norm_lower(b, 2.0, [f], FLAT, EvalConfig(Interval(0.0, 1.5)))
+        v = commutator_norm_lower(b, 2.0, [f], FLAT, Interval(0.0, 1.5))
         assert v <= 1e-10 * 5.0
 
     def test_scaling_in_symbol(self):
         b, f = setup_pair(lambda y: np.sin(y), indicator(-1.0, 1.0))
-        cfg = EvalConfig(Interval(0.0, 1.5))
-        v1 = commutator_norm_lower(b, 2.0, [f], FLAT, cfg)
-        v2 = commutator_norm_lower(b.scaled(4.0), 2.0, [f], FLAT, cfg)
+        window = Interval(0.0, 1.5)
+        v1 = commutator_norm_lower(b, 2.0, [f], FLAT, window)
+        v2 = commutator_norm_lower(b.scaled(4.0), 2.0, [f], FLAT, window)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
     def test_monotone_in_family(self):
         b, f = setup_pair(lambda y: np.sin(y), indicator(-1.0, 1.0))
         g = sample(lambda y: np.exp(-(y**2)), -2, 2, 4000)
-        cfg = EvalConfig(Interval(0.0, 1.5))
-        assert commutator_norm_lower(b, 2.0, [f, g], FLAT, cfg) >= commutator_norm_lower(
-            b, 2.0, [f], FLAT, cfg
+        window = Interval(0.0, 1.5)
+        assert commutator_norm_lower(b, 2.0, [f, g], FLAT, window) >= commutator_norm_lower(
+            b, 2.0, [f], FLAT, window
         )
 
     def test_argmax_stable_under_symbol_rescaling(self):
         b, f = setup_pair(lambda y: np.sin(y), indicator(-1.0, 1.0))
         g = sample(lambda y: np.exp(-(y**2)), -2, 2, 4000)
-        cfg = EvalConfig(Interval(0.0, 1.5))
-        ratios = [commutator_norm_lower(b, 2.0, [m], FLAT, cfg) for m in (f, g)]
+        window = Interval(0.0, 1.5)
+        ratios = [commutator_norm_lower(b, 2.0, [m], FLAT, window) for m in (f, g)]
         b4 = b.scaled(4.0)
-        ratios4 = [commutator_norm_lower(b4, 2.0, [m], FLAT, cfg) for m in (f, g)]
+        ratios4 = [commutator_norm_lower(b4, 2.0, [m], FLAT, window) for m in (f, g)]
         assert int(np.argmax(ratios)) == int(np.argmax(ratios4))
 
     def test_zero_member_rejected(self):
         b = sample(lambda y: np.sin(y), -2, 2, 100)
         z = sample(lambda y: np.zeros_like(y), -2, 2, 100)
         with pytest.raises(InputError):
-            commutator_norm_lower(b, 2.0, [z], FLAT, EvalConfig(Interval(0.0, 1.0)))
+            commutator_norm_lower(b, 2.0, [z], FLAT, Interval(0.0, 1.0))

@@ -3,7 +3,6 @@ import pytest
 
 from cauchylab import (
     CauchyKernel,
-    EvalConfig,
     InputError,
     Interval,
     LipschitzCurve,

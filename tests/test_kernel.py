@@ -28,9 +28,6 @@ def test_eval_examples():
 def test_constants():
     assert FLAT.size_constant == 2.0
     assert AFFINE1.size_constant == 4.0
-    assert SAW.smoothness_exponent == 1.0
-    with pytest.raises(InputError):
-        CauchyKernel(LipschitzCurve.flat(), size_constant=3.0)
 
 
 def test_singularity():
@@ -95,10 +92,3 @@ def test_modulus_symmetry_exact(rng):
     m_yx = kernel_modulus(SAW, y[keep], x[keep])
     np.testing.assert_array_equal(m_xy, m_yx)
 
-
-def test_prefactor_mode():
-    kern = CauchyKernel.for_curve(LipschitzCurve.flat(), include_prefactor=True)
-    v = eval_kernel(kern, 0.0, 2.0)
-    assert v == pytest.approx(0.5 / (np.pi * 1j))
-    with pytest.raises(InputError, match="prefactor"):
-        check_size(kern, 0.0, 2.0)

@@ -1,46 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchylab import (
     CauchyKernel,
-    EvalConfig,
-    Exclusion,
     GridAlignmentError,
     InputError,
     Interval,
     LipschitzCurve,
-    PvConfig,
+    ProfileKind,
+    SampledFunction,
     apply_maximal,
     apply_on_window,
-    apply_pv,
-    apply_truncated,
-    lp_norm,
+    commutator_values,
+    eval_kernel,
     operator_norm_lower,
     pv_values,
     sample,
+    truncated_values,
 )
+from cauchylab import operator
 from cauchylab.symbols import indicator
 
 FLAT = CauchyKernel.for_curve(LipschitzCurve.flat())
 LOG3 = float(np.log(3.0))
+
+# Flat and affine graphs run the Toeplitz backend on a full lattice of
+# targets; the sawtooth always runs the dense one.
+CURVES = [LipschitzCurve.flat(), LipschitzCurve.affine(0.75),
+          LipschitzCurve.sawtooth(0.5, 2.0)]
 
 
 def chi(lo, hi, span_lo, span_hi, count):
     return sample(indicator(lo, hi), span_lo, span_hi, count)
 
 
+def pv_at(kernel, f, x):
+    return pv_values(kernel, f, [x])[0]
+
+
+def truncated_at(kernel, f, x, t):
+    return truncated_values(kernel, f, [x], t)[0]
+
+
+def random_grid(seed, n=512, lo=-2.0, hi=2.0):
+    rng = np.random.default_rng(seed)
+    h = (hi - lo) / n
+    vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return SampledFunction(lo + 0.5 * h, h, vals)
+
+
+def rel_dev(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+scalars = st.complex_numbers(min_magnitude=0.1, max_magnitude=4.0,
+                             allow_nan=False, allow_infinity=False)
+
+
 class TestTruncated:
     def test_zero_function(self):
         f = sample(lambda y: np.zeros_like(y), -1, 1, 100)
-        assert apply_truncated(FLAT, f, 0.3, 0.5) == 0
+        assert truncated_at(FLAT, f, 0.3, 0.5) == 0
 
     def test_empty_region(self):
         f = chi(-1, 1, -1, 1, 2000)
-        assert apply_truncated(FLAT, f, 0.0, 1.0) == 0
+        assert truncated_at(FLAT, f, 0.0, 1.0) == 0
 
     def test_closed_form(self):
         f = chi(-1, 1, -1, 1, 20_000)
-        v = apply_truncated(FLAT, f, 2.0, 0.5)
+        v = truncated_at(FLAT, f, 2.0, 0.5)
         assert v.imag == 0
         assert v.real == pytest.approx(-LOG3, abs=1e-4)
 
@@ -49,7 +79,7 @@ class TestTruncated:
         h = f.step
         t1, t2 = 10.7 * h, 300.3 * h
         x = f.origin + 2047.5 * h
-        lhs = apply_truncated(FLAT, f, x, t1) - apply_truncated(FLAT, f, x, t2)
+        lhs = truncated_at(FLAT, f, x, t1) - truncated_at(FLAT, f, x, t2)
         nodes = f.nodes
         ring = (np.abs(nodes - x) > t1) & (np.abs(nodes - x) < t2)
         rhs = h * np.sum(f.values[ring] / (nodes[ring] - x))
@@ -59,54 +89,76 @@ class TestTruncated:
 class TestPv:
     def test_symmetric_cancellation(self):
         f = chi(-1, 1, -1, 1, 20_000)
-        v = apply_pv(FLAT, f, 0.0, PvConfig.for_function(f))
+        v = pv_at(FLAT, f, 0.0)
         assert abs(v) <= 1e-10
 
     def test_offset_indicator(self):
         f = chi(0, 2, 0, 2, 20_000)
-        v = apply_pv(FLAT, f, 3.0, PvConfig.for_function(f))
+        v = pv_at(FLAT, f, 3.0)
         assert v.real == pytest.approx(-LOG3, abs=1e-4)
 
     def test_odd_integrand(self):
         f = sample(lambda y: y, -1, 1, 20_000)
-        v = apply_pv(FLAT, f, 0.0, PvConfig.for_function(f))
+        v = pv_at(FLAT, f, 0.0)
         assert v.real == pytest.approx(2.0, abs=1e-3)
-
-    def test_node_skip_matches_pairing(self):
-        f = sample(lambda y: np.exp(-(y**2)), -2, 2, 4096)
-        x = f.origin + 1000.5 * f.step
-        a = apply_pv(FLAT, f, x, PvConfig.for_function(f))
-        b = apply_pv(FLAT, f, x, PvConfig.for_function(f, exclusion=Exclusion.NODE_SKIP))
-        assert a == pytest.approx(b, rel=1e-10)
 
     def test_on_node_evaluation(self):
         f = sample(lambda y: np.exp(-(y**2)), -2, 2, 4096)
         x = float(f.nodes[1000])
-        v = apply_pv(FLAT, f, x, PvConfig.for_function(f, truncation=5 * f.step))
+        v = pv_at(FLAT, f, x)
         assert np.isfinite(v.real)
 
     def test_misaligned_rejected(self):
         f = sample(lambda y: y, -1, 1, 100)
         with pytest.raises(GridAlignmentError, match="midpoint"):
-            apply_pv(FLAT, f, f.origin + 0.27 * f.step, PvConfig.for_function(f))
+            pv_at(FLAT, f, f.origin + 0.27 * f.step)
 
-    def test_step_mismatch_rejected(self):
-        f = sample(lambda y: y, -1, 1, 100)
-        with pytest.raises(InputError, match="step"):
-            apply_pv(FLAT, f, 0.0, PvConfig(0.1, 0.05))
+    @settings(max_examples=30, deadline=None)
+    @given(curve=st.sampled_from(CURVES), seed=st.integers(0, 2**32 - 1),
+           a=scalars, b=scalars, t_steps=st.none() | st.integers(1, 40))
+    def test_linearity(self, curve, seed, a, b, t_steps):
+        # Linear in f under complex scalars, for pv and truncated sums on
+        # both backends.
+        kernel = CauchyKernel.for_curve(curve)
+        f, g = random_grid(seed), random_grid(seed + 1)
+        xs = f.midpoints_in(Interval(0.0, 2.5))
+        cut = 0.5e-6 * f.step if t_steps is None else (t_steps + 0.25) * f.step
+        dense_only = curve.kind is ProfileKind.SAWTOOTH
+        assert (operator._toeplitz_sums(curve, f, xs, cut) is None) == dense_only
 
-    def test_linearity(self, rng):
-        f = sample(lambda y: np.sin(3 * y), -1, 1, 2048)
-        g = sample(lambda y: np.cos(2 * y), -1, 1, 2048)
-        cfg = PvConfig.for_function(f)
-        x = f.origin + 511.5 * f.step
-        vf = apply_pv(FLAT, f, x, cfg)
-        vg = apply_pv(FLAT, g, x, cfg)
-        vs = apply_pv(FLAT, f.with_values(f.values + g.values), x, cfg)
-        assert vs == pytest.approx(vf + vg, rel=1e-12)
-        lam = 2.7 - 1.3j
-        vl = apply_pv(FLAT, f.with_values(lam * f.values), x, cfg)
-        assert vl == pytest.approx(lam * vf, rel=1e-12)
+        def apply(u):
+            if t_steps is None:
+                return pv_values(kernel, u, xs)
+            return truncated_values(kernel, u, xs, (t_steps + 0.25) * u.step)
+
+        vf, vg = apply(f), apply(g)
+        vs = apply(f.with_values(a * f.values + b * g.values))
+        scale = np.max(np.abs(a * vf) + np.abs(b * vg))
+        assert np.max(np.abs(vs - (a * vf + b * vg))) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(curve=st.sampled_from(CURVES[:2]), seed=st.integers(0, 2**32 - 1),
+           m=st.integers(-2000, 2000), par=st.integers(0, 1),
+           targets=st.integers(1, 700), t_steps=st.none() | st.integers(1, 40))
+    def test_whole_step_translation_covariance(self, curve, seed, m, par, targets,
+                                               t_steps):
+        # On a flat or affine graph the kernel depends on y - x alone, so
+        # moving the grid and the targets by m whole steps changes nothing.
+        # Few targets run the dense backend, many the Toeplitz one.
+        kernel = CauchyKernel.for_curve(curve)
+        f = random_grid(seed)
+        h = f.step
+        g = SampledFunction(f.origin + m * h, h, f.values)
+        ks = np.random.default_rng(seed).integers(-100, f.count + 100, size=targets)
+        xs_f = f.origin + (ks + 0.5 * par) * h
+        xs_g = g.origin + (ks + 0.5 * par) * h
+        if t_steps is None:
+            got, ref = pv_values(kernel, g, xs_g), pv_values(kernel, f, xs_f)
+        else:
+            t = (t_steps + 0.25) * h
+            got = truncated_values(kernel, g, xs_g, t)
+            ref = truncated_values(kernel, f, xs_f, t)
+        assert rel_dev(got, ref) <= 1e-10
 
     def test_flat_oracle_random_indicators(self, rng):
         # Closed form log|(b - x)/(a - x)| at points clear of the support.
@@ -121,9 +173,24 @@ class TestPv:
             x_raw = (b + d) if side > 0 else (a - d)
             k = round((x_raw - f.origin) / h)
             x = f.origin + k * h  # node-aligned beyond the support
-            v = apply_pv(FLAT, f, x, PvConfig.for_function(f))
+            v = pv_at(FLAT, f, x)
             expect = np.log(abs((b - x) / (a - x)))
             assert v.real == pytest.approx(expect, abs=10 * h)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_points_rejected(bad):
+    f = sample(lambda y: np.exp(-(y**2)), -1, 1, 64)
+    b = f.with_values(f.values.copy())  # no source: the symbol is read off the grid
+    xs = [f.origin + 0.5 * f.step, bad]
+    calls = (
+        lambda: pv_values(FLAT, f, xs),
+        lambda: truncated_values(FLAT, f, xs, 0.1),
+        lambda: commutator_values(b, f, FLAT, xs),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match="index 1 is not finite"):
+            call()
 
 
 class TestMaximal:
@@ -147,7 +214,7 @@ class TestMaximal:
         ladder = [0.1, 0.4, 0.9]
         vmax = apply_maximal(FLAT, f, 1.5, ladder)
         for t in ladder:
-            assert vmax >= abs(apply_truncated(FLAT, f, 1.5, t))
+            assert vmax >= abs(truncated_at(FLAT, f, 1.5, t))
 
     def test_bad_ladders(self):
         f = sample(lambda y: y, -1, 1, 64)
@@ -160,7 +227,7 @@ class TestMaximal:
 class TestWindowed:
     def test_output_on_midpoint_lattice(self):
         f = sample(lambda y: np.exp(-(y**2)), -2, 2, 512)
-        out = apply_on_window(FLAT, f, EvalConfig(Interval(0.0, 1.0)))
+        out = apply_on_window(FLAT, f, Interval(0.0, 1.0))
         s = (out.nodes - f.origin) / f.step
         np.testing.assert_allclose(s - np.floor(s), 0.5, atol=1e-9)
 
@@ -168,47 +235,39 @@ class TestWindowed:
         f = sample(lambda y: y, -1, 1, 100)
         # Window strictly between two consecutive midpoint-lattice points.
         with pytest.raises(InputError):
-            apply_on_window(FLAT, f, EvalConfig(Interval(0.01, 1e-9)))
+            apply_on_window(FLAT, f, Interval(0.01, 1e-9))
 
     def test_pv_values_matches_pointwise(self):
         f = sample(lambda y: np.exp(-(y**2)) * (1 + 0.5j), -2, 2, 1024)
         xs = f.origin + (np.arange(100, 110) + 0.5) * f.step
         vec = pv_values(FLAT, f, xs)
-        cfg = PvConfig.for_function(f, exclusion=Exclusion.NODE_SKIP)
-        point = np.array([apply_pv(FLAT, f, float(x), cfg) for x in xs])
+        point = np.array([f.step * np.sum(eval_kernel(FLAT, x, f.nodes) * f.values)
+                          for x in xs])
         np.testing.assert_allclose(vec, point, rtol=1e-10)
 
 
 class TestNormLower:
     def test_indicator_family(self):
         f = chi(0, 1, -1, 2, 3000)
-        cfg = EvalConfig(Interval(0.5, 3.0))
-        v = operator_norm_lower(FLAT, 2.0, [f], cfg)
+        v = operator_norm_lower(FLAT, 2.0, [f], Interval(0.5, 3.0))
         assert np.isfinite(v) and v > 0
 
     def test_scale_invariance(self):
         f = chi(0, 1, -1, 2, 3000)
-        cfg = EvalConfig(Interval(0.5, 3.0))
-        v1 = operator_norm_lower(FLAT, 2.0, [f], cfg)
-        v2 = operator_norm_lower(FLAT, 2.0, [f.with_values(7.5 * f.values)], cfg)
+        window = Interval(0.5, 3.0)
+        v1 = operator_norm_lower(FLAT, 2.0, [f], window)
+        v2 = operator_norm_lower(FLAT, 2.0, [f.with_values(7.5 * f.values)], window)
         assert v2 == pytest.approx(v1, rel=1e-12)
 
     def test_monotone_in_family(self):
         f = chi(0, 1, -1, 2, 3000)
         g = sample(lambda y: np.exp(-(y**2)), -1, 2, 3000)
-        cfg = EvalConfig(Interval(0.5, 3.0))
-        assert operator_norm_lower(FLAT, 2.0, [f, g], cfg) >= operator_norm_lower(
-            FLAT, 2.0, [f], cfg
+        window = Interval(0.5, 3.0)
+        assert operator_norm_lower(FLAT, 2.0, [f, g], window) >= operator_norm_lower(
+            FLAT, 2.0, [f], window
         )
 
     def test_zero_member_rejected(self):
         z = sample(lambda y: np.zeros_like(y), -1, 1, 100)
         with pytest.raises(InputError):
-            operator_norm_lower(FLAT, 2.0, [z], EvalConfig(Interval(0.0, 1.0)))
-
-
-def test_pv_config_validation():
-    with pytest.raises(InputError):
-        PvConfig(0.01, 0.1)
-    with pytest.raises(InputError):
-        PvConfig(-1.0, 0.1)
+            operator_norm_lower(FLAT, 2.0, [z], Interval(0.0, 1.0))

@@ -5,8 +5,6 @@ it wherever it runs, and every input it declines must give exactly the
 dense result.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,18 +138,6 @@ class TestDispatch:
                     truncated_values(kernel, f, lattice, 10.25 * f.step),
                     truncated_values(kernel, f, off, 10.0 * f.step)):
             assert np.all(out.imag == 0.0)
-
-    @pytest.mark.parametrize("curve", [FLAT, LipschitzCurve.affine(0.75)])
-    def test_prefactor_on_both_backends(self, curve):
-        f = _grid(1024, seed=5)
-        xs = _lattice(f, np.arange(0, 1024), 1)
-        with_pre = CauchyKernel.for_curve(curve, include_prefactor=True)
-        fast = pv_values(with_pre, f, xs)
-        assert operator._toeplitz_sums(curve, f, xs, _cut(f, None)) is not None
-        dense = operator._dense_sums(curve, f, xs, _cut(f, None)) / (math.pi * 1j)
-        assert _rel_dev(fast, dense) <= 1e-10
-        bare = pv_values(CauchyKernel.for_curve(curve), f, xs)
-        np.testing.assert_array_equal(fast, bare / (math.pi * 1j))
 
 
 class TestDense:
