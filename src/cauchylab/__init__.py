@@ -46,7 +46,6 @@ from .commutator import (
 )
 from .compactness import (
     FkReport,
-    TailConfig,
     WitnessCase,
     WitnessConfig,
     WitnessEngineConfig,

@@ -29,12 +29,12 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import index
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import InputError
-from .sampling import Interval, SampledFunction
+from .sampling import ALIGNMENT_TOL, Interval, SampledFunction
 
 # Cap on elements per sliding-window block in oscillation sweeps: 32768
 # float64s is 256 KiB, so a block and its deviation buffer stay in cache.
@@ -65,14 +65,22 @@ class VmoProfile:
     far_away: Tuple[Tuple[float, float], ...]
 
 
-def _node_bounds(nodes: np.ndarray, lowers, uppers) -> Tuple[np.ndarray, np.ndarray]:
-    """Bounds ``lo, hi`` of the sorted ``nodes`` strictly inside ``(lowers, uppers)``.
+def _node_bounds(f: SampledFunction, lowers, uppers) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo, hi`` of the nodes of ``f`` strictly inside ``(lowers, uppers)``.
 
-    ``nodes[lo:hi]`` holds the same nodes, in the same order, as the
-    open-interval mask.  Works elementwise on arrays of intervals.
+    An endpoint within ``ALIGNMENT_TOL`` steps of a node snaps onto it,
+    so the interval from node ``a`` to node ``a + w`` holds exactly the
+    ``w - 1`` interior nodes however ``center +- radius`` rounded.
+    Works elementwise on arrays of intervals.
     """
-    lo = np.searchsorted(nodes, lowers, "right")
-    hi = np.searchsorted(nodes, uppers, "left")
+    def snapped(x):
+        s = (np.asarray(x, dtype=float) - f.origin) / f.step
+        k = np.rint(s)
+        return np.where(np.abs(s - k) <= ALIGNMENT_TOL, f.origin + k * f.step, x)
+
+    nodes = f.nodes
+    lo = np.searchsorted(nodes, snapped(lowers), "right")
+    hi = np.searchsorted(nodes, snapped(uppers), "left")
     if np.any(hi <= lo):
         raise InputError("interval does not intersect the grid")
     return lo, hi
@@ -80,7 +88,7 @@ def _node_bounds(nodes: np.ndarray, lowers, uppers) -> Tuple[np.ndarray, np.ndar
 
 def _real_on(f: SampledFunction, domain: Interval) -> np.ndarray:
     vals = f.real_values()
-    lo, hi = _node_bounds(f.nodes, domain.lower, domain.upper)
+    lo, hi = _node_bounds(f, domain.lower, domain.upper)
     return vals[lo:hi]
 
 
@@ -106,7 +114,7 @@ def bmo_norm(f: SampledFunction, sweep: Sequence[Interval]) -> float:
     if not isinstance(sweep, IntervalSweep):
         sweep = IntervalSweep(np.array([I.center for I in sweep]),
                               np.array([I.radius for I in sweep]))
-    lo, hi = _node_bounds(f.nodes, sweep.lowers, sweep.uppers)
+    lo, hi = _node_bounds(f, sweep.lowers, sweep.uppers)
     return max(_oscillation(vals[a:b]) for a, b in zip(lo.tolist(), hi.tolist()))
 
 
@@ -200,18 +208,7 @@ class OscillationTable(Sequence):
         return zip(self.intervals, map(float, self.oscs))
 
 
-def _in_window(f: SampledFunction, window: Optional[Interval]):
-    """Index of the nodes of ``f`` inside the window (every node when absent)."""
-    if window is None:
-        return slice(None)
-    keep = window.contains(f.nodes)
-    if not np.any(keep):
-        raise InputError("window does not intersect the grid")
-    return keep
-
-
-def _levels(nodes: np.ndarray, step: float, max_length: Optional[float] = None
-            ) -> Iterator[Tuple[int, np.ndarray, float]]:
+def _levels(nodes: np.ndarray, step: float) -> Iterator[Tuple[int, np.ndarray, float]]:
     """``(w, centers, radius)`` per dyadic level, shortest first.
 
     Level ``w`` holds the intervals from node ``a`` to node ``a + w``
@@ -220,8 +217,6 @@ def _levels(nodes: np.ndarray, step: float, max_length: Optional[float] = None
     n = nodes.size
     w = 2
     while w <= n - 1:
-        if max_length is not None and w * step > max_length:
-            return
         yield w, 0.5 * (nodes[: n - w] + nodes[w:]), 0.5 * w * step
         w *= 2
 
@@ -257,31 +252,24 @@ def _level_oscillations(vals: np.ndarray, w: int) -> np.ndarray:
     return oscs
 
 
-def dyadic_sweep(f: SampledFunction, window: Optional[Interval] = None,
-                 max_length: Optional[float] = None) -> IntervalSweep:
-    """Every interval with grid-node endpoints and dyadic length in the window.
+def dyadic_sweep(f: SampledFunction) -> IntervalSweep:
+    """Every interval with grid-node endpoints and dyadic length.
 
-    Lengths are ``step * 2^m`` for ``m >= 1`` (at most ``max_length``);
-    endpoints sit on nodes, so each interval holds ``2^m - 1`` interior
-    nodes.
+    Lengths are ``step * 2^m`` for ``m >= 1``; endpoints sit on nodes, so
+    each interval holds ``2^m - 1`` interior nodes.
     """
-    nodes = f.nodes[_in_window(f, window)]
-    return _sweep(list(_levels(nodes, f.step, max_length)))
+    return _sweep(list(_levels(f.nodes, f.step)))
 
 
-def oscillation_table(f: SampledFunction, window: Optional[Interval] = None
-                      ) -> OscillationTable:
+def oscillation_table(f: SampledFunction) -> OscillationTable:
     """Mean oscillation of every dyadic-sweep interval, computed in bulk.
 
     Each row reduces the interior nodes between its two endpoint nodes,
-    which is :func:`mean_oscillation` of its interval when the step is a
-    power of two; the sliding windows of one dyadic level are evaluated
-    together.
+    which is :func:`mean_oscillation` of its interval; the sliding
+    windows of one dyadic level are evaluated together.
     """
     vals = f.real_values()
-    keep = _in_window(f, window)
-    vals, nodes = vals[keep], f.nodes[keep]
-    levels = list(_levels(nodes, f.step))
+    levels = list(_levels(f.nodes, f.step))
     sweep = _sweep(levels)
     return OscillationTable(
         sweep, np.concatenate([_level_oscillations(vals, w) for w, _, _ in levels])
@@ -289,8 +277,7 @@ def oscillation_table(f: SampledFunction, window: Optional[Interval] = None
 
 
 def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
-                R_ladder: Sequence[float],
-                window: Optional[Interval] = None) -> VmoProfile:
+                R_ladder: Sequence[float]) -> VmoProfile:
     """Oscillation suprema along the three vanishing-oscillation limits.
 
     For each length cap in ``delta_ladder``: the sup of ``M(f, I)`` over
@@ -304,7 +291,7 @@ def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
         raise InputError("ladders must be non-empty")
     if any(d <= 0 for d in deltas) or any(R <= 0 for R in Rs):
         raise InputError("ladder entries must be positive")
-    table = oscillation_table(f, window)
+    table = oscillation_table(f)
     measures, lowers, uppers, oscs = table.measures, table.lowers, table.uppers, table.oscs
 
     def sup_where(mask: np.ndarray) -> float:

@@ -1,10 +1,13 @@
-"""Experiment driver: subcommand dispatch, flag overrides, report files.
+"""Experiment driver: subcommand dispatch and report files.
 
-Every subcommand reads one JSON config (flags win over file values),
-runs its checks, and writes CSV and JSON reports side by side into the
-output directory.  Exit status: 0 when every pass/fail check in the run
-passed, 1 on any bound violation, 2 on rejected input (malformed config,
-guard violations).  With a fixed seed, reruns are byte-identical.
+Every subcommand reads one JSON config, runs its checks, and writes CSV
+and JSON reports side by side into the output directory.  The flags are
+``--config`` and ``--out-dir`` on every subcommand, ``--seed`` (which
+overrides the config seed), ``witness --case small|large|far`` and
+``eval-operator --convergence``; every other value comes from the
+config.  Exit status: 0 when every pass/fail check in the run passed, 1
+on any bound violation, 2 on rejected input (malformed config, guard
+violations).  With a fixed seed, reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,19 +29,11 @@ from .commutator import (
     homogeneity_check,
 )
 from .config import ExperimentConfig
-from .curve import LipschitzCurve
 from .errors import InputError
 from .kernel import CauchyKernel, random_size_sweep, random_smoothness_sweep
 from .operator import apply_on_window, pv_values
 from .reports import BoundReport, write_report
-from .sampling import (
-    Interval,
-    SampledFunction,
-    function_from_csv,
-    function_to_csv,
-    lp_norm,
-    sample_on,
-)
+from .sampling import function_to_csv, lp_norm, sample_on
 from .symbols import make_symbol
 
 MAX_REPORT_ROWS = 200
@@ -50,38 +45,14 @@ MAX_REPORT_ROWS = 200
 RICHARDSON_FLOOR = 1e-12
 
 
-def _parse_floats(text: str) -> List[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad numeric list {text!r}: {exc}") from exc
-
-
-def _parse_int_ladder(text: str) -> List[int]:
-    text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError as exc:
-            raise InputError(f"bad ladder {text!r}") from exc
-        if hi < lo:
-            raise InputError(f"bad ladder {text!r}: end before start")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad integer list {text!r}") from exc
-
-
-def _trim_rows(report: BoundReport, max_rows: int = MAX_REPORT_ROWS) -> BoundReport:
-    """Keep the worst rows by lhs/rhs ratio plus every violation."""
+def _trim_rows(report: BoundReport) -> BoundReport:
+    """Keep the ``MAX_REPORT_ROWS`` worst rows by lhs/rhs ratio plus every violation."""
     n = report.n_rows
-    if n <= max_rows:
+    if n <= MAX_REPORT_ROWS:
         return report
     ratios = report.ratios()
     order = np.argsort(-ratios, kind="stable")
-    keep = order[:max_rows]
+    keep = order[:MAX_REPORT_ROWS]
     if "pass" in report.columns:
         bad = np.nonzero(~report.columns["pass"].astype(bool))[0]
         keep = np.unique(np.concatenate([keep, bad]))
@@ -209,13 +180,8 @@ def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 
 
 def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
-    if args.L is not None:
-        curve = LipschitzCurve.flat() if args.L == 0 else LipschitzCurve.affine(args.L)
-    else:
-        curve = cfg.curve()
-    ladder = _parse_floats(args.M_ladder) if args.M_ladder else [
-        float(M) for M in cfg.get("homogeneity.M_ladder")
-    ]
+    curve = cfg.curve()
+    ladder = [float(M) for M in cfg.get("homogeneity.M_ladder")]
     if not ladder:
         raise InputError("empty M ladder")
     hcfg = HomogeneityConfig(
@@ -250,21 +216,12 @@ def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> 
 
 def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     kern = cfg.kernel()
-    if args.b:
-        b = function_from_csv(args.b)
-    else:
-        b = cfg.function("symbol")
-    if args.interval:
-        vals = _parse_floats(args.interval)
-        if len(vals) != 2:
-            raise InputError("--interval takes center,radius")
-        base = Interval(vals[0], vals[1])
-    else:
-        base = cfg.interval("lemma41.interval")
-    p = args.p if args.p is not None else float(cfg.get("lemma41.p"))
-    ks = _parse_int_ladder(args.k_ladder) if args.k_ladder else [
-        int(k) for k in cfg.get("lemma41.k_ladder")
-    ]
+    b = cfg.function("symbol")
+    base = cfg.interval("lemma41.interval")
+    p = float(cfg.get("lemma41.p"))
+    ks = [int(k) for k in cfg.get("lemma41.k_ladder")]
+    lower_cap = float(cfg.get("lemma41.lower_spread_cap"))
+    upper_cap = float(cfg.get("lemma41.upper_spread_cap"))
     acfg = testfn.AnnulusConfig(
         a1=float(cfg.get("lemma41.a1")),
         eval_cells=int(cfg.get("lemma41.eval_cells")),
@@ -286,8 +243,8 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     lower_spread = max(low_c1) / min(low_c1) if min(low_c1) > 0 else np.inf
     upper_spread = max(up_ratio) / min(up_ratio) if min(up_ratio) > 0 else np.inf
     ok = (
-        lower_spread <= float(cfg.get("lemma41.lower_spread_cap"))
-        and upper_spread <= float(cfg.get("lemma41.upper_spread_cap"))
+        lower_spread <= lower_cap
+        and upper_spread <= upper_cap
         and all(r.passed for r in inter)
     )
     rep = BoundReport(
@@ -321,14 +278,17 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     window = cfg.interval("window")
     p = float(cfg.get("fk.p"))
     width = float(cfg.get("fk.bump_width"))
+    positions = cfg.get("fk.bump_positions")
+    if not positions:
+        raise InputError("fk.bump_positions must be non-empty")
     family = []
-    for pos in cfg.get("fk.bump_positions"):
+    for pos in positions:
         fn = make_symbol("smooth_bump", center=float(pos), height=1.0, width=width)
         g = sample_on(fn, origin, step, count)
         norm = lp_norm(g, p)
         if norm == 0:
             raise InputError(f"fk bump at {pos} misses the grid")
-        family.append(g.with_values(g.values / norm, source=None))
+        family.append(g.with_values(g.values / norm))
     images = [apply_commutator(b, f, kern, window) for f in family]
     h_out = images[0].step
     zs = [int(k) * h_out for k in cfg.get("fk.z_steps")]
@@ -355,14 +315,7 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     kern = cfg.kernel()
     b = cfg.function("symbol")
-    case_name = args.case or cfg.get("witness.case")
-    case = {
-        "small": compactness.WitnessCase.SMALL_SCALE,
-        "large": compactness.WitnessCase.LARGE_SCALE,
-        "far": compactness.WitnessCase.FAR_AWAY,
-    }.get(case_name)
-    if case is None:
-        raise InputError(f"unknown witness case {case_name!r}")
+    case = compactness.WitnessCase(args.case)
     seq_spec = cfg.get("witness.sequence")
     a1 = float(cfg.get("witness.a1"))
     a2 = float(cfg.get("witness.a2"))
@@ -384,7 +337,6 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     engine = compactness.WitnessEngineConfig(
         eval_cells=int(cfg.get("witness.eval_cells")),
         nodes_per_radius=int(cfg.get("witness.nodes_per_radius")),
-        annulus=testfn.AnnulusConfig(a1=8.0, eval_cells=256),
     )
     report = compactness.witness_separation(b, wcfg, kern, engine)
     n = report.distances.shape[0]
@@ -397,7 +349,7 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
             "lhs": report.distances.ravel(),
         },
         extras={
-            "case": case_name,
+            "case": args.case,
             "min_offdiag": report.min_offdiag,
             "epsilon": report.epsilon,
             "c1_empirical": report.c1_empirical,
@@ -419,8 +371,11 @@ def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> boo
     origin, step, count = cfg.grid()
     p = float(cfg.get("commutator_norm.p"))
     window = cfg.interval("window")
+    specs = cfg.get("commutator_norm.family")
+    if not specs:
+        raise InputError("commutator_norm.family must be non-empty")
     family = []
-    for spec in cfg.get("commutator_norm.family"):
+    for spec in specs:
         fn = make_symbol(spec["kind"], **(spec.get("params", {}) or {}))
         family.append(sample_on(fn, origin, step, count))
     ratios = []
@@ -464,19 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in HANDLERS:
         sp = sub.add_parser(name)
         common(sp)
-        if name == "verify-homogeneity":
-            sp.add_argument("--L", type=float, default=None,
-                            help="Lipschitz constant (0 for flat, else affine slope)")
-            sp.add_argument("--M-ladder", dest="M_ladder", default=None,
-                            help="comma-separated separation factors")
-        if name == "lemma41":
-            sp.add_argument("--b", default=None, help="symbol samples CSV (x, re, im)")
-            sp.add_argument("--interval", default=None, help="base interval center,radius")
-            sp.add_argument("--p", type=float, default=None)
-            sp.add_argument("--k-ladder", dest="k_ladder", default=None,
-                            help="levels, for example 3..8 or 3,5,7")
         if name == "witness":
-            sp.add_argument("--case", choices=["small", "large", "far"], default=None)
+            sp.add_argument("--case", choices=[c.value for c in compactness.WitnessCase],
+                            default="small", help="degeneration case of the sequence")
         if name == "eval-operator":
             sp.add_argument("--convergence", action="store_true",
                             help="sweep step, step/2, step/4 and report Richardson ratios")
@@ -489,7 +434,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = (ExperimentConfig.load(args.config) if args.config
                else ExperimentConfig.from_dict({}))
         if args.seed is not None:
-            cfg.set("seed", args.seed)
+            cfg.data["seed"] = args.seed
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         rng = cfg.rng()

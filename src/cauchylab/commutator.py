@@ -63,11 +63,10 @@ class HomogeneityCase:
             )
 
 
-def make_homogeneity_case(curve: LipschitzCurve, M: float, r: float,
-                          x0: float = 0.0) -> HomogeneityCase:
-    """Place ``I1`` at ``x0 + 1.2 (M + 1) r``, which satisfies the separation window for M > 10."""
-    I0 = Interval(x0, r)
-    I1 = Interval(x0 + 1.2 * (M + 1.0) * r, r)
+def make_homogeneity_case(curve: LipschitzCurve, M: float, r: float) -> HomogeneityCase:
+    """``I0 = I(0, r)`` and ``I1`` at ``1.2 (M + 1) r``, which satisfies the separation window for M > 10."""
+    I0 = Interval(0.0, r)
+    I1 = Interval(1.2 * (M + 1.0) * r, r)
     return HomogeneityCase(M=M, r=r, I0=I0, I1=I1, curve=curve)
 
 
@@ -76,6 +75,10 @@ class HomogeneityConfig:
     quadrature_cells: int = 2048  # cells across I1
     eval_points: int = 128        # evaluation lattice across I0
     slack: float = 0.9            # quadrature and dropped-imaginary-part cushion
+
+    def __post_init__(self):
+        if self.eval_points < 1:
+            raise InputError(f"need eval_points >= 1, got {self.eval_points}")
 
 
 def homogeneity_check(case: HomogeneityCase,

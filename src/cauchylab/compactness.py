@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,11 @@ from .operator import pv_values
 from .reports import BoundReport
 from .sampling import Interval, SampledFunction, lp_norm, sample_on, shift
 from .testfn import AnnulusConfig, TestFunction, annulus_ladder_reports, build_test_function
+
+TAIL_WINDOW_FACTOR = 20.0  # tail lattice reaches factor * t_max * R
+TAIL_CELLS_PER_SIDE = 2048
+TAIL_SLOPE_BAND = 0.15  # pass band of the fitted tail slope around -1/p'
+C1_LEVELS = 3  # annulus levels per interval behind the witness C1 and C2
 
 
 @dataclass(frozen=True)
@@ -161,17 +166,9 @@ def fk_diagnose(images: Sequence[SampledFunction], p: float,
     )
 
 
-@dataclass(frozen=True)
-class TailConfig:
-    window_factor: float = 20.0  # far window reaches factor * t_max * R
-    cells_per_side: int = 2048
-    slope_band: float = 0.15
-
-
 def tail_decay_check(b: SampledFunction, support_radius: float,
                      family: Sequence[SampledFunction], p: float,
-                     t_ladder: Sequence[float], kernel: CauchyKernel,
-                     cfg: TailConfig = TailConfig()) -> BoundReport:
+                     t_ladder: Sequence[float], kernel: CauchyKernel) -> BoundReport:
     """Decay of the commutator mass outside ``I(0, t R)`` against ``t^(-1/p')``.
 
     Requires the symbol to vanish outside ``I(0, R)``; then outside
@@ -181,6 +178,8 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
     tail norm over the family; the fit of log tail against log t is
     compared with the conjugate-exponent slope ``-1/p'``.
     """
+    if not (p > 1 and np.isfinite(p)):
+        raise InputError(f"p must lie in (1, inf), got {p}")
     ts = sorted(float(t) for t in t_ladder)
     if len(ts) < 2:
         raise InputError("need at least two truncation factors to fit a slope")
@@ -195,10 +194,10 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
     if len(family) == 0:
         raise InputError("family must be non-empty")
 
-    reach = cfg.window_factor * ts[-1] * R
+    reach = TAIL_WINDOW_FACTOR * ts[-1] * R
     lo = ts[0] * R
-    cell_h = (reach - lo) / cfg.cells_per_side
-    right = lo + (np.arange(cfg.cells_per_side) + 0.5) * cell_h
+    cell_h = (reach - lo) / TAIL_CELLS_PER_SIDE
+    right = lo + (np.arange(TAIL_CELLS_PER_SIDE) + 0.5) * cell_h
     xs = np.concatenate([-right[::-1], right])
 
     worst = np.zeros(len(ts))
@@ -230,7 +229,7 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
         passed = True
     else:
         slope = float(np.polyfit(np.log(ts), np.log(worst), 1)[0])
-        passed = abs(slope - target) <= cfg.slope_band
+        passed = abs(slope - target) <= TAIL_SLOPE_BAND
     return BoundReport(
         inequality="log-log slope of sup_f |[b,C]f|_{L^p(|x| > t R)} vs t is -1/p'",
         columns={
@@ -242,7 +241,7 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
         extras={
             "slope": slope,
             "target": target,
-            "band": cfg.slope_band,
+            "band": TAIL_SLOPE_BAND,
             "window_reach": reach,
             "neglected_tail_fraction": (ts[-1] * R / reach) ** (1.0 / p_conj),
         },
@@ -263,27 +262,21 @@ def large_scale_sequence(center: float, r0: float, ratio: float, count: int) -> 
     return tuple(Interval(center, r0 * ratio**l) for l in range(count))
 
 
-def far_away_sequence(c_eps: float, a2: float, count: int,
-                      radius: Optional[float] = None) -> Tuple[Interval, ...]:
-    """Same-radius intervals marching away from the origin.
+def far_away_sequence(c_eps: float, a2: float, count: int) -> Tuple[Interval, ...]:
+    """Radius-``c_eps`` intervals marching away from the origin.
 
-    Uses the recursion ``R_j = |x_(j-1)| + 4 a2 c_eps`` for the excluded
-    ball and places each center one ``a2`` radius beyond it, which keeps
-    the ``a2`` dilates pairwise disjoint with margin.
+    Uses the recursion ``R_j = |x_(j-1)| + 4 a2 c_eps``, ``x_(-1) = 0``, for
+    the excluded ball and places each center one ``a2`` radius beyond it,
+    which keeps the ``a2`` dilates pairwise disjoint with margin.
     """
     if not (c_eps > 0 and a2 > 0 and count >= 2):
         raise InputError("need c_eps > 0, a2 > 0, count >= 2")
-    r = c_eps if radius is None else float(radius)
-    if not 0 < r <= c_eps:
-        raise InputError("radius must lie in (0, c_eps]")
     out: List[Interval] = []
-    R = 4.0 * a2 * c_eps
-    x_prev = 0.0
+    x = 0.0
     for _ in range(count):
-        R = abs(x_prev) + 4.0 * a2 * c_eps if out else R
+        R = abs(x) + 4.0 * a2 * c_eps
         x = R + a2 * c_eps
-        out.append(Interval(x, r))
-        x_prev = x
+        out.append(Interval(x, c_eps))
     return tuple(out)
 
 
@@ -308,19 +301,24 @@ def choose_a2(c1: float, c2: float, epsilon: float, a1: float, p: float) -> floa
 
 @dataclass(frozen=True)
 class WitnessEngineConfig:
-    """Resolution knobs for the shared-lattice witness computation.
+    """Resolution of the shared-lattice witness computation.
 
-    Every test function lives on its own uniform grid, a power-of-two
-    refinement of the shared evaluation lattice anchored at the same
-    point, so evaluation points always land on node- or midpoint-lattice
-    positions of every grid.
+    The lattice has ``eval_cells`` cells over the ``a2`` dilates of the
+    sequence plus 5% on each side.  Every test function lives on its own
+    grid, a power-of-two refinement of that lattice with at least
+    ``nodes_per_radius`` nodes per radius, so evaluation points land on
+    node- or midpoint-lattice positions of every grid.
     """
 
-    window: Optional[Interval] = None
     eval_cells: int = 8192
     nodes_per_radius: int = 64
-    c1_levels: int = 3
     annulus: AnnulusConfig = AnnulusConfig(a1=8.0, eval_cells=256)
+
+    def __post_init__(self):
+        if self.eval_cells < 1:
+            raise InputError(f"need eval_cells >= 1, got {self.eval_cells}")
+        if self.nodes_per_radius < 1:
+            raise InputError(f"need nodes_per_radius >= 1, got {self.nodes_per_radius}")
 
 
 def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKernel,
@@ -341,18 +339,16 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
     seq = cfg.interval_sequence
     p = cfg.p
 
-    window = engine.window
-    if window is None:
-        lo = min(I.dilate(cfg.a2).lower for I in seq)
-        hi = max(I.dilate(cfg.a2).upper for I in seq)
-        pad = 0.05 * (hi - lo)
-        window = Interval.from_endpoints(lo - pad, hi + pad)
+    lo = min(I.dilate(cfg.a2).lower for I in seq)
+    hi = max(I.dilate(cfg.a2).upper for I in seq)
+    pad = 0.05 * (hi - lo)
+    window = Interval.from_endpoints(lo - pad, hi + pad)
     w0 = window.lower
     h_eval = window.measure / engine.eval_cells
     xs = w0 + (np.arange(engine.eval_cells) + 0.5) * h_eval
 
     k_lo = engine.annulus.k_min
-    k_ladder = list(range(k_lo, k_lo + engine.c1_levels))
+    k_ladder = list(range(k_lo, k_lo + C1_LEVELS))
 
     images: List[SampledFunction] = []
     oscillations: List[float] = []

@@ -1,8 +1,8 @@
 """Experiment configuration: schema, defaults, and object builders.
 
 Configs are JSON trees.  Unknown keys are rejected early with the full
-key path so a typo cannot silently fall back to a default; flags given
-on the command line win over file values.  One seed governs every
+key path so a typo cannot silently fall back to a default.  Every key in
+``DEFAULTS`` is read by some subcommand.  One seed governs every
 randomized sweep in a run, which together with deterministic report
 serialization makes runs byte-reproducible.
 """
@@ -60,16 +60,7 @@ DEFAULTS: Dict[str, Any] = {
         "bump_positions": [-1.0, 0.0, 1.0],
         "bump_width": 0.5,
     },
-    "tail": {
-        "support_radius": 1.0,
-        "p": 2.0,
-        "t_ladder": [4.0, 8.0, 16.0, 32.0],
-        "window_factor": 20.0,
-        "cells_per_side": 2048,
-        "slope_band": 0.15,
-    },
     "witness": {
-        "case": "small",
         "a1": 4.2,
         "a2": 4.9,
         "p": 2.0,
@@ -154,17 +145,6 @@ class ExperimentConfig:
             node = node[part]
         return node
 
-    def set(self, dotted: str, value) -> None:
-        parts = dotted.split(".")
-        node = self.data
-        for part in parts[:-1]:
-            if part not in node:
-                raise InputError(f"missing config field: {dotted}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise InputError(f"missing config field: {dotted}")
-        node[parts[-1]] = value
-
     # ----- builders -------------------------------------------------
 
     def curve(self) -> LipschitzCurve:
@@ -221,8 +201,8 @@ class ExperimentConfig:
         spec = self.get(key)
         return Interval(float(spec["center"]), _positive(spec["radius"], f"{key}.radius"))
 
-    def rng(self, seed_override: Optional[int] = None) -> np.random.Generator:
-        seed = self.get("seed") if seed_override is None else seed_override
+    def rng(self) -> np.random.Generator:
+        seed = self.get("seed")
         if not isinstance(seed, int) or seed < 0:
             raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
         return np.random.default_rng(seed)

@@ -21,9 +21,8 @@ Conventions
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -158,17 +157,16 @@ class SampledFunction:
     def node_mask(self, domain: Interval) -> np.ndarray:
         return domain.contains(self.nodes)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        scale = float(np.max(np.abs(self.values))) if self.count else 0.0
-        return bool(np.all(np.abs(self.values.imag) <= tol * max(scale, 1.0)))
-
     def real_values(self) -> np.ndarray:
-        if not self.is_real(tol=1e-12):
+        """Real parts; rejects imaginary parts above ``1e-12`` of ``max(|f|, 1)``."""
+        scale = max(float(np.max(np.abs(self.values))), 1.0)
+        if np.any(np.abs(self.values.imag) > 1e-12 * scale):
             raise InputError("operation requires a real-valued function")
         return self.values.real
 
-    def with_values(self, values, source=None) -> "SampledFunction":
-        return SampledFunction(self.origin, self.step, values, source)
+    def with_values(self, values) -> "SampledFunction":
+        """Same grid, new values, no source callable."""
+        return SampledFunction(self.origin, self.step, values)
 
     def scaled(self, factor: complex) -> "SampledFunction":
         """Scalar multiple; keeps the source callable consistent."""
@@ -178,12 +176,13 @@ class SampledFunction:
             src = lambda x, _b=base, _f=factor: _f * np.asarray(_b(x))
         return SampledFunction(self.origin, self.step, factor * self.values, src)
 
-    def same_grid_as(self, other: "SampledFunction", tol: float = 1e-12) -> bool:
+    def same_grid_as(self, other: "SampledFunction") -> bool:
+        """Same count, and origin and step equal to ``1e-12`` relative."""
         scale = max(abs(self.origin), abs(other.origin), self.step)
         return (
             self.count == other.count
-            and abs(self.origin - other.origin) <= tol * max(scale, 1.0)
-            and abs(self.step - other.step) <= tol * self.step
+            and abs(self.origin - other.origin) <= 1e-12 * max(scale, 1.0)
+            and abs(self.step - other.step) <= 1e-12 * self.step
         )
 
     def midpoints_in(self, window: Interval) -> np.ndarray:
@@ -248,28 +247,11 @@ def sample_on(fn: Callable[[np.ndarray], np.ndarray], origin: float, step: float
     return SampledFunction(origin, step, fn(nodes), source=fn)
 
 
-def lp_norm(f: SampledFunction, p: float, domain: Optional[Interval] = None) -> float:
-    """Midpoint-rule ``L^p`` norm, optionally restricted to ``domain``.
-
-    Returns ``(step * sum |f|^p)^(1/p)`` over the nodes in the domain
-    (all nodes when absent).  An empty grid-domain intersection yields
-    zero and a warning rather than an error.
-    """
+def lp_norm(f: SampledFunction, p: float) -> float:
+    """Midpoint-rule ``L^p`` norm ``(step * sum |f|^p)^(1/p)`` over every node."""
     if not (p > 1 and np.isfinite(p)):
         raise InputError(f"p must lie in (1, inf), got {p}")
-    if domain is None:
-        mags = np.abs(f.values)
-    else:
-        mask = f.node_mask(domain)
-        if not np.any(mask):
-            warnings.warn(
-                "domain does not intersect the grid; returning zero norm",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 0.0
-        mags = np.abs(f.values[mask])
-    return float((f.step * np.sum(mags**p)) ** (1.0 / p))
+    return float((f.step * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
 def shift(f: SampledFunction, z: float) -> SampledFunction:

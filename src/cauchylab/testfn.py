@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from .kernel import CauchyKernel
 from .operator import pv_values
 from .reports import BoundReport
 from .sampling import Annulus, Interval, SampledFunction, sample
+
+POINTWISE_SLACK = 0.10  # cushion of the pointwise majorant check
+DRIFT_BOUND = 4.0  # recorded empirical cap of the median-drift to k * bmo ratio
 
 
 class Side(enum.Enum):
@@ -71,19 +74,16 @@ class AnnulusBoundReport:
 
 @dataclass(frozen=True)
 class AnnulusConfig:
-    """Knobs for annulus evaluation.
+    """Level floor and resolution of annulus evaluation.
 
     ``a1`` sets the smallest admissible level, ``floor(log2(a1))``;
-    ``eval_cells`` is the refined-lattice resolution per region;
-    ``pointwise_slack`` cushions the pointwise majorant check;
-    ``drift_bound`` is the recorded empirical cap for the median-drift
-    to ``k * bmo`` ratio.
+    ``eval_cells`` is the refined-lattice resolution per region.  The
+    slack and cap of the intermediate bounds are the module constants
+    ``POINTWISE_SLACK`` and ``DRIFT_BOUND``.
     """
 
     a1: float = 8.0
     eval_cells: int = 512
-    pointwise_slack: float = 0.10
-    drift_bound: float = 4.0
 
     def __post_init__(self):
         if not self.a1 > 4:
@@ -233,7 +233,7 @@ def verify_annulus_upper(b: SampledFunction, tf: TestFunction, k: int,
     _require_level(k, cfg)
     r = tf.base.radius
     c = tf.base.center
-    right = Interval.from_endpoints(c + (2.0**k) * r, c + (2.0 ** (k + 1)) * r)
+    right = Annulus(tf.base, k).as_interval
     left = Interval.from_endpoints(c - (2.0 ** (k + 1)) * r, c - (2.0**k) * r)
     cells = max(8, cfg.eval_cells // 2)
     lhs = sum(
@@ -255,10 +255,10 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
         ``B(y) = (b(y) - a) C(f)(y)`` is majorized by
         ``C_fold * r |I|^(1/p') |b(y) - a| / |x0 - y|^2`` with the
         folded constant ``C_fold = 2 (L + 1) * 5/2`` (kernel smoothness
-        times the pointwise size cap of ``f``), checked with slack;
+        times the pointwise size cap of ``f``), checked with ``POINTWISE_SLACK``;
     (ii) median drift: ``|median(b, 2^(k+1) I) - median(b, I)|`` against
         ``k`` times a BMO lower bound of ``b`` over the dilate family;
-        the ratio is recorded and capped by the configured constant.
+        the ratio is recorded and capped by ``DRIFT_BOUND``.
     """
     _require_level(k, cfg)
     region = Annulus(tf.base, k).as_interval
@@ -284,7 +284,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
         * np.abs(b_at - alpha)
         / (base.center - xs) ** 2
     )
-    pointwise_pass = lhs <= (1.0 + cfg.pointwise_slack) * majorant
+    pointwise_pass = lhs <= (1.0 + POINTWISE_SLACK) * majorant
 
     dilate = base.dilate(2.0 ** (k + 1))
     if b.source is not None:
@@ -304,7 +304,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
     bmo_lower = bmo_norm(wide, sweep)
     drift_rhs = k * bmo_lower
     drift_ratio = drift / drift_rhs if drift_rhs > 0 else (0.0 if drift == 0 else np.inf)
-    drift_pass = bool(drift_ratio <= cfg.drift_bound)
+    drift_pass = bool(drift_ratio <= DRIFT_BOUND)
 
     return BoundReport(
         inequality=(
@@ -314,18 +314,18 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
         columns={
             "y": xs,
             "lhs": lhs,
-            "rhs": (1.0 + cfg.pointwise_slack) * majorant,
+            "rhs": (1.0 + POINTWISE_SLACK) * majorant,
             "pass": pointwise_pass & drift_pass,
         },
         extras={
             "k": k,
             "c_fold": c_fold,
-            "pointwise_slack": cfg.pointwise_slack,
+            "pointwise_slack": POINTWISE_SLACK,
             "pointwise_violations": int(np.sum(~pointwise_pass)),
             "median_drift": drift,
             "k_times_bmo": drift_rhs,
             "drift_ratio": float(drift_ratio),
-            "drift_bound": cfg.drift_bound,
+            "drift_bound": DRIFT_BOUND,
             "drift_pass": drift_pass,
         },
     )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cauchylab import BoundReport, InputError, oscillation_table
-from cauchylab.cli import main
-from cauchylab.config import ExperimentConfig
+from cauchylab.cli import HANDLERS, main
+from cauchylab.config import DEFAULTS, ExperimentConfig
 
 
 def run(args):
@@ -87,6 +87,45 @@ class TestExitCodes:
         assert run(["eval-operator", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
         assert "unknown config key: operator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tree, key", [
+        ({"tail": {"support_radius": 1.0, "p": 2.0}}, "tail"),
+        ({"witness": {"case": "large"}}, "witness.case"),
+    ], ids=["tail", "witness.case"])
+    def test_removed_config_keys_exit_2(self, tmp_path, capsys, tree, key):
+        # The tail check is library-only; the witness case is the --case flag.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(tree))
+        assert run(["witness", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-homogeneity", "--L", "0"],
+        ["verify-homogeneity", "--M-ladder", "16,64"],
+        ["lemma41", "--b", "b.csv"],
+        ["lemma41", "--interval", "0,1"],
+        ["lemma41", "--p", "2"],
+        ["lemma41", "--k-ladder", "3..5"],
+    ], ids=lambda argv: argv[1])
+    def test_removed_flags_exit_2(self, tmp_path, argv):
+        # Each value is set in the config: curve, homogeneity.M_ladder, symbol,
+        # lemma41.interval, lemma41.p and lemma41.k_ladder.
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out-dir", tmp_path / "o"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, tree, key", [
+        ("verify-homogeneity", {"homogeneity": {"eval_points": 0}}, "eval_points"),
+        ("witness", {"witness": {"eval_cells": 0}}, "eval_cells"),
+        ("witness", {"witness": {"nodes_per_radius": 0}}, "nodes_per_radius"),
+        ("fk-diagnose", {"fk": {"bump_positions": []}}, "fk.bump_positions"),
+        ("commutator-norm", {"commutator_norm": {"family": []}}, "commutator_norm.family"),
+    ], ids=["eval_points", "eval_cells", "nodes_per_radius", "bump_positions", "family"])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(tree))
+        assert run([command, "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_constant_symbol_guard_exit_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"symbol": {"kind": "constant", "params": {"value": 2.0}}}))
@@ -95,8 +134,10 @@ class TestExitCodes:
 
 class TestSubcommands:
     def test_homogeneity_flags(self, tmp_path):
-        rc = run(["verify-homogeneity", "--L", "0", "--M-ladder", "16,64",
-                  "--out-dir", tmp_path / "o"])
+        # The default curve is flat.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"homogeneity": {"M_ladder": [16, 64]}}))
+        rc = run(["verify-homogeneity", "--config", cfg, "--out-dir", tmp_path / "o"])
         assert rc == 0
         data = json.loads((tmp_path / "o" / "homogeneity.json").read_text())
         assert data["passed"] is True
@@ -107,9 +148,9 @@ class TestSubcommands:
         cfg.write_text(json.dumps({
             "symbol": {"kind": "truncated_log", "params": {}},
             "grid": {"step": 0.001, "count": 2500},
+            "lemma41": {"k_ladder": [3, 4, 5]},
         }))
-        rc = run(["lemma41", "--config", cfg, "--k-ladder", "3..5",
-                  "--out-dir", tmp_path / "o"])
+        rc = run(["lemma41", "--config", cfg, "--out-dir", tmp_path / "o"])
         assert rc == 0
         data = json.loads((tmp_path / "o" / "lemma41.json").read_text())
         assert data["extras"]["lower_spread"] <= 3.0
@@ -209,6 +250,44 @@ class TestSubcommands:
                                    "window": {"center": 0.0, "radius": 2.0}}))
         rc = run(["fk-diagnose", "--config", cfg, "--out-dir", tmp_path / "o"])
         assert rc == 0
+
+
+def _leaves(tree, prefix=""):
+    """Dotted paths of the leaves of a config tree; free-form ``params`` are skipped."""
+    for key, val in tree.items():
+        if key == "params":
+            continue
+        if isinstance(val, dict):
+            yield from _leaves(val, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+def test_every_default_key_is_read(tmp_path, monkeypatch):
+    # A key no subcommand reads cannot change a result.  Reading a subtree
+    # (``grid``, ``witness.sequence``) reads every leaf under it.
+    read = set()
+    get = ExperimentConfig.get
+
+    def recording_get(self, dotted):
+        read.add(dotted)
+        return get(self, dotted)
+
+    monkeypatch.setattr(ExperimentConfig, "get", recording_get)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "grid": {"step": 0.01, "count": 400},
+        "kernel_check": {"samples": 500},
+        "homogeneity": {"M_ladder": [16.0, 64.0], "quadrature_cells": 128, "eval_points": 16},
+        "lemma41": {"k_ladder": [3, 4], "eval_cells": 64},
+        "witness": {"sequence": {"center": 0.0, "r0": 0.2, "ratio": 5.0, "count": 2},
+                    "eval_cells": 512, "nodes_per_radius": 16},
+    }))
+    for name in HANDLERS:
+        assert run([name, "--config", cfg, "--out-dir", tmp_path / name]) in (0, 1)
+    unread = [leaf for leaf in _leaves(DEFAULTS)
+              if not any(leaf == r or leaf.startswith(r + ".") for r in read)]
+    assert unread == []
 
 
 class TestDeterminism:

@@ -107,6 +107,13 @@ class TestTailDecay:
         with pytest.raises(InputError, match="slope"):
             tail_decay_check(b, 1.0, [f], 2.0, [4.0], FLAT)
 
+    def test_bad_p_rejected(self):
+        # p = 1 divided by zero, p = 0.5 fitted a slope of +1, p = inf a NaN.
+        b, f = self.make_inputs(count=300)
+        for p in (1.0, 0.5, np.inf):
+            with pytest.raises(InputError, match="p must lie in"):
+                tail_decay_check(b, 1.0, [f], p, [4.0, 8.0], FLAT)
+
 
 class TestSequencesAndConstants:
     def test_small_scale_ratios(self):

@@ -94,11 +94,6 @@ class TestLpNorm:
             with pytest.raises(InputError):
                 lp_norm(f, p)
 
-    def test_empty_domain_warns(self):
-        f = sample(lambda y: y, 0.0, 1.0, 10)
-        with pytest.warns(RuntimeWarning):
-            assert lp_norm(f, 2.0, domain=Interval(50.0, 1.0)) == 0.0
-
     @given(
         mag=st.floats(min_value=1e-6, max_value=100, allow_nan=False),
         sign=st.sampled_from([-1.0, 1.0]),

@@ -19,6 +19,7 @@ from cauchylab import (
     verify_annulus_upper,
     verify_intermediate_bounds,
 )
+from cauchylab import testfn
 from cauchylab.symbols import sign_step, truncated_log
 
 from conftest import random_symbol_case
@@ -177,4 +178,4 @@ class TestIntermediateBounds:
             rep = verify_intermediate_bounds(b, tf, k, FLAT, cfg)
             assert rep.extras["pointwise_violations"] == 0
             ratios.append(rep.extras["drift_ratio"])
-        assert max(ratios) <= cfg.drift_bound
+        assert max(ratios) <= testfn.DRIFT_BOUND
