@@ -14,13 +14,7 @@ from .kernel import (
     random_size_sweep,
     random_smoothness_sweep,
 )
-from .operator import (
-    apply_maximal,
-    apply_on_window,
-    operator_norm_lower,
-    pv_values,
-    truncated_values,
-)
+from .operator import apply_on_window, pv_values, truncated_values
 from .bmo import (
     IntervalSweep,
     MedianResult,

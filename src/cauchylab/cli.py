@@ -70,8 +70,8 @@ def _trim_rows(report: BoundReport) -> BoundReport:
 
 def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     kern = cfg.kernel()
-    n = int(cfg.get("kernel_check.samples"))
-    box = float(cfg.get("kernel_check.box"))
+    n = cfg.integer("kernel_check.samples", 1)
+    box = cfg.number("kernel_check.box")
     ok = True
     for name, rep in (
         ("kernel_size", random_size_sweep(kern, n, rng, box)),
@@ -158,7 +158,7 @@ def _run_bmo_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 
 def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     b = cfg.function("symbol")
-    profile = vmo_profile(b, cfg.get("vmo.delta_ladder"), cfg.get("vmo.R_ladder"))
+    profile = vmo_profile(b, cfg.nonempty("vmo.delta_ladder"), cfg.nonempty("vmo.R_ladder"))
     kinds, params, sups = [], [], []
     for kind, curve in (
         ("small_scale", profile.small_scale),
@@ -181,15 +181,13 @@ def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 
 def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     curve = cfg.curve()
-    ladder = [float(M) for M in cfg.get("homogeneity.M_ladder")]
-    if not ladder:
-        raise InputError("empty M ladder")
+    ladder = [float(M) for M in cfg.nonempty("homogeneity.M_ladder")]
     hcfg = HomogeneityConfig(
-        quadrature_cells=int(cfg.get("homogeneity.quadrature_cells")),
-        eval_points=int(cfg.get("homogeneity.eval_points")),
+        quadrature_cells=cfg.integer("homogeneity.quadrature_cells", 1),
+        eval_points=cfg.integer("homogeneity.eval_points", 1),
         slack=float(cfg.get("homogeneity.slack")),
     )
-    r = float(cfg.get("homogeneity.r"))
+    r = cfg.number("homogeneity.r")
     rows = {"M": [], "lhs": [], "rhs": [], "raw_min": [], "pass": []}
     for M in ladder:
         rep = homogeneity_check(make_homogeneity_case(curve, M, r), hcfg)
@@ -218,13 +216,13 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     base = cfg.interval("lemma41.interval")
-    p = float(cfg.get("lemma41.p"))
-    ks = [int(k) for k in cfg.get("lemma41.k_ladder")]
+    p = cfg.number("lemma41.p", above=1.0)
+    ks = [int(k) for k in cfg.nonempty("lemma41.k_ladder")]
     lower_cap = float(cfg.get("lemma41.lower_spread_cap"))
     upper_cap = float(cfg.get("lemma41.upper_spread_cap"))
     acfg = testfn.AnnulusConfig(
-        a1=float(cfg.get("lemma41.a1")),
-        eval_cells=int(cfg.get("lemma41.eval_cells")),
+        a1=cfg.number("lemma41.a1", above=4.0),
+        eval_cells=cfg.integer("lemma41.eval_cells", 8),
     )
     tf = testfn.build_test_function(b, base, p)
     lowers, uppers = testfn.annulus_ladder_reports(b, tf, ks, kern, acfg)
@@ -276,11 +274,11 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     b = cfg.function("symbol")
     origin, step, count = cfg.grid()
     window = cfg.interval("window")
-    p = float(cfg.get("fk.p"))
-    width = float(cfg.get("fk.bump_width"))
-    positions = cfg.get("fk.bump_positions")
-    if not positions:
-        raise InputError("fk.bump_positions must be non-empty")
+    p = cfg.number("fk.p", above=1.0)
+    width = cfg.number("fk.bump_width")
+    positions = cfg.nonempty("fk.bump_positions")
+    t_ladder = cfg.nonempty("fk.t_ladder")
+    z_steps = cfg.nonempty("fk.z_steps")
     family = []
     for pos in positions:
         fn = make_symbol("smooth_bump", center=float(pos), height=1.0, width=width)
@@ -291,8 +289,8 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         family.append(g.with_values(g.values / norm))
     images = [apply_commutator(b, f, kern, window) for f in family]
     h_out = images[0].step
-    zs = [int(k) * h_out for k in cfg.get("fk.z_steps")]
-    report = compactness.fk_diagnose(images, p, cfg.get("fk.t_ladder"), zs)
+    zs = [int(k) * h_out for k in z_steps]
+    report = compactness.fk_diagnose(images, p, t_ladder, zs)
     kinds, params, vals = ["uniform_bound"], [0.0], [report.uniform_bound]
     for t, v in report.tail_curve:
         kinds.append("tail")
@@ -317,9 +315,9 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     b = cfg.function("symbol")
     case = compactness.WitnessCase(args.case)
     seq_spec = cfg.get("witness.sequence")
-    a1 = float(cfg.get("witness.a1"))
+    a1 = cfg.number("witness.a1", above=4.0)
     a2 = float(cfg.get("witness.a2"))
-    count = int(seq_spec["count"])
+    count = cfg.integer("witness.sequence.count", 2)
     if case is compactness.WitnessCase.SMALL_SCALE:
         seq = compactness.small_scale_sequence(
             float(seq_spec["center"]), float(seq_spec["r0"]),
@@ -332,11 +330,11 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         seq = compactness.far_away_sequence(float(seq_spec["r0"]), a2, count)
     wcfg = compactness.WitnessConfig(
         case=case, a1=a1, a2=a2, interval_sequence=seq,
-        p=float(cfg.get("witness.p")),
+        p=cfg.number("witness.p", above=1.0),
     )
     engine = compactness.WitnessEngineConfig(
-        eval_cells=int(cfg.get("witness.eval_cells")),
-        nodes_per_radius=int(cfg.get("witness.nodes_per_radius")),
+        eval_cells=cfg.integer("witness.eval_cells", 1),
+        nodes_per_radius=cfg.integer("witness.nodes_per_radius", 1),
     )
     report = compactness.witness_separation(b, wcfg, kern, engine)
     n = report.distances.shape[0]
@@ -369,11 +367,9 @@ def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> boo
     kern = cfg.kernel()
     b = cfg.function("symbol")
     origin, step, count = cfg.grid()
-    p = float(cfg.get("commutator_norm.p"))
+    p = cfg.number("commutator_norm.p", above=1.0)
     window = cfg.interval("window")
-    specs = cfg.get("commutator_norm.family")
-    if not specs:
-        raise InputError("commutator_norm.family must be non-empty")
+    specs = cfg.nonempty("commutator_norm.family")
     family = []
     for spec in specs:
         fn = make_symbol(spec["kind"], **(spec.get("params", {}) or {}))

@@ -35,10 +35,10 @@ import numpy as np
 
 from .commutator import commutator_values
 from .errors import InputError
-from .kernel import CauchyKernel, eval_kernel
-from .operator import pv_values
+from .kernel import CauchyKernel
+from .operator import _masked_sums, pv_values, truncated_values
 from .reports import BoundReport
-from .sampling import Interval, SampledFunction, lp_norm, sample_on, shift
+from .sampling import Interval, SampledFunction, _lp, lp_norm, sample_on, shift
 from .testfn import AnnulusConfig, TestFunction, annulus_ladder_reports, build_test_function
 
 TAIL_WINDOW_FACTOR = 20.0  # tail lattice reaches factor * t_max * R
@@ -146,18 +146,14 @@ def fk_diagnose(images: Sequence[SampledFunction], p: float,
     uniform = max(lp_norm(g, p) for g in images)
 
     def tail(g: SampledFunction, t: float) -> float:
-        mask = np.abs(g.nodes) > t
-        if not np.any(mask):
-            return 0.0
-        return float((g.step * np.sum(np.abs(g.values[mask]) ** p)) ** (1.0 / p))
+        return _lp(g.values[np.abs(g.nodes) > t], g.step, p)
 
     tail_curve = tuple((t, max(tail(g, t) for g in images)) for t in sorted(ts))
     eq_curve = []
     for z in sorted(zs, key=abs):
         worst = 0.0
         for g in images:
-            diff = shift(g, z).values - g.values
-            worst = max(worst, float((g.step * np.sum(np.abs(diff) ** p)) ** (1.0 / p)))
+            worst = max(worst, _lp(shift(g, z).values - g.values, g.step, p))
         eq_curve.append((z, worst))
     return FkReport(
         uniform_bound=uniform,
@@ -216,10 +212,8 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
                     "smallest truncation factor"
                 )
         g = -pv_values(kernel, bf, xs)
-        powers = np.abs(g) ** p
         for i, t in enumerate(ts):
-            mask = np.abs(xs) > t * R
-            worst[i] = max(worst[i], float((cell_h * np.sum(powers[mask])) ** (1.0 / p)))
+            worst[i] = max(worst[i], _lp(g[np.abs(xs) > t * R], cell_h, p))
 
     p_conj = p / (p - 1.0)
     target = -1.0 / p_conj
@@ -384,8 +378,7 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            diff = images[i].values - images[j].values
-            d = float((h_eval * np.sum(np.abs(diff) ** p)) ** (1.0 / p))
+            d = _lp(images[i].values - images[j].values, h_eval, p)
             dist[i, j] = d
             dist[j, i] = d
     offdiag = dist[~np.eye(n, dtype=bool)]
@@ -410,7 +403,7 @@ def equicontinuity_terms(b: SampledFunction, f: SampledFunction, kernel: CauchyK
     """Four-way split of a commutator translation difference.
 
     The difference ``[b, C]f(x) - [b, C]f(x + z)`` splits at the radius
-    ``|z| / split`` into: the symbol increment against the truncated
+    ``t = |z| / split`` into: the symbol increment against the truncated
     integral (term 1), the kernel increment against the symbol
     oscillation (term 2), and the two short-range pieces around ``x``
     and ``x + z`` (terms 3 and 4).  ``split`` (in ``(0, 1/2)``) and ``z``
@@ -418,7 +411,22 @@ def equicontinuity_terms(b: SampledFunction, f: SampledFunction, kernel: CauchyK
     reported together with its model rate: term 2 against
     ``split * |f|_p``, terms 3 and 4 against ``(|z| / split) * |f|_p``.
     The pass criterion is exactness of the split: the four terms must
-    re-sum to the translation difference.
+    re-sum to the translation difference, which is computed
+    independently by ``commutator_values``.
+
+    Every term combines four kernel sums, each applied to ``f`` and to
+    ``bf = b f``:
+
+    * ``F``, the truncated integral at ``x``, over the nodes with
+      ``|y - x| > t``;
+    * ``G``, the kernel at ``x + z`` over the same nodes, which is the
+      window ``[-t - z, t - z]`` seen from ``x + z``;
+    * ``P`` and ``Q``, the principal values at ``x`` and at ``x + z``.
+
+    Then term 1 is ``(b(x) - b(x + z)) F f``, term 2 is
+    ``(b(x + z) F f - F bf) - (b(x + z) G f - G bf)``, term 3 is
+    ``b(x) (P f - F f) - (P bf - F bf)`` and term 4 is
+    ``-(b(x + z) (Q f - G f) - (Q bf - G bf))``.
     """
     if not 0 < split < 0.5:
         raise InputError(f"split parameter must lie in (0, 1/2), got {split}")
@@ -434,31 +442,25 @@ def equicontinuity_terms(b: SampledFunction, f: SampledFunction, kernel: CauchyK
         raise InputError("window contains no midpoint-lattice points")
     t = abs(z) / split
 
-    nodes = f.nodes
     b_x = b.value_at(xs)
     b_xz = b.value_at(xs + z)
-    L = np.zeros((4, xs.size), dtype=np.complex128)
-    chunk = max(1, 2_000_000 // max(1, nodes.size))
-    for lo in range(0, xs.size, chunk):
-        xc = xs[lo : lo + chunk]
-        far = np.abs(nodes[None, :] - xc[:, None]) > t
-        Kx = eval_kernel(kernel, xc[:, None], nodes)
-        Kxz = eval_kernel(kernel, xc[:, None] + z, nodes)
-        fv = f.values[None, :]
-        bv = b.values[None, :]
-        sl = slice(lo, lo + xc.size)
-        L[0, sl] = (b_x[sl] - b_xz[sl]) * np.sum(np.where(far, Kx * fv, 0), axis=1)
-        L[1, sl] = np.sum(np.where(far, (Kx - Kxz) * (b_xz[sl, None] - bv) * fv, 0), axis=1)
-        L[2, sl] = np.sum(np.where(~far, Kx * (b_x[sl, None] - bv) * fv, 0), axis=1)
-        L[3, sl] = -np.sum(np.where(~far, Kxz * (b_xz[sl, None] - bv) * fv, 0), axis=1)
-    L *= f.step
+    bf = f.with_values(b.values * f.values)
+    F_f, F_bf = (truncated_values(kernel, u, xs, t) for u in (f, bf))
+    G_f, G_bf = (_masked_sums(kernel, u, xs + z, -t - z, t - z) for u in (f, bf))
+    P_f, P_bf = (pv_values(kernel, u, xs) for u in (f, bf))
+    Q_f, Q_bf = (pv_values(kernel, u, xs + z) for u in (f, bf))
+    L = np.stack([
+        (b_x - b_xz) * F_f,
+        (b_xz * F_f - F_bf) - (b_xz * G_f - G_bf),
+        b_x * (P_f - F_f) - (P_bf - F_bf),
+        -(b_xz * (Q_f - G_f) - (Q_bf - G_bf)),
+    ])
 
     g_x = commutator_values(b, f, kernel, xs)
     g_xz = commutator_values(b, f, kernel, xs + z)
     residual = L.sum(axis=0) - (g_x - g_xz)
     scale = max(float(np.max(np.abs(g_x - g_xz))), 1e-30)
-    h = f.step
-    norms = [float((h * np.sum(np.abs(L[i]) ** p)) ** (1.0 / p)) for i in range(4)]
+    norms = [_lp(L[i], f.step, p) for i in range(4)]
     f_norm = lp_norm(f, p)
     exact = float(np.max(np.abs(residual))) <= 1e-10 * scale
     return BoundReport(

@@ -94,13 +94,14 @@ def _deep_merge(base: Dict, override: Dict, path: str = "") -> Dict:
     return out
 
 
-def _positive(value, name: str) -> float:
+def _number(value, name: str, above: float = 0.0) -> float:
     try:
         v = float(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"config field {name} must be a number, got {value!r}") from exc
-    if not (np.isfinite(v) and v > 0):
-        raise InputError(f"config field {name} must be positive, got {value!r}")
+    if not (np.isfinite(v) and v > above):
+        raise InputError(f"config field {name} must be a finite number above {above:g}, "
+                         f"got {value!r}")
     return v
 
 
@@ -145,6 +146,28 @@ class ExperimentConfig:
             node = node[part]
         return node
 
+    # Typed reads: a bad value exits 2 with a message naming the key.
+
+    def number(self, dotted: str, above: float = 0.0) -> float:
+        """A finite number strictly above ``above``."""
+        return _number(self.get(dotted), dotted, above)
+
+    def integer(self, dotted: str, minimum: int) -> int:
+        """A whole number at least ``minimum``."""
+        value = self.get(dotted)
+        if not (isinstance(value, (int, float)) and float(value).is_integer()
+                and value >= minimum):
+            raise InputError(f"config field {dotted} must be an integer >= {minimum}, "
+                             f"got {value!r}")
+        return int(value)
+
+    def nonempty(self, dotted: str) -> list:
+        """A non-empty list."""
+        value = self.get(dotted)
+        if not (isinstance(value, list) and value):
+            raise InputError(f"config field {dotted} must be a non-empty list, got {value!r}")
+        return value
+
     # ----- builders -------------------------------------------------
 
     def curve(self) -> LipschitzCurve:
@@ -158,11 +181,11 @@ class ExperimentConfig:
                 return LipschitzCurve.affine(float(params["slope"]))
             if kind == "sawtooth":
                 return LipschitzCurve.sawtooth(
-                    float(params["amplitude"]), _positive(params["period"], "curve.params.period")
+                    float(params["amplitude"]), _number(params["period"], "curve.params.period")
                 )
             if kind == "smooth_bump":
                 return LipschitzCurve.smooth_bump(
-                    float(params["height"]), _positive(params["width"], "curve.params.width")
+                    float(params["height"]), _number(params["width"], "curve.params.width")
                 )
         except KeyError as exc:
             raise InputError(f"curve.params missing {exc.args[0]!r} for kind {kind!r}") from exc
@@ -173,7 +196,7 @@ class ExperimentConfig:
 
     def grid(self) -> tuple:
         spec = self.get("grid")
-        step = _positive(spec.get("step"), "grid.step")
+        step = _number(spec.get("step"), "grid.step")
         count = spec.get("count")
         if not isinstance(count, int) or count < 2:
             raise InputError(f"grid.count must be an integer >= 2, got {count!r}")
@@ -199,7 +222,7 @@ class ExperimentConfig:
 
     def interval(self, key: str) -> Interval:
         spec = self.get(key)
-        return Interval(float(spec["center"]), _positive(spec["radius"], f"{key}.radius"))
+        return Interval(float(spec["center"]), _number(spec["radius"], f"{key}.radius"))
 
     def rng(self) -> np.random.Generator:
         seed = self.get("seed")

@@ -1,11 +1,18 @@
-"""Truncated, principal-value, and maximal Cauchy integrals by quadrature.
+"""Truncated and principal-value Cauchy integrals by quadrature.
 
 The operator applied to a sampled function is a plain midpoint-rule sum
 of ``h K(x, y) f(y)`` over grid nodes ``y``.  The singularity at ``y = x``
-is handled by masking, not analytically:
+is handled by masking, not analytically: each sum drops the nodes whose
+offset ``y - x`` lies in a closed window ``[lo, hi]``.
 
-* truncated integrals sum the nodes with ``|x - y| > t``;
-* the principal value sums every node that does not coincide with ``x``.
+* truncated integrals use ``[-t, t]``, so they sum the nodes with
+  ``|x - y| > t``;
+* the principal value uses a window of a millionth of a step around 0,
+  so it sums every node that does not coincide with ``x``;
+* an off-centre window sums, at ``x + z``, the nodes that a truncation
+  at ``x`` keeps: ``[-t - z, t - z]`` seen from ``x + z`` drops exactly
+  the nodes with ``|y - x| <= t``.  The translation split of the
+  compactness proof needs this.
 
 On a uniform grid the nodes at ``x + s`` and ``x - s`` carry exactly
 opposite leading singular parts, so grouping them in pairs cancels the
@@ -26,8 +33,8 @@ non-finite points are rejected outright.
 * Toeplitz FFT: on a flat or affine graph with every target on the node
   lattice, or every target on the midpoint lattice, the kernel depends
   only on the lattice offset, so one FFT correlation gives every sum.  It
-  runs when no offset lies within rounding of the cut and the padded FFT
-  costs less than the dense sum.
+  runs when no offset lies within rounding of a window edge and the
+  padded FFT costs less than the dense sum.
 * Dense: every other input, by cache-sized chunks of the kernel matrix
   in real arithmetic.  It is also the oracle the FFT is tested against.
 
@@ -37,14 +44,14 @@ terms.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .curve import LipschitzCurve, ProfileKind, eval_A
 from .errors import GridAlignmentError, InputError
 from .kernel import CauchyKernel
-from .sampling import ALIGNMENT_TOL, Interval, SampledFunction, lp_norm
+from .sampling import ALIGNMENT_TOL, Interval, SampledFunction
 
 # Cap on elements per kernel-matrix chunk of the dense backend; chunks
 # this size stay in cache, which is faster than larger ones.
@@ -87,19 +94,6 @@ def _check_alignment(xs: np.ndarray, f: SampledFunction) -> None:
         )
 
 
-def apply_maximal(kernel: CauchyKernel, f: SampledFunction, x: float,
-                  t_ladder: Sequence[float]) -> float:
-    """Largest truncated-integral modulus over the given radii."""
-    ladder = np.asarray(t_ladder, dtype=float)
-    if ladder.size == 0:
-        raise InputError("truncation ladder must be non-empty")
-    if np.any(ladder <= 0):
-        raise InputError("truncation radii must be positive")
-    if np.any(np.diff(ladder) < 0):
-        raise InputError("truncation ladder must be sorted ascending")
-    return float(max(abs(truncated_values(kernel, f, [x], t)[0]) for t in ladder))
-
-
 def pv_values(kernel: CauchyKernel, f: SampledFunction, xs) -> np.ndarray:
     """Principal values at many aligned points, vectorized.
 
@@ -109,40 +103,37 @@ def pv_values(kernel: CauchyKernel, f: SampledFunction, xs) -> np.ndarray:
     """
     xs = _points(xs)
     _check_alignment(xs, f)
-    return _masked_sums(kernel, f, xs, t=None)
+    cut = 0.5 * f.step * 1e-6
+    return _masked_sums(kernel, f, xs, -cut, cut)
 
 
 def truncated_values(kernel: CauchyKernel, f: SampledFunction, xs, t: float) -> np.ndarray:
     """Truncated integrals at many finite points, vectorized."""
     if not t > 0:
         raise InputError("truncation radius must be positive")
-    return _masked_sums(kernel, f, _points(xs), t=t)
+    return _masked_sums(kernel, f, _points(xs), -t, t)
 
 
 def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
-                 t: Optional[float]) -> np.ndarray:
-    """Sums of ``h K(x, y) f(y)`` over nodes, masking the diagonal.
-
-    ``t = None`` keeps every node farther than a rounding tolerance
-    (principal value); otherwise only nodes with ``|x - y| > t`` count.
+                 lo: float, hi: float) -> np.ndarray:
+    """Sums of ``h K(x, y) f(y)`` over the nodes with ``y - x`` outside ``[lo, hi]``.
 
     Two exact backends compute the same set of terms and differ only in
     summation order.  The Toeplitz FFT backend runs when the curve is
     flat or affine, all targets share one lattice of the grid (nodes or
-    half-step midpoints, to rounding), no lattice offset ties the cut,
-    and the FFT is cheaper than the dense sum; every other input goes to
-    the dense backend, which is also the reference for the first.
+    half-step midpoints, to rounding), no lattice offset ties a window
+    edge, and the FFT is cheaper than the dense sum; every other input
+    goes to the dense backend, which is also the reference for the first.
     """
-    cut = 0.5 * f.step * 1e-6 if t is None else t
-    out = _toeplitz_sums(kernel.curve, f, xs, cut)
+    out = _toeplitz_sums(kernel.curve, f, xs, lo, hi)
     if out is None:
-        out = _dense_sums(kernel.curve, f, xs, cut)
+        out = _dense_sums(kernel.curve, f, xs, lo, hi)
     return out
 
 
 def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
-                cut: float) -> np.ndarray:
-    """``h * sum K(x, y) f(y)`` over nodes with ``|y - x| > cut``, by chunks.
+                lo: float, hi: float) -> np.ndarray:
+    """``h * sum K(x, y) f(y)`` over nodes with ``y - x`` outside ``[lo, hi]``, by chunks.
 
     Each chunk of the kernel matrix is built in real arithmetic,
     ``Re K = D / (D^2 + dA^2)`` and ``Im K = -dA / (D^2 + dA^2)``, and
@@ -153,12 +144,12 @@ def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     A_nodes = np.asarray(eval_A(curve, nodes), dtype=float)
     out = np.empty(xs.size, dtype=np.complex128)
     rows = max(1, _CHUNK_ELEMENTS // nodes.size)
-    for lo in range(0, xs.size, rows):
-        xc = xs[lo : lo + rows]
+    for start in range(0, xs.size, rows):
+        xc = xs[start : start + rows]
         A_x = np.asarray(eval_A(curve, xc), dtype=float)
         D = nodes - xc[:, None]
         dA = A_nodes - A_x[:, None]
-        keep = np.abs(D) > cut
+        keep = (D < lo) | (D > hi)
         inv = D * D
         inv += dA * dA
         np.divide(1.0, inv, out=inv, where=keep)
@@ -167,14 +158,14 @@ def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
         dA *= inv
         P = D @ V
         Q = dA @ V
-        out.real[lo : lo + rows] = P[:, 0] + Q[:, 1]
-        out.imag[lo : lo + rows] = P[:, 1] - Q[:, 0]
+        out.real[start : start + rows] = P[:, 0] + Q[:, 1]
+        out.imag[start : start + rows] = P[:, 1] - Q[:, 0]
     out *= f.step
     return out
 
 
 def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
-                   cut: float) -> Optional[np.ndarray]:
+                   lo: float, hi: float) -> Optional[np.ndarray]:
     """The sums of ``_dense_sums`` by one FFT correlation, or None.
 
     On a flat graph a target ``x = origin + (k + par/2) h`` on the node
@@ -187,7 +178,7 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
 
     Returns None, leaving the input to the dense backend, when the curve
     is curved, the targets are empty, mixed or off-lattice, a lattice
-    offset lies within rounding of ``cut`` (where the dense float
+    offset lies within rounding of ``lo`` or ``hi`` (where the dense float
     comparison decides), or the padded length makes the FFT dearer than
     the dense sum.
     """
@@ -219,11 +210,15 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     size = 1 << (width - 1).bit_length()
     if _FFT_COST * size * size.bit_length() >= n * xs.size:
         return None
-    # Offset of node j from target k_hi - r is (j + r - k_hi - par/2) h.
-    m = np.arange(width) - (k_hi + 0.5 * par)
-    keep = np.abs(m) * h > cut
-    if np.any(np.abs(np.abs(m) * h - cut) <= 2.0 * tol):
-        return None
+    # Offset of node j from target k_hi - r is (j + r - k0) h.
+    k0 = k_hi + 0.5 * par
+    for edge in (lo, hi):
+        j = np.rint(edge / h + k0)  # the lattice offset nearest the edge
+        if 0 <= j < width and abs((j - k0) * h - edge) <= 2.0 * tol:
+            return None
+    m = np.arange(width) - k0
+    d = m * h
+    keep = (d < lo) | (d > hi)
     kern = np.zeros(width)
     np.divide(1.0, m, out=kern, where=keep)
     kern_hat = np.fft.rfft(kern, size)
@@ -252,22 +247,3 @@ def apply_on_window(kernel: CauchyKernel, f: SampledFunction,
         raise InputError("evaluation window contains no midpoint-lattice points")
     vals = pv_values(kernel, f, xs)
     return SampledFunction(float(xs[0]), f.step, vals)
-
-
-def operator_norm_lower(kernel: CauchyKernel, p: float,
-                        family: Sequence[SampledFunction], window: Interval) -> float:
-    """Largest Rayleigh ratio ``|C f|_p / |f|_p`` over the family.
-
-    A lower bound for the operator norm only: the family is finite and
-    the output is truncated to the window.
-    """
-    if len(family) == 0:
-        raise InputError("family must be non-empty")
-    best = 0.0
-    for f in family:
-        denom = lp_norm(f, p)
-        if denom == 0.0:
-            raise InputError("family member has zero norm")
-        out = apply_on_window(kernel, f, window)
-        best = max(best, lp_norm(out, p) / denom)
-    return best

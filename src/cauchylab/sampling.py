@@ -247,11 +247,16 @@ def sample_on(fn: Callable[[np.ndarray], np.ndarray], origin: float, step: float
     return SampledFunction(origin, step, fn(nodes), source=fn)
 
 
+def _lp(values: np.ndarray, step: float, p: float) -> float:
+    """``(step * sum |values|^p)^(1/p)``; 0.0 for no values."""
+    return float((step * np.sum(np.abs(values) ** p)) ** (1.0 / p))
+
+
 def lp_norm(f: SampledFunction, p: float) -> float:
     """Midpoint-rule ``L^p`` norm ``(step * sum |f|^p)^(1/p)`` over every node."""
     if not (p > 1 and np.isfinite(p)):
         raise InputError(f"p must lie in (1, inf), got {p}")
-    return float((f.step * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    return _lp(f.values, f.step, p)
 
 
 def shift(f: SampledFunction, z: float) -> SampledFunction:

@@ -119,7 +119,31 @@ class TestExitCodes:
         ("witness", {"witness": {"nodes_per_radius": 0}}, "nodes_per_radius"),
         ("fk-diagnose", {"fk": {"bump_positions": []}}, "fk.bump_positions"),
         ("commutator-norm", {"commutator_norm": {"family": []}}, "commutator_norm.family"),
-    ], ids=["eval_points", "eval_cells", "nodes_per_radius", "bump_positions", "family"])
+        ("vmo-profile", {"vmo": {"delta_ladder": []}}, "vmo.delta_ladder"),
+        ("vmo-profile", {"vmo": {"R_ladder": []}}, "vmo.R_ladder"),
+        ("fk-diagnose", {"fk": {"z_steps": []}}, "fk.z_steps"),
+        ("fk-diagnose", {"fk": {"t_ladder": []}}, "fk.t_ladder"),
+        ("lemma41", {"lemma41": {"k_ladder": []}}, "lemma41.k_ladder"),
+        ("verify-homogeneity", {"homogeneity": {"quadrature_cells": 0}},
+         "homogeneity.quadrature_cells"),
+        ("verify-kernel", {"kernel_check": {"samples": 0}}, "kernel_check.samples"),
+        ("lemma41", {"lemma41": {"eval_cells": 4}}, "lemma41.eval_cells"),
+        ("witness", {"witness": {"sequence": {"count": 1}}}, "witness.sequence.count"),
+        ("verify-kernel", {"kernel_check": {"box": 0}}, "kernel_check.box"),
+        ("verify-homogeneity", {"homogeneity": {"r": 0}}, "homogeneity.r"),
+        ("fk-diagnose", {"fk": {"bump_width": 0}}, "fk.bump_width"),
+        ("lemma41", {"lemma41": {"a1": 2}}, "lemma41.a1"),
+        ("fk-diagnose", {"fk": {"p": 1}}, "fk.p"),
+        ("lemma41", {"lemma41": {"p": 1}}, "lemma41.p"),
+        ("witness", {"witness": {"p": 1}}, "witness.p"),
+        ("witness", {"witness": {"a1": 4}}, "witness.a1"),
+        ("commutator-norm", {"commutator_norm": {"p": 1}}, "commutator_norm.p"),
+    ], ids=["eval_points", "eval_cells", "nodes_per_radius", "bump_positions", "family",
+            "vmo.delta_ladder", "vmo.R_ladder", "fk.z_steps", "fk.t_ladder",
+            "lemma41.k_ladder", "homogeneity.quadrature_cells", "kernel_check.samples",
+            "lemma41.eval_cells", "witness.sequence.count", "kernel_check.box",
+            "homogeneity.r", "fk.bump_width", "lemma41.a1", "fk.p", "lemma41.p",
+            "witness.p", "witness.a1", "commutator_norm.p"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(tree))

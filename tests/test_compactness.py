@@ -13,6 +13,7 @@ from cauchylab import (
     apply_commutator,
     choose_a2,
     equicontinuity_terms,
+    eval_kernel,
     far_away_sequence,
     fk_diagnose,
     large_scale_sequence,
@@ -251,18 +252,61 @@ class TestWitness:
         assert rep.min_offdiag > 0
 
 
+SAWTOOTH = CauchyKernel.for_curve(LipschitzCurve.sawtooth(0.5, 2.0))
+
+
+def _oracle_term_norms(b, f, kernel, split, z, window, p=2.0):
+    """The four term norms from explicit masks and the kernel formula."""
+    xs = f.midpoints_in(window)
+    t = abs(z) / split
+    nodes = f.nodes
+    far = np.abs(nodes[None, :] - xs[:, None]) > t
+    Kx = eval_kernel(kernel, xs[:, None], nodes)
+    Kxz = eval_kernel(kernel, xs[:, None] + z, nodes)
+    b_x = b.value_at(xs)[:, None]
+    b_xz = b.value_at(xs + z)[:, None]
+    fv, bv = f.values[None, :], b.values[None, :]
+    terms = f.step * np.array([
+        np.sum(np.where(far, (b_x - b_xz) * Kx * fv, 0), axis=1),
+        np.sum(np.where(far, (Kx - Kxz) * (b_xz - bv) * fv, 0), axis=1),
+        np.sum(np.where(~far, Kx * (b_x - bv) * fv, 0), axis=1),
+        -np.sum(np.where(~far, Kxz * (b_xz - bv) * fv, 0), axis=1),
+    ])
+    return (f.step * np.sum(np.abs(terms) ** p, axis=1)) ** (1.0 / p)
+
+
 class TestEquicontinuitySplit:
     def setup_case(self):
         b = sample(smooth_bump(0.0, 1.0, 1.0), -3, 3, 1500)
         f = bump_family([0.0], 0.5, -3.0, 3.0, 1500, 2.0)[0]
         return b, f
 
-    def test_split_resums_exactly(self):
+    def check_resums_exactly(self, kernel):
         b, f = self.setup_case()
-        rep = equicontinuity_terms(b, f, FLAT, split=0.25, z=8 * f.step,
+        rep = equicontinuity_terms(b, f, kernel, split=0.25, z=8 * f.step,
                                    window=Interval(0.0, 2.0))
         assert rep.passed
         assert rep.extras["residual_max"] <= 1e-10
+
+    def test_split_resums_exactly(self):
+        self.check_resums_exactly(FLAT)
+
+    def test_split_resums_exactly_on_sawtooth(self):
+        self.check_resums_exactly(SAWTOOTH)
+
+    @pytest.mark.parametrize("kernel", [FLAT, SAWTOOTH], ids=["flat", "sawtooth"])
+    @pytest.mark.parametrize("split, z_steps", [(0.25, 8), (0.4, -3)])
+    def test_term_norms_match_explicit_masks(self, kernel, split, z_steps):
+        # The re-sum check cannot see which nodes each term keeps, since
+        # the kernel at x + z over the far set cancels between terms 2
+        # and 4; the oracle builds every mask from the offsets directly.
+        b = sample(sign_step(0.1), -3, 3, 300)
+        f = sample(smooth_bump(0.3, 1.0, 0.6), -3, 3, 300)
+        z = z_steps * f.step
+        window = Interval(0.0, 2.0)
+        rep = equicontinuity_terms(b, f, kernel, split=split, z=z, window=window)
+        ref = _oracle_term_norms(b, f, kernel, split, z, window)
+        np.testing.assert_allclose(rep.columns["lhs"], ref, rtol=1e-12, atol=0)
 
     def test_constant_symbol_kills_all_terms(self):
         bc = sample(lambda y: np.full_like(y, 2.0), -3, 3, 1500)

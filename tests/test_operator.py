@@ -11,11 +11,9 @@ from cauchylab import (
     LipschitzCurve,
     ProfileKind,
     SampledFunction,
-    apply_maximal,
     apply_on_window,
     commutator_values,
     eval_kernel,
-    operator_norm_lower,
     pv_values,
     sample,
     truncated_values,
@@ -124,7 +122,7 @@ class TestPv:
         xs = f.midpoints_in(Interval(0.0, 2.5))
         cut = 0.5e-6 * f.step if t_steps is None else (t_steps + 0.25) * f.step
         dense_only = curve.kind is ProfileKind.SAWTOOTH
-        assert (operator._toeplitz_sums(curve, f, xs, cut) is None) == dense_only
+        assert (operator._toeplitz_sums(curve, f, xs, -cut, cut) is None) == dense_only
 
         def apply(u):
             if t_steps is None:
@@ -193,37 +191,6 @@ def test_non_finite_points_rejected(bad):
             call()
 
 
-class TestMaximal:
-    def test_zero(self):
-        f = sample(lambda y: np.zeros_like(y), -1, 1, 64)
-        assert apply_maximal(FLAT, f, 0.25, [0.1, 1.0]) == 0.0
-
-    def test_ladder_example(self):
-        f = chi(-1, 1, -1, 1, 20_000)
-        v = apply_maximal(FLAT, f, 2.0, [0.5, 1.0, 2.0])
-        assert v == pytest.approx(LOG3, abs=1e-4)
-
-    def test_monotone_in_ladder(self):
-        f = chi(-1, 1, -1, 1, 2000)
-        small = apply_maximal(FLAT, f, 2.0, [0.5, 1.0])
-        big = apply_maximal(FLAT, f, 2.0, [0.25, 0.5, 1.0, 2.0, 4.0])
-        assert big >= small
-
-    def test_dominates_each_truncation(self):
-        f = sample(lambda y: np.sin(y), -1, 1, 2000)
-        ladder = [0.1, 0.4, 0.9]
-        vmax = apply_maximal(FLAT, f, 1.5, ladder)
-        for t in ladder:
-            assert vmax >= abs(truncated_at(FLAT, f, 1.5, t))
-
-    def test_bad_ladders(self):
-        f = sample(lambda y: y, -1, 1, 64)
-        with pytest.raises(InputError):
-            apply_maximal(FLAT, f, 0.0, [])
-        with pytest.raises(InputError):
-            apply_maximal(FLAT, f, 0.0, [1.0, 0.5])
-
-
 class TestWindowed:
     def test_output_on_midpoint_lattice(self):
         f = sample(lambda y: np.exp(-(y**2)), -2, 2, 512)
@@ -245,29 +212,3 @@ class TestWindowed:
                           for x in xs])
         np.testing.assert_allclose(vec, point, rtol=1e-10)
 
-
-class TestNormLower:
-    def test_indicator_family(self):
-        f = chi(0, 1, -1, 2, 3000)
-        v = operator_norm_lower(FLAT, 2.0, [f], Interval(0.5, 3.0))
-        assert np.isfinite(v) and v > 0
-
-    def test_scale_invariance(self):
-        f = chi(0, 1, -1, 2, 3000)
-        window = Interval(0.5, 3.0)
-        v1 = operator_norm_lower(FLAT, 2.0, [f], window)
-        v2 = operator_norm_lower(FLAT, 2.0, [f.with_values(7.5 * f.values)], window)
-        assert v2 == pytest.approx(v1, rel=1e-12)
-
-    def test_monotone_in_family(self):
-        f = chi(0, 1, -1, 2, 3000)
-        g = sample(lambda y: np.exp(-(y**2)), -1, 2, 3000)
-        window = Interval(0.5, 3.0)
-        assert operator_norm_lower(FLAT, 2.0, [f, g], window) >= operator_norm_lower(
-            FLAT, 2.0, [f], window
-        )
-
-    def test_zero_member_rejected(self):
-        z = sample(lambda y: np.zeros_like(y), -1, 1, 100)
-        with pytest.raises(InputError):
-            operator_norm_lower(FLAT, 2.0, [z], Interval(0.0, 1.0))
