@@ -34,6 +34,7 @@ from .commutator import (
     HomogeneityConfig,
     apply_commutator,
     commutator_norm_lower,
+    commutator_norm_ratios,
     commutator_values,
     homogeneity_check,
     make_homogeneity_case,
@@ -64,6 +65,7 @@ from .sampling import (
     sample,
     sample_on,
     shift,
+    stack,
 )
 from .testfn import (
     AnnulusBoundReport,

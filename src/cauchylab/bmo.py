@@ -70,17 +70,21 @@ def _node_bounds(f: SampledFunction, lowers, uppers) -> Tuple[np.ndarray, np.nda
 
     An endpoint within ``ALIGNMENT_TOL`` steps of a node snaps onto it,
     so the interval from node ``a`` to node ``a + w`` holds exactly the
-    ``w - 1`` interior nodes however ``center +- radius`` rounded.
-    Works elementwise on arrays of intervals.
+    ``w - 1`` interior nodes however ``center +- radius`` rounded.  The
+    bounds are node counts found by index arithmetic on ``origin`` and
+    ``step``, in time independent of the grid size: an endpoint ``s``
+    steps from the origin has ``floor(s) + 1`` nodes at or below it, and
+    one that snaps onto node ``k`` has ``k + 1`` at or below it and ``k``
+    strictly below.  Works elementwise on arrays of intervals.
     """
-    def snapped(x):
+    def nodes_below(x, snapped_count):
         s = (np.asarray(x, dtype=float) - f.origin) / f.step
         k = np.rint(s)
-        return np.where(np.abs(s - k) <= ALIGNMENT_TOL, f.origin + k * f.step, x)
+        below = np.where(np.abs(s - k) <= ALIGNMENT_TOL, k + snapped_count, np.floor(s) + 1)
+        return np.clip(below, 0, f.count).astype(np.int64)
 
-    nodes = f.nodes
-    lo = np.searchsorted(nodes, snapped(lowers), "right")
-    hi = np.searchsorted(nodes, snapped(uppers), "left")
+    lo = nodes_below(lowers, 1)  # nodes at or below the lower endpoint
+    hi = nodes_below(uppers, 0)  # nodes strictly below the upper endpoint
     if np.any(hi <= lo):
         raise InputError("interval does not intersect the grid")
     return lo, hi

@@ -24,7 +24,7 @@ from .bmo import oscillation_table, vmo_profile
 from .commutator import (
     HomogeneityConfig,
     apply_commutator,
-    commutator_norm_lower,
+    commutator_norm_ratios,
     make_homogeneity_case,
     homogeneity_check,
 )
@@ -33,7 +33,7 @@ from .errors import InputError
 from .kernel import CauchyKernel, random_size_sweep, random_smoothness_sweep
 from .operator import apply_on_window, pv_values
 from .reports import BoundReport, write_report
-from .sampling import function_to_csv, lp_norm, sample_on
+from .sampling import function_to_csv, lp_norm, sample_on, stack
 from .symbols import make_symbol
 
 MAX_REPORT_ROWS = 200
@@ -181,12 +181,14 @@ def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 
 def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     curve = cfg.curve()
-    ladder = [float(M) for M in cfg.nonempty("homogeneity.M_ladder")]
+    # make_homogeneity_case needs M > 10.
+    ladder = [cfg.number(key, above=10.0) for key in cfg.entries("homogeneity.M_ladder")]
     hcfg = HomogeneityConfig(
         quadrature_cells=cfg.integer("homogeneity.quadrature_cells", 1),
         eval_points=cfg.integer("homogeneity.eval_points", 1),
-        slack=float(cfg.get("homogeneity.slack")),
+        slack=cfg.number("homogeneity.slack"),
     )
+    band = cfg.number("homogeneity.slope_band")
     r = cfg.number("homogeneity.r")
     rows = {"M": [], "lhs": [], "rhs": [], "raw_min": [], "pass": []}
     for M in ladder:
@@ -200,7 +202,6 @@ def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> 
     all_ok = all(rows["pass"])
     if len(ladder) >= 2:
         slope = float(np.polyfit(np.log(rows["M"]), np.log(rows["lhs"]), 1)[0])
-        band = float(cfg.get("homogeneity.slope_band"))
         extras.update(slope=slope, slope_target=-1.0, slope_band=band)
         all_ok &= abs(slope + 1.0) <= band
     rep = BoundReport(
@@ -217,13 +218,14 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     b = cfg.function("symbol")
     base = cfg.interval("lemma41.interval")
     p = cfg.number("lemma41.p", above=1.0)
-    ks = [int(k) for k in cfg.nonempty("lemma41.k_ladder")]
-    lower_cap = float(cfg.get("lemma41.lower_spread_cap"))
-    upper_cap = float(cfg.get("lemma41.upper_spread_cap"))
     acfg = testfn.AnnulusConfig(
         a1=cfg.number("lemma41.a1", above=4.0),
         eval_cells=cfg.integer("lemma41.eval_cells", 8),
     )
+    ks = [cfg.integer(key, acfg.k_min) for key in cfg.entries("lemma41.k_ladder")]
+    # A spread is a ratio max / min, at least 1, so a cap at or below 1 always fails.
+    lower_cap = cfg.number("lemma41.lower_spread_cap", above=1.0)
+    upper_cap = cfg.number("lemma41.upper_spread_cap", above=1.0)
     tf = testfn.build_test_function(b, base, p)
     lowers, uppers = testfn.annulus_ladder_reports(b, tf, ks, kern, acfg)
     inter = [testfn.verify_intermediate_bounds(b, tf, k, kern, acfg) for k in ks]
@@ -277,8 +279,8 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     p = cfg.number("fk.p", above=1.0)
     width = cfg.number("fk.bump_width")
     positions = cfg.nonempty("fk.bump_positions")
-    t_ladder = cfg.nonempty("fk.t_ladder")
-    z_steps = cfg.nonempty("fk.z_steps")
+    t_ladder = [cfg.number(key) for key in cfg.entries("fk.t_ladder")]
+    z_steps = [cfg.integer(key, 1) for key in cfg.entries("fk.z_steps")]
     family = []
     for pos in positions:
         fn = make_symbol("smooth_bump", center=float(pos), height=1.0, width=width)
@@ -287,9 +289,9 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         if norm == 0:
             raise InputError(f"fk bump at {pos} misses the grid")
         family.append(g.with_values(g.values / norm))
-    images = [apply_commutator(b, f, kern, window) for f in family]
+    images = apply_commutator(b, stack(family), kern, window).columns()
     h_out = images[0].step
-    zs = [int(k) * h_out for k in z_steps]
+    zs = [k * h_out for k in z_steps]
     report = compactness.fk_diagnose(images, p, t_ladder, zs)
     kinds, params, vals = ["uniform_bound"], [0.0], [report.uniform_bound]
     for t, v in report.tail_curve:
@@ -316,7 +318,7 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     case = compactness.WitnessCase(args.case)
     seq_spec = cfg.get("witness.sequence")
     a1 = cfg.number("witness.a1", above=4.0)
-    a2 = float(cfg.get("witness.a2"))
+    a2 = cfg.number("witness.a2", above=a1)
     count = cfg.integer("witness.sequence.count", 2)
     if case is compactness.WitnessCase.SMALL_SCALE:
         seq = compactness.small_scale_sequence(
@@ -374,13 +376,11 @@ def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> boo
     for spec in specs:
         fn = make_symbol(spec["kind"], **(spec.get("params", {}) or {}))
         family.append(sample_on(fn, origin, step, count))
-    ratios = []
-    for f in family:
-        ratios.append(commutator_norm_lower(b, p, [f], kern, window))
+    ratios = commutator_norm_ratios(b, p, family, kern, window)
     rep = BoundReport(
         inequality="max_f |[b,C]f|_p / |f|_p over the family (lower bound)",
-        columns={"member": np.arange(len(family)), "lhs": np.asarray(ratios)},
-        extras={"p": p, "norm_lower_bound": max(ratios)},
+        columns={"member": np.arange(len(family)), "lhs": ratios},
+        extras={"p": p, "norm_lower_bound": float(np.max(ratios))},
     )
     write_report(rep, out_dir, "commutator_norm")
     return True

@@ -38,7 +38,8 @@ from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import _masked_sums, pv_values, truncated_values
 from .reports import BoundReport
-from .sampling import Interval, SampledFunction, _lp, lp_norm, sample_on, shift
+from .sampling import (Interval, SampledFunction, _lp, _rowwise, lp_norm, sample_on, shift,
+                       stack)
 from .testfn import AnnulusConfig, TestFunction, annulus_ladder_reports, build_test_function
 
 TAIL_WINDOW_FACTOR = 20.0  # tail lattice reaches factor * t_max * R
@@ -184,11 +185,14 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
     R = float(support_radius)
     if not R > 0:
         raise InputError("support radius must be positive")
+    b.require_single("the symbol of tail_decay_check")
     outside = ~Interval(0.0, R).contains(b.nodes)
     if np.any(np.abs(b.values[outside]) > 0):
         raise InputError("symbol does not vanish outside I(0, R)")
     if len(family) == 0:
         raise InputError("family must be non-empty")
+    if not all(b.same_grid_as(f) for f in family):
+        raise InputError("symbol and family members must share one grid")
 
     reach = TAIL_WINDOW_FACTOR * ts[-1] * R
     lo = ts[0] * R
@@ -196,24 +200,21 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
     right = lo + (np.arange(TAIL_CELLS_PER_SIDE) + 0.5) * cell_h
     xs = np.concatenate([-right[::-1], right])
 
-    worst = np.zeros(len(ts))
-    for f in family:
-        if not b.same_grid_as(f):
-            raise InputError("symbol and family members must share one grid")
-        bf = f.with_values(b.values * f.values)
-        support = np.abs(bf.values) > 0
-        if np.any(support):
-            # Every lattice point has |x| >= t_min R, every support node
-            # |y| <= max |support|, so this is the exact clearance floor.
-            clearance = lo - float(np.max(np.abs(bf.nodes[support])))
-            if clearance <= 2 * bf.step:
-                raise InputError(
-                    "far lattice reaches into the support of b f; raise the "
-                    "smallest truncation factor"
-                )
-        g = -pv_values(kernel, bf, xs)
-        for i, t in enumerate(ts):
-            worst[i] = max(worst[i], _lp(g[np.abs(xs) > t * R], cell_h, p))
+    block = stack(family)
+    bf = block.with_values(_rowwise(b.values, block.values))
+    support = np.any(np.abs(bf.values) > 0, axis=1)
+    if np.any(support):
+        # Every lattice point has |x| >= t_min R, every support node
+        # |y| <= max |support|, so this is the exact clearance floor.
+        clearance = lo - float(np.max(np.abs(bf.nodes[support])))
+        if clearance <= 2 * bf.step:
+            raise InputError(
+                "far lattice reaches into the support of b f; raise the "
+                "smallest truncation factor"
+            )
+    g = -pv_values(kernel, bf, xs)
+    worst = np.array([max(_lp(col[np.abs(xs) > t * R], cell_h, p) for col in g.T)
+                      for t in ts])
 
     p_conj = p / (p - 1.0)
     target = -1.0 / p_conj
@@ -414,8 +415,8 @@ def equicontinuity_terms(b: SampledFunction, f: SampledFunction, kernel: CauchyK
     re-sum to the translation difference, which is computed
     independently by ``commutator_values``.
 
-    Every term combines four kernel sums, each applied to ``f`` and to
-    ``bf = b f``:
+    Every term combines four kernel sums, each applied once to the
+    two-column block ``[f, b f]``:
 
     * ``F``, the truncated integral at ``x``, over the nodes with
       ``|y - x| > t``;
@@ -432,6 +433,7 @@ def equicontinuity_terms(b: SampledFunction, f: SampledFunction, kernel: CauchyK
         raise InputError(f"split parameter must lie in (0, 1/2), got {split}")
     if z == 0:
         raise InputError("need a nonzero shift")
+    f.require_single("equicontinuity_terms")
     if not b.same_grid_as(f):
         raise InputError("symbol and input must share one grid")
     k_steps = round(z / f.step)
@@ -444,11 +446,11 @@ def equicontinuity_terms(b: SampledFunction, f: SampledFunction, kernel: CauchyK
 
     b_x = b.value_at(xs)
     b_xz = b.value_at(xs + z)
-    bf = f.with_values(b.values * f.values)
-    F_f, F_bf = (truncated_values(kernel, u, xs, t) for u in (f, bf))
-    G_f, G_bf = (_masked_sums(kernel, u, xs + z, -t - z, t - z) for u in (f, bf))
-    P_f, P_bf = (pv_values(kernel, u, xs) for u in (f, bf))
-    Q_f, Q_bf = (pv_values(kernel, u, xs + z) for u in (f, bf))
+    fb = stack([f, f.with_values(b.values * f.values)])
+    F_f, F_bf = truncated_values(kernel, fb, xs, t).T
+    G_f, G_bf = _masked_sums(kernel, fb, xs + z, -t - z, t - z).T
+    P_f, P_bf = pv_values(kernel, fb, xs).T
+    Q_f, Q_bf = pv_values(kernel, fb, xs + z).T
     L = np.stack([
         (b_x - b_xz) * F_f,
         (b_xz * F_f - F_bf) - (b_xz * G_f - G_bf),

@@ -13,7 +13,7 @@ import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -139,11 +139,15 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(json.loads(text))
 
     def get(self, dotted: str):
+        """The value at a dotted path; a numeric part indexes a list."""
         node = self.data
         for part in dotted.split("."):
-            if not isinstance(node, dict) or part not in node:
+            if isinstance(node, list) and part.isdigit() and int(part) < len(node):
+                node = node[int(part)]
+            elif isinstance(node, dict) and part in node:
+                node = node[part]
+            else:
                 raise InputError(f"missing config field: {dotted}")
-            node = node[part]
         return node
 
     # Typed reads: a bad value exits 2 with a message naming the key.
@@ -167,6 +171,10 @@ class ExperimentConfig:
         if not (isinstance(value, list) and value):
             raise InputError(f"config field {dotted} must be a non-empty list, got {value!r}")
         return value
+
+    def entries(self, dotted: str) -> List[str]:
+        """Dotted paths ``dotted.0``, ``dotted.1``, ... of a non-empty list, for typed reads."""
+        return [f"{dotted}.{i}" for i in range(len(self.nonempty(dotted)))]
 
     # ----- builders -------------------------------------------------
 

@@ -40,6 +40,16 @@ non-finite points are rejected outright.
 
 The backends differ only in summation order, never in the set of summed
 terms.
+
+Every sum takes one function or a block of ``c`` functions on one grid
+(``values`` of shape ``(n,)`` or ``(n, c)``, see ``sampling``) and returns
+``(len(xs),)`` or ``(len(xs), c)``.  A block costs one pass: the dense
+backend builds each kernel chunk once and multiplies it by all ``2 c``
+real columns ``[Re V, Im V]``, and the FFT backend transforms all columns
+in one batched call.  On a curved graph building the chunk, not the
+product, is the cost, so a family of test functions is applied as one
+block.  The commutator ``b C(F) - C(b F)`` is two passes, one per term,
+whatever the width of ``F``.
 """
 
 from __future__ import annotations
@@ -100,6 +110,7 @@ def pv_values(kernel: CauchyKernel, f: SampledFunction, xs) -> np.ndarray:
     Every point must be finite and sit on a node, on a midpoint, or far
     from the grid.  The sum runs over all non-coincident nodes, which
     equals the symmetric-pair principal value up to summation order.
+    Returns ``(len(xs),)`` for one function, ``(len(xs), c)`` for a block.
     """
     xs = _points(xs)
     _check_alignment(xs, f)
@@ -108,7 +119,7 @@ def pv_values(kernel: CauchyKernel, f: SampledFunction, xs) -> np.ndarray:
 
 
 def truncated_values(kernel: CauchyKernel, f: SampledFunction, xs, t: float) -> np.ndarray:
-    """Truncated integrals at many finite points, vectorized."""
+    """Truncated integrals at many finite points, vectorized; shapes as ``pv_values``."""
     if not t > 0:
         raise InputError("truncation radius must be positive")
     return _masked_sums(kernel, f, _points(xs), -t, t)
@@ -118,12 +129,14 @@ def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
                  lo: float, hi: float) -> np.ndarray:
     """Sums of ``h K(x, y) f(y)`` over the nodes with ``y - x`` outside ``[lo, hi]``.
 
-    Two exact backends compute the same set of terms and differ only in
-    summation order.  The Toeplitz FFT backend runs when the curve is
-    flat or affine, all targets share one lattice of the grid (nodes or
-    half-step midpoints, to rounding), no lattice offset ties a window
-    edge, and the FFT is cheaper than the dense sum; every other input
-    goes to the dense backend, which is also the reference for the first.
+    ``f`` is one function or a block; the result has one row per point
+    and, for a block, one column per function.  Two exact backends
+    compute the same set of terms and differ only in summation order.
+    The Toeplitz FFT backend runs when the curve is flat or affine, all
+    targets share one lattice of the grid (nodes or half-step midpoints,
+    to rounding), no lattice offset ties a window edge, and the FFT is
+    cheaper than the dense sum; every other input goes to the dense
+    backend, which is also the reference for the first.
     """
     out = _toeplitz_sums(kernel.curve, f, xs, lo, hi)
     if out is None:
@@ -135,20 +148,24 @@ def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
                 lo: float, hi: float) -> np.ndarray:
     """``h * sum K(x, y) f(y)`` over nodes with ``y - x`` outside ``[lo, hi]``, by chunks.
 
-    Each chunk of the kernel matrix is built in real arithmetic,
+    Each chunk of the kernel matrix is built once in real arithmetic,
     ``Re K = D / (D^2 + dA^2)`` and ``Im K = -dA / (D^2 + dA^2)``, and
-    applied to the columns ``[Re f, Im f]`` by two real matrix products.
+    applied to the ``2 c`` columns ``[Re V, Im V]`` of the ``(n, c)`` value
+    block by two real matrix products.  ``A`` is evaluated once per call,
+    at the nodes and at every target.
     """
     nodes = f.nodes
-    V = np.stack([f.values.real, f.values.imag], axis=1)
+    V = f.values.reshape(f.count, -1)
+    c = V.shape[1]
+    W = np.concatenate([V.real, V.imag], axis=1)
     A_nodes = np.asarray(eval_A(curve, nodes), dtype=float)
-    out = np.empty(xs.size, dtype=np.complex128)
+    A_xs = np.asarray(eval_A(curve, xs), dtype=float)
+    out = np.empty((xs.size, c), dtype=np.complex128)
     rows = max(1, _CHUNK_ELEMENTS // nodes.size)
     for start in range(0, xs.size, rows):
-        xc = xs[start : start + rows]
-        A_x = np.asarray(eval_A(curve, xc), dtype=float)
-        D = nodes - xc[:, None]
-        dA = A_nodes - A_x[:, None]
+        stop = start + rows
+        D = nodes - xs[start:stop, None]
+        dA = A_nodes - A_xs[start:stop, None]
         keep = (D < lo) | (D > hi)
         inv = D * D
         inv += dA * dA
@@ -156,12 +173,12 @@ def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
         inv *= keep
         D *= inv
         dA *= inv
-        P = D @ V
-        Q = dA @ V
-        out.real[start : start + rows] = P[:, 0] + Q[:, 1]
-        out.imag[start : start + rows] = P[:, 1] - Q[:, 0]
+        P = D @ W
+        Q = dA @ W
+        out.real[start:stop] = P[:, :c] + Q[:, c:]
+        out.imag[start:stop] = P[:, c:] - Q[:, :c]
     out *= f.step
-    return out
+    return out.reshape(xs.shape + f.values.shape[1:])
 
 
 def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
@@ -173,8 +190,9 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     at offset ``(j - k - par/2) h``, so the kernel matrix is Toeplitz:
     ``f`` is correlated with ``1 / (d - par/2)`` over the kept offsets.
     An affine graph of slope ``s`` multiplies the flat kernel by
-    ``1 / (1 + i s)``.  ``Re f`` and ``Im f`` go through real FFTs, so a
-    real ``f`` on a flat graph gives an exactly real result.
+    ``1 / (1 + i s)``.  ``Re f`` and ``Im f`` go through real FFTs, batched
+    over the columns of a block, so a real column on a flat graph gives
+    an exactly real result.
 
     Returns None, leaving the input to the dense backend, when the curve
     is curved, the targets are empty, mixed or off-lattice, a lattice
@@ -225,13 +243,16 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
 
     def correlate(v: np.ndarray) -> np.ndarray:
         c = np.fft.irfft(np.conj(np.fft.rfft(v, size)) * kern_hat, size)
-        return c[k_hi - k]
+        return c[..., k_hi - k]
 
-    out = np.zeros(xs.size, dtype=np.complex128)
-    out.real = correlate(f.values.real)
-    if np.any(f.values.imag):
-        out.imag = correlate(f.values.imag)
-    return out * factor
+    # One contiguous row per function: a block is transposed, while a
+    # single function is used as it is, without a copy.
+    V = f.values if f.values.ndim == 1 else np.ascontiguousarray(f.values.T)
+    out = np.zeros(V.shape[:-1] + xs.shape, dtype=np.complex128)
+    out.real = correlate(V.real)
+    if np.any(V.imag):
+        out.imag = correlate(V.imag)
+    return (out * factor).T
 
 
 def apply_on_window(kernel: CauchyKernel, f: SampledFunction,

@@ -16,13 +16,25 @@ Conventions
 * ``sample`` builds a cell-centered grid on ``[a, b]``, which makes the
   node sum the classical midpoint rule for ``\\int_a^b`` and keeps round
   endpoints off the node lattice.
+
+Blocks
+------
+A sampled function holds either one function, with ``values`` of shape
+``(n,)``, or a block of ``c`` functions on one grid, with ``values`` of
+shape ``(n, c)`` and one column per function; ``count`` is ``n`` either
+way.  ``stack`` builds a block from a family and ``columns`` splits it.
+The operators apply to a whole block at once (see ``operator``), which
+is how a family of test functions shares one kernel matrix.  Operations
+that make sense for one function only (``real_values``, ``value_at``,
+``function_to_csv`` and everything in ``bmo``) raise ``InputError`` on a
+block; ``lp_norm`` and ``shift`` work column by column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,7 +125,8 @@ class Annulus:
 class SampledFunction:
     """Complex values on the uniform grid ``origin + i * step``.
 
-    ``source``, when present, is the callable the samples were drawn
+    ``values`` has shape ``(n,)`` for one function or ``(n, c)`` for a
+    block of ``c`` functions on the same ``n`` nodes.  ``source``, when present, is the callable the samples were drawn
     from; it lets consumers evaluate the same function off this grid
     (refined lattices, midpoints) without interpolation.  Derived
     functions generally drop it.
@@ -130,8 +143,8 @@ class SampledFunction:
         if not self.step > 0:
             raise InputError(f"grid step must be positive, got {self.step}")
         vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 1 or vals.size == 0:
-            raise InputError("values must be a non-empty 1-d sequence")
+        if vals.ndim not in (1, 2) or vals.size == 0:
+            raise InputError("values must be a non-empty (n,) or (n, c) array")
         if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
             raise InputError("all sampled values must be finite")
         vals = vals.copy()
@@ -140,7 +153,22 @@ class SampledFunction:
 
     @property
     def count(self) -> int:
-        return self.values.size
+        """Number of grid nodes ``n``, for one function and for a block."""
+        return self.values.shape[0]
+
+    def require_single(self, what: str) -> None:
+        """Raise ``InputError`` when this is a block, naming the operation ``what``."""
+        if self.values.ndim != 1:
+            raise InputError(
+                f"{what} takes one function, got a block of {self.values.shape[1]}; "
+                "apply it to each of the block's columns"
+            )
+
+    def columns(self) -> Tuple["SampledFunction", ...]:
+        """The functions of a block, one per column; ``(self,)`` for one function."""
+        if self.values.ndim == 1:
+            return (self,)
+        return tuple(self.with_values(v) for v in self.values.T)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -159,6 +187,7 @@ class SampledFunction:
 
     def real_values(self) -> np.ndarray:
         """Real parts; rejects imaginary parts above ``1e-12`` of ``max(|f|, 1)``."""
+        self.require_single("real_values")
         scale = max(float(np.max(np.abs(self.values))), 1.0)
         if np.any(np.abs(self.values.imag) > 1e-12 * scale):
             raise InputError("operation requires a real-valued function")
@@ -206,6 +235,7 @@ class SampledFunction:
         off-node points return the mean of the two bracketing nodes (the
         cell-boundary value consistent with the midpoint rule).
         """
+        self.require_single("value_at")
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if self.source is not None:
             out = np.asarray(self.source(xs), dtype=np.complex128)
@@ -247,22 +277,47 @@ def sample_on(fn: Callable[[np.ndarray], np.ndarray], origin: float, step: float
     return SampledFunction(origin, step, fn(nodes), source=fn)
 
 
+def stack(functions: Sequence[SampledFunction]) -> SampledFunction:
+    """The block whose columns are ``functions``, which must share one grid."""
+    if len(functions) == 0:
+        raise InputError("need at least one function to stack")
+    first = functions[0]
+    for g in functions:
+        g.require_single("stack")
+        if not first.same_grid_as(g):
+            raise InputError("stacked functions must share one grid (origin, step, count)")
+    return first.with_values(np.stack([g.values for g in functions], axis=1))
+
+
+def _rowwise(u, values: np.ndarray) -> np.ndarray:
+    """``u[i] * values[i]``: a pointwise product with one column or each column of a block."""
+    u = np.asarray(u)
+    return u.reshape(u.shape + (1,) * (values.ndim - u.ndim)) * values
+
+
 def _lp(values: np.ndarray, step: float, p: float) -> float:
     """``(step * sum |values|^p)^(1/p)``; 0.0 for no values."""
     return float((step * np.sum(np.abs(values) ** p)) ** (1.0 / p))
 
 
-def lp_norm(f: SampledFunction, p: float) -> float:
-    """Midpoint-rule ``L^p`` norm ``(step * sum |f|^p)^(1/p)`` over every node."""
+def lp_norm(f: SampledFunction, p: float):
+    """Midpoint-rule ``L^p`` norm ``(step * sum |f|^p)^(1/p)`` over every node.
+
+    A float for one function; for a block, an array with one norm per
+    column, each summed exactly as for that column alone.
+    """
     if not (p > 1 and np.isfinite(p)):
         raise InputError(f"p must lie in (1, inf), got {p}")
-    return _lp(f.values, f.step, p)
+    if f.values.ndim == 1:
+        return _lp(f.values, f.step, p)
+    return np.array([_lp(v, f.step, p) for v in f.values.T])
 
 
 def shift(f: SampledFunction, z: float) -> SampledFunction:
     """Translate: returns g with ``g(x) = f(x + z)``, zero-extended.
 
     ``z`` must be a whole number of grid steps so the result is exact.
+    A block shifts column by column.
     """
     k_real = z / f.step
     k = round(k_real)
@@ -271,7 +326,7 @@ def shift(f: SampledFunction, z: float) -> SampledFunction:
             f"shift {z} is not an integer multiple of the step {f.step}; "
             "regrid the function or choose z = k * step"
         )
-    out = np.zeros(f.count, dtype=np.complex128)
+    out = np.zeros(f.values.shape, dtype=np.complex128)
     if k >= 0:
         if k < f.count:
             out[: f.count - k] = f.values[k:]
@@ -287,6 +342,7 @@ def shift(f: SampledFunction, z: float) -> SampledFunction:
 
 def function_to_csv(f: SampledFunction, path) -> None:
     """Write columns x, re, im (one row per node)."""
+    f.require_single("function_to_csv")
     with open(path, "w", newline="") as fh:
         fh.write("x,re,im\n")
         for x, v in zip(f.nodes, f.values):

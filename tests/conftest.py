@@ -1,9 +1,19 @@
-"""Shared fixtures: deterministic rng and randomized symbol generators."""
+"""Shared fixtures: deterministic rng and randomized symbol generators.
+
+Every hypothesis property runs under one profile: no deadline, since
+operator sums on a loaded machine are slow, and derandomized, so a run
+draws the same examples every time and two commits can be compared test
+by test.  Per-test ``@settings`` set only ``max_examples``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("cauchylab", deadline=None, derandomize=True)
+settings.load_profile("cauchylab")
 
 from cauchylab import Interval, SampledFunction, sample_on
 from cauchylab.symbols import sign_step, smooth_bump, step, truncated_log

@@ -19,6 +19,7 @@ from cauchylab import (
     vmo_profile,
 )
 from cauchylab.curve import eval_A
+from cauchylab.sampling import ALIGNMENT_TOL
 from cauchylab.symbols import indicator, sign_step, smooth_bump, truncated_log
 
 I01 = Interval(0.0, 1.0)
@@ -226,6 +227,43 @@ class TestSweep:
         assert all(osc == mean_oscillation(f, I) for I, osc in table)
         assert bmo_norm(f, dyadic_sweep(f)) == table.oscs.max()
 
+    @pytest.mark.parametrize("f", [
+        grid_fn(lambda y: y, count=64),
+        grid_fn(lambda y: y, count=4096),
+        SampledFunction(-1.3, 3.4 / 199, np.zeros(200)),
+    ], ids=["dyadic-64", "dyadic-4096", "off-dyadic-200"])
+    def test_node_bounds_match_searchsorted(self, rng, f):
+        # The reference is the searchsorted form over the whole node array.
+        def reference(lowers, uppers):
+            def snapped(x):
+                s = (x - f.origin) / f.step
+                k = np.rint(s)
+                return np.where(np.abs(s - k) <= ALIGNMENT_TOL, f.origin + k * f.step, x)
+
+            return (np.searchsorted(f.nodes, snapped(lowers), "right"),
+                    np.searchsorted(f.nodes, snapped(uppers), "left"))
+
+        sweep = dyadic_sweep(f)
+        h = f.step
+        # Sweep endpoints, random points, points beyond both ends, and points
+        # just inside and just outside the snapping tolerance of a node.
+        near = f.origin + h * np.arange(-3, f.count + 3)
+        offsets = h * np.array([0.0, 0.5e-6, -0.5e-6, 2e-6, -2e-6, 0.3, -0.3])
+        probes = np.concatenate([
+            rng.uniform(f.lower - 3 * h, f.upper + 3 * h, size=500),
+            (near[:, None] + offsets).ravel(),
+        ])
+        lowers = np.concatenate([sweep.lowers, probes])
+        uppers = np.concatenate([sweep.uppers, probes + h * rng.integers(2, 9, probes.size)])
+        want_lo, want_hi = reference(lowers, uppers)
+        hits = want_hi > want_lo
+        assert np.count_nonzero(~hits) > 0
+        got_lo, got_hi = bmo._node_bounds(f, lowers[hits], uppers[hits])
+        np.testing.assert_array_equal(got_lo, want_lo[hits])
+        np.testing.assert_array_equal(got_hi, want_hi[hits])
+        with pytest.raises(InputError):
+            bmo._node_bounds(f, lowers[~hits][:1], uppers[~hits][:1])
+
     @pytest.mark.parametrize("chunk", [1, 5, 10**8])
     def test_chunk_size_does_not_change_results(self, monkeypatch, rng, chunk):
         # 5 is below the row width of every level from w = 8 up.
@@ -267,3 +305,22 @@ class TestSweep:
         # Two nodes hold no interval of length 2 steps.
         with pytest.raises(InputError, match="too short"):
             dyadic_sweep(grid_fn(lambda y: y, count=2))
+
+
+class TestBlockRejected:
+    @pytest.mark.parametrize("call", [
+        lambda f: mean_oscillation(f, I01),
+        lambda f: average(f, I01),
+        lambda f: median(f, I01),
+        lambda f: mean_deviation(f, I01, 0.0),
+        lambda f: bmo_norm(f, dyadic_sweep(f)),
+        lambda f: oscillation_table(f),
+        lambda f: vmo_profile(f, [0.1], [1.0]),
+    ], ids=["mean_oscillation", "average", "median", "mean_deviation", "bmo_norm",
+            "oscillation_table", "vmo_profile"])
+    def test_oscillations_take_one_function(self, call):
+        # A real block must not be read as one function of 2 n values.
+        f = grid_fn(lambda y: y, count=64)
+        block = f.with_values(np.stack([f.values.real, -f.values.real], axis=1))
+        with pytest.raises(InputError, match="takes one function"):
+            call(block)

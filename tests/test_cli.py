@@ -138,12 +138,26 @@ class TestExitCodes:
         ("witness", {"witness": {"p": 1}}, "witness.p"),
         ("witness", {"witness": {"a1": 4}}, "witness.a1"),
         ("commutator-norm", {"commutator_norm": {"p": 1}}, "commutator_norm.p"),
+        ("verify-homogeneity", {"homogeneity": {"slack": -1}}, "homogeneity.slack"),
+        ("verify-homogeneity", {"homogeneity": {"slope_band": "wide"}},
+         "homogeneity.slope_band"),
+        ("lemma41", {"lemma41": {"lower_spread_cap": 0.5}}, "lemma41.lower_spread_cap"),
+        ("lemma41", {"lemma41": {"upper_spread_cap": None}}, "lemma41.upper_spread_cap"),
+        ("witness", {"witness": {"a2": 4.0}}, "witness.a2"),
+        ("fk-diagnose", {"fk": {"z_steps": [1.5, 2.7]}}, "fk.z_steps.0"),
+        ("fk-diagnose", {"fk": {"t_ladder": [1.0, -2.0]}}, "fk.t_ladder.1"),
+        ("lemma41", {"lemma41": {"k_ladder": [3, 4.5]}}, "lemma41.k_ladder.1"),
+        ("verify-homogeneity", {"homogeneity": {"M_ladder": [16.0, 8.0]}},
+         "homogeneity.M_ladder.1"),
     ], ids=["eval_points", "eval_cells", "nodes_per_radius", "bump_positions", "family",
             "vmo.delta_ladder", "vmo.R_ladder", "fk.z_steps", "fk.t_ladder",
             "lemma41.k_ladder", "homogeneity.quadrature_cells", "kernel_check.samples",
             "lemma41.eval_cells", "witness.sequence.count", "kernel_check.box",
             "homogeneity.r", "fk.bump_width", "lemma41.a1", "fk.p", "lemma41.p",
-            "witness.p", "witness.a1", "commutator_norm.p"])
+            "witness.p", "witness.a1", "commutator_norm.p", "homogeneity.slack",
+            "homogeneity.slope_band", "lemma41.lower_spread_cap",
+            "lemma41.upper_spread_cap", "witness.a2", "fk.z_steps.entry",
+            "fk.t_ladder.entry", "lemma41.k_ladder.entry", "homogeneity.M_ladder.entry"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(tree))

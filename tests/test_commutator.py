@@ -9,10 +9,13 @@ from cauchylab import (
     LipschitzCurve,
     apply_commutator,
     commutator_norm_lower,
+    commutator_norm_ratios,
+    commutator_values,
     homogeneity_check,
     lp_norm,
     make_homogeneity_case,
     sample,
+    stack,
 )
 from cauchylab.commutator import HomogeneityConfig
 from cauchylab.symbols import indicator, ramp
@@ -154,3 +157,48 @@ class TestNormLower:
         z = sample(lambda y: np.zeros_like(y), -2, 2, 100)
         with pytest.raises(InputError):
             commutator_norm_lower(b, 2.0, [z], FLAT, Interval(0.0, 1.0))
+
+
+class TestBlock:
+    SAW = CauchyKernel.for_curve(LipschitzCurve.sawtooth(0.5, 2.0))
+
+    def family(self, count=800):
+        b = sample(lambda y: np.sign(y), -2, 2, count)
+        fs = [sample(indicator(-1.0, 1.0), -2, 2, count),
+              sample(lambda y: np.exp(-(y**2)) * (1 + 0.5j * y), -2, 2, count),
+              sample(lambda y: np.cos(3 * y), -2, 2, count)]
+        return b, fs
+
+    @pytest.mark.parametrize("kernel", [FLAT, SAW], ids=["flat", "sawtooth"])
+    def test_block_image_equals_member_images(self, kernel):
+        b, fs = self.family()
+        window = Interval(0.0, 1.5)
+        block = apply_commutator(b, stack(fs), kernel, window)
+        assert block.values.shape[1] == 3
+        for j, f in enumerate(fs):
+            one = apply_commutator(b, f, kernel, window)
+            assert one.origin == block.origin and one.count == block.count
+            dev = np.max(np.abs(block.values[:, j] - one.values))
+            assert dev <= 1e-14 * np.max(np.abs(one.values))
+
+    @pytest.mark.parametrize("kernel", [FLAT, SAW], ids=["flat", "sawtooth"])
+    def test_norm_ratios_are_the_member_ratios(self, kernel):
+        b, fs = self.family()
+        window = Interval(0.0, 1.5)
+        ratios = commutator_norm_ratios(b, 2.0, fs, kernel, window)
+        want = [lp_norm(apply_commutator(b, f, kernel, window), 2.0) / lp_norm(f, 2.0)
+                for f in fs]
+        np.testing.assert_allclose(ratios, want, rtol=1e-14, atol=0)
+        assert commutator_norm_lower(b, 2.0, fs, kernel, window) == float(np.max(ratios))
+
+    def test_block_symbol_rejected(self):
+        b, fs = self.family(count=100)
+        xs = fs[0].midpoints_in(Interval(0.0, 1.0))
+        with pytest.raises(InputError, match="symbol of a commutator"):
+            commutator_values(stack([b, b]), stack(fs[:2]), FLAT, xs)
+
+    def test_family_on_two_grids_rejected(self):
+        b, fs = self.family(count=100)
+        other = sample(indicator(-1.0, 1.0), -2, 2, 200)
+        with pytest.raises(InputError, match="grid"):
+            commutator_norm_lower(b, 2.0, [fs[0], other], FLAT, Interval(0.0, 1.0))

@@ -108,6 +108,20 @@ class TestTailDecay:
         with pytest.raises(InputError, match="slope"):
             tail_decay_check(b, 1.0, [f], 2.0, [4.0], FLAT)
 
+    def test_family_takes_the_worst_member(self):
+        b, f = self.make_inputs(count=800)
+        g = f.with_values(f.values * np.linspace(-1.0, 3.0, f.count))
+        ts = [4.0, 8.0, 16.0]
+        both = tail_decay_check(b, 1.0, [f, g], 2.0, ts, FLAT).columns["lhs"]
+        each = [tail_decay_check(b, 1.0, [u], 2.0, ts, FLAT).columns["lhs"] for u in (f, g)]
+        np.testing.assert_allclose(both, np.maximum(*each), rtol=1e-14, atol=0)
+
+    def test_block_symbol_rejected(self):
+        b, f = self.make_inputs(count=300)
+        block = b.with_values(np.stack([b.values, b.values], axis=1))
+        with pytest.raises(InputError, match="takes one function"):
+            tail_decay_check(block, 1.0, [f], 2.0, [4.0, 8.0], FLAT)
+
     def test_bad_p_rejected(self):
         # p = 1 divided by zero, p = 0.5 fitted a slope of +1, p = inf a NaN.
         b, f = self.make_inputs(count=300)
@@ -322,6 +336,13 @@ class TestEquicontinuitySplit:
         assert rep.extras["term2_ratio"] <= 5.0
         assert rep.extras["term3_ratio"] <= 5.0
         assert rep.extras["term4_ratio"] <= 5.0
+
+    def test_block_input_rejected(self):
+        b, f = self.setup_case()
+        block = f.with_values(np.stack([f.values, f.values], axis=1))
+        with pytest.raises(InputError, match="takes one function"):
+            equicontinuity_terms(b, block, FLAT, split=0.25, z=8 * f.step,
+                                 window=Interval(0.0, 2.0))
 
     def test_knob_validation(self):
         b, f = self.setup_case()

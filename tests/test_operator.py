@@ -111,7 +111,7 @@ class TestPv:
         with pytest.raises(GridAlignmentError, match="midpoint"):
             pv_at(FLAT, f, f.origin + 0.27 * f.step)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(curve=st.sampled_from(CURVES), seed=st.integers(0, 2**32 - 1),
            a=scalars, b=scalars, t_steps=st.none() | st.integers(1, 40))
     def test_linearity(self, curve, seed, a, b, t_steps):
@@ -134,7 +134,7 @@ class TestPv:
         scale = np.max(np.abs(a * vf) + np.abs(b * vg))
         assert np.max(np.abs(vs - (a * vf + b * vg))) <= 1e-12 * scale
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(curve=st.sampled_from(CURVES[:2]), seed=st.integers(0, 2**32 - 1),
            m=st.integers(-2000, 2000), par=st.integers(0, 1),
            targets=st.integers(1, 700), t_steps=st.none() | st.integers(1, 40))

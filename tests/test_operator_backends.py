@@ -71,7 +71,7 @@ class TestToeplitzAgreesWithDense:
         real=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     def test_within_1e_10_of_dense(self, n, slope, par, first, fill, t_steps, real, seed):
         curve = FLAT if slope is None else LipschitzCurve.affine(slope)
         f = _grid(n, seed, real)
@@ -108,7 +108,7 @@ class TestOffsetWindow:
         real=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     def test_matches_per_target_sums(self, n, curve, par, first, lo_steps, width_steps,
                                      lo_frac, hi_frac, real, seed):
         # Edges a fraction of a step off both lattices of offsets, so the
@@ -212,3 +212,101 @@ def test_misaligned_targets_name_the_first():
     xs = np.concatenate([_lattice(f, [10, 20], 1), f.origin + np.array([30.27, 40.4]) * f.step])
     with pytest.raises(GridAlignmentError, match=f"point {float(xs[2])} sits 0.27 steps"):
         pv_values(CauchyKernel.for_curve(FLAT), f, xs)
+
+
+def _block(n, c, real_cols, seed, lo=-2.0, hi=2.0):
+    """``c`` random columns on one grid; column ``j`` is real where ``real_cols[j]``."""
+    rng = np.random.default_rng(seed)
+    h = (hi - lo) / n
+    vals = rng.normal(size=(n, c)) + 1j * rng.normal(size=(n, c))
+    vals[:, np.asarray(real_cols, dtype=bool)] = vals.real[:, real_cols]
+    return SampledFunction(lo + 0.5 * h, h, vals)
+
+
+class TestBlock:
+    """A block of functions gives, column by column, the single-function sums."""
+
+    @given(
+        n=st.integers(200, 500),
+        curve=st.sampled_from([FLAT, LipschitzCurve.affine(0.8),
+                               LipschitzCurve.sawtooth(0.5, 2.0)]),
+        c=st.sampled_from([1, 2, 3, 5]),
+        real=st.lists(st.booleans(), min_size=5, max_size=5),
+        dense=st.booleans(),
+        par=st.sampled_from([0, 1]),
+        first=st.integers(-100, 200),
+        lo_steps=st.integers(-60, 40),
+        width_steps=st.integers(0, 60),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60)
+    def test_block_equals_columns(self, n, curve, c, real, dense, par, first, lo_steps,
+                                  width_steps, seed):
+        # An asymmetric window with edges off both lattices of offsets, so
+        # the Toeplitz backend runs on the flat and affine graphs unless
+        # ``dense`` calls the dense backend directly.
+        block = _block(n, c, real[:c], seed)
+        lo = (lo_steps + 0.3) * block.step
+        hi = (lo_steps + width_steps + 1.2) * block.step
+        if not lo < 0 < hi:
+            par = 1  # a window off 0 keeps the coincident node of a node target
+        xs = _lattice(block, np.arange(first, first + n), par)
+        if dense:
+            def sums(u):
+                return operator._dense_sums(curve, u, xs, lo, hi)
+        else:
+            kernel = CauchyKernel.for_curve(curve)
+            fast = operator._toeplitz_sums(curve, block, xs, lo, hi)
+            assert (fast is None) == (curve.kind is ProfileKind.SAWTOOTH)
+
+            def sums(u):
+                return operator._masked_sums(kernel, u, xs, lo, hi)
+
+        got = sums(block)
+        assert got.shape == (xs.size, c) and got.dtype == np.complex128
+        for j, col in enumerate(block.columns()):
+            want = sums(col)
+            assert want.shape == (xs.size,)
+            assert _rel_dev(got[:, j], want) <= 1e-14
+            if curve is FLAT and real[j] and not dense:
+                assert np.all(got[:, j].imag == 0.0)
+
+    def test_commutator_of_a_block_is_two_kernel_passes(self, monkeypatch):
+        from cauchylab import commutator_values, stack
+
+        f = _grid(400, seed=4)
+        b = f.with_values(np.sign(f.nodes))
+        block = stack([f, f.with_values(f.values ** 2), f.with_values(np.abs(f.values))])
+        xs = _lattice(f, np.arange(0, 399), 1)
+        calls = []
+        original = operator._masked_sums
+
+        def counted(*args):
+            calls.append(args[1].values.shape)
+            return original(*args)
+
+        monkeypatch.setattr(operator, "_masked_sums", counted)
+        for curve in (FLAT, LipschitzCurve.sawtooth(0.5, 2.0)):
+            calls.clear()
+            kernel = CauchyKernel.for_curve(curve)
+            got = commutator_values(b, block, kernel, xs)
+            assert calls == [(400, 3), (400, 3)]  # C(F) and C(b F)
+            for j, col in enumerate(block.columns()):
+                want = commutator_values(b, col, kernel, xs)
+                assert _rel_dev(got[:, j], want) <= 1e-14
+
+    def test_dense_backend_evaluates_the_profile_twice_per_call(self, monkeypatch):
+        curve = LipschitzCurve.sawtooth(0.5, 2.0)
+        f = _block(1000, 3, [True, False, True], seed=5)
+        xs = _lattice(f, np.arange(-10, 1010), 1)
+        assert xs.size > 10 * (operator._CHUNK_ELEMENTS // f.count)
+        calls = []
+        original = operator.eval_A
+
+        def counted(curve, x):
+            calls.append(np.size(x))
+            return original(curve, x)
+
+        monkeypatch.setattr(operator, "eval_A", counted)
+        operator._dense_sums(curve, f, xs, *_window(f, None))
+        assert sorted(calls) == sorted([f.count, xs.size])

@@ -14,6 +14,7 @@ from cauchylab import (
     lp_norm,
     sample,
     shift,
+    stack,
 )
 from cauchylab.symbols import indicator
 
@@ -31,7 +32,7 @@ class TestInterval:
         assert not I.contains(1.0) and not I.contains(-1.0) and I.contains(0.999)
 
     @given(c=finite, r=pos, a=pos, b=pos)
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     def test_dilate_algebra(self, c, r, a, b):
         I = Interval(c, r)
         assert I.dilate(1.0) == I
@@ -98,7 +99,7 @@ class TestLpNorm:
         mag=st.floats(min_value=1e-6, max_value=100, allow_nan=False),
         sign=st.sampled_from([-1.0, 1.0]),
     )
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     def test_absolute_homogeneity(self, mag, sign):
         lam = sign * mag
         vals = np.sin(np.arange(64) * 0.7) + 1j * np.cos(np.arange(64) * 0.31)
@@ -198,3 +199,58 @@ class TestSampledFunction:
         path.write_text("x,re,im\n0.0,1.0,0.0\n0.1,1.0,0.0\n0.3,1.0,0.0\n")
         with pytest.raises(InputError, match="uniform"):
             function_from_csv(path)
+
+
+class TestBlocks:
+    def block(self):
+        rng = np.random.default_rng(3)
+        return SampledFunction(-1.0, 0.05, rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3)))
+
+    def test_shape_and_count(self):
+        f = self.block()
+        assert f.values.shape == (40, 3) and f.count == 40 and f.nodes.shape == (40,)
+        for bad in (np.zeros((40, 0)), np.zeros((2, 3, 4))):
+            with pytest.raises(InputError, match=r"\(n, c\)"):
+                SampledFunction(0.0, 0.1, bad)
+
+    def test_stack_and_columns_round_trip(self):
+        f = self.block()
+        cols = f.columns()
+        assert len(cols) == 3 and all(c.values.shape == (40,) for c in cols)
+        np.testing.assert_array_equal(stack(cols).values, f.values)
+        single = cols[0]
+        assert single.columns() == (single,)
+
+    def test_stack_rejects_other_grids_and_blocks(self):
+        f = self.block()
+        one = f.columns()[0]
+        with pytest.raises(InputError, match="grid"):
+            stack([one, SampledFunction(-1.0, 0.05, np.ones(41))])
+        with pytest.raises(InputError, match="block of 3"):
+            stack([one, f])
+        with pytest.raises(InputError):
+            stack([])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_lp_norm_is_per_column(self, p):
+        f = self.block()
+        norms = lp_norm(f, p)
+        assert norms.shape == (3,)
+        assert norms.tolist() == [lp_norm(c, p) for c in f.columns()]
+
+    @pytest.mark.parametrize("k", [-41, -3, 0, 5, 40])
+    def test_shift_is_per_column(self, k):
+        f = self.block()
+        got = shift(f, k * f.step)
+        for j, col in enumerate(f.columns()):
+            np.testing.assert_array_equal(got.values[:, j], shift(col, k * f.step).values)
+
+    def test_single_function_operations_reject_a_block(self, tmp_path):
+        f = self.block()
+        with pytest.raises(InputError, match="real_values takes one function"):
+            f.with_values(f.values.real).real_values()
+        with pytest.raises(InputError, match="value_at takes one function"):
+            f.value_at([0.0])
+        with pytest.raises(InputError, match="function_to_csv takes one function"):
+            function_to_csv(f, tmp_path / "f.csv")
+        assert not (tmp_path / "f.csv").exists()
