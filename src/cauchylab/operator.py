@@ -243,7 +243,7 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
 
     def correlate(v: np.ndarray) -> np.ndarray:
         c = np.fft.irfft(np.conj(np.fft.rfft(v, size)) * kern_hat, size)
-        return c[..., k_hi - k]
+        return c.take(k_hi - k, axis=-1)
 
     # One contiguous row per function: a block is transposed, while a
     # single function is used as it is, without a copy.

@@ -26,15 +26,15 @@ way.  ``stack`` builds a block from a family and ``columns`` splits it.
 The operators apply to a whole block at once (see ``operator``), which
 is how a family of test functions shares one kernel matrix.  Operations
 that make sense for one function only (``real_values``, ``value_at``,
-``function_to_csv`` and everything in ``bmo``) raise ``InputError`` on a
-block; ``lp_norm`` and ``shift`` work column by column.
+``function_to_csv`` and every oscillation in ``bmo``) raise ``InputError``
+on a block; ``lp_norm`` and ``shift`` work column by column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -300,7 +300,7 @@ def _lp(values: np.ndarray, step: float, p: float) -> float:
     return float((step * np.sum(np.abs(values) ** p)) ** (1.0 / p))
 
 
-def lp_norm(f: SampledFunction, p: float):
+def lp_norm(f: SampledFunction, p: float) -> Union[float, np.ndarray]:
     """Midpoint-rule ``L^p`` norm ``(step * sum |f|^p)^(1/p)`` over every node.
 
     A float for one function; for a block, an array with one norm per
