@@ -16,7 +16,9 @@ from cauchylab import (
     LipschitzCurve,
     ProfileKind,
     SampledFunction,
+    commutator_values,
     pv_values,
+    stack,
     truncated_values,
 )
 from cauchylab import operator
@@ -219,7 +221,8 @@ def _block(n, c, real_cols, seed, lo=-2.0, hi=2.0):
     rng = np.random.default_rng(seed)
     h = (hi - lo) / n
     vals = rng.normal(size=(n, c)) + 1j * rng.normal(size=(n, c))
-    vals[:, np.asarray(real_cols, dtype=bool)] = vals.real[:, real_cols]
+    real_cols = np.asarray(real_cols, dtype=bool)
+    vals[:, real_cols] = vals.real[:, real_cols]
     return SampledFunction(lo + 0.5 * h, h, vals)
 
 
@@ -272,8 +275,6 @@ class TestBlock:
                 assert np.all(got[:, j].imag == 0.0)
 
     def test_commutator_of_a_block_is_two_kernel_passes(self, monkeypatch):
-        from cauchylab import commutator_values, stack
-
         f = _grid(400, seed=4)
         b = f.with_values(np.sign(f.nodes))
         block = stack([f, f.with_values(f.values ** 2), f.with_values(np.abs(f.values))])
