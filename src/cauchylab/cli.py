@@ -278,12 +278,12 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     window = cfg.interval("window")
     p = cfg.number("fk.p", above=1.0)
     width = cfg.number("fk.bump_width")
-    positions = cfg.nonempty("fk.bump_positions")
+    positions = [cfg.number(key, above=None) for key in cfg.entries("fk.bump_positions")]
     t_ladder = [cfg.number(key) for key in cfg.entries("fk.t_ladder")]
     z_steps = [cfg.integer(key, 1) for key in cfg.entries("fk.z_steps")]
     family = []
     for pos in positions:
-        fn = make_symbol("smooth_bump", center=float(pos), height=1.0, width=width)
+        fn = make_symbol("smooth_bump", center=pos, height=1.0, width=width)
         g = sample_on(fn, origin, step, count)
         norm = lp_norm(g, p)
         if norm == 0:
@@ -316,20 +316,17 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     case = compactness.WitnessCase(args.case)
-    seq_spec = cfg.get("witness.sequence")
     a1 = cfg.number("witness.a1", above=4.0)
     a2 = cfg.number("witness.a2", above=a1)
     count = cfg.integer("witness.sequence.count", 2)
-    if case is compactness.WitnessCase.SMALL_SCALE:
-        seq = compactness.small_scale_sequence(
-            float(seq_spec["center"]), float(seq_spec["r0"]),
-            float(seq_spec["ratio"]), count)
-    elif case is compactness.WitnessCase.LARGE_SCALE:
-        seq = compactness.large_scale_sequence(
-            float(seq_spec["center"]), float(seq_spec["r0"]),
-            float(seq_spec["ratio"]), count)
+    r0 = cfg.number("witness.sequence.r0")
+    if case is compactness.WitnessCase.FAR_AWAY:
+        seq = compactness.far_away_sequence(r0, a2, count)
     else:
-        seq = compactness.far_away_sequence(float(seq_spec["r0"]), a2, count)
+        build = (compactness.small_scale_sequence if case is compactness.WitnessCase.SMALL_SCALE
+                 else compactness.large_scale_sequence)
+        seq = build(cfg.number("witness.sequence.center", above=None), r0,
+                    cfg.number("witness.sequence.ratio", above=1.0), count)
     wcfg = compactness.WitnessConfig(
         case=case, a1=a1, a2=a2, interval_sequence=seq,
         p=cfg.number("witness.p", above=1.0),

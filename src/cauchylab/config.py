@@ -94,14 +94,17 @@ def _deep_merge(base: Dict, override: Dict, path: str = "") -> Dict:
     return out
 
 
-def _number(value, name: str, above: float = 0.0) -> float:
+def _number(value, name: str, above: Optional[float] = 0.0) -> float:
+    """A finite number, strictly above ``above`` unless it is None; JSON booleans are refused."""
+    if isinstance(value, bool):
+        raise InputError(f"config field {name} must be a number, got {value!r}")
     try:
         v = float(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"config field {name} must be a number, got {value!r}") from exc
-    if not (np.isfinite(v) and v > above):
-        raise InputError(f"config field {name} must be a finite number above {above:g}, "
-                         f"got {value!r}")
+    if not (np.isfinite(v) and (above is None or v > above)):
+        bound = "" if above is None else f" above {above:g}"
+        raise InputError(f"config field {name} must be a finite number{bound}, got {value!r}")
     return v
 
 
@@ -152,15 +155,15 @@ class ExperimentConfig:
 
     # Typed reads: a bad value exits 2 with a message naming the key.
 
-    def number(self, dotted: str, above: float = 0.0) -> float:
-        """A finite number strictly above ``above``."""
+    def number(self, dotted: str, above: Optional[float] = 0.0) -> float:
+        """A finite number strictly above ``above``; any finite number when ``above`` is None."""
         return _number(self.get(dotted), dotted, above)
 
     def integer(self, dotted: str, minimum: int) -> int:
-        """A whole number at least ``minimum``."""
+        """A whole number at least ``minimum``; a JSON boolean is not one."""
         value = self.get(dotted)
-        if not (isinstance(value, (int, float)) and float(value).is_integer()
-                and value >= minimum):
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and float(value).is_integer() and value >= minimum):
             raise InputError(f"config field {dotted} must be an integer >= {minimum}, "
                              f"got {value!r}")
         return int(value)
@@ -229,8 +232,8 @@ class ExperimentConfig:
         return sample_on(fn, origin, step, count)
 
     def interval(self, key: str) -> Interval:
-        spec = self.get(key)
-        return Interval(float(spec["center"]), _number(spec["radius"], f"{key}.radius"))
+        """The interval at ``key``: any finite ``center`` and a positive ``radius``."""
+        return Interval(self.number(f"{key}.center", above=None), self.number(f"{key}.radius"))
 
     def rng(self) -> np.random.Generator:
         seed = self.get("seed")

@@ -28,25 +28,36 @@ rejected with regrid guidance rather than silently mistreated, and
 non-finite points are rejected outright.
 
 ``pv_values`` and ``truncated_values`` share one summation primitive,
-``_masked_sums``, with two exact backends chosen from the inputs alone:
+``_masked_sums``, with three backends chosen from the inputs alone, in
+this order:
 
 * Toeplitz FFT: on a flat or affine graph with every target on the node
   lattice, or every target on the midpoint lattice, the kernel depends
   only on the lattice offset, so one FFT correlation gives every sum.  It
   runs when no offset lies within rounding of a window edge and the
-  padded FFT costs less than the dense sum.
+  padded FFT costs less than the dense sum.  It sums the dense set of
+  terms in another order.
+* Multipole tree: any graph, when an estimate built from the node count,
+  the target count and the block width says it costs less than the dense
+  sum.  ``1 / (z_y - z_x)`` is the 2-D Cauchy kernel of the fast multipole
+  method (Greengard and Rokhlin, J. Comput. Phys. 73 (1987); Barnes and
+  Hut, Nature 324 (1986)).  A binary tree over the sorted nodes sums each
+  box far from a target by its multipole series about the box centre and
+  sums every other node exactly as the dense backend does.  It keeps the
+  dense set of summed terms; a far box differs from its dense sum by the
+  dropped series tail, at most ``2^-53 sum |w| / |z_x - c|`` for weights
+  ``w`` and box centre ``c``, plus rounding.
 * Dense: every other input, by cache-sized chunks of the kernel matrix
-  in real arithmetic.  It is also the oracle the FFT is tested against.
-
-The backends differ only in summation order, never in the set of summed
-terms.
+  in real arithmetic.  It is the oracle both others are tested against,
+  and the path for small inputs.
 
 Every sum takes one function or a block of ``c`` functions on one grid
 (``values`` of shape ``(n,)`` or ``(n, c)``, see ``sampling``) and returns
 ``(len(xs),)`` or ``(len(xs), c)``.  A block costs one pass: the dense
 backend builds each kernel chunk once and multiplies it by all ``2 c``
-real columns ``[Re V, Im V]``, and the FFT backend transforms all columns
-in one batched call.  On a curved graph building the chunk, not the
+real columns ``[Re V, Im V]``, the tree backend walks each target down the
+tree once for all columns, and the FFT backend transforms all columns in
+one batched call.  On a curved graph building the chunk, not the
 product, is the cost, so a family of test functions is applied as one
 block.  The commutator ``b C(F) - C(b F)`` is two passes, one per term,
 whatever the width of ``F``.
@@ -69,6 +80,22 @@ _CHUNK_ELEMENTS = 32_768
 # FFT work per ``size * log2(size)`` relative to dense work per pair,
 # used to pick the Toeplitz backend only where it is cheaper.
 _FFT_COST = 4
+# Tree backend.  A box of radius ``rho`` and centre ``c`` is summed by its
+# series at ``z_x`` when ``rho < _THETA |z_x - c|``; the series order makes
+# the dropped tail at most 2^-53 of ``sum |w| / |z_x - c|``, which takes
+# ``_ORDER`` terms at the opening ratio itself.
+_THETA = 0.5
+_LOG_EPS = -53.0 * np.log(2.0)
+_ORDER = 53
+# Nodes per leaf box; leaf sums are dense.
+_LEAF = 32
+# Tree work per target or node, per tree level and per column plus one,
+# relative to dense work per pair, used to pick the tree backend only where
+# it is cheaper.  Fitted with every target inside the support, where the
+# tree opens the most boxes.
+_TREE_COST = 50
+# Far-field (target, box) pairs summed per Horner pass.
+_FAR_PAIRS = 2048
 
 
 def _points(xs) -> np.ndarray:
@@ -130,18 +157,19 @@ def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
     """Sums of ``h K(x, y) f(y)`` over the nodes with ``y - x`` outside ``[lo, hi]``.
 
     ``f`` is one function or a block; the result has one row per point
-    and, for a block, one column per function.  Two exact backends
-    compute the same set of terms and differ only in summation order.
-    The Toeplitz FFT backend runs when the curve is flat or affine, all
-    targets share one lattice of the grid (nodes or half-step midpoints,
-    to rounding), no lattice offset ties a window edge, and the FFT is
-    cheaper than the dense sum; every other input goes to the dense
-    backend, which is also the reference for the first.
+    and, for a block, one column per function.  The Toeplitz FFT backend
+    runs when the curve is flat or affine, all targets share one lattice
+    of the grid (nodes or half-step midpoints, to rounding), no lattice
+    offset ties a window edge, and the FFT is cheaper than the dense sum.
+    Otherwise the tree backend runs when ``_tree_pays``, and the dense
+    backend, the reference for both, takes the rest.
     """
     out = _toeplitz_sums(kernel.curve, f, xs, lo, hi)
-    if out is None:
-        out = _dense_sums(kernel.curve, f, xs, lo, hi)
-    return out
+    if out is not None:
+        return out
+    if _tree_pays(f.count, xs.size, f.values.size // f.count):
+        return _tree_sums(kernel.curve, f, xs, lo, hi)
+    return _dense_sums(kernel.curve, f, xs, lo, hi)
 
 
 def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
@@ -179,6 +207,225 @@ def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
         out.imag[start:stop] = P[:, c:] - Q[:, :c]
     out *= f.step
     return out.reshape(xs.shape + f.values.shape[1:])
+
+
+def _tree_pays(n: int, m: int, c: int) -> bool:
+    """Whether the tree backend is estimated cheaper than dense for ``n`` nodes,
+    ``m`` targets and ``c`` columns."""
+    levels = (-(-n // _LEAF) - 1).bit_length() + 1
+    return n * m > _TREE_COST * (c + 1) * levels * (n + m)
+
+
+def _series_order(r: np.ndarray) -> np.ndarray:
+    """Smallest ``p`` with ``r^(p+1) / (1 - r) <= 2^-53``, for ``0 <= r <= _THETA``."""
+    r = np.maximum(r, 1e-300)
+    p = np.ceil((_LOG_EPS + np.log1p(-r)) / np.log(r)) - 1.0
+    return np.clip(p, 0, _ORDER).astype(np.int64)
+
+
+def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
+               lo: float, hi: float) -> np.ndarray:
+    """The sums of ``_dense_sums`` by a binary multipole tree over the nodes.
+
+    Level ``l`` of the tree splits the nodes into boxes of ``_LEAF 2^(L - l)``
+    consecutive nodes (the last box of a level may be shorter), so box ``b``
+    has children ``2 b`` and ``2 b + 1`` one level down and the leaves hold
+    at most ``_LEAF`` nodes.  A box has a centre ``c`` (the midpoint of its
+    node span and of its range of ``A``), a radius ``rho``, the largest
+    ``|z_y - c|`` over its nodes, and moments
+    ``M_k = sum w_y ((z_y - c) / rho)^k`` for ``k <= _ORDER``, scaled so that
+    no power overflows or underflows.  Each level's moments are summed
+    directly from the nodes, by chunks, with no translation between levels.
+
+    Every target walks down from the root.  A box whose node offsets all
+    lie outside ``[lo, hi]`` and which satisfies ``rho < _THETA |z_x - c|``
+    is summed by its series
+    ``1 / (z_y - z_x) = -1 / (z_x - c) sum_k ((z_y - c) / (z_x - c))^k``,
+    to the order ``_series_order`` gives for that pair's ratio, by Horner's
+    rule.  A box whose offsets all lie inside the window is dropped.  Any
+    other box is opened, and at the leaves the nodes are summed as in
+    ``_dense_sums``, with the same float mask and kernel arithmetic.  The
+    offsets of a box are tested at its first and last node with the float
+    differences the dense mask compares; rounding is monotone, so a box
+    classified whole is kept or dropped whole by the dense mask too.  The
+    set of summed terms is therefore exactly the dense set, and a far box
+    differs from its dense sum only by the series tail, at most 2^-53 of
+    ``sum |w| / |z_x - c|``, plus rounding.
+
+    ``A`` is evaluated once at the nodes and once at the targets; targets
+    go through in blocks so that transient arrays stay near the dense
+    chunk budget.
+    """
+    nodes = f.nodes
+    n = nodes.size
+    V = f.values.reshape(n, -1)
+    c = V.shape[1]
+    W = np.concatenate([V.real.T, V.imag.T])
+    A_nodes = np.asarray(eval_A(curve, nodes), dtype=float)
+    A_xs = np.asarray(eval_A(curve, xs), dtype=float)
+    depth = (-(-n // _LEAF) - 1).bit_length()
+    offsets, x_first, x_last, centre, rho, moments = _tree_boxes(nodes, A_nodes, V, depth)
+
+    out = np.zeros((xs.size, c), dtype=np.complex128)
+    block = max(1, _CHUNK_ELEMENTS // (2 * _LEAF))
+    for start in range(0, xs.size, block):
+        x = xs[start:start + block]
+        A_x = A_xs[start:start + block]
+        zx = x + 1j * A_x
+        acc = out[start:start + block]
+        tg = np.arange(x.size)
+        bx = np.zeros(x.size, dtype=np.int64)
+        far_t, far_g = [], []
+        for l in range(depth + 1):
+            g = bx + offsets[l]
+            xt = x[tg]
+            d_first = x_first[g] - xt
+            d_last = x_last[g] - xt
+            far = (((d_last < lo) | (d_first > hi))
+                   & (rho[g] < _THETA * np.abs(zx[tg] - centre[g])))
+            far_t.append(tg[far])
+            far_g.append(g[far])
+            opened = ~far & ~((d_first >= lo) & (d_last <= hi))
+            tg, bx = tg[opened], bx[opened]
+            if l < depth:
+                tg = np.repeat(tg, 2)
+                bx = (2 * bx[:, None] + np.arange(2)).ravel()
+                exists = bx < offsets[l + 2] - offsets[l + 1]
+                tg, bx = tg[exists], bx[exists]
+        _leaf_sums(nodes, A_nodes, W, x, A_x, tg, bx, lo, hi, acc)
+        _far_sums(moments, centre, rho, zx, np.concatenate(far_t), np.concatenate(far_g), acc)
+    out *= f.step
+    return out.reshape(xs.shape + f.values.shape[1:])
+
+
+def _tree_boxes(nodes: np.ndarray, A_nodes: np.ndarray, V: np.ndarray, depth: int):
+    """Node span, centre, radius and moments of every box, level 0 first.
+
+    Returns ``offsets``, whose entry ``l`` is the first box of level ``l``
+    (and whose last entry is the number of boxes), ``x_first``, ``x_last``,
+    ``centre`` and ``rho`` with one entry per box, and ``moments`` of shape
+    ``(_ORDER + 1, boxes, c)``.  The powers of ``(z_y - c) / rho`` are built
+    by chunks of ``chunk`` nodes, the largest ``_LEAF 2^j`` that keeps a
+    chunk of powers within ``_CHUNK_ELEMENTS``; a chunk holds whole boxes or
+    part of one box.
+    """
+    n, c = V.shape
+    z = nodes + 1j * A_nodes
+    root = _LEAF << depth
+    chunk = min(root, _LEAF << max(0, (_CHUNK_ELEMENTS // (_LEAF * (_ORDER + 1)))
+                                   .bit_length() - 1))
+    # The products run in real arithmetic, [Re p; Im p] @ [Re V, Im V], on
+    # the real matrix kernels the dense backend uses.
+    weights = np.zeros((root, 2 * c))
+    weights[:n, :c] = V.real
+    weights[:n, c:] = V.imag
+    t = np.zeros(root, dtype=np.complex128)
+    powers = np.empty((_ORDER + 1, chunk), dtype=np.complex128)
+    powers[0] = 1.0
+    planes = np.empty((2, _ORDER + 1, chunk))
+    levels = range(depth + 1)
+    starts = [np.arange(0, n, _LEAF << (depth - l)) for l in levels]
+    first = np.concatenate(starts)
+    last = np.concatenate([np.minimum(s + (_LEAF << (depth - l)), n) - 1
+                           for l, s in zip(levels, starts)])
+    centre = np.empty(first.size, dtype=np.complex128)
+    rho = np.empty(first.size)
+    moments = np.zeros((_ORDER + 1, first.size, c), dtype=np.complex128)
+    box0 = 0
+    for l in levels:
+        size = _LEAF << (depth - l)
+        boxes = slice(box0, box0 + starts[l].size)
+        box0 = boxes.stop
+        a_lo = np.minimum.reduceat(A_nodes, starts[l])
+        a_hi = np.maximum.reduceat(A_nodes, starts[l])
+        centre[boxes] = 0.5 * (nodes[first[boxes]] + nodes[last[boxes]]) + 0.5j * (a_lo + a_hi)
+        of_node = boxes.start + np.arange(n) // size
+        dz = z - centre[of_node]
+        rho[boxes] = np.maximum.reduceat(np.abs(dz), starts[l])
+        r = rho[of_node]
+        t[:n] = 0.0
+        np.divide(dz, r, out=t[:n], where=r > 0)
+        group = min(size, chunk)
+        for a in range(0, n, chunk):
+            u = t[a:a + chunk]
+            for k in range(1, _ORDER + 1):
+                np.multiply(powers[k - 1], u, out=powers[k])
+            planes[0] = powers.real
+            planes[1] = powers.imag
+            part = np.matmul(planes.reshape(2 * (_ORDER + 1), -1, group).transpose(1, 0, 2),
+                             weights[a:a + chunk].reshape(-1, group, 2 * c))
+            b0 = boxes.start + a // size
+            b1 = min(b0 + part.shape[0], boxes.stop)
+            re, im = part[:b1 - b0, :_ORDER + 1], part[:b1 - b0, _ORDER + 1:]
+            box = moments[:, b0:b1]
+            box.real += (re[..., :c] - im[..., c:]).transpose(1, 0, 2)
+            box.imag += (re[..., c:] + im[..., :c]).transpose(1, 0, 2)
+    offsets = np.cumsum([0] + [s.size for s in starts])
+    return offsets, nodes[first], nodes[last], centre, rho, moments
+
+
+def _leaf_sums(nodes: np.ndarray, A_nodes: np.ndarray, W: np.ndarray, x: np.ndarray,
+               A_x: np.ndarray, tg: np.ndarray, leaf: np.ndarray, lo: float, hi: float,
+               acc: np.ndarray) -> None:
+    """Add to ``acc[tg]`` the dense sums over the nodes of leaf ``leaf``, pair by pair.
+
+    ``W`` holds the ``2 c`` real columns ``[Re V, Im V]`` as rows.
+    """
+    c = acc.shape[1]
+    n = nodes.size
+    rows = max(1, _CHUNK_ELEMENTS // (4 * _LEAF))
+    span = np.arange(_LEAF)
+    for start in range(0, tg.size, rows):
+        t = tg[start:start + rows]
+        idx = leaf[start:start + rows, None] * _LEAF + span
+        inside = idx < n
+        np.minimum(idx, n - 1, out=idx)
+        D = nodes[idx] - x[t, None]
+        dA = A_nodes[idx] - A_x[t, None]
+        keep = ((D < lo) | (D > hi)) & inside
+        inv = D * D
+        inv += dA * dA
+        np.divide(1.0, inv, out=inv, where=keep)
+        inv *= keep
+        D *= inv
+        dA *= inv
+        P = np.empty((t.size, 2 * c))
+        Q = np.empty((t.size, 2 * c))
+        for j, w in enumerate(W):
+            wg = w[idx]
+            P[:, j] = np.einsum("rs,rs->r", D, wg)
+            Q[:, j] = np.einsum("rs,rs->r", dA, wg)
+        np.add.at(acc, t, (P[:, :c] + Q[:, c:]) + 1j * (P[:, c:] - Q[:, :c]))
+
+
+def _far_sums(moments: np.ndarray, centre: np.ndarray, rho: np.ndarray, zx: np.ndarray,
+              tg: np.ndarray, g: np.ndarray, acc: np.ndarray) -> None:
+    """Add to ``acc[tg]`` the series sums of the boxes ``g``, by Horner's rule.
+
+    Pairs are sorted by falling order, so the pairs still summing at order
+    ``k`` are a prefix; each (pair, column) is one entry of a flat array.
+    """
+    c = acc.shape[1]
+    flat = moments.reshape(_ORDER + 1, -1)
+    for start in range(0, tg.size, _FAR_PAIRS):
+        t = tg[start:start + _FAR_PAIRS]
+        b = g[start:start + _FAR_PAIRS]
+        zc = zx[t] - centre[b]
+        u = rho[b] / zc
+        p = _series_order(np.abs(u))
+        order = np.argsort(-p, kind="stable")
+        t, b, zc, u, p = t[order], b[order], zc[order], u[order], p[order]
+        live = c * np.searchsorted(-p, -np.arange(_ORDER + 1), side="right")
+        at = (b[:, None] * c + np.arange(c)).ravel()
+        u = np.repeat(u, c)
+        S = np.zeros(t.size * c, dtype=np.complex128)
+        for k in range(int(p[0]), -1, -1):
+            a = live[k]
+            S[:a] *= u[:a]
+            S[:a] += flat[k].take(at[:a])
+        S = S.reshape(-1, c)
+        S /= -zc[:, None]
+        np.add.at(acc, t, S)
 
 
 def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,

@@ -186,12 +186,17 @@ class SampledFunction:
         return domain.contains(self.nodes)
 
     def real_values(self) -> np.ndarray:
-        """Real parts; rejects imaginary parts above ``1e-12`` of ``max(|f|, 1)``."""
+        """Real parts; rejects imaginary parts above ``1e-12`` of ``max(|f|, 1)``.
+
+        ``values`` is read-only, so the values are checked once per object
+        and the checked real parts are kept for later calls.
+        """
         self.require_single("real_values")
-        scale = max(float(np.max(np.abs(self.values))), 1.0)
-        if np.any(np.abs(self.values.imag) > 1e-12 * scale):
-            raise InputError("operation requires a real-valued function")
-        return self.values.real
+        real = self.__dict__.get("_real")
+        if real is None:
+            real = _checked_real(self.values)
+            object.__setattr__(self, "_real", real)
+        return real
 
     def with_values(self, values) -> "SampledFunction":
         """Same grid, new values, no source callable."""
@@ -256,6 +261,14 @@ class SampledFunction:
         out = np.where(on_node, self.values[idx], out)
         out = np.where(at_next, self.values[idx_hi], out)
         return out
+
+
+def _checked_real(values: np.ndarray) -> np.ndarray:
+    """``values.real``, or ``InputError`` when an imaginary part exceeds ``1e-12`` of ``max(|v|, 1)``."""
+    scale = max(float(np.max(np.abs(values))), 1.0)
+    if np.any(np.abs(values.imag) > 1e-12 * scale):
+        raise InputError("operation requires a real-valued function")
+    return values.real
 
 
 def sample(fn: Callable[[np.ndarray], np.ndarray], lower: float, upper: float,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -181,21 +181,29 @@ def _region_lattice(region: Interval, cells: int) -> Tuple[np.ndarray, float]:
     return region.lower + (np.arange(cells) + 0.5) * h, h
 
 
-def _commutator_power_integral(b: SampledFunction, tf: TestFunction,
-                               kernel: CauchyKernel, region: Interval,
-                               cells: int) -> float:
-    """Integral of ``|[b, C] f|^p`` over a region away from the support."""
-    if b.source is None:
-        lo_ok = region.lower >= b.lower - b.step
-        hi_ok = region.upper <= b.upper + b.step
-        if not (lo_ok and hi_ok):
-            raise InputError(
-                "evaluation region leaves the sampled range of the symbol; "
-                "sample b on a wider grid or give it a source callable"
-            )
-    xs, cell_h = _region_lattice(region, cells)
-    vals = commutator_values(b, tf.f, kernel, xs)
-    return float(cell_h * np.sum(np.abs(vals) ** tf.p))
+def _power_integrals(b: SampledFunction, tf: TestFunction, kernel: CauchyKernel,
+                     regions: Sequence[Tuple[Interval, int]]) -> List[float]:
+    """Integrals of ``|[b, C] f|^p`` over regions away from the support.
+
+    ``regions`` pairs each region with its number of lattice cells.  The
+    lattices of all regions go through one ``commutator_values`` call, and
+    the result is split back into one integral per region.
+    """
+    lattices = []
+    for region, cells in regions:
+        if b.source is None:
+            lo_ok = region.lower >= b.lower - b.step
+            hi_ok = region.upper <= b.upper + b.step
+            if not (lo_ok and hi_ok):
+                raise InputError(
+                    "evaluation region leaves the sampled range of the symbol; "
+                    "sample b on a wider grid or give it a source callable"
+                )
+        lattices.append(_region_lattice(region, cells))
+    vals = commutator_values(b, tf.f, kernel, np.concatenate([xs for xs, _ in lattices]))
+    parts = np.split(vals, np.cumsum([xs.size for xs, _ in lattices])[:-1])
+    return [float(cell_h * np.sum(np.abs(part) ** tf.p))
+            for part, (_, cell_h) in zip(parts, lattices)]
 
 
 def _require_level(k: int, cfg: AnnulusConfig) -> None:
@@ -203,6 +211,30 @@ def _require_level(k: int, cfg: AnnulusConfig) -> None:
         raise InputError(
             f"annulus level k = {k} is below floor(log2(a1)) = {cfg.k_min}"
         )
+
+
+def _lower_regions(tf: TestFunction, k: int, cfg: AnnulusConfig) -> List[Tuple[Interval, int]]:
+    """The right-hand annulus at level ``k``."""
+    _require_level(k, cfg)
+    return [(Annulus(tf.base, k).as_interval, cfg.eval_cells)]
+
+
+def _upper_regions(tf: TestFunction, k: int, cfg: AnnulusConfig) -> List[Tuple[Interval, int]]:
+    """The two pieces, left then right, of the dyadic shell ``2^(k+1) I minus 2^k I``."""
+    _require_level(k, cfg)
+    r = tf.base.radius
+    c = tf.base.center
+    right = Annulus(tf.base, k).as_interval
+    left = Interval.from_endpoints(c - (2.0 ** (k + 1)) * r, c - (2.0**k) * r)
+    cells = max(8, cfg.eval_cells // 2)
+    return [(left, cells), (right, cells)]
+
+
+def _annulus_report(tf: TestFunction, k: int, lhs: float, side: Side) -> AnnulusBoundReport:
+    normalizer = 2.0 ** (-k * (tf.p - 1.0))
+    return AnnulusBoundReport(
+        k=k, lhs=lhs, normalizer=normalizer, ratio=lhs / normalizer, side=side
+    )
 
 
 def verify_annulus_lower(b: SampledFunction, tf: TestFunction, k: int,
@@ -213,13 +245,8 @@ def verify_annulus_lower(b: SampledFunction, tf: TestFunction, k: int,
     ``ratio / eps^p`` is the empirical constant of the lower power law;
     level-independence of that number is the content being verified.
     """
-    _require_level(k, cfg)
-    region = Annulus(tf.base, k).as_interval
-    lhs = _commutator_power_integral(b, tf, kernel, region, cfg.eval_cells)
-    normalizer = 2.0 ** (-k * (tf.p - 1.0))
-    return AnnulusBoundReport(
-        k=k, lhs=lhs, normalizer=normalizer, ratio=lhs / normalizer, side=Side.LOWER
-    )
+    (lhs,) = _power_integrals(b, tf, kernel, _lower_regions(tf, k, cfg))
+    return _annulus_report(tf, k, lhs, Side.LOWER)
 
 
 def verify_annulus_upper(b: SampledFunction, tf: TestFunction, k: int,
@@ -230,20 +257,8 @@ def verify_annulus_upper(b: SampledFunction, tf: TestFunction, k: int,
     The shell has a piece on each side of the base interval.  Bounded
     ``ratio`` across levels is the upper power law at desk scale.
     """
-    _require_level(k, cfg)
-    r = tf.base.radius
-    c = tf.base.center
-    right = Annulus(tf.base, k).as_interval
-    left = Interval.from_endpoints(c - (2.0 ** (k + 1)) * r, c - (2.0**k) * r)
-    cells = max(8, cfg.eval_cells // 2)
-    lhs = sum(
-        _commutator_power_integral(b, tf, kernel, region, cells)
-        for region in (left, right)
-    )
-    normalizer = 2.0 ** (-k * (tf.p - 1.0))
-    return AnnulusBoundReport(
-        k=k, lhs=lhs, normalizer=normalizer, ratio=lhs / normalizer, side=Side.UPPER
-    )
+    lhs = sum(_power_integrals(b, tf, kernel, _upper_regions(tf, k, cfg)))
+    return _annulus_report(tf, k, lhs, Side.UPPER)
 
 
 def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
@@ -335,10 +350,19 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
                            k_ladder: Sequence[int], kernel: CauchyKernel,
                            cfg: AnnulusConfig = AnnulusConfig()
                            ) -> Tuple[list, list]:
-    """Lower and upper reports across a level ladder, in ladder order."""
+    """Lower and upper reports across a level ladder, in ladder order.
+
+    The lattices of every level and both shell sides go through one
+    ``commutator_values`` call.
+    """
     ks = list(k_ladder)
     if not ks:
         raise InputError("level ladder must be non-empty")
-    lowers = [verify_annulus_lower(b, tf, k, kernel, cfg) for k in ks]
-    uppers = [verify_annulus_upper(b, tf, k, kernel, cfg) for k in ks]
+    lower = [_lower_regions(tf, k, cfg) for k in ks]
+    upper = [_upper_regions(tf, k, cfg) for k in ks]
+    integrals = iter(_power_integrals(b, tf, kernel,
+                                      [r for regions in lower + upper for r in regions]))
+    lowers = [_annulus_report(tf, k, next(integrals), Side.LOWER) for k in ks]
+    uppers = [_annulus_report(tf, k, sum([next(integrals), next(integrals)]), Side.UPPER)
+              for k in ks]
     return lowers, uppers

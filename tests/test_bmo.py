@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cauchylab import bmo
+from cauchylab import bmo, sampling
 from cauchylab import (
     InputError,
     Interval,
@@ -55,6 +55,32 @@ class TestAverage:
         f = grid_fn(lambda y: y * (1 + 1j))
         with pytest.raises(InputError):
             average(f, I01)
+
+
+class TestRealCheck:
+    def test_values_are_scanned_once_per_function(self, monkeypatch):
+        # Realness is a property of the read-only values, so two interval
+        # reads on one function check the whole grid only once.
+        calls = []
+        original = sampling._checked_real
+
+        def counted(values):
+            calls.append(values.size)
+            return original(values)
+
+        monkeypatch.setattr(sampling, "_checked_real", counted)
+        f = grid_fn(lambda y: y)
+        first = bmo._real_on(f, I01)
+        second = bmo._real_on(f, Interval(0.5, 0.25))
+        assert calls == [f.count]
+        np.testing.assert_array_equal(first, f.values.real[f.node_mask(I01)])
+        assert second.size == np.count_nonzero(f.node_mask(Interval(0.5, 0.25)))
+
+    def test_complex_rejected_on_every_call(self):
+        f = grid_fn(lambda y: y * (1 + 1j))
+        for _ in range(2):
+            with pytest.raises(InputError):
+                mean_oscillation(f, I01)
 
 
 class TestMeanOscillation:

@@ -149,6 +149,15 @@ class TestExitCodes:
         ("lemma41", {"lemma41": {"k_ladder": [3, 4.5]}}, "lemma41.k_ladder.1"),
         ("verify-homogeneity", {"homogeneity": {"M_ladder": [16.0, 8.0]}},
          "homogeneity.M_ladder.1"),
+        ("fk-diagnose", {"fk": {"bump_positions": [0.0, "x"]}}, "fk.bump_positions.1"),
+        ("witness", {"witness": {"sequence": {"center": "left"}}}, "witness.sequence.center"),
+        ("witness", {"witness": {"sequence": {"r0": "big"}}}, "witness.sequence.r0"),
+        ("witness", {"witness": {"sequence": {"ratio": "x"}}}, "witness.sequence.ratio"),
+        ("eval-operator", {"window": {"center": "mid"}}, "window.center"),
+        ("lemma41", {"lemma41": {"interval": {"center": None}}}, "lemma41.interval.center"),
+        ("fk-diagnose", {"fk": {"z_steps": [True, 2]}}, "fk.z_steps.0"),
+        ("verify-kernel", {"kernel_check": {"samples": True}}, "kernel_check.samples"),
+        ("fk-diagnose", {"fk": {"bump_width": True}}, "fk.bump_width"),
     ], ids=["eval_points", "eval_cells", "nodes_per_radius", "bump_positions", "family",
             "vmo.delta_ladder", "vmo.R_ladder", "fk.z_steps", "fk.t_ladder",
             "lemma41.k_ladder", "homogeneity.quadrature_cells", "kernel_check.samples",
@@ -157,7 +166,10 @@ class TestExitCodes:
             "witness.p", "witness.a1", "commutator_norm.p", "homogeneity.slack",
             "homogeneity.slope_band", "lemma41.lower_spread_cap",
             "lemma41.upper_spread_cap", "witness.a2", "fk.z_steps.entry",
-            "fk.t_ladder.entry", "lemma41.k_ladder.entry", "homogeneity.M_ladder.entry"])
+            "fk.t_ladder.entry", "lemma41.k_ladder.entry", "homogeneity.M_ladder.entry",
+            "fk.bump_positions.entry", "witness.sequence.center", "witness.sequence.r0",
+            "witness.sequence.ratio", "window.center", "lemma41.interval.center",
+            "fk.z_steps.bool", "kernel_check.samples.bool", "fk.bump_width.bool"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(tree))

@@ -1,8 +1,8 @@
-"""The two summation backends of the operator and the rule that picks one.
+"""The three summation backends of the operator and the rule that picks one.
 
-The dense backend is the oracle: the Toeplitz FFT backend must agree with
-it wherever it runs, and every input it declines must give exactly the
-dense result.
+The dense backend is the oracle: the Toeplitz FFT backend and the tree
+backend must agree with it wherever they run, and every input both
+decline must give exactly the dense result.
 """
 
 import numpy as np
@@ -310,4 +310,126 @@ class TestBlock:
 
         monkeypatch.setattr(operator, "eval_A", counted)
         operator._dense_sums(curve, f, xs, *_window(f, None))
+        assert sorted(calls) == sorted([f.count, xs.size])
+
+
+SAWTOOTH = LipschitzCurve.sawtooth(0.5, 2.0)
+TREE_CURVES = [SAWTOOTH, LipschitzCurve.smooth_bump(0.8, 0.5), LipschitzCurve.affine(0.7), FLAT]
+
+
+def _tree_window(f, kind, a, b):
+    """A pv, truncated (radius ``a`` steps) or asymmetric (``[-a, b]`` steps) window."""
+    if kind == "pv":
+        return _window(f, None)
+    if kind == "truncated":
+        return _window(f, a * f.step)
+    return -a * f.step, b * f.step
+
+
+class TestTree:
+    """The multipole tree backend against the dense oracle."""
+
+    @given(
+        n=st.integers(33, 700),
+        curve=st.sampled_from(TREE_CURVES),
+        c=st.sampled_from([1, 2]),
+        kind=st.sampled_from(["pv", "truncated", "asymmetric"]),
+        a=st.one_of(st.integers(1, 300), st.floats(0.3, 300.0)),
+        b=st.one_of(st.integers(1, 300), st.floats(0.3, 300.0)),
+        par=st.sampled_from([0, 1]),
+        off=st.one_of(st.just(0.0), st.floats(0.05, 0.45)),
+        reach=st.floats(1.0, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_dense(self, n, curve, c, kind, a, b, par, off, reach, seed):
+        # Whole-step radii put window edges on lattice offsets, so boxes
+        # straddle an edge and ties are decided by the float mask; ``off``
+        # moves the targets off both lattices.
+        f = _block(n, c, [True, False][:c], seed)
+        rng = np.random.default_rng(seed + 1)
+        inside = _lattice(f, np.arange(-n // 4, n + n // 4), par) + off * f.step
+        sides = np.array([-1.0, 1.0])[rng.integers(0, 2, 200)]
+        far = f.origin + sides * (f.upper - f.lower) * (1.0 + reach * rng.random(200))
+        lo, hi = _tree_window(f, kind, a, b)
+        for xs in (inside, far, np.concatenate([inside, far])):
+            got = operator._tree_sums(curve, f, xs, lo, hi)
+            want = operator._dense_sums(curve, f, xs, lo, hi)
+            assert got.shape == want.shape == (xs.size, c)
+            if np.any(want):
+                assert _rel_dev(got, want) <= 1e-12
+            else:  # a window wider than the grid drops every node
+                assert not np.any(got)
+
+    @given(
+        n=st.integers(100, 600),
+        curve=st.sampled_from(TREE_CURVES),
+        c=st.sampled_from([2, 3, 5]),
+        real=st.lists(st.booleans(), min_size=5, max_size=5),
+        kind=st.sampled_from(["pv", "truncated", "asymmetric"]),
+        a=st.floats(0.3, 100.0),
+        b=st.floats(0.3, 100.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_block_equals_columns(self, n, curve, c, real, kind, a, b, seed):
+        block = _block(n, c, real[:c], seed)
+        xs = np.concatenate([_lattice(block, np.arange(-50, n + 50), 1),
+                             block.upper + np.linspace(1.0, 50.0, 40)])
+        lo, hi = _tree_window(block, kind, a, b)
+        got = operator._tree_sums(curve, block, xs, lo, hi)
+        for j, col in enumerate(block.columns()):
+            want = operator._tree_sums(curve, col, xs, lo, hi)
+            assert want.shape == (xs.size,)
+            assert _rel_dev(got[:, j], want) <= 1e-14
+
+    def test_fine_grid_far_targets_are_finite(self):
+        # Step 1e-7 against targets 1e4 away: ratios near 1e-11, powers that
+        # would underflow unscaled, and no warning (warnings are errors here).
+        f = _grid(2000, seed=9, lo=-1e-4, hi=1e-4)
+        xs = np.concatenate([1e4 + np.arange(500) * 0.5, -1e4 - np.arange(500) * 0.5,
+                             _lattice(f, np.arange(0, 2000, 7), 1)])
+        for curve in (SAWTOOTH, FLAT):
+            got = operator._tree_sums(curve, f, xs, *_window(f, None))
+            want = operator._dense_sums(curve, f, xs, *_window(f, None))
+            assert np.all(np.isfinite(got))
+            assert _rel_dev(got, want) <= 1e-12
+            assert _rel_dev(got[:1000], want[:1000]) <= 1e-12
+
+    def test_series_order_meets_the_tail_bound(self):
+        r = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(1e-3, operator._THETA, 500)])
+        p = operator._series_order(r)
+        assert operator._series_order(np.array([operator._THETA]))[0] == operator._ORDER
+        tail = r ** (p + 1) / (1.0 - r)
+        assert np.all(tail <= 2.0**-53 * (1.0 + 1e-9))
+        shorter = r ** p / (1.0 - r)
+        assert np.all((p == 0) | (shorter > 2.0**-53 * (1.0 - 1e-9)))
+
+    def test_large_curved_input_goes_to_the_tree(self):
+        f = _block(2000, 3, [True, False, True], seed=12)
+        xs = _lattice(f, np.arange(-3000, 5000), 1)
+        lo, hi = _window(f, None)
+        assert operator._tree_pays(f.count, xs.size, 3)
+        got = operator._masked_sums(CauchyKernel.for_curve(SAWTOOTH), f, xs, lo, hi)
+        np.testing.assert_array_equal(got, operator._tree_sums(SAWTOOTH, f, xs, lo, hi))
+        assert _rel_dev(got, operator._dense_sums(SAWTOOTH, f, xs, lo, hi)) <= 1e-12
+
+    def test_small_inputs_stay_dense(self):
+        assert not operator._tree_pays(600, 800, 1)
+        assert not operator._tree_pays(1000, 121, 1)
+        assert not operator._tree_pays(operator._CHUNK_ELEMENTS + 7, 4, 1)
+        assert not operator._tree_pays(64, 10**6, 1)
+
+    def test_tree_evaluates_the_profile_twice_per_call(self, monkeypatch):
+        f = _block(1500, 2, [True, False], seed=5)
+        xs = _lattice(f, np.arange(-10, 3000), 1)
+        calls = []
+        original = operator.eval_A
+
+        def counted(curve, x):
+            calls.append(np.size(x))
+            return original(curve, x)
+
+        monkeypatch.setattr(operator, "eval_A", counted)
+        operator._tree_sums(SAWTOOTH, f, xs, *_window(f, None))
         assert sorted(calls) == sorted([f.count, xs.size])

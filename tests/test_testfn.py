@@ -117,6 +117,33 @@ class TestAnnulusReports:
         up = [r.ratio for r in uppers]
         assert max(up) / min(up) <= 10.0
 
+    @pytest.mark.parametrize("curve", [LipschitzCurve.flat(), LipschitzCurve.sawtooth(0.5, 2.0)])
+    def test_ladder_is_one_commutator_call(self, monkeypatch, curve):
+        # Every level and both shell sides in one call, agreeing with the
+        # per-level reports, which make their own calls.
+        kernel = CauchyKernel.for_curve(curve)
+        b = sample(sign_step(0.0), -1.25, 1.25, 2000)
+        tf = build_test_function(b, I01, 2.0)
+        ks = [3, 4, 5]
+        calls = []
+        original = testfn.commutator_values
+
+        def counted(*args):
+            calls.append(np.size(args[3]))
+            return original(*args)
+
+        monkeypatch.setattr(testfn, "commutator_values", counted)
+        lowers, uppers = annulus_ladder_reports(b, tf, ks, kernel)
+        cfg = AnnulusConfig()
+        assert calls == [len(ks) * (cfg.eval_cells + 2 * (cfg.eval_cells // 2))]
+        for k, low, up in zip(ks, lowers, uppers):
+            want_low = verify_annulus_lower(b, tf, k, kernel)
+            want_up = verify_annulus_upper(b, tf, k, kernel)
+            assert (low.k, low.side, up.k, up.side) == (k, Side.LOWER, k, Side.UPPER)
+            assert low.lhs == pytest.approx(want_low.lhs, rel=1e-12)
+            assert up.lhs == pytest.approx(want_up.lhs, rel=1e-12)
+            assert up.normalizer == want_up.normalizer == 2.0 ** (-k)
+
     def test_normalizer_exact(self):
         b = sample(sign_step(0.0), -1.25, 1.25, 1000)
         tf = build_test_function(b, I01, 2.0)
