@@ -358,11 +358,11 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
     ks = list(k_ladder)
     if not ks:
         raise InputError("level ladder must be non-empty")
-    lower = [_lower_regions(tf, k, cfg) for k in ks]
-    upper = [_upper_regions(tf, k, cfg) for k in ks]
-    integrals = iter(_power_integrals(b, tf, kernel,
-                                      [r for regions in lower + upper for r in regions]))
-    lowers = [_annulus_report(tf, k, next(integrals), Side.LOWER) for k in ks]
-    uppers = [_annulus_report(tf, k, sum([next(integrals), next(integrals)]), Side.UPPER)
-              for k in ks]
+    regions = ([r for k in ks for r in _lower_regions(tf, k, cfg)]
+               + [r for k in ks for r in _upper_regions(tf, k, cfg)])
+    integrals = _power_integrals(b, tf, kernel, regions)
+    lowers = [_annulus_report(tf, k, lhs, Side.LOWER) for k, lhs in zip(ks, integrals)]
+    shells = integrals[len(ks):]  # left and right piece of each level
+    uppers = [_annulus_report(tf, k, sum(shells[2 * i:2 * i + 2]), Side.UPPER)
+              for i, k in enumerate(ks)]
     return lowers, uppers
