@@ -208,9 +208,7 @@ class ExperimentConfig:
     def grid(self) -> tuple:
         spec = self.get("grid")
         step = _number(spec.get("step"), "grid.step")
-        count = spec.get("count")
-        if not isinstance(count, int) or count < 2:
-            raise InputError(f"grid.count must be an integer >= 2, got {count!r}")
+        count = self.integer("grid.count", 2)
         origin = spec.get("origin")
         if origin is None:
             # Cell-centered around zero by default.
@@ -236,7 +234,4 @@ class ExperimentConfig:
         return Interval(self.number(f"{key}.center", above=None), self.number(f"{key}.radius"))
 
     def rng(self) -> np.random.Generator:
-        seed = self.get("seed")
-        if not isinstance(seed, int) or seed < 0:
-            raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-        return np.random.default_rng(seed)
+        return np.random.default_rng(self.integer("seed", 0))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchylab import bmo, sampling
 from cauchylab import (
@@ -350,3 +352,99 @@ class TestBlockRejected:
         block = f.with_values(np.stack([f.values.real, -f.values.real], axis=1))
         with pytest.raises(InputError, match="takes one function"):
             call(block)
+
+
+def _long_row_values(kind: str, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Values at nodes ``x`` for one family of the rank-path property."""
+    if kind == "ties":
+        return rng.integers(-3, 4, x.size).astype(float)
+    if kind == "offset_pieces":
+        cuts = np.sort(rng.uniform(x[0], x[-1], size=int(rng.integers(2, 30))))
+        return 1e3 + rng.normal(size=cuts.size + 1)[np.searchsorted(cuts, x)]
+    if kind == "log_floor":
+        floor = float(rng.uniform(-30.0, -2.0))
+        return np.maximum(np.log(np.abs(x - rng.uniform(x[0], x[-1]))), floor)
+    return np.sin(3 * x) + rng.normal(scale=0.3, size=x.size)
+
+
+class TestRankPath:
+    """Rows wider than ``_DIRECT_WIDTH`` nodes, computed from rank counts."""
+
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(["ties", "offset_pieces", "log_floor", "noise"]),
+           count=st.integers(1500, 4000), span=st.floats(1.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_long_rows_match_mean_oscillation(self, kind, count, span, seed):
+        # span / count is off-dyadic for almost every draw.
+        rng = np.random.default_rng(seed)
+        step = span / count
+        x = -0.5 * span + step * (np.arange(count) + 0.5)
+        f = SampledFunction(x[0], step, _long_row_values(kind, x, rng))
+        vals = f.real_values()
+        table = oscillation_table(f)
+        lo, hi = bmo._node_bounds(f, table.lowers, table.uppers)
+        wide = np.flatnonzero(hi - lo > bmo._DIRECT_WIDTH)
+        assert bmo._rank_pays(count, wide.size, int(np.sum(hi[wide] - lo[wide])))
+
+        def assert_close(got, want, row):
+            assert abs(got - want) <= 1e-12 * (abs(want) + np.mean(np.abs(row)))
+
+        for k in rng.choice(wide, size=min(200, wide.size), replace=False):
+            I, osc = table[int(k)]
+            assert_close(osc, mean_oscillation(f, I), bmo._real_on(f, I))
+        # Rows at any offset and width, so blocks of every alignment are tiled.
+        starts = rng.integers(0, count - bmo._DIRECT_WIDTH - 1, size=200)
+        stops = rng.integers(starts + bmo._DIRECT_WIDTH + 1, count + 1)
+        got = bmo._rank_oscillations(vals, starts, stops)
+        for a, b, osc in zip(starts, stops, got):
+            assert_close(osc, bmo._oscillation(vals[a:b]), vals[a:b])
+
+    @pytest.mark.parametrize("value", [3.25, -7.0])
+    def test_constant_is_exactly_zero_on_both_paths(self, value):
+        f = grid_fn(lambda y: np.full_like(y, value), count=4000)
+        vals = f.real_values()
+        starts = np.arange(0, 3000, 7)
+        stops = starts + bmo._DIRECT_WIDTH + 1 + starts % 700
+        assert not np.any(bmo._direct_oscillations(vals, starts, stops))
+        assert not np.any(bmo._rank_oscillations(vals, starts, stops))
+        assert not np.any(oscillation_table(f).oscs)
+
+    def test_offset_cancels_exactly(self):
+        # An exact offset leaves the median-shifted values, and so every
+        # oscillation, bit for bit unchanged.
+        g = np.random.default_rng(3).integers(-3, 4, 3000).astype(float)
+        starts = np.arange(0, 2300, 11)
+        stops = starts + bmo._DIRECT_WIDTH + 1 + starts % 400
+        want = bmo._rank_oscillations(g, starts, stops)
+        assert np.array_equal(bmo._rank_oscillations(2.0**40 + g, starts, stops), want)
+
+    def test_bmo_norm_equals_table_max_with_long_rows(self):
+        f = SampledFunction(-1.3, 3.4 / 3999, np.random.default_rng(2).normal(size=4000))
+        table = oscillation_table(f)
+        assert table.measures.max() > bmo._DIRECT_WIDTH * f.step
+        assert bmo_norm(f, dyadic_sweep(f)) == table.oscs.max()
+        # A sweep of long rows only: every row takes the rank path.
+        wide = np.rint(table.measures / f.step) - 1 > bmo._DIRECT_WIDTH
+        long_rows = bmo.IntervalSweep(table.intervals.centers[wide], table.intervals.radii[wide])
+        assert bmo_norm(f, long_rows) == table.oscs[wide].max()
+
+    def test_dispatch_both_ways(self, monkeypatch):
+        calls = []
+        original = bmo._rank_oscillations
+
+        def spy(vals, lo, hi):
+            calls.append(lo.size)
+            return original(vals, lo, hi)
+
+        monkeypatch.setattr(bmo, "_rank_oscillations", spy)
+        f = grid_fn(lambda y: np.sin(5 * y) + (y > 0.3), count=4000)
+        table = oscillation_table(f)
+        wide = int(np.count_nonzero(np.rint(table.measures / f.step) - 1 > bmo._DIRECT_WIDTH))
+        assert calls == [wide] and wide > 0
+        # A few long intervals, as an annulus ladder passes, stay direct and exact.
+        few = [I01.dilate(2.0**j) for j in range(-1, 2)]
+        assert bmo_norm(f, few) == max(mean_oscillation(f, I) for I in few)
+        # So does every row of a table too small for the tree to pay.
+        small = grid_fn(lambda y: np.sin(5 * y), count=1000)
+        assert all(osc == mean_oscillation(small, I) for I, osc in oscillation_table(small))
+        assert calls == [wide]

@@ -158,6 +158,9 @@ class TestExitCodes:
         ("fk-diagnose", {"fk": {"z_steps": [True, 2]}}, "fk.z_steps.0"),
         ("verify-kernel", {"kernel_check": {"samples": True}}, "kernel_check.samples"),
         ("fk-diagnose", {"fk": {"bump_width": True}}, "fk.bump_width"),
+        ("bmo-norm", {"seed": True}, "seed"),
+        # A boolean count was already below 2; the typed read names it as a field.
+        ("bmo-norm", {"grid": {"count": True}}, "config field grid.count"),
     ], ids=["eval_points", "eval_cells", "nodes_per_radius", "bump_positions", "family",
             "vmo.delta_ladder", "vmo.R_ladder", "fk.z_steps", "fk.t_ladder",
             "lemma41.k_ladder", "homogeneity.quadrature_cells", "kernel_check.samples",
@@ -169,7 +172,8 @@ class TestExitCodes:
             "fk.t_ladder.entry", "lemma41.k_ladder.entry", "homogeneity.M_ladder.entry",
             "fk.bump_positions.entry", "witness.sequence.center", "witness.sequence.r0",
             "witness.sequence.ratio", "window.center", "lemma41.interval.center",
-            "fk.z_steps.bool", "kernel_check.samples.bool", "fk.bump_width.bool"])
+            "fk.z_steps.bool", "kernel_check.samples.bool", "fk.bump_width.bool",
+            "seed.bool", "grid.count.bool"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(tree))
