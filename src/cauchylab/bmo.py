@@ -23,9 +23,9 @@ a result and the row equals :func:`mean_oscillation` of its interval bit
 for bit.  Wider rows take the rank path when ``_rank_pays``, an estimate
 from the node count, the wide-row count and their total width alone;
 otherwise they are reduced node by node too.  The rank path uses
-``sum |f - m| = (S - 2 S_) - m (k - 2 k_)`` for a row of ``k`` nodes with
-sum ``S`` and mean ``m``, where ``k_`` and ``S_`` count and sum its values
-below ``m``; a merge-sort tree over aligned dyadic blocks, built in
+``sum |f - m| = (S - 2 S_) - m (k - 2 k_) = 2 (m k_ - S_)`` for a row of
+``k`` nodes with sum ``S`` and mean ``m``, where ``k_`` and ``S_`` count
+and sum its values below ``m``; a merge-sort tree over aligned dyadic blocks, built in
 O(N log^2 N), answers both in O(log^2 N) per row, so the O(N log N) rows
 of a table on ``N`` nodes cost O(N log^3 N) instead of O(N^2).  A
 rank-path row agrees with ``mean_oscillation`` only to rounding: within
