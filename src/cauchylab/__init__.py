@@ -75,8 +75,6 @@ from .testfn import (
     annulus_ladder_reports,
     build_test_function,
     check_invariants,
-    verify_annulus_lower,
-    verify_annulus_upper,
     verify_intermediate_bounds,
 )
 

@@ -30,7 +30,7 @@ from .commutator import (
 )
 from .config import ExperimentConfig
 from .errors import InputError
-from .kernel import CauchyKernel, random_size_sweep, random_smoothness_sweep
+from .kernel import random_size_sweep, random_smoothness_sweep
 from .operator import apply_on_window, pv_values
 from .reports import BoundReport, write_report
 from .sampling import function_to_csv, lp_norm, sample_on, stack
@@ -43,6 +43,8 @@ MAX_REPORT_ROWS = 200
 # summation rounding (about sqrt(N) eps, 2e-14 for N = 1e4 terms), not
 # discretization error, so its point is left out of ``observed_order``.
 RICHARDSON_FLOOR = 1e-12
+# Relative band within which two bmo-norm rows of one length count as tied.
+TIE_RTOL = 1e-12
 
 
 def _trim_rows(report: BoundReport) -> BoundReport:
@@ -142,11 +144,14 @@ def _run_bmo_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         if not np.any(keep):
             raise InputError("no sweep intervals at or below bmo.max_length")
         measures, centers, oscs = measures[keep], centers[keep], oscs[keep]
-    # Rows by length, then by falling oscillation; the stable sort keeps the
-    # first of tied rows first, so each length reports its first maximum.
-    order = np.lexsort((-oscs, measures))
-    lengths, first = np.unique(measures[order], return_index=True)
-    best = order[first]
+    # Each length reports, among its rows within TIE_RTOL of its largest
+    # oscillation, the one with the smallest center: mirror rows that tie in
+    # exact arithmetic then report the same row whatever the rounding.
+    lengths, group = np.unique(measures, return_inverse=True)
+    top = np.zeros(lengths.size)
+    np.maximum.at(top, group, oscs)
+    order = np.lexsort((centers, oscs < (1.0 - TIE_RTOL) * top[group], group))
+    best = order[np.unique(group[order], return_index=True)[1]]
     rep = BoundReport(
         inequality="sup_I mean oscillation over the dyadic sweep (lower bound)",
         columns={"length": lengths, "center": centers[best], "lhs": oscs[best]},
@@ -289,9 +294,8 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         if norm == 0:
             raise InputError(f"fk bump at {pos} misses the grid")
         family.append(g.with_values(g.values / norm))
-    images = apply_commutator(b, stack(family), kern, window).columns()
-    h_out = images[0].step
-    zs = [k * h_out for k in z_steps]
+    images = apply_commutator(b, stack(family), kern, window)
+    zs = [k * images.step for k in z_steps]
     report = compactness.fk_diagnose(images, p, t_ladder, zs)
     kinds, params, vals = ["uniform_bound"], [0.0], [report.uniform_bound]
     for t, v in report.tail_curve:
@@ -306,7 +310,7 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         inequality="uniform bound, tail, and shift-difference curves of the image set",
         columns={"curve": np.asarray(kinds), "parameter": np.asarray(params),
                  "lhs": np.asarray(vals)},
-        extras={"p": p, "images": len(images)},
+        extras={"p": p, "images": len(family)},
     )
     write_report(rep, out_dir, "fk_diagnose")
     return True
@@ -353,9 +357,9 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
             "c2_empirical": report.c2_empirical,
             "a3": report.a3,
             "a3_root": report.a3 ** (1.0 / wcfg.p),
-            "a2_used": report.a2_used,
+            "a2_used": wcfg.a2,
             "a2_recommended": report.a2_recommended,
-            "prefix_note": report.prefix_note,
+            "prefix_note": "separation certified for the computed finite prefix only",
         },
     )
     write_report(rep, out_dir, "witness")

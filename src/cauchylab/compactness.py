@@ -3,7 +3,8 @@
 A set of functions is precompact in ``L^p`` exactly when it is uniformly
 norm-bounded, uniformly small outside large balls, and uniformly
 continuous under small translations.  ``fk_diagnose`` measures those
-three curves for a finite image set.
+three curves for a finite image set, given as one block whose columns
+are the images (see ``sampling``).
 
 The converse direction is witnessed constructively: when a symbol keeps
 oscillating on a sequence of intervals whose geometry degenerates in one
@@ -40,12 +41,15 @@ from .operator import _masked_sums, pv_values, truncated_values
 from .reports import BoundReport
 from .sampling import (Interval, SampledFunction, _lp, _rowwise, lp_norm, sample_on, shift,
                        stack)
-from .testfn import AnnulusConfig, TestFunction, annulus_ladder_reports, build_test_function
+from .testfn import AnnulusConfig, annulus_ladder_reports, build_test_function
 
 TAIL_WINDOW_FACTOR = 20.0  # tail lattice reaches factor * t_max * R
 TAIL_CELLS_PER_SIDE = 2048
 TAIL_SLOPE_BAND = 0.15  # pass band of the fitted tail slope around -1/p'
-C1_LEVELS = 3  # annulus levels per interval behind the witness C1 and C2
+# Annulus ladder per interval behind the witness C1 and C2: C1_LEVELS
+# levels from floor(log2 a1) up, at the resolution of WITNESS_ANNULUS.
+C1_LEVELS = 3
+WITNESS_ANNULUS = AnnulusConfig(a1=8.0, eval_cells=256)
 
 
 @dataclass(frozen=True)
@@ -118,48 +122,39 @@ class WitnessReport:
     c1_empirical: float
     c2_empirical: float
     a3: float
-    a2_used: float
     a2_recommended: float
-    oscillations: Tuple[float, ...]
-    images: Tuple[SampledFunction, ...]
-    prefix_note: str = (
-        "separation certified for the computed finite prefix only"
-    )
 
 
-def fk_diagnose(images: Sequence[SampledFunction], p: float,
+def fk_diagnose(images: SampledFunction, p: float,
                 t_ladder: Sequence[float], z_ladder: Sequence[float]) -> FkReport:
     """Measure the three precompactness curves over a finite image set.
 
+    ``images`` is one function or a block whose columns are the images.
     Tail values at radius ``t`` are the largest ``L^p`` mass outside
-    ``I(0, t)`` over the set; equicontinuity values at shift ``z`` (a
+    ``I(0, t)`` over the columns; equicontinuity values at shift ``z`` (a
     whole number of grid steps) are the largest ``L^p`` distance between
-    an image and its translate.
+    a column and its translate.  Each column is summed as on its own.
     """
-    if len(images) == 0:
-        raise InputError("image set must be non-empty")
     ts = [float(t) for t in t_ladder]
     zs = [float(z) for z in z_ladder]
     if not ts or not zs:
         raise InputError("ladders must be non-empty")
     if any(t <= 0 for t in ts):
         raise InputError("tail radii must be positive")
-    uniform = max(lp_norm(g, p) for g in images)
+    uniform = float(np.max(lp_norm(images, p)))
+    V = images.values.reshape(images.count, -1)
 
-    def tail(g: SampledFunction, t: float) -> float:
-        return _lp(g.values[np.abs(g.nodes) > t], g.step, p)
+    def worst(rows: np.ndarray) -> float:
+        # A radius past the grid leaves no rows, and each column's norm is 0.
+        return max(_lp(col, images.step, p) for col in rows.T)
 
-    tail_curve = tuple((t, max(tail(g, t) for g in images)) for t in sorted(ts))
-    eq_curve = []
-    for z in sorted(zs, key=abs):
-        worst = 0.0
-        for g in images:
-            worst = max(worst, _lp(shift(g, z).values - g.values, g.step, p))
-        eq_curve.append((z, worst))
+    far = np.abs(images.nodes)
     return FkReport(
         uniform_bound=uniform,
-        tail_curve=tail_curve,
-        equicontinuity_curve=tuple(eq_curve),
+        tail_curve=tuple((t, worst(V[far > t])) for t in sorted(ts)),
+        equicontinuity_curve=tuple(
+            (z, worst(shift(images, z).values.reshape(V.shape) - V))
+            for z in sorted(zs, key=abs)),
     )
 
 
@@ -307,7 +302,6 @@ class WitnessEngineConfig:
 
     eval_cells: int = 8192
     nodes_per_radius: int = 64
-    annulus: AnnulusConfig = AnnulusConfig(a1=8.0, eval_cells=256)
 
     def __post_init__(self):
         if self.eval_cells < 1:
@@ -342,10 +336,10 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
     h_eval = window.measure / engine.eval_cells
     xs = w0 + (np.arange(engine.eval_cells) + 0.5) * h_eval
 
-    k_lo = engine.annulus.k_min
+    k_lo = WITNESS_ANNULUS.k_min
     k_ladder = list(range(k_lo, k_lo + C1_LEVELS))
 
-    images: List[SampledFunction] = []
+    images: List[np.ndarray] = []
     oscillations: List[float] = []
     c1_candidates: List[float] = []
     c2_candidates: List[float] = []
@@ -364,13 +358,10 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
             raise InputError(f"interval {idx} of the sequence: {exc}") from exc
         oscillations.append(tf.epsilon)
         lowers, uppers = annulus_ladder_reports(b_local, tf, k_ladder, kernel,
-                                                engine.annulus)
+                                                WITNESS_ANNULUS)
         c1_candidates.extend(rep.ratio / tf.epsilon**p for rep in lowers)
         c2_candidates.extend(rep.ratio for rep in uppers)
-        images.append(
-            SampledFunction(float(xs[0]), h_eval,
-                            commutator_values(b_local, tf.f, kernel, xs))
-        )
+        images.append(commutator_values(b_local, tf.f, kernel, xs))
 
     eps = min(oscillations)
     c1 = min(c1_candidates)
@@ -379,7 +370,7 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = _lp(images[i].values - images[j].values, h_eval, p)
+            d = _lp(images[i] - images[j], h_eval, p)
             dist[i, j] = d
             dist[j, i] = d
     offdiag = dist[~np.eye(n, dtype=bool)]
@@ -391,10 +382,7 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
         c1_empirical=c1,
         c2_empirical=c2,
         a3=a3,
-        a2_used=cfg.a2,
         a2_recommended=choose_a2(c1, c2, eps, cfg.a1, p),
-        oscillations=tuple(oscillations),
-        images=tuple(images),
     )
 
 

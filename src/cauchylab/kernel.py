@@ -47,14 +47,19 @@ class CauchyKernel:
         return CauchyKernel(curve)
 
 
-def eval_kernel(kernel: CauchyKernel, x, y):
-    """Evaluate ``K(x, y)``; scalar or elementwise on broadcast arrays."""
+def _offsets(kernel: CauchyKernel, x, y):
+    """``y - x`` and ``A(y) - A(x)`` on broadcast arrays; a diagonal pair raises."""
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     dy = y_arr - x_arr
     if np.any(dy == 0):
         raise SingularityError("kernel is singular on the diagonal x == y")
-    dA = eval_A(kernel.curve, y_arr) - eval_A(kernel.curve, x_arr)
+    return dy, eval_A(kernel.curve, y_arr) - eval_A(kernel.curve, x_arr)
+
+
+def eval_kernel(kernel: CauchyKernel, x, y):
+    """Evaluate ``K(x, y)``; scalar or elementwise on broadcast arrays."""
+    dy, dA = _offsets(kernel, x, y)
     out = 1.0 / (dy + 1j * dA)
     if out.ndim == 0:
         return complex(out)
@@ -68,13 +73,7 @@ def kernel_modulus(kernel: CauchyKernel, x, y):
     modulus equals ``1 / |y - x|`` bit for bit and the size check's
     equality case cannot be lost to rounding.
     """
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    dy = y_arr - x_arr
-    if np.any(dy == 0):
-        raise SingularityError("kernel is singular on the diagonal x == y")
-    dA = eval_A(kernel.curve, y_arr) - eval_A(kernel.curve, x_arr)
-    out = 1.0 / np.hypot(dy, dA)
+    out = 1.0 / np.hypot(*_offsets(kernel, x, y))
     if out.ndim == 0:
         return float(out)
     return out
@@ -133,16 +132,21 @@ def check_smoothness(kernel: CauchyKernel, x, y, y_prime, transposed: bool = Fal
     )
 
 
-def random_size_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generator,
-                      box: float = 50.0) -> BoundReport:
-    """Size estimate on ``n`` random off-diagonal pairs in ``[-box, box]``."""
+def _random_pairs(n: int, rng: np.random.Generator, box: float):
+    """``n`` random off-diagonal pairs ``(x, y)`` in ``[-box, box]``."""
     if n < 1:
         raise InputError("need at least one sample")
     x = rng.uniform(-box, box, size=n)
     y = rng.uniform(-box, box, size=n)
     coincide = y == x
     y[coincide] = x[coincide] + box * 1e-6  # measure-zero guard
-    return check_size(kernel, x, y)
+    return x, y
+
+
+def random_size_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generator,
+                      box: float = 50.0) -> BoundReport:
+    """Size estimate on ``n`` random off-diagonal pairs in ``[-box, box]``."""
+    return check_size(kernel, *_random_pairs(n, rng, box))
 
 
 def random_smoothness_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generator,
@@ -153,12 +157,7 @@ def random_smoothness_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generat
     ``|y - x| / 2`` around ``y``, so the precondition holds by
     construction and every reported failure would be meaningful.
     """
-    if n < 1:
-        raise InputError("need at least one sample")
-    x = rng.uniform(-box, box, size=n)
-    y = rng.uniform(-box, box, size=n)
-    coincide = y == x
-    y[coincide] = x[coincide] + box * 1e-6
+    x, y = _random_pairs(n, rng, box)
     u = rng.uniform(-1.0, 1.0, size=n)
     y_prime = y + 0.5 * u * np.abs(y - x)
     return check_smoothness(kernel, x, y, y_prime, transposed=transposed)

@@ -43,7 +43,7 @@ this order:
   method (Greengard and Rokhlin, J. Comput. Phys. 73 (1987); Barnes and
   Hut, Nature 324 (1986)).  A binary tree over the sorted nodes sums each
   box far from a target by its multipole series about the box centre and
-  sums every other node exactly as the dense backend does.  It keeps the
+  every other node by the dense backend's ``_kernel_sums``.  It keeps the
   dense set of summed terms; a far box differs from its dense sum by the
   dropped series tail, at most ``2^-53 sum |w| / |z_x - c|`` for weights
   ``w`` and box centre ``c``, plus rounding.
@@ -176,37 +176,49 @@ def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
                 lo: float, hi: float) -> np.ndarray:
     """``h * sum K(x, y) f(y)`` over nodes with ``y - x`` outside ``[lo, hi]``, by chunks.
 
-    Each chunk of the kernel matrix is built once in real arithmetic,
-    ``Re K = D / (D^2 + dA^2)`` and ``Im K = -dA / (D^2 + dA^2)``, and
+    Each chunk of the kernel matrix is built once by ``_kernel_sums`` and
     applied to the ``2 c`` columns ``[Re V, Im V]`` of the ``(n, c)`` value
     block by two real matrix products.  ``A`` is evaluated once per call,
     at the nodes and at every target.
     """
     nodes = f.nodes
     V = f.values.reshape(f.count, -1)
-    c = V.shape[1]
     W = np.concatenate([V.real, V.imag], axis=1)
     A_nodes = np.asarray(eval_A(curve, nodes), dtype=float)
     A_xs = np.asarray(eval_A(curve, xs), dtype=float)
-    out = np.empty((xs.size, c), dtype=np.complex128)
+    out = np.empty((xs.size, V.shape[1]), dtype=np.complex128)
     rows = max(1, _CHUNK_ELEMENTS // nodes.size)
-    for start in range(0, xs.size, rows):
-        stop = start + rows
-        D = nodes - xs[start:stop, None]
-        dA = A_nodes - A_xs[start:stop, None]
-        keep = (D < lo) | (D > hi)
-        inv = D * D
-        inv += dA * dA
-        np.divide(1.0, inv, out=inv, where=keep)
-        inv *= keep
-        D *= inv
-        dA *= inv
-        P = D @ W
-        Q = dA @ W
-        out.real[start:stop] = P[:, :c] + Q[:, c:]
-        out.imag[start:stop] = P[:, c:] - Q[:, :c]
+    parts = [slice(a, a + rows) for a in range(0, xs.size, rows)]
+    chunks = ((nodes, A_nodes, xs[p], A_xs[p], lambda M: M @ W) for p in parts)
+    for p, (re, im) in zip(parts, _kernel_sums(chunks, lo, hi)):
+        out.real[p], out.imag[p] = re, im
     out *= f.step
     return out.reshape(xs.shape + f.values.shape[1:])
+
+
+def _kernel_sums(chunks, lo: float, hi: float):
+    """Yield ``Re`` and ``Im`` of ``sum K(x, y) V(y)`` per chunk ``(y, A(y), x, A(x), apply)``.
+
+    One row per target ``x``; ``y`` is shared or one row per target.  The planes
+    ``D / (D^2 + dA^2)`` and ``dA / (D^2 + dA^2)`` (``Re K`` and ``-Im K``) are zero
+    where ``D = y - x`` is in ``[lo, hi]``; ``apply`` multiplies one by ``[Re V, Im V]``.
+    Being a generator keeps a chunk's arrays until the next replaces them; freeing
+    them at each return made malloc refault the heap and doubled the dense time.
+    """
+    for y, A_y, x, A_x, apply in chunks:
+        D = y - x[:, None]
+        dA = A_y - A_x[:, None]
+        mask = (D < lo) | (D > hi)
+        inv = D * D
+        inv += dA * dA
+        np.divide(1.0, inv, out=inv, where=mask)
+        inv *= mask
+        D *= inv
+        dA *= inv
+        P = apply(D)
+        Q = apply(dA)
+        c = P.shape[1] // 2
+        yield P[:, :c] + Q[:, c:], P[:, c:] - Q[:, :c]
 
 
 def _tree_pays(n: int, m: int, c: int) -> bool:
@@ -243,14 +255,14 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     ``1 / (z_y - z_x) = -1 / (z_x - c) sum_k ((z_y - c) / (z_x - c))^k``,
     to the order ``_series_order`` gives for that pair's ratio, by Horner's
     rule.  A box whose offsets all lie inside the window is dropped.  Any
-    other box is opened, and at the leaves the nodes are summed as in
-    ``_dense_sums``, with the same float mask and kernel arithmetic.  The
-    offsets of a box are tested at its first and last node with the float
-    differences the dense mask compares; rounding is monotone, so a box
-    classified whole is kept or dropped whole by the dense mask too.  The
-    set of summed terms is therefore exactly the dense set, and a far box
-    differs from its dense sum only by the series tail, at most 2^-53 of
-    ``sum |w| / |z_x - c|``, plus rounding.
+    other box is opened, and at the leaves the nodes are summed by
+    ``_kernel_sums``, the helper of ``_dense_sums``, so with the same float
+    mask and kernel arithmetic.  The offsets of a box are tested at its
+    first and last node with the float differences the dense mask compares;
+    rounding is monotone, so a box classified whole is kept or dropped
+    whole by the dense mask too.  The set of summed terms is therefore
+    exactly the dense set, and a far box differs from its dense sum only by
+    the series tail, at most 2^-53 of ``sum |w| / |z_x - c|``, plus rounding.
 
     ``A`` is evaluated once at the nodes and once at the targets; targets
     go through in blocks so that transient arrays stay near the dense
@@ -260,11 +272,14 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     n = nodes.size
     V = f.values.reshape(n, -1)
     c = V.shape[1]
-    W = np.concatenate([V.real.T, V.imag.T])
     A_nodes = np.asarray(eval_A(curve, nodes), dtype=float)
     A_xs = np.asarray(eval_A(curve, xs), dtype=float)
     depth = (-(-n // _LEAF) - 1).bit_length()
-    offsets, x_first, x_last, centre, rho, moments = _tree_boxes(nodes, A_nodes, V, depth)
+    weights = np.zeros((_LEAF << depth, 2 * c))
+    weights[:n] = np.concatenate([V.real, V.imag], axis=1)
+    at = np.minimum(np.arange(weights.shape[0]), n - 1)
+    leaf_nodes, leaf_A = nodes[at], A_nodes[at]
+    offsets, x_first, x_last, centre, rho, moments = _tree_boxes(nodes, A_nodes, weights, depth)
 
     out = np.zeros((xs.size, c), dtype=np.complex128)
     block = max(1, _CHUNK_ELEMENTS // (2 * _LEAF))
@@ -292,13 +307,13 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
                 bx = (2 * bx[:, None] + np.arange(2)).ravel()
                 exists = bx < offsets[l + 2] - offsets[l + 1]
                 tg, bx = tg[exists], bx[exists]
-        _leaf_sums(nodes, A_nodes, W, x, A_x, tg, bx, lo, hi, acc)
+        _leaf_sums(leaf_nodes, leaf_A, weights.T, x, A_x, tg, bx, lo, hi, acc)
         _far_sums(moments, centre, rho, zx, np.concatenate(far_t), np.concatenate(far_g), acc)
     out *= f.step
     return out.reshape(xs.shape + f.values.shape[1:])
 
 
-def _tree_boxes(nodes: np.ndarray, A_nodes: np.ndarray, V: np.ndarray, depth: int):
+def _tree_boxes(nodes: np.ndarray, A_nodes: np.ndarray, weights: np.ndarray, depth: int):
     """Node span, centre, radius and moments of every box, level 0 first.
 
     Returns ``offsets``, whose entry ``l`` is the first box of level ``l``
@@ -307,18 +322,16 @@ def _tree_boxes(nodes: np.ndarray, A_nodes: np.ndarray, V: np.ndarray, depth: in
     ``(_ORDER + 1, boxes, c)``.  The powers of ``(z_y - c) / rho`` are built
     by chunks of ``chunk`` nodes, the largest ``_LEAF 2^j`` that keeps a
     chunk of powers within ``_CHUNK_ELEMENTS``; a chunk holds whole boxes or
-    part of one box.
+    part of one box.  ``weights`` holds ``[Re V, Im V]`` padded with zeros
+    to ``_LEAF 2^depth`` rows.
     """
-    n, c = V.shape
+    n, c = nodes.size, weights.shape[1] // 2
     z = nodes + 1j * A_nodes
     root = _LEAF << depth
     chunk = min(root, _LEAF << max(0, (_CHUNK_ELEMENTS // (_LEAF * (_ORDER + 1)))
                                    .bit_length() - 1))
     # The products run in real arithmetic, [Re p; Im p] @ [Re V, Im V], on
     # the real matrix kernels the dense backend uses.
-    weights = np.zeros((root, 2 * c))
-    weights[:n, :c] = V.real
-    weights[:n, c:] = V.imag
     t = np.zeros(root, dtype=np.complex128)
     powers = np.empty((_ORDER + 1, chunk), dtype=np.complex128)
     powers[0] = 1.0
@@ -369,33 +382,20 @@ def _leaf_sums(nodes: np.ndarray, A_nodes: np.ndarray, W: np.ndarray, x: np.ndar
                acc: np.ndarray) -> None:
     """Add to ``acc[tg]`` the dense sums over the nodes of leaf ``leaf``, pair by pair.
 
-    ``W`` holds the ``2 c`` real columns ``[Re V, Im V]`` as rows.
+    ``W`` holds the ``2 c`` real columns ``[Re V, Im V]`` as rows.  The nodes
+    and ``W`` are padded to whole leaves: the last node repeated, with weight 0.
     """
-    c = acc.shape[1]
-    n = nodes.size
     rows = max(1, _CHUNK_ELEMENTS // (4 * _LEAF))
-    span = np.arange(_LEAF)
-    for start in range(0, tg.size, rows):
-        t = tg[start:start + rows]
-        idx = leaf[start:start + rows, None] * _LEAF + span
-        inside = idx < n
-        np.minimum(idx, n - 1, out=idx)
-        D = nodes[idx] - x[t, None]
-        dA = A_nodes[idx] - A_x[t, None]
-        keep = ((D < lo) | (D > hi)) & inside
-        inv = D * D
-        inv += dA * dA
-        np.divide(1.0, inv, out=inv, where=keep)
-        inv *= keep
-        D *= inv
-        dA *= inv
-        P = np.empty((t.size, 2 * c))
-        Q = np.empty((t.size, 2 * c))
-        for j, w in enumerate(W):
-            wg = w[idx]
-            P[:, j] = np.einsum("rs,rs->r", D, wg)
-            Q[:, j] = np.einsum("rs,rs->r", dA, wg)
-        np.add.at(acc, t, (P[:, :c] + Q[:, c:]) + 1j * (P[:, c:] - Q[:, :c]))
+    parts = [slice(a, a + rows) for a in range(0, tg.size, rows)]
+
+    def chunk(p):
+        idx = leaf[p, None] * _LEAF + np.arange(_LEAF)
+        G = np.stack([w[idx] for w in W])  # one contiguous (rows, _LEAF) plane per column
+        return (nodes[idx], A_nodes[idx], x[tg[p]], A_x[tg[p]],
+                lambda M: np.einsum("rs,jrs->rj", M, G))
+
+    for p, (re, im) in zip(parts, _kernel_sums(map(chunk, parts), lo, hi)):
+        np.add.at(acc, tg[p], re + 1j * im)
 
 
 def _far_sums(moments: np.ndarray, centre: np.ndarray, rho: np.ndarray, zx: np.ndarray,

@@ -20,6 +20,8 @@ commutator image of ``f`` obeys a two-sided power law: the integral of
 ``|I|^(p-1) / |2^k I|^(p-1)``.  The reports here normalize the measured
 integral by that power law; the empirical constants are outputs, and the
 meaningful pass criterion is their stability across ``k``.
+``annulus_ladder_reports`` measures a whole ladder of levels in one
+commutator call; a single level is a one-level ladder.
 """
 
 from __future__ import annotations
@@ -181,6 +183,15 @@ def _region_lattice(region: Interval, cells: int) -> Tuple[np.ndarray, float]:
     return region.lower + (np.arange(cells) + 0.5) * h, h
 
 
+def _require_sampled(b: SampledFunction, region: Interval, what: str) -> None:
+    """Reject a symbol with no source callable whose samples miss part of ``region``."""
+    if b.source is None and (region.lower < b.lower - b.step or region.upper > b.upper + b.step):
+        raise InputError(
+            f"{what} leaves the sampled range of the symbol; "
+            "sample b on a wider grid or give it a source callable"
+        )
+
+
 def _power_integrals(b: SampledFunction, tf: TestFunction, kernel: CauchyKernel,
                      regions: Sequence[Tuple[Interval, int]]) -> List[float]:
     """Integrals of ``|[b, C] f|^p`` over regions away from the support.
@@ -189,17 +200,9 @@ def _power_integrals(b: SampledFunction, tf: TestFunction, kernel: CauchyKernel,
     lattices of all regions go through one ``commutator_values`` call, and
     the result is split back into one integral per region.
     """
-    lattices = []
-    for region, cells in regions:
-        if b.source is None:
-            lo_ok = region.lower >= b.lower - b.step
-            hi_ok = region.upper <= b.upper + b.step
-            if not (lo_ok and hi_ok):
-                raise InputError(
-                    "evaluation region leaves the sampled range of the symbol; "
-                    "sample b on a wider grid or give it a source callable"
-                )
-        lattices.append(_region_lattice(region, cells))
+    for region, _ in regions:
+        _require_sampled(b, region, "evaluation region")
+    lattices = [_region_lattice(region, cells) for region, cells in regions]
     vals = commutator_values(b, tf.f, kernel, np.concatenate([xs for xs, _ in lattices]))
     parts = np.split(vals, np.cumsum([xs.size for xs, _ in lattices])[:-1])
     return [float(cell_h * np.sum(np.abs(part) ** tf.p))
@@ -213,52 +216,11 @@ def _require_level(k: int, cfg: AnnulusConfig) -> None:
         )
 
 
-def _lower_regions(tf: TestFunction, k: int, cfg: AnnulusConfig) -> List[Tuple[Interval, int]]:
-    """The right-hand annulus at level ``k``."""
-    _require_level(k, cfg)
-    return [(Annulus(tf.base, k).as_interval, cfg.eval_cells)]
-
-
-def _upper_regions(tf: TestFunction, k: int, cfg: AnnulusConfig) -> List[Tuple[Interval, int]]:
-    """The two pieces, left then right, of the dyadic shell ``2^(k+1) I minus 2^k I``."""
-    _require_level(k, cfg)
-    r = tf.base.radius
-    c = tf.base.center
-    right = Annulus(tf.base, k).as_interval
-    left = Interval.from_endpoints(c - (2.0 ** (k + 1)) * r, c - (2.0**k) * r)
-    cells = max(8, cfg.eval_cells // 2)
-    return [(left, cells), (right, cells)]
-
-
 def _annulus_report(tf: TestFunction, k: int, lhs: float, side: Side) -> AnnulusBoundReport:
     normalizer = 2.0 ** (-k * (tf.p - 1.0))
     return AnnulusBoundReport(
         k=k, lhs=lhs, normalizer=normalizer, ratio=lhs / normalizer, side=side
     )
-
-
-def verify_annulus_lower(b: SampledFunction, tf: TestFunction, k: int,
-                         kernel: CauchyKernel,
-                         cfg: AnnulusConfig = AnnulusConfig()) -> AnnulusBoundReport:
-    """Measure the commutator mass on the right-hand annulus at level ``k``.
-
-    ``ratio / eps^p`` is the empirical constant of the lower power law;
-    level-independence of that number is the content being verified.
-    """
-    (lhs,) = _power_integrals(b, tf, kernel, _lower_regions(tf, k, cfg))
-    return _annulus_report(tf, k, lhs, Side.LOWER)
-
-
-def verify_annulus_upper(b: SampledFunction, tf: TestFunction, k: int,
-                         kernel: CauchyKernel,
-                         cfg: AnnulusConfig = AnnulusConfig()) -> AnnulusBoundReport:
-    """Measure the commutator mass on the dyadic shell ``2^(k+1) I minus 2^k I``.
-
-    The shell has a piece on each side of the base interval.  Bounded
-    ``ratio`` across levels is the upper power law at desk scale.
-    """
-    lhs = sum(_power_integrals(b, tf, kernel, _upper_regions(tf, k, cfg)))
-    return _annulus_report(tf, k, lhs, Side.UPPER)
 
 
 def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
@@ -280,12 +242,10 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
     base = tf.base
     p_conj = tf.p / (tf.p - 1.0)
     alpha = median(b, base).value
+    dilate = base.dilate(2.0 ** (k + 1))
+    _require_sampled(b, region, "annulus")
+    _require_sampled(b, dilate, "dilated interval")
 
-    if b.source is None:
-        if region.lower < b.lower - b.step or region.upper > b.upper + b.step:
-            raise InputError(
-                "annulus leaves the sampled range of the symbol; widen the grid"
-            )
     xs, _ = _region_lattice(region, cfg.eval_cells)
     cf = pv_values(kernel, tf.f, xs)
     b_at = b.value_at(xs).real
@@ -301,19 +261,12 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
     )
     pointwise_pass = lhs <= (1.0 + POINTWISE_SLACK) * majorant
 
-    dilate = base.dilate(2.0 ** (k + 1))
+    wide = b
     if b.source is not None:
         # The dilate family reaches far outside the base; resample rather
         # than silently measuring only the covered part.
         wide = sample(b.source, dilate.lower, dilate.upper,
                       max(4096, 4 * cfg.eval_cells))
-    else:
-        if dilate.lower < b.lower - b.step or dilate.upper > b.upper + b.step:
-            raise InputError(
-                "dilated interval leaves the sampled range of the symbol; "
-                "widen the grid"
-            )
-        wide = b
     drift = abs(median(wide, dilate).value - alpha)
     sweep = [base.dilate(2.0**j) for j in range(0, k + 2)]
     bmo_lower = bmo_norm(wide, sweep)
@@ -352,14 +305,25 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
                            ) -> Tuple[list, list]:
     """Lower and upper reports across a level ladder, in ladder order.
 
-    The lattices of every level and both shell sides go through one
-    ``commutator_values`` call.
+    The lower report of level ``k`` measures the right-hand annulus; its
+    ``ratio / eps^p`` is the empirical constant of the lower power law.
+    The upper report measures the dyadic shell ``2^(k+1) I minus 2^k I``,
+    a piece on each side of the base, with half the cells per piece;
+    bounded ``ratio`` across levels is the upper power law.  The lattices
+    of every level and both shell sides go through one
+    ``commutator_values`` call.  A single level is a one-level ladder.
     """
     ks = list(k_ladder)
     if not ks:
         raise InputError("level ladder must be non-empty")
-    regions = ([r for k in ks for r in _lower_regions(tf, k, cfg)]
-               + [r for k in ks for r in _upper_regions(tf, k, cfg)])
+    for k in ks:
+        _require_level(k, cfg)
+    r, c = tf.base.radius, tf.base.center
+    rights = [Annulus(tf.base, k).as_interval for k in ks]
+    lefts = [Interval.from_endpoints(c - (2.0 ** (k + 1)) * r, c - (2.0**k) * r) for k in ks]
+    half = max(8, cfg.eval_cells // 2)
+    regions = ([(right, cfg.eval_cells) for right in rights]
+               + [(piece, half) for pair in zip(lefts, rights) for piece in pair])
     integrals = _power_integrals(b, tf, kernel, regions)
     lowers = [_annulus_report(tf, k, lhs, Side.LOWER) for k, lhs in zip(ks, integrals)]
     shells = integrals[len(ks):]  # left and right piece of each level

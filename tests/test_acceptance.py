@@ -35,7 +35,6 @@ from cauchylab import (
     witness_separation,
 )
 from cauchylab.cli import main as cli_main
-from cauchylab.testfn import AnnulusConfig
 from cauchylab.symbols import indicator, sign_step, smooth_bump, truncated_log
 
 from conftest import random_symbol_case
@@ -57,7 +56,6 @@ def witness_pair():
     cfg = WitnessConfig(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)
     engine = WitnessEngineConfig(
         eval_cells=8192, nodes_per_radius=64,
-        annulus=AnnulusConfig(a1=8.0, eval_cells=256),
     )
     out = {}
     t0 = time.perf_counter()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchylab import (
     CauchyKernel,
@@ -7,6 +9,7 @@ from cauchylab import (
     InputError,
     Interval,
     LipschitzCurve,
+    SampledFunction,
     apply_commutator,
     commutator_norm_lower,
     commutator_norm_ratios,
@@ -14,9 +17,12 @@ from cauchylab import (
     homogeneity_check,
     lp_norm,
     make_homogeneity_case,
+    pv_values,
     sample,
+    sample_on,
     stack,
 )
+from cauchylab import operator
 from cauchylab.commutator import HomogeneityConfig
 from cauchylab.symbols import indicator, ramp
 
@@ -202,3 +208,80 @@ class TestBlock:
         other = sample(indicator(-1.0, 1.0), -2, 2, 200)
         with pytest.raises(InputError, match="grid"):
             commutator_norm_lower(b, 2.0, [fs[0], other], FLAT, Interval(0.0, 1.0))
+
+
+# Backends of the commutator's two kernel passes: (curve, nodes, targets).
+# Targets run on the midpoint lattice, centred on the grid and reaching past
+# both of its ends, so every backend sees near and far targets.
+COMMUTATOR_BACKENDS = {
+    "toeplitz": (LipschitzCurve.flat(), 1000, 3000),
+    "tree": (LipschitzCurve.sawtooth(0.5, 2.0), 2000, 8000),
+    "dense": (LipschitzCurve.sawtooth(0.5, 2.0), 300, 600),
+}
+
+
+def _commutator_case(backend, seed, width):
+    """A symbol with a source callable, ``width`` inputs and targets for ``backend``.
+
+    Fails unless ``backend`` is the one ``_masked_sums`` picks for a block
+    of ``width`` columns on these sizes.
+    """
+    curve, n, m = COMMUTATOR_BACKENDS[backend]
+    rng = np.random.default_rng(seed)
+    h = 4.0 / n
+    a, w, jump, x0 = rng.normal(size=2), rng.uniform(1.0, 6.0, 2), rng.normal(), rng.uniform(-1, 1)
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return a[0] * np.sin(w[0] * x) + a[1] * np.cos(w[1] * x) + jump * (x > x0)
+
+    b = sample_on(fn, -2.0 + 0.5 * h, h, n)
+    fs = [b.with_values(rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(width)]
+    xs = b.origin + (np.arange(m) - (m - n) // 2 + 0.5) * h
+    kernel = CauchyKernel.for_curve(curve)
+    lo, hi = -0.5e-6 * h, 0.5e-6 * h
+    if operator._toeplitz_sums(curve, stack(fs), xs, lo, hi) is not None:
+        picked = "toeplitz"
+    else:
+        picked = "tree" if operator._tree_pays(n, m, width) else "dense"
+    assert picked == backend
+    return b, fs, xs, kernel
+
+
+class TestCommutatorProperties:
+    """``[b, C]`` on each backend: linear in ``b``, linear in ``f``, zero for constant ``b``."""
+
+    @pytest.mark.parametrize("backend", sorted(COMMUTATOR_BACKENDS))
+    @given(seed=st.integers(0, 2**16), lam=st.floats(-3.0, 3.0))
+    @settings(max_examples=4)
+    def test_linear_in_symbol(self, backend, seed, lam):
+        b1, (f,), xs, kernel = _commutator_case(backend, seed, 1)
+        b2, _, _, _ = _commutator_case(backend, seed + 1, 1)
+        both = SampledFunction(b1.origin, b1.step, b1.values + lam * b2.values,
+                               lambda x: b1.source(x) + lam * b2.source(x))
+        got = commutator_values(both, f, kernel, xs)
+        want = commutator_values(b1, f, kernel, xs) + lam * commutator_values(b2, f, kernel, xs)
+        scale = ((np.max(np.abs(b1.values)) + abs(lam) * np.max(np.abs(b2.values)))
+                 * np.max(np.abs(pv_values(kernel, f, xs))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("backend", sorted(COMMUTATOR_BACKENDS))
+    @given(seed=st.integers(0, 2**16), lam=st.floats(-3.0, 3.0))
+    @settings(max_examples=4)
+    def test_linear_in_input_columns(self, backend, seed, lam):
+        b, (f, g, _), xs, kernel = _commutator_case(backend, seed, 3)
+        block = stack([f, g, f.with_values(f.values + lam * g.values)])
+        out = commutator_values(b, block, kernel, xs)
+        scale = (np.max(np.abs(b.values))
+                 * np.max(np.abs(pv_values(kernel, block, xs)[:, :2])) * (1.0 + abs(lam)))
+        assert np.max(np.abs(out[:, 2] - (out[:, 0] + lam * out[:, 1]))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("backend", sorted(COMMUTATOR_BACKENDS))
+    @given(seed=st.integers(0, 2**16), const=st.floats(-5.0, 5.0).filter(lambda c: c != 0))
+    @settings(max_examples=4)
+    def test_constant_symbol_vanishes(self, backend, seed, const):
+        b, (f,), xs, kernel = _commutator_case(backend, seed, 1)
+        flat_b = SampledFunction(b.origin, b.step, np.full(b.count, const),
+                                 lambda x: np.full(np.shape(x), const))
+        out = commutator_values(flat_b, f, kernel, xs)
+        assert np.max(np.abs(out)) <= 1e-12 * abs(const) * np.max(np.abs(pv_values(kernel, f, xs)))

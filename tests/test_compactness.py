@@ -20,10 +20,10 @@ from cauchylab import (
     sample,
     sample_on,
     small_scale_sequence,
+    stack,
     tail_decay_check,
     witness_separation,
 )
-from cauchylab.testfn import AnnulusConfig
 from cauchylab.symbols import indicator, sign_step, smooth_bump, truncated_log
 
 from conftest import bump_family
@@ -34,7 +34,7 @@ FLAT = CauchyKernel.for_curve(LipschitzCurve.flat())
 class TestFkDiagnose:
     def test_zero_images(self):
         z = sample(lambda y: np.zeros_like(y), -2, 2, 256)
-        rep = fk_diagnose([z], 2.0, [0.5, 1.0], [z.step, 2 * z.step])
+        rep = fk_diagnose(stack([z]), 2.0, [0.5, 1.0], [z.step, 2 * z.step])
         assert rep.uniform_bound == 0.0
         assert all(v == 0.0 for _, v in rep.tail_curve)
         assert all(v == 0.0 for _, v in rep.equicontinuity_curve)
@@ -42,7 +42,7 @@ class TestFkDiagnose:
     def test_single_bump_equicontinuity_decreases(self):
         g = sample(smooth_bump(0.0, 1.0, 1.0), -3, 3, 3000)
         zs = [g.step * k for k in (1, 4, 16, 64)]
-        rep = fk_diagnose([g], 2.0, [1.0], zs)
+        rep = fk_diagnose(stack([g]), 2.0, [1.0], zs)
         vals = [v for _, v in rep.equicontinuity_curve]
         assert vals == sorted(vals)
         assert vals[0] <= 0.1 * vals[-1]
@@ -50,25 +50,25 @@ class TestFkDiagnose:
     def test_tail_dominated_by_member(self):
         g = sample(smooth_bump(1.5, 1.0, 0.5), -3, 3, 600)
         h = sample(smooth_bump(0.0, 1.0, 0.5), -3, 3, 600)
-        rep = fk_diagnose([g, h], 2.0, [1.0, 2.5], [g.step])
-        solo = fk_diagnose([g], 2.0, [1.0, 2.5], [g.step])
+        rep = fk_diagnose(stack([g, h]), 2.0, [1.0, 2.5], [g.step])
+        solo = fk_diagnose(stack([g]), 2.0, [1.0, 2.5], [g.step])
         for (t, v), (_, vs) in zip(rep.tail_curve, solo.tail_curve):
             assert v >= vs
 
     def test_tail_curve_non_increasing(self):
         g = sample(smooth_bump(0.0, 1.0, 2.0), -3, 3, 500)
-        rep = fk_diagnose([g], 2.0, [0.25, 0.5, 1.0, 2.0], [g.step])
+        rep = fk_diagnose(stack([g]), 2.0, [0.25, 0.5, 1.0, 2.0], [g.step])
         vals = [v for _, v in rep.tail_curve]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
         g = sample(lambda y: y, -1, 1, 64)
         with pytest.raises(InputError):
-            fk_diagnose([], 2.0, [1.0], [g.step])
+            fk_diagnose(stack([]), 2.0, [1.0], [g.step])
         with pytest.raises(InputError):
-            fk_diagnose([g], 2.0, [], [g.step])
+            fk_diagnose(stack([g]), 2.0, [], [g.step])
         with pytest.raises(InputError):
-            fk_diagnose([g], 2.0, [-1.0], [g.step])
+            fk_diagnose(stack([g]), 2.0, [-1.0], [g.step])
 
 
 class TestTailDecay:
@@ -184,7 +184,6 @@ def small_witness(symbol_fn, engine=None):
     cfg = WitnessConfig(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)
     engine = engine or WitnessEngineConfig(
         eval_cells=2048, nodes_per_radius=48,
-        annulus=AnnulusConfig(a1=8.0, eval_cells=128),
     )
     return witness_separation(b, cfg, FLAT, engine)
 
@@ -261,8 +260,7 @@ class TestWitness:
         b = sample_on(fn, -2.0, 0.01, 401)
         cfg = WitnessConfig(WitnessCase.FAR_AWAY, 4.2, 4.9, seq, 2.0)
         rep = witness_separation(b, cfg, FLAT, WitnessEngineConfig(
-            eval_cells=2048, nodes_per_radius=32,
-            annulus=AnnulusConfig(a1=8.0, eval_cells=96)))
+            eval_cells=2048, nodes_per_radius=32))
         assert rep.min_offdiag > 0
 
 

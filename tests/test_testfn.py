@@ -15,8 +15,6 @@ from cauchylab import (
     lp_norm,
     sample,
     sample_on,
-    verify_annulus_lower,
-    verify_annulus_upper,
     verify_intermediate_bounds,
 )
 from cauchylab import testfn
@@ -120,7 +118,7 @@ class TestAnnulusReports:
     @pytest.mark.parametrize("curve", [LipschitzCurve.flat(), LipschitzCurve.sawtooth(0.5, 2.0)])
     def test_ladder_is_one_commutator_call(self, monkeypatch, curve):
         # Every level and both shell sides in one call, agreeing with the
-        # per-level reports, which make their own calls.
+        # one-level ladders, which make their own calls.
         kernel = CauchyKernel.for_curve(curve)
         b = sample(sign_step(0.0), -1.25, 1.25, 2000)
         tf = build_test_function(b, I01, 2.0)
@@ -137,8 +135,7 @@ class TestAnnulusReports:
         cfg = AnnulusConfig()
         assert calls == [len(ks) * (cfg.eval_cells + 2 * (cfg.eval_cells // 2))]
         for k, low, up in zip(ks, lowers, uppers):
-            want_low = verify_annulus_lower(b, tf, k, kernel)
-            want_up = verify_annulus_upper(b, tf, k, kernel)
+            (want_low,), (want_up,) = annulus_ladder_reports(b, tf, [k], kernel)
             assert (low.k, low.side, up.k, up.side) == (k, Side.LOWER, k, Side.UPPER)
             assert low.lhs == pytest.approx(want_low.lhs, rel=1e-12)
             assert up.lhs == pytest.approx(want_up.lhs, rel=1e-12)
@@ -147,7 +144,7 @@ class TestAnnulusReports:
     def test_normalizer_exact(self):
         b = sample(sign_step(0.0), -1.25, 1.25, 1000)
         tf = build_test_function(b, I01, 2.0)
-        rep = verify_annulus_lower(b, tf, 4, FLAT)
+        (rep,), _ = annulus_ladder_reports(b, tf, [4], FLAT)
         assert rep.normalizer == 2.0 ** (-4 * (2.0 - 1.0))
         assert rep.side is Side.LOWER and rep.lhs >= 0
 
@@ -156,7 +153,7 @@ class TestAnnulusReports:
         # factor of four between consecutive levels.
         b = sample(sign_step(0.0), -1.25, 1.25, 2000)
         tf = build_test_function(b, I01, 2.0)
-        reps = [verify_annulus_upper(b, tf, k, FLAT) for k in (3, 4, 5, 6)]
+        reps = [annulus_ladder_reports(b, tf, [k], FLAT)[1][0] for k in (3, 4, 5, 6)]
         for a, c in zip(reps, reps[1:]):
             decay = a.lhs / c.lhs
             model = c.normalizer and a.normalizer / c.normalizer
@@ -166,10 +163,10 @@ class TestAnnulusReports:
     def test_radius_doubling_leaves_lower_ratio(self):
         b1 = sample(sign_step(0.0), -1.25, 1.25, 2500)
         tf1 = build_test_function(b1, Interval(0.0, 1.0), 2.0)
-        r1 = verify_annulus_lower(b1, tf1, 4, FLAT)
+        (r1,), _ = annulus_ladder_reports(b1, tf1, [4], FLAT)
         b2 = sample(sign_step(0.0), -2.5, 2.5, 5000)
         tf2 = build_test_function(b2, Interval(0.0, 2.0), 2.0)
-        r2 = verify_annulus_lower(b2, tf2, 4, FLAT)
+        (r2,), _ = annulus_ladder_reports(b2, tf2, [4], FLAT)
         assert (r2.ratio / tf2.epsilon**2) == pytest.approx(
             r1.ratio / tf1.epsilon**2, rel=0.10
         )
@@ -178,14 +175,14 @@ class TestAnnulusReports:
         b = sample(sign_step(0.0), -1.25, 1.25, 1000)
         tf = build_test_function(b, I01, 2.0)
         with pytest.raises(InputError, match="level"):
-            verify_annulus_lower(b, tf, 2, FLAT, AnnulusConfig(a1=8.0))
+            annulus_ladder_reports(b, tf, [2], FLAT, AnnulusConfig(a1=8.0))
 
     def test_sourceless_out_of_range_rejected(self):
         b_s = sample(sign_step(0.0), -1.25, 1.25, 1000)
         b = SampledFunction(b_s.origin, b_s.step, b_s.values)  # no source
         tf = build_test_function(b, I01, 2.0)
         with pytest.raises(InputError, match="sampled range"):
-            verify_annulus_lower(b, tf, 4, FLAT)
+            annulus_ladder_reports(b, tf, [4], FLAT)
 
 
 class TestIntermediateBounds:
