@@ -3,7 +3,7 @@ curves, its commutator with a multiplication symbol, and the oscillation
 and compactness diagnostics that quantify when that commutator is
 bounded or compact."""
 
-from .curve import LipschitzCurve, ProfileKind, eval_A, verify_lipschitz
+from .curve import LipschitzCurve, ProfileKind, eval_A
 from .errors import GridAlignmentError, InputError, SingularityError
 from .kernel import (
     CauchyKernel,
@@ -20,7 +20,6 @@ from .bmo import (
     MedianResult,
     OscillationTable,
     VmoProfile,
-    average,
     bmo_norm,
     dyadic_sweep,
     mean_deviation,
@@ -46,7 +45,6 @@ from .compactness import (
     WitnessEngineConfig,
     WitnessReport,
     choose_a2,
-    equicontinuity_terms,
     far_away_sequence,
     fk_diagnose,
     large_scale_sequence,
@@ -59,7 +57,6 @@ from .sampling import (
     Annulus,
     Interval,
     SampledFunction,
-    function_from_csv,
     function_to_csv,
     lp_norm,
     sample,

@@ -125,11 +125,6 @@ def _oscillation(vals: np.ndarray) -> float:
     return float(np.mean(np.abs(vals - vals.mean())))
 
 
-def average(f: SampledFunction, domain: Interval) -> float:
-    """Node-mean of ``f`` over the interval (midpoint rule for the average)."""
-    return float(np.mean(_real_on(f, domain)))
-
-
 def mean_oscillation(f: SampledFunction, domain: Interval) -> float:
     """Mean deviation from the interval average, ``M(f, I)``."""
     return _oscillation(_real_on(f, domain))

@@ -97,8 +97,6 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         "step": f.step,
     }
     if args.convergence:
-        if f.source is None:
-            raise InputError("convergence mode needs a built-in input, not CSV samples")
         lo_edge = f.origin - 0.5 * f.step
         hi_edge = f.origin + (f.count - 0.5) * f.step
         xs = out.nodes
@@ -136,11 +134,11 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 
 def _run_bmo_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     b = cfg.function("symbol")
-    max_len = cfg.get("bmo.max_length")
+    max_len = None if cfg.get("bmo.max_length") is None else cfg.number("bmo.max_length")
     table = oscillation_table(b)
     measures, centers, oscs = table.measures, table.intervals.centers, table.oscs
     if max_len is not None:
-        keep = measures <= float(max_len)
+        keep = measures <= max_len
         if not np.any(keep):
             raise InputError("no sweep intervals at or below bmo.max_length")
         measures, centers, oscs = measures[keep], centers[keep], oscs[keep]
@@ -163,7 +161,9 @@ def _run_bmo_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 
 def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     b = cfg.function("symbol")
-    profile = vmo_profile(b, cfg.nonempty("vmo.delta_ladder"), cfg.nonempty("vmo.R_ladder"))
+    deltas = [cfg.number(key) for key in cfg.entries("vmo.delta_ladder")]
+    radii = [cfg.number(key) for key in cfg.entries("vmo.R_ladder")]
+    profile = vmo_profile(b, deltas, radii)
     kinds, params, sups = [], [], []
     for kind, curve in (
         ("small_scale", profile.small_scale),
@@ -369,14 +369,9 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     kern = cfg.kernel()
     b = cfg.function("symbol")
-    origin, step, count = cfg.grid()
     p = cfg.number("commutator_norm.p", above=1.0)
     window = cfg.interval("window")
-    specs = cfg.nonempty("commutator_norm.family")
-    family = []
-    for spec in specs:
-        fn = make_symbol(spec["kind"], **(spec.get("params", {}) or {}))
-        family.append(sample_on(fn, origin, step, count))
+    family = [cfg.function(key) for key in cfg.entries("commutator_norm.family")]
     ratios = commutator_norm_ratios(b, p, family, kern, window)
     rep = BoundReport(
         inequality="max_f |[b,C]f|_p / |f|_p over the family (lower bound)",

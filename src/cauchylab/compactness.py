@@ -37,7 +37,7 @@ import numpy as np
 from .commutator import commutator_values
 from .errors import InputError
 from .kernel import CauchyKernel
-from .operator import _masked_sums, pv_values, truncated_values
+from .operator import pv_values
 from .reports import BoundReport
 from .sampling import (Interval, SampledFunction, _lp, _rowwise, lp_norm, sample_on, shift,
                        stack)
@@ -385,95 +385,3 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
         a2_recommended=choose_a2(c1, c2, eps, cfg.a1, p),
     )
 
-
-def equicontinuity_terms(b: SampledFunction, f: SampledFunction, kernel: CauchyKernel,
-                         split: float, z: float, window: Interval,
-                         p: float = 2.0) -> BoundReport:
-    """Four-way split of a commutator translation difference.
-
-    The difference ``[b, C]f(x) - [b, C]f(x + z)`` splits at the radius
-    ``t = |z| / split`` into: the symbol increment against the truncated
-    integral (term 1), the kernel increment against the symbol
-    oscillation (term 2), and the two short-range pieces around ``x``
-    and ``x + z`` (terms 3 and 4).  ``split`` (in ``(0, 1/2)``) and ``z``
-    are independent knobs.  Each term's ``L^p`` norm over the window is
-    reported together with its model rate: term 2 against
-    ``split * |f|_p``, terms 3 and 4 against ``(|z| / split) * |f|_p``.
-    The pass criterion is exactness of the split: the four terms must
-    re-sum to the translation difference, which is computed
-    independently by ``commutator_values``.
-
-    Every term combines four kernel sums, each applied once to the
-    two-column block ``[f, b f]``:
-
-    * ``F``, the truncated integral at ``x``, over the nodes with
-      ``|y - x| > t``;
-    * ``G``, the kernel at ``x + z`` over the same nodes, which is the
-      window ``[-t - z, t - z]`` seen from ``x + z``;
-    * ``P`` and ``Q``, the principal values at ``x`` and at ``x + z``.
-
-    Then term 1 is ``(b(x) - b(x + z)) F f``, term 2 is
-    ``(b(x + z) F f - F bf) - (b(x + z) G f - G bf)``, term 3 is
-    ``b(x) (P f - F f) - (P bf - F bf)`` and term 4 is
-    ``-(b(x + z) (Q f - G f) - (Q bf - G bf))``.
-    """
-    if not 0 < split < 0.5:
-        raise InputError(f"split parameter must lie in (0, 1/2), got {split}")
-    if z == 0:
-        raise InputError("need a nonzero shift")
-    f.require_single("equicontinuity_terms")
-    if not b.same_grid_as(f):
-        raise InputError("symbol and input must share one grid")
-    k_steps = round(z / f.step)
-    if abs(z / f.step - k_steps) > 1e-9:
-        raise InputError("shift must be a whole number of grid steps")
-    xs = f.midpoints_in(window)
-    if xs.size == 0:
-        raise InputError("window contains no midpoint-lattice points")
-    t = abs(z) / split
-
-    b_x = b.value_at(xs)
-    b_xz = b.value_at(xs + z)
-    fb = stack([f, f.with_values(b.values * f.values)])
-    F_f, F_bf = truncated_values(kernel, fb, xs, t).T
-    G_f, G_bf = _masked_sums(kernel, fb, xs + z, -t - z, t - z).T
-    P_f, P_bf = pv_values(kernel, fb, xs).T
-    Q_f, Q_bf = pv_values(kernel, fb, xs + z).T
-    L = np.stack([
-        (b_x - b_xz) * F_f,
-        (b_xz * F_f - F_bf) - (b_xz * G_f - G_bf),
-        b_x * (P_f - F_f) - (P_bf - F_bf),
-        -(b_xz * (Q_f - G_f) - (Q_bf - G_bf)),
-    ])
-
-    g_x = commutator_values(b, f, kernel, xs)
-    g_xz = commutator_values(b, f, kernel, xs + z)
-    residual = L.sum(axis=0) - (g_x - g_xz)
-    scale = max(float(np.max(np.abs(g_x - g_xz))), 1e-30)
-    norms = [_lp(L[i], f.step, p) for i in range(4)]
-    f_norm = lp_norm(f, p)
-    exact = float(np.max(np.abs(residual))) <= 1e-10 * scale
-    return BoundReport(
-        inequality="term1 + term2 + term3 + term4 == [b,C]f(x) - [b,C]f(x+z)",
-        columns={
-            "term": np.arange(1, 5),
-            "lhs": np.asarray(norms),
-            "rhs": np.asarray([
-                np.inf,
-                split * f_norm,
-                (abs(z) / split) * f_norm,
-                (abs(z) / split) * f_norm,
-            ]),
-            "pass": np.full(4, exact),
-        },
-        extras={
-            "split": split,
-            "z": z,
-            "split_radius": t,
-            "residual_max": float(np.max(np.abs(residual))),
-            "symbol_increment_sup": float(np.max(np.abs(b_x - b_xz))),
-            "term2_ratio": norms[1] / (split * f_norm) if f_norm else 0.0,
-            "term3_ratio": norms[2] / ((abs(z) / split) * f_norm) if f_norm else 0.0,
-            "term4_ratio": norms[3] / ((abs(z) / split) * f_norm) if f_norm else 0.0,
-        },
-    )

@@ -20,7 +20,7 @@ import numpy as np
 from .curve import LipschitzCurve
 from .errors import InputError
 from .kernel import CauchyKernel
-from .sampling import Interval, SampledFunction, function_from_csv, sample_on
+from .sampling import Interval, SampledFunction, sample_on
 from .symbols import make_symbol
 
 DEFAULTS: Dict[str, Any] = {
@@ -181,23 +181,31 @@ class ExperimentConfig:
 
     # ----- builders -------------------------------------------------
 
+    def _kind_and_params(self, key: str) -> tuple:
+        """``kind`` and ``params`` of the object at ``key``; missing ``params`` read as empty."""
+        spec = self.get(key)
+        if not isinstance(spec, dict):
+            raise InputError(f"config field {key} must be an object, got {spec!r}")
+        params = spec.get("params") or {}
+        if not isinstance(params, dict):
+            raise InputError(f"config field {key}.params must be an object, got {params!r}")
+        return self.get(f"{key}.kind"), params
+
     def curve(self) -> LipschitzCurve:
-        spec = self.get("curve")
-        kind = spec.get("kind")
-        params = spec.get("params", {}) or {}
+        kind, params = self._kind_and_params("curve")
+
+        def num(name, above=None):
+            return _number(params[name], f"curve.params.{name}", above)
+
         try:
             if kind == "flat":
                 return LipschitzCurve.flat()
             if kind == "affine":
-                return LipschitzCurve.affine(float(params["slope"]))
+                return LipschitzCurve.affine(num("slope"))
             if kind == "sawtooth":
-                return LipschitzCurve.sawtooth(
-                    float(params["amplitude"]), _number(params["period"], "curve.params.period")
-                )
+                return LipschitzCurve.sawtooth(num("amplitude"), num("period", 0.0))
             if kind == "smooth_bump":
-                return LipschitzCurve.smooth_bump(
-                    float(params["height"]), _number(params["width"], "curve.params.width")
-                )
+                return LipschitzCurve.smooth_bump(num("height"), num("width", 0.0))
         except KeyError as exc:
             raise InputError(f"curve.params missing {exc.args[0]!r} for kind {kind!r}") from exc
         raise InputError(f"unknown curve kind {kind!r}")
@@ -209,23 +217,20 @@ class ExperimentConfig:
         spec = self.get("grid")
         step = _number(spec.get("step"), "grid.step")
         count = self.integer("grid.count", 2)
-        origin = spec.get("origin")
-        if origin is None:
+        if spec.get("origin") is None:
             # Cell-centered around zero by default.
-            origin = -0.5 * step * (count - 1)
-        return float(origin), step, count
+            return -0.5 * step * (count - 1), step, count
+        return self.number("grid.origin", above=None), step, count
 
     def function(self, key: str) -> SampledFunction:
-        """Build the function under config key ``key`` on the config grid."""
-        spec = self.get(key)
-        kind = spec.get("kind")
-        if kind == "csv":
-            path = spec.get("path")
-            if not path:
-                raise InputError(f"{key}.path required for kind 'csv'")
-            return function_from_csv(path)
-        params = spec.get("params", {}) or {}
-        fn = make_symbol(kind, **params)
+        """Build the function under config key ``key`` on the config grid.
+
+        Every builder parameter in ``symbols.BUILDERS`` is a number, so
+        each one is a typed read.
+        """
+        kind, params = self._kind_and_params(key)
+        fn = make_symbol(kind, **{name: self.number(f"{key}.params.{name}", above=None)
+                                  for name in params})
         origin, step, count = self.grid()
         return sample_on(fn, origin, step, count)
 

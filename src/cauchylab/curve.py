@@ -12,12 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import InputError
-from .reports import BoundReport
 
 
 class ProfileKind(enum.Enum):
@@ -97,35 +96,3 @@ def eval_A(curve: LipschitzCurve, x):
         return float(out)
     return out
 
-
-def verify_lipschitz(curve: LipschitzCurve, samples: Sequence[Tuple[float, float]]) -> BoundReport:
-    """Check ``|A(x1) - A(x2)| <= L |x1 - x2|`` on sample pairs.
-
-    Reports the difference quotient of every pair; a pair passes when its
-    quotient does not exceed ``L (1 + 1e-12)``.  Coincident pairs are
-    rejected because the quotient is undefined there.
-    """
-    pairs = np.asarray(samples, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
-        raise InputError("samples must be a non-empty list of (x1, x2) pairs")
-    x1, x2 = pairs[:, 0], pairs[:, 1]
-    gaps = np.abs(x1 - x2)
-    if np.any(gaps == 0):
-        raise InputError("coincident sample pair: x1 == x2")
-    quotients = np.abs(eval_A(curve, x1) - eval_A(curve, x2)) / gaps
-    L = curve.lipschitz_constant
-    passed = quotients <= L * (1.0 + 1e-12)
-    return BoundReport(
-        inequality="|A(x1) - A(x2)| <= L |x1 - x2|",
-        columns={
-            "x1": x1,
-            "x2": x2,
-            "lhs": quotients,
-            "rhs": np.full_like(quotients, L),
-            "pass": passed,
-        },
-        extras={
-            "lipschitz_constant": L,
-            "max_quotient": float(np.max(quotients)),
-        },
-    )

@@ -8,11 +8,7 @@ offset ``y - x`` lies in a closed window ``[lo, hi]``.
 * truncated integrals use ``[-t, t]``, so they sum the nodes with
   ``|x - y| > t``;
 * the principal value uses a window of a millionth of a step around 0,
-  so it sums every node that does not coincide with ``x``;
-* an off-centre window sums, at ``x + z``, the nodes that a truncation
-  at ``x`` keeps: ``[-t - z, t - z]`` seen from ``x + z`` drops exactly
-  the nodes with ``|y - x| <= t``.  The translation split of the
-  compactness proof needs this.
+  so it sums every node that does not coincide with ``x``.
 
 On a uniform grid the nodes at ``x + s`` and ``x - s`` carry exactly
 opposite leading singular parts, so grouping them in pairs cancels the

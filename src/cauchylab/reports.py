@@ -88,10 +88,6 @@ class BoundReport:
         out[(rhs == 0) & (lhs != 0)] = np.inf
         return out
 
-    @property
-    def max_ratio(self) -> float:
-        return float(np.max(self.ratios())) if self.n_rows else 0.0
-
     def to_csv(self, path) -> None:
         names = list(self.columns)
         with open(path, "w", newline="") as fh:

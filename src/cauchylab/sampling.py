@@ -81,9 +81,6 @@ class Interval:
             raise InputError(f"dilation factor must be positive, got {k}")
         return Interval(self.center, k * self.radius)
 
-    def translate(self, y: float) -> "Interval":
-        return Interval(self.center + y, self.radius)
-
     def contains(self, x):
         """Elementwise open-interval membership test."""
         x = np.asarray(x)
@@ -115,10 +112,6 @@ class Annulus:
         lo = self.base.center + (2.0**self.k) * r
         hi = self.base.center + (2.0 ** (self.k + 1)) * r
         return Interval.from_endpoints(lo, hi)
-
-    @property
-    def measure(self) -> float:
-        return (2.0**self.k) * self.base.radius
 
 
 @dataclass(frozen=True)
@@ -361,17 +354,3 @@ def function_to_csv(f: SampledFunction, path) -> None:
         for x, v in zip(f.nodes, f.values):
             fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
-
-def function_from_csv(path) -> SampledFunction:
-    """Read a function written by :func:`function_to_csv`; the grid must be uniform."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
-        raise InputError(f"{path}: expected columns x, re, im")
-    xs = data[:, 0]
-    if xs.size < 2:
-        raise InputError(f"{path}: need at least two rows to infer the step")
-    steps = np.diff(xs)
-    h = float(np.mean(steps))
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * h:
-        raise InputError(f"{path}: grid is not uniform")
-    return SampledFunction(float(xs[0]), h, data[:, 1] + 1j * data[:, 2])

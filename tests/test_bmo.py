@@ -9,7 +9,6 @@ from cauchylab import (
     Interval,
     LipschitzCurve,
     SampledFunction,
-    average,
     bmo_norm,
     dyadic_sweep,
     mean_deviation,
@@ -33,30 +32,6 @@ def grid_fn(fn, lo=-2.0, hi=2.0, count=4000):
 
 def _rows(table):
     return table.lowers, table.uppers, table.measures, table.oscs
-
-
-class TestAverage:
-    def test_constant_exact(self):
-        f = grid_fn(lambda y: np.full_like(y, 3.25))
-        assert average(f, I01) == 3.25
-
-    def test_odd_symmetry(self):
-        f = grid_fn(lambda y: y)
-        assert abs(average(f, I01)) <= f.step
-
-    def test_half_indicator(self):
-        f = grid_fn(indicator(0.0, 1.0))
-        assert average(f, I01) == pytest.approx(0.5, abs=2 * f.step / I01.measure)
-
-    def test_empty_rejected(self):
-        f = grid_fn(lambda y: y)
-        with pytest.raises(InputError):
-            average(f, Interval(100.0, 0.5))
-
-    def test_complex_rejected(self):
-        f = grid_fn(lambda y: y * (1 + 1j))
-        with pytest.raises(InputError):
-            average(f, I01)
 
 
 class TestRealCheck:
@@ -147,7 +122,7 @@ class TestBmoNorm:
         z = 16 * f.step
         g = shift(f, z)
         sweep = [Interval( -0.2, 0.5), Interval(0.1, 0.25)]
-        moved = [I.translate(-z) for I in sweep]
+        moved = [Interval(I.center - z, I.radius) for I in sweep]
         lhs = bmo_norm(g, moved)
         rhs = bmo_norm(f, sweep)
         assert lhs == rhs
@@ -338,13 +313,12 @@ class TestSweep:
 class TestBlockRejected:
     @pytest.mark.parametrize("call", [
         lambda f: mean_oscillation(f, I01),
-        lambda f: average(f, I01),
         lambda f: median(f, I01),
         lambda f: mean_deviation(f, I01, 0.0),
         lambda f: bmo_norm(f, dyadic_sweep(f)),
         lambda f: oscillation_table(f),
         lambda f: vmo_profile(f, [0.1], [1.0]),
-    ], ids=["mean_oscillation", "average", "median", "mean_deviation", "bmo_norm",
+    ], ids=["mean_oscillation", "median", "mean_deviation", "bmo_norm",
             "oscillation_table", "vmo_profile"])
     def test_oscillations_take_one_function(self, call):
         # A real block must not be read as one function of 2 n values.

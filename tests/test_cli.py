@@ -25,7 +25,7 @@ class TestReports:
     def test_ratios_and_pass(self):
         rep = BoundReport("x", {"lhs": np.array([1.0, 0.0]), "rhs": np.array([2.0, 0.0]),
                                 "pass": np.array([True, True])})
-        assert rep.passed and rep.max_ratio == 0.5
+        assert rep.passed and rep.ratios().max() == 0.5
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(InputError):
@@ -161,6 +161,47 @@ class TestExitCodes:
         ("bmo-norm", {"seed": True}, "seed"),
         # A boolean count was already below 2; the typed read names it as a field.
         ("bmo-norm", {"grid": {"count": True}}, "config field grid.count"),
+        ("bmo-norm", {"grid": {"origin": "left"}}, "grid.origin"),
+        ("bmo-norm", {"grid": {"origin": True}}, "grid.origin"),
+        ("eval-operator", {"curve": {"kind": "affine", "params": {"slope": "abc"}}},
+         "curve.params.slope"),
+        ("eval-operator", {"curve": {"kind": "affine", "params": {"slope": True}}},
+         "curve.params.slope"),
+        ("eval-operator", {"curve": {"kind": "affine", "params": [1.0]}}, "curve.params"),
+        ("eval-operator", {"curve": "flat"}, "config field curve"),
+        ("eval-operator", {"curve": {"kind": "sawtooth",
+                                     "params": {"amplitude": "abc", "period": 2.0}}},
+         "curve.params.amplitude"),
+        ("eval-operator", {"curve": {"kind": "sawtooth",
+                                     "params": {"amplitude": True, "period": 2.0}}},
+         "curve.params.amplitude"),
+        ("eval-operator", {"curve": {"kind": "smooth_bump",
+                                     "params": {"height": "abc", "width": 1.0}}},
+         "curve.params.height"),
+        ("eval-operator", {"curve": {"kind": "smooth_bump",
+                                     "params": {"height": True, "width": 1.0}}},
+         "curve.params.height"),
+        ("bmo-norm", {"symbol": {"params": {"center": "x"}}}, "symbol.params.center"),
+        ("bmo-norm", {"symbol": {"params": {"center": True}}}, "symbol.params.center"),
+        ("eval-operator", {"input": {"kind": "smooth_bump", "params": {"center": "x"}}},
+         "input.params.center"),
+        ("eval-operator", {"input": {"params": {"lower": -1.0, "upper": True}}},
+         "input.params.upper"),
+        ("commutator-norm", {"commutator_norm": {"family": [
+            {"kind": "smooth_bump", "params": {"center": "x"}}]}},
+         "commutator_norm.family.0.params.center"),
+        ("commutator-norm", {"commutator_norm": {"family": [
+            {"kind": "smooth_bump", "params": {"height": True}}]}},
+         "commutator_norm.family.0.params.height"),
+        ("commutator-norm", {"commutator_norm": {"family": [{"params": {}}]}},
+         "commutator_norm.family.0.kind"),
+        ("commutator-norm", {"commutator_norm": {"family": [3]}}, "commutator_norm.family.0"),
+        ("bmo-norm", {"bmo": {"max_length": "x"}}, "bmo.max_length"),
+        ("bmo-norm", {"bmo": {"max_length": True}}, "bmo.max_length"),
+        ("vmo-profile", {"vmo": {"delta_ladder": [0.1, "x"]}}, "vmo.delta_ladder.1"),
+        ("vmo-profile", {"vmo": {"delta_ladder": [True, 0.5]}}, "vmo.delta_ladder.0"),
+        ("vmo-profile", {"vmo": {"R_ladder": ["x"]}}, "vmo.R_ladder.0"),
+        ("vmo-profile", {"vmo": {"R_ladder": [1.0, True]}}, "vmo.R_ladder.1"),
     ], ids=["eval_points", "eval_cells", "nodes_per_radius", "bump_positions", "family",
             "vmo.delta_ladder", "vmo.R_ladder", "fk.z_steps", "fk.t_ladder",
             "lemma41.k_ladder", "homogeneity.quadrature_cells", "kernel_check.samples",
@@ -173,7 +214,15 @@ class TestExitCodes:
             "fk.bump_positions.entry", "witness.sequence.center", "witness.sequence.r0",
             "witness.sequence.ratio", "window.center", "lemma41.interval.center",
             "fk.z_steps.bool", "kernel_check.samples.bool", "fk.bump_width.bool",
-            "seed.bool", "grid.count.bool"])
+            "seed.bool", "grid.count.bool", "grid.origin", "grid.origin.bool",
+            "curve.params.slope", "curve.params.slope.bool", "curve.params.not_object",
+            "curve.not_object", "curve.params.amplitude",
+            "curve.params.amplitude.bool", "curve.params.height", "curve.params.height.bool",
+            "symbol.params.center", "symbol.params.center.bool", "input.params.center",
+            "input.params.upper.bool", "family.params.center", "family.params.height.bool",
+            "family.kind.missing", "family.entry.not_object",
+            "bmo.max_length", "bmo.max_length.bool", "vmo.delta_ladder.entry",
+            "vmo.delta_ladder.bool", "vmo.R_ladder.entry", "vmo.R_ladder.bool"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(tree))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cauchylab import InputError, LipschitzCurve, eval_A, verify_lipschitz
+from cauchylab import InputError, LipschitzCurve, eval_A
 
 FLAT = LipschitzCurve.flat()
 AFFINE = LipschitzCurve.affine(0.5)
@@ -36,27 +36,6 @@ def test_smooth_bump_slope_is_sharp():
     quot = np.abs(np.diff(eval_A(BUMP, xs))) / np.diff(xs)
     assert np.max(quot) <= BUMP.lipschitz_constant
     assert np.max(quot) >= BUMP.lipschitz_constant * 0.999
-
-
-def test_verify_lipschitz_flat_affine(rng):
-    pairs = rng.uniform(-50, 50, size=(100, 2))
-    rep = verify_lipschitz(FLAT, pairs)
-    assert rep.passed and rep.extras["max_quotient"] == 0.0
-    rep = verify_lipschitz(AFFINE, pairs)
-    assert rep.passed
-    assert rep.extras["max_quotient"] == pytest.approx(0.5, rel=1e-12)
-
-
-def test_verify_lipschitz_sawtooth_dense(rng):
-    pairs = rng.uniform(-20, 20, size=(5000, 2))
-    rep = verify_lipschitz(SAW, pairs)
-    assert rep.passed
-    assert rep.extras["max_quotient"] <= 1.0 * (1 + 1e-12)
-
-
-def test_coincident_pair_rejected():
-    with pytest.raises(InputError):
-        verify_lipschitz(FLAT, [(1.0, 1.0)])
 
 
 @pytest.mark.parametrize(

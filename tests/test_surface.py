@@ -1,0 +1,76 @@
+"""Every public function and class of the library has a user besides its unit tests.
+
+The paper's claims are tested through the CLI subcommands, the benchmark
+workloads and the acceptance checks c01-c10, so the library exports what
+those run and no more.  A public module-level function or class of
+``src/cauchylab`` passes when its name is read
+
+* in the package outside its own definition (the ``__init__``
+  re-exports do not count),
+* in ``bench/*.py``,
+* as the ``<module>.<function>`` of a ``per_layer`` name in
+  ``BENCHMARK.json``, or
+* in ``tests/test_acceptance.py``.
+
+Names are collected with ``ast``, so a mention in a docstring or a
+comment keeps nothing alive.  A bare name matches any read of it, so an
+unrelated attribute of the same name (``np.median``) also counts.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cauchylab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def read_names(tree, skip=range(0)):
+    """Names and attributes read anywhere in ``tree`` outside the lines ``skip``."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and node.lineno not in skip
+    }
+
+
+def public_definitions():
+    """``module, name, lines`` of each public module-level function and class."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                lines = range(node.lineno, node.end_lineno + 1)
+                out.append(pytest.param(path.stem, node.name, lines,
+                                        id=f"{path.stem}.{node.name}"))
+    return out
+
+
+def outside_users():
+    """Names read by the benchmark, its traced names and the acceptance checks."""
+    names = set()
+    for path in [*ROOT.glob("bench/*.py"), ROOT / "tests" / "test_acceptance.py"]:
+        names |= read_names(ast.parse(path.read_text()))
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    traced = {tuple(m["name"].split(".")[:2]) for m in per_layer}
+    return names, traced
+
+
+TREES = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+OUTSIDE, TRACED = outside_users()
+
+
+@pytest.mark.parametrize("module, name, lines", public_definitions())
+def test_public_name_has_a_user(module, name, lines):
+    in_package = any(
+        name in read_names(tree, lines if stem == module else range(0))
+        for stem, tree in TREES.items()
+    )
+    assert in_package or name in OUTSIDE or (module, name) in TRACED, (
+        f"cauchylab.{module}.{name} is run only by its own unit tests: "
+        f"delete it, or give it a caller in the CLI, the benchmark or c01-c10"
+    )
