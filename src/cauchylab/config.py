@@ -21,7 +21,7 @@ from .curve import LipschitzCurve
 from .errors import InputError
 from .kernel import CauchyKernel
 from .sampling import Interval, SampledFunction, sample_on
-from .symbols import make_symbol
+from .symbols import BUILDERS, make_symbol
 
 DEFAULTS: Dict[str, Any] = {
     "seed": 0,
@@ -189,7 +189,10 @@ class ExperimentConfig:
         params = spec.get("params") or {}
         if not isinstance(params, dict):
             raise InputError(f"config field {key}.params must be an object, got {params!r}")
-        return self.get(f"{key}.kind"), params
+        kind = self.get(f"{key}.kind")
+        if not isinstance(kind, str):
+            raise InputError(f"config field {key}.kind must be a string, got {kind!r}")
+        return kind, params
 
     def curve(self) -> LipschitzCurve:
         kind, params = self._kind_and_params("curve")
@@ -208,7 +211,8 @@ class ExperimentConfig:
                 return LipschitzCurve.smooth_bump(num("height"), num("width", 0.0))
         except KeyError as exc:
             raise InputError(f"curve.params missing {exc.args[0]!r} for kind {kind!r}") from exc
-        raise InputError(f"unknown curve kind {kind!r}")
+        raise InputError(f"curve.kind: unknown curve kind {kind!r}; "
+                         "known: affine, flat, sawtooth, smooth_bump")
 
     def kernel(self) -> CauchyKernel:
         return CauchyKernel.for_curve(self.curve())
@@ -226,11 +230,15 @@ class ExperimentConfig:
         """Build the function under config key ``key`` on the config grid.
 
         Every builder parameter in ``symbols.BUILDERS`` is a number, so
-        each one is a typed read.
+        each one is a typed read.  A builder's own error is prefixed with
+        ``key.kind`` or ``key.params``, the part of the config to fix.
         """
         kind, params = self._kind_and_params(key)
-        fn = make_symbol(kind, **{name: self.number(f"{key}.params.{name}", above=None)
-                                  for name in params})
+        values = {name: self.number(f"{key}.params.{name}", above=None) for name in params}
+        try:
+            fn = make_symbol(kind, **values)
+        except InputError as exc:
+            raise InputError(f"{key}.{'params' if kind in BUILDERS else 'kind'}: {exc}") from exc
         origin, step, count = self.grid()
         return sample_on(fn, origin, step, count)
 

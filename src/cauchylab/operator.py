@@ -33,9 +33,14 @@ this order:
   runs when no offset lies within rounding of a window edge and the
   padded FFT costs less than the dense sum.  It sums the dense set of
   terms in another order.
-* Multipole tree: any graph, when an estimate built from the node count,
-  the target count and the block width says it costs less than the dense
-  sum.  ``1 / (z_y - z_x)`` is the 2-D Cauchy kernel of the fast multipole
+* Multipole tree: any graph, when ``_tree_pays`` estimates that it does
+  less work than the dense sum.  The estimate counts what each backend
+  does with these inputs: dense one kernel pair per node and target; the
+  tree its moments at every level, a walk to the leaves for each target
+  near the nodes and one series for each target far from them, where only
+  the arithmetic, not the walk, grows with the block width.  So small
+  grids evaluated far away, as the non-compactness witnesses do, go to the
+  tree.  ``1 / (z_y - z_x)`` is the 2-D Cauchy kernel of the fast multipole
   method (Greengard and Rokhlin, J. Comput. Phys. 73 (1987); Barnes and
   Hut, Nature 324 (1986)).  A binary tree over the sorted nodes sums each
   box far from a target by its multipole series about the box centre and
@@ -85,11 +90,19 @@ _LOG_EPS = -53.0 * np.log(2.0)
 _ORDER = 53
 # Nodes per leaf box; leaf sums are dense.
 _LEAF = 32
-# Tree work per target or node, per tree level and per column plus one,
-# relative to dense work per pair, used to pick the tree backend only where
-# it is cheaper.  Fitted with every target inside the support, where the
-# tree opens the most boxes.
-_TREE_COST = 50
+# The work ``_tree_pays`` counts for each backend, in units of one dense
+# kernel pair, as (shared by a block's columns, added per column).  The
+# kernel build and the tree walk are shared; dense's matrix products and
+# the tree's moment, leaf and series arithmetic are per column.  Fitted once
+# (2-core x86-64, numpy 2.4) on a sawtooth graph: 64-8192 nodes against
+# 128-8192 targets inside, beside, spread around and far from the nodes,
+# 1-32 columns; the choice came within 2% of the faster backend's total.
+_COST = {
+    "dense_pair": (1.0, 0.043),
+    "tree_node_level": (40.0, 3.0),   # box moments, per node and level
+    "tree_near_level": (50.0, 43.0),  # box visits and leaf pairs, per near target and level
+    "tree_far": (52.0, 11.0),         # one series, per target whose root box is far
+}
 # Far-field (target, box) pairs summed per Horner pass.
 _FAR_PAIRS = 2048
 
@@ -157,13 +170,14 @@ def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
     runs when the curve is flat or affine, all targets share one lattice
     of the grid (nodes or half-step midpoints, to rounding), no lattice
     offset ties a window edge, and the FFT is cheaper than the dense sum.
-    Otherwise the tree backend runs when ``_tree_pays``, and the dense
-    backend, the reference for both, takes the rest.
+    Otherwise the tree backend runs when ``_tree_pays`` estimates it does
+    less work for these nodes, targets and columns, and the dense backend,
+    the reference for both, takes the rest.
     """
     out = _toeplitz_sums(kernel.curve, f, xs, lo, hi)
     if out is not None:
         return out
-    if _tree_pays(f.count, xs.size, f.values.size // f.count):
+    if _tree_pays(f, xs):
         return _tree_sums(kernel.curve, f, xs, lo, hi)
     return _dense_sums(kernel.curve, f, xs, lo, hi)
 
@@ -198,15 +212,25 @@ def _kernel_sums(chunks, lo: float, hi: float):
     One row per target ``x``; ``y`` is shared or one row per target.  The planes
     ``D / (D^2 + dA^2)`` and ``dA / (D^2 + dA^2)`` (``Re K`` and ``-Im K``) are zero
     where ``D = y - x`` is in ``[lo, hi]``; ``apply`` multiplies one by ``[Re V, Im V]``.
-    Being a generator keeps a chunk's arrays until the next replaces them; freeing
-    them at each return made malloc refault the heap and doubled the dense time.
+    The first chunk is the largest.  Its float and mask buffers are allocated once
+    and every chunk is filled into them with ``out=``, so the time does not depend
+    on where malloc places per-chunk temporaries (freeing and refaulting them once
+    doubled the dense time).
     """
+    floats = masks = None
     for y, A_y, x, A_x, apply in chunks:
-        D = y - x[:, None]
-        dA = A_y - A_x[:, None]
-        mask = (D < lo) | (D > hi)
-        inv = D * D
-        inv += dA * dA
+        shape = (x.size, np.shape(y)[-1])
+        size = shape[0] * shape[1]
+        if floats is None:
+            floats, masks = np.empty((4, size)), np.empty((2, size), dtype=bool)
+        D, dA, inv, sq = (b[:size].reshape(shape) for b in floats)
+        mask, above = (b[:size].reshape(shape) for b in masks)
+        np.subtract(y, x[:, None], out=D)
+        np.subtract(A_y, A_x[:, None], out=dA)
+        np.less(D, lo, out=mask)
+        mask |= np.greater(D, hi, out=above)
+        np.multiply(D, D, out=inv)
+        inv += np.multiply(dA, dA, out=sq)
         np.divide(1.0, inv, out=inv, where=mask)
         inv *= mask
         D *= inv
@@ -217,11 +241,26 @@ def _kernel_sums(chunks, lo: float, hi: float):
         yield P[:, :c] + Q[:, c:], P[:, c:] - Q[:, :c]
 
 
-def _tree_pays(n: int, m: int, c: int) -> bool:
-    """Whether the tree backend is estimated cheaper than dense for ``n`` nodes,
-    ``m`` targets and ``c`` columns."""
+def _tree_pays(f: SampledFunction, xs: np.ndarray) -> bool:
+    """Whether the tree backend is estimated cheaper than dense for ``f`` at ``xs``.
+
+    Dense work is one kernel pair per node and target.  The tree builds
+    moments at every level for every node; a target within one node span of
+    the span's midpoint is near and walks every level to the leaves, while
+    any other target is summed by the root box's series.  Each count is
+    weighted by its ``_COST`` row for the ``c`` columns of ``f``.
+    """
+    n, m, c = f.count, xs.size, f.values.size // f.count
     levels = (-(-n // _LEAF) - 1).bit_length() + 1
-    return n * m > _TREE_COST * (c + 1) * levels * (n + m)
+    span = f.upper - f.lower
+    near = int(np.count_nonzero(np.abs(xs - (f.lower + 0.5 * span)) <= span))
+
+    def work(item: str, count: int) -> float:
+        shared, per_column = _COST[item]
+        return (shared + per_column * c) * count
+
+    return (work("tree_node_level", levels * n) + work("tree_near_level", levels * near)
+            + work("tree_far", m - near)) < work("dense_pair", n * m)
 
 
 def _series_order(r: np.ndarray) -> np.ndarray:

@@ -358,7 +358,8 @@ class TestRankPath:
         table = oscillation_table(f)
         lo, hi = bmo._node_bounds(f, table.lowers, table.uppers)
         wide = np.flatnonzero(hi - lo > bmo._DIRECT_WIDTH)
-        assert bmo._rank_pays(count, wide.size, int(np.sum(hi[wide] - lo[wide])))
+        runs = np.unique(hi[wide] - lo[wide]).size  # a table's rows are grouped by width
+        assert bmo._rank_pays(count, wide.size, int(np.sum(hi[wide] - lo[wide])), runs)
 
         def assert_close(got, want, row):
             assert abs(got - want) <= 1e-12 * (abs(want) + np.mean(np.abs(row)))
@@ -422,3 +423,36 @@ class TestRankPath:
         small = grid_fn(lambda y: np.sin(5 * y), count=1000)
         assert all(osc == mean_oscillation(small, I) for I, osc in oscillation_table(small))
         assert calls == [wide]
+
+    def test_many_widths_take_the_rank_path(self, monkeypatch):
+        # 3000 rows of spread widths: direct reduction sets up one run per width,
+        # and the rank path is several times faster.
+        calls = []
+        original = bmo._rank_oscillations
+        monkeypatch.setattr(bmo, "_rank_oscillations",
+                            lambda vals, lo, hi: calls.append(lo.size) or original(vals, lo, hi))
+        rng = np.random.default_rng(4)
+        vals = rng.normal(size=16384)
+        widths = np.sort(rng.integers(257, 1744, 3000))
+        lo = rng.integers(0, vals.size - widths)
+        got = bmo._range_oscillations(vals, lo, lo + widths)
+        assert calls == [3000]
+        want = bmo._direct_oscillations(vals, lo, lo + widths)
+        assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + np.mean(np.abs(vals))))
+
+    @pytest.mark.parametrize("count, rank", [(1000, False), (2000, True), (16384, True)])
+    def test_dyadic_tables_keep_their_path(self, monkeypatch, count, rank):
+        # The lab's bmo-norm and vmo-profile tables (2000 nodes) and the
+        # benchmark's oscillation tables (16384 nodes) take the rank path, and
+        # a 1000-node table stays direct, with or without the width runs.
+        choices = []
+        original = bmo._rank_pays
+
+        def spy(n, rows, width, runs):
+            pays = original(n, rows, width, runs)
+            choices.append((pays, width > bmo._RANK_COST * n.bit_length() * (n + rows)))
+            return pays
+
+        monkeypatch.setattr(bmo, "_rank_pays", spy)
+        oscillation_table(grid_fn(lambda y: np.sin(5 * y), count=count))
+        assert choices == [(rank, rank)]

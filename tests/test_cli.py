@@ -202,6 +202,19 @@ class TestExitCodes:
         ("vmo-profile", {"vmo": {"delta_ladder": [True, 0.5]}}, "vmo.delta_ladder.0"),
         ("vmo-profile", {"vmo": {"R_ladder": ["x"]}}, "vmo.R_ladder.0"),
         ("vmo-profile", {"vmo": {"R_ladder": [1.0, True]}}, "vmo.R_ladder.1"),
+        # Builder errors carry the key of the part to fix.
+        ("commutator-norm", {"commutator_norm": {"family": [
+            {"kind": "indicator", "params": {"lower": -1.0, "upper": 1.0}}, {"kind": "nope"}]}},
+         "commutator_norm.family.1.kind: unknown symbol kind 'nope'"),
+        ("bmo-norm", {"symbol": {"kind": "smooth_bump", "params": {"width": 0}}},
+         "symbol.params: bump width must be positive"),
+        ("eval-operator", {"input": {"kind": "indicator",
+                                     "params": {"lower": 1.0, "upper": -1.0}}},
+         "input.params: need upper > lower"),
+        ("bmo-norm", {"symbol": {"kind": "sign", "params": {"slope": 1.0}}},
+         "symbol.params: bad parameters for symbol 'sign'"),
+        ("eval-operator", {"curve": {"kind": "nope"}}, "curve.kind: unknown curve kind 'nope'"),
+        ("bmo-norm", {"symbol": {"kind": ["sign"]}}, "config field symbol.kind must be a string"),
     ], ids=["eval_points", "eval_cells", "nodes_per_radius", "bump_positions", "family",
             "vmo.delta_ladder", "vmo.R_ladder", "fk.z_steps", "fk.t_ladder",
             "lemma41.k_ladder", "homogeneity.quadrature_cells", "kernel_check.samples",
@@ -222,7 +235,9 @@ class TestExitCodes:
             "input.params.upper.bool", "family.params.center", "family.params.height.bool",
             "family.kind.missing", "family.entry.not_object",
             "bmo.max_length", "bmo.max_length.bool", "vmo.delta_ladder.entry",
-            "vmo.delta_ladder.bool", "vmo.R_ladder.entry", "vmo.R_ladder.bool"])
+            "vmo.delta_ladder.bool", "vmo.R_ladder.entry", "vmo.R_ladder.bool",
+            "family.kind.unknown", "symbol.params.builder", "input.params.builder",
+            "symbol.params.unknown", "curve.kind.unknown", "symbol.kind.not_string"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(tree))

@@ -243,7 +243,7 @@ def _commutator_case(backend, seed, width):
     if operator._toeplitz_sums(curve, stack(fs), xs, lo, hi) is not None:
         picked = "toeplitz"
     else:
-        picked = "tree" if operator._tree_pays(n, m, width) else "dense"
+        picked = "tree" if operator._tree_pays(stack(fs), xs) else "dense"
     assert picked == backend
     return b, fs, xs, kernel
 

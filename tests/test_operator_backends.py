@@ -5,6 +5,8 @@ backend must agree with it wherever they run, and every input both
 decline must give exactly the dense result.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from cauchylab import (
     truncated_values,
 )
 from cauchylab import operator
+from cauchylab.cli import main
 from cauchylab.curve import eval_A
 
 FLAT = LipschitzCurve.flat()
@@ -409,16 +412,16 @@ class TestTree:
         f = _block(2000, 3, [True, False, True], seed=12)
         xs = _lattice(f, np.arange(-3000, 5000), 1)
         lo, hi = _window(f, None)
-        assert operator._tree_pays(f.count, xs.size, 3)
+        assert operator._tree_pays(f, xs)
         got = operator._masked_sums(CauchyKernel.for_curve(SAWTOOTH), f, xs, lo, hi)
         np.testing.assert_array_equal(got, operator._tree_sums(SAWTOOTH, f, xs, lo, hi))
         assert _rel_dev(got, operator._dense_sums(SAWTOOTH, f, xs, lo, hi)) <= 1e-12
 
     def test_small_inputs_stay_dense(self):
-        assert not operator._tree_pays(600, 800, 1)
-        assert not operator._tree_pays(1000, 121, 1)
-        assert not operator._tree_pays(operator._CHUNK_ELEMENTS + 7, 4, 1)
-        assert not operator._tree_pays(64, 10**6, 1)
+        # Targets spread over the nodes, where the tree walks to the most leaves.
+        for n, m in [(600, 800), (1000, 121), (operator._CHUNK_ELEMENTS + 7, 4), (64, 10**6)]:
+            f = _grid(n, real=True)
+            assert not operator._tree_pays(f, np.linspace(f.lower, f.upper, m))
 
     def test_tree_evaluates_the_profile_twice_per_call(self, monkeypatch):
         f = _block(1500, 2, [True, False], seed=5)
@@ -433,3 +436,43 @@ class TestTree:
         monkeypatch.setattr(operator, "eval_A", counted)
         operator._tree_sums(SAWTOOTH, f, xs, *_window(f, None))
         assert sorted(calls) == sorted([f.count, xs.size])
+
+
+# Backend of every kernel sum three lab invocations make on the sawtooth
+# graph, by (nodes, targets).  The witnesses evaluate grids of a few hundred
+# nodes at targets spread far beyond them; homogeneity evaluates a long grid
+# at a few points far from it.
+LAB_CURVE = {"curve": {"kind": "sawtooth", "params": {"amplitude": 0.5, "period": 2.0}}}
+WITNESS_SHAPES = {(n, m): "tree" for n in (245, 305, 381, 1901) for m in (1536, 8192)}
+LAB_BACKENDS = {
+    "witness-small": (["witness", "--case", "small"], WITNESS_SHAPES),
+    "witness-large": (["witness", "--case", "large"], WITNESS_SHAPES),
+    "verify-homogeneity": (["verify-homogeneity"], {(2048, 128): "dense"}),
+}
+
+
+class TestLabBackends:
+    """The backend ``_masked_sums`` picks for each lab call shape, with dense as the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(LAB_BACKENDS))
+    def test_lab_call_shapes(self, tmp_path, monkeypatch, name):
+        argv, want = LAB_BACKENDS[name]
+        picked = {}
+        dense, tree = operator._dense_sums, operator._tree_sums
+
+        def spy_dense(curve, f, xs, lo, hi):
+            picked.setdefault((f.count, xs.size), set()).add("dense")
+            return dense(curve, f, xs, lo, hi)
+
+        def spy_tree(curve, f, xs, lo, hi):
+            picked.setdefault((f.count, xs.size), set()).add("tree")
+            got = tree(curve, f, xs, lo, hi)
+            assert _rel_dev(got, dense(curve, f, xs, lo, hi)) <= 1e-12
+            return got
+
+        monkeypatch.setattr(operator, "_dense_sums", spy_dense)
+        monkeypatch.setattr(operator, "_tree_sums", spy_tree)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(LAB_CURVE))
+        assert main(argv + ["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        assert picked == {shape: {backend} for shape, backend in want.items()}
