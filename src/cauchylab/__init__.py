@@ -54,7 +54,6 @@ from .compactness import (
 )
 from .reports import BoundReport, write_report
 from .sampling import (
-    Annulus,
     Interval,
     SampledFunction,
     function_to_csv,

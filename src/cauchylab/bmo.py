@@ -11,8 +11,14 @@ Sweeps and oscillation tables are array-backed: ``dyadic_sweep`` returns
 an :class:`IntervalSweep` of center and radius arrays and
 ``oscillation_table`` an :class:`OscillationTable` that adds the
 oscillation array.  Both behave as read-only sequences whose rows are
-materialized as ``Interval`` objects only on access, and both expose
-``measures``, ``lowers`` and ``uppers`` arrays for bulk filtering.
+materialized as ``Interval`` objects only on access (by integer index or
+iteration), and both expose ``measures``, ``lowers`` and ``uppers``
+arrays for bulk filtering.
+
+Every average, oscillation and median here is over the nodes an interval
+holds by ``SampledFunction.node_bounds``, the one node rule of the
+library: an endpoint within ``ALIGNMENT_TOL`` steps of a node snaps onto
+it, so a sweep interval between two nodes holds just their interior.
 
 ``oscillation_table`` and ``bmo_norm`` reduce node rows ``f[lo:hi]``
 through one primitive, ``_range_oscillations``, which takes each row down
@@ -52,7 +58,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import InputError
-from .sampling import ALIGNMENT_TOL, Interval, SampledFunction
+from .sampling import Interval, SampledFunction
 
 # Cap on elements per sliding-window block in oscillation sweeps: 32768
 # float64s is 256 KiB, so a block and its deviation buffer stay in cache.
@@ -95,26 +101,9 @@ class VmoProfile:
     far_away: Tuple[Tuple[float, float], ...]
 
 
-def _node_bounds(f: SampledFunction, lowers, uppers) -> Tuple[np.ndarray, np.ndarray]:
-    """Bounds ``lo, hi`` of the nodes of ``f`` strictly inside ``(lowers, uppers)``.
-
-    An endpoint within ``ALIGNMENT_TOL`` steps of a node snaps onto it,
-    so the interval from node ``a`` to node ``a + w`` holds exactly the
-    ``w - 1`` interior nodes however ``center +- radius`` rounded.  The
-    bounds are node counts found by index arithmetic on ``origin`` and
-    ``step``, in time independent of the grid size: an endpoint ``s``
-    steps from the origin has ``floor(s) + 1`` nodes at or below it, and
-    one that snaps onto node ``k`` has ``k + 1`` at or below it and ``k``
-    strictly below.  Works elementwise on arrays of intervals.
-    """
-    def nodes_below(x, snapped_count):
-        s = (np.asarray(x, dtype=float) - f.origin) / f.step
-        k = np.rint(s)
-        below = np.where(np.abs(s - k) <= ALIGNMENT_TOL, k + snapped_count, np.floor(s) + 1)
-        return np.clip(below, 0, f.count).astype(np.int64)
-
-    lo = nodes_below(lowers, 1)  # nodes at or below the lower endpoint
-    hi = nodes_below(uppers, 0)  # nodes strictly below the upper endpoint
+def _bounds_on_grid(f: SampledFunction, lowers, uppers) -> Tuple[np.ndarray, np.ndarray]:
+    """``f.node_bounds``; ``InputError`` when an interval holds no node."""
+    lo, hi = f.node_bounds(lowers, uppers)
     if np.any(hi <= lo):
         raise InputError("interval does not intersect the grid")
     return lo, hi
@@ -122,7 +111,7 @@ def _node_bounds(f: SampledFunction, lowers, uppers) -> Tuple[np.ndarray, np.nda
 
 def _real_on(f: SampledFunction, domain: Interval) -> np.ndarray:
     vals = f.real_values()
-    lo, hi = _node_bounds(f, domain.lower, domain.upper)
+    lo, hi = _bounds_on_grid(f, domain.lower, domain.upper)
     return vals[lo:hi]
 
 
@@ -142,7 +131,7 @@ def bmo_norm(f: SampledFunction, sweep: Sequence[Interval]) -> float:
     if not isinstance(sweep, IntervalSweep):
         sweep = IntervalSweep(np.array([I.center for I in sweep]),
                               np.array([I.radius for I in sweep]))
-    lo, hi = _node_bounds(f, sweep.lowers, sweep.uppers)
+    lo, hi = _bounds_on_grid(f, sweep.lowers, sweep.uppers)
     # The max is order-free; rows sorted by width make one run per width.
     order = np.argsort(hi - lo, kind="stable")
     return float(_range_oscillations(f.real_values(), lo[order], hi[order]).max())
@@ -170,7 +159,7 @@ class IntervalSweep(Sequence):
     """Intervals ``I(centers[k], radii[k])`` held as arrays.
 
     Behaves as a ``Sequence[Interval]``: indexing materializes one
-    :class:`Interval`, slicing returns another sweep.
+    :class:`Interval`.
     """
 
     centers: np.ndarray
@@ -191,9 +180,7 @@ class IntervalSweep(Sequence):
     def __len__(self) -> int:
         return self.centers.size
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return IntervalSweep(self.centers[k], self.radii[k])
+    def __getitem__(self, k) -> Interval:
         k = index(k)
         return Interval(float(self.centers[k]), float(self.radii[k]))
 
@@ -206,8 +193,7 @@ class OscillationTable(Sequence):
     """Sweep intervals with their mean oscillations ``oscs``, held as arrays.
 
     Behaves as a ``Sequence[Tuple[Interval, float]]``: indexing
-    materializes one ``(Interval, float)`` row, slicing returns another
-    table.
+    materializes one ``(Interval, float)`` row.
     """
 
     intervals: IntervalSweep
@@ -228,9 +214,7 @@ class OscillationTable(Sequence):
     def __len__(self) -> int:
         return self.oscs.size
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return OscillationTable(self.intervals[k], self.oscs[k])
+    def __getitem__(self, k) -> Tuple[Interval, float]:
         k = index(k)
         return self.intervals[k], float(self.oscs[k])
 

@@ -181,7 +181,7 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
     if not R > 0:
         raise InputError("support radius must be positive")
     b.require_single("the symbol of tail_decay_check")
-    outside = ~Interval(0.0, R).contains(b.nodes)
+    outside = ~b.node_mask(Interval(0.0, R))
     if np.any(np.abs(b.values[outside]) > 0):
         raise InputError("symbol does not vanish outside I(0, R)")
     if len(family) == 0:

@@ -134,13 +134,6 @@ class ExperimentConfig:
             raise InputError(f"{path}: top level must be a JSON object")
         return ExperimentConfig.from_dict(user)
 
-    def to_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=1)
-
-    @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(text))
-
     def get(self, dotted: str):
         """The value at a dotted path; a numeric part indexes a list."""
         node = self.data

@@ -2,13 +2,13 @@
 
 The operator applied to a sampled function is a plain midpoint-rule sum
 of ``h K(x, y) f(y)`` over grid nodes ``y``.  The singularity at ``y = x``
-is handled by masking, not analytically: each sum drops the nodes whose
-offset ``y - x`` lies in a closed window ``[lo, hi]``.
+is handled by masking, not analytically: each sum takes one radius ``t``
+and drops the nodes with ``|y - x| <= t``.
 
-* truncated integrals use ``[-t, t]``, so they sum the nodes with
+* truncated integrals use their radius ``t``, so they sum the nodes with
   ``|x - y| > t``;
-* the principal value uses a window of a millionth of a step around 0,
-  so it sums every node that does not coincide with ``x``.
+* the principal value uses a millionth of a step, so it sums every node
+  that does not coincide with ``x``.
 
 On a uniform grid the nodes at ``x + s`` and ``x - s`` carry exactly
 opposite leading singular parts, so grouping them in pairs cancels the
@@ -30,7 +30,7 @@ this order:
 * Toeplitz FFT: on a flat or affine graph with every target on the node
   lattice, or every target on the midpoint lattice, the kernel depends
   only on the lattice offset, so one FFT correlation gives every sum.  It
-  runs when no offset lies within rounding of a window edge and the
+  runs when no offset lies within rounding of ``-t`` or ``t`` and the
   padded FFT costs less than the dense sum.  It sums the dense set of
   terms in another order.
 * Multipole tree: any graph, when ``_tree_pays`` estimates that it does
@@ -150,41 +150,42 @@ def pv_values(kernel: CauchyKernel, f: SampledFunction, xs) -> np.ndarray:
     """
     xs = _points(xs)
     _check_alignment(xs, f)
-    cut = 0.5 * f.step * 1e-6
-    return _masked_sums(kernel, f, xs, -cut, cut)
+    return _masked_sums(kernel, f, xs, 0.5 * f.step * 1e-6)
 
 
 def truncated_values(kernel: CauchyKernel, f: SampledFunction, xs, t: float) -> np.ndarray:
     """Truncated integrals at many finite points, vectorized; shapes as ``pv_values``."""
     if not t > 0:
         raise InputError("truncation radius must be positive")
-    return _masked_sums(kernel, f, _points(xs), -t, t)
+    return _masked_sums(kernel, f, _points(xs), t)
 
 
 def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
-                 lo: float, hi: float) -> np.ndarray:
-    """Sums of ``h K(x, y) f(y)`` over the nodes with ``y - x`` outside ``[lo, hi]``.
+                 t: float) -> np.ndarray:
+    """Sums of ``h K(x, y) f(y)`` over the nodes with ``|y - x| > t``.
 
-    ``f`` is one function or a block; the result has one row per point
-    and, for a block, one column per function.  The Toeplitz FFT backend
-    runs when the curve is flat or affine, all targets share one lattice
-    of the grid (nodes or half-step midpoints, to rounding), no lattice
-    offset ties a window edge, and the FFT is cheaper than the dense sum.
+    This is the one rule for the nodes a kernel sum drops: every backend
+    drops ``|y - x| <= t`` for the float difference ``y - x``.  ``f`` is one
+    function or a block; the result has one row per point and, for a
+    block, one column per function.  The Toeplitz FFT backend runs when
+    the curve is flat or affine, all targets share one lattice of the grid
+    (nodes or half-step midpoints, to rounding), no lattice offset ties
+    ``-t`` or ``t``, and the FFT is cheaper than the dense sum.
     Otherwise the tree backend runs when ``_tree_pays`` estimates it does
     less work for these nodes, targets and columns, and the dense backend,
     the reference for both, takes the rest.
     """
-    out = _toeplitz_sums(kernel.curve, f, xs, lo, hi)
+    out = _toeplitz_sums(kernel.curve, f, xs, t)
     if out is not None:
         return out
     if _tree_pays(f, xs):
-        return _tree_sums(kernel.curve, f, xs, lo, hi)
-    return _dense_sums(kernel.curve, f, xs, lo, hi)
+        return _tree_sums(kernel.curve, f, xs, t)
+    return _dense_sums(kernel.curve, f, xs, t)
 
 
 def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
-                lo: float, hi: float) -> np.ndarray:
-    """``h * sum K(x, y) f(y)`` over nodes with ``y - x`` outside ``[lo, hi]``, by chunks.
+                t: float) -> np.ndarray:
+    """``h * sum K(x, y) f(y)`` over nodes with ``|y - x| > t``, by chunks.
 
     Each chunk of the kernel matrix is built once by ``_kernel_sums`` and
     applied to the ``2 c`` columns ``[Re V, Im V]`` of the ``(n, c)`` value
@@ -200,35 +201,34 @@ def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     rows = max(1, _CHUNK_ELEMENTS // nodes.size)
     parts = [slice(a, a + rows) for a in range(0, xs.size, rows)]
     chunks = ((nodes, A_nodes, xs[p], A_xs[p], lambda M: M @ W) for p in parts)
-    for p, (re, im) in zip(parts, _kernel_sums(chunks, lo, hi)):
+    for p, (re, im) in zip(parts, _kernel_sums(chunks, t)):
         out.real[p], out.imag[p] = re, im
     out *= f.step
     return out.reshape(xs.shape + f.values.shape[1:])
 
 
-def _kernel_sums(chunks, lo: float, hi: float):
+def _kernel_sums(chunks, t: float):
     """Yield ``Re`` and ``Im`` of ``sum K(x, y) V(y)`` per chunk ``(y, A(y), x, A(x), apply)``.
 
     One row per target ``x``; ``y`` is shared or one row per target.  The planes
     ``D / (D^2 + dA^2)`` and ``dA / (D^2 + dA^2)`` (``Re K`` and ``-Im K``) are zero
-    where ``D = y - x`` is in ``[lo, hi]``; ``apply`` multiplies one by ``[Re V, Im V]``.
+    where ``|D| <= t`` for ``D = y - x``; ``apply`` multiplies one by ``[Re V, Im V]``.
     The first chunk is the largest.  Its float and mask buffers are allocated once
     and every chunk is filled into them with ``out=``, so the time does not depend
     on where malloc places per-chunk temporaries (freeing and refaulting them once
     doubled the dense time).
     """
-    floats = masks = None
+    floats = flags = None
     for y, A_y, x, A_x, apply in chunks:
         shape = (x.size, np.shape(y)[-1])
         size = shape[0] * shape[1]
         if floats is None:
-            floats, masks = np.empty((4, size)), np.empty((2, size), dtype=bool)
+            floats, flags = np.empty((4, size)), np.empty(size, dtype=bool)
         D, dA, inv, sq = (b[:size].reshape(shape) for b in floats)
-        mask, above = (b[:size].reshape(shape) for b in masks)
+        mask = flags[:size].reshape(shape)
         np.subtract(y, x[:, None], out=D)
         np.subtract(A_y, A_x[:, None], out=dA)
-        np.less(D, lo, out=mask)
-        mask |= np.greater(D, hi, out=above)
+        np.greater(np.abs(D, out=sq), t, out=mask)
         np.multiply(D, D, out=inv)
         inv += np.multiply(dA, dA, out=sq)
         np.divide(1.0, inv, out=inv, where=mask)
@@ -271,7 +271,7 @@ def _series_order(r: np.ndarray) -> np.ndarray:
 
 
 def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
-               lo: float, hi: float) -> np.ndarray:
+               t: float) -> np.ndarray:
     """The sums of ``_dense_sums`` by a binary multipole tree over the nodes.
 
     Level ``l`` of the tree splits the nodes into boxes of ``_LEAF 2^(L - l)``
@@ -285,7 +285,7 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     directly from the nodes, by chunks, with no translation between levels.
 
     Every target walks down from the root.  A box whose node offsets all
-    lie outside ``[lo, hi]`` and which satisfies ``rho < _THETA |z_x - c|``
+    lie outside ``[-t, t]`` and which satisfies ``rho < _THETA |z_x - c|``
     is summed by its series
     ``1 / (z_y - z_x) = -1 / (z_x - c) sum_k ((z_y - c) / (z_x - c))^k``,
     to the order ``_series_order`` gives for that pair's ratio, by Horner's
@@ -331,18 +331,18 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
             xt = x[tg]
             d_first = x_first[g] - xt
             d_last = x_last[g] - xt
-            far = (((d_last < lo) | (d_first > hi))
+            far = (((d_last < -t) | (d_first > t))
                    & (rho[g] < _THETA * np.abs(zx[tg] - centre[g])))
             far_t.append(tg[far])
             far_g.append(g[far])
-            opened = ~far & ~((d_first >= lo) & (d_last <= hi))
+            opened = ~far & ~((d_first >= -t) & (d_last <= t))
             tg, bx = tg[opened], bx[opened]
             if l < depth:
                 tg = np.repeat(tg, 2)
                 bx = (2 * bx[:, None] + np.arange(2)).ravel()
                 exists = bx < offsets[l + 2] - offsets[l + 1]
                 tg, bx = tg[exists], bx[exists]
-        _leaf_sums(leaf_nodes, leaf_A, weights.T, x, A_x, tg, bx, lo, hi, acc)
+        _leaf_sums(leaf_nodes, leaf_A, weights.T, x, A_x, tg, bx, t, acc)
         _far_sums(moments, centre, rho, zx, np.concatenate(far_t), np.concatenate(far_g), acc)
     out *= f.step
     return out.reshape(xs.shape + f.values.shape[1:])
@@ -413,7 +413,7 @@ def _tree_boxes(nodes: np.ndarray, A_nodes: np.ndarray, weights: np.ndarray, dep
 
 
 def _leaf_sums(nodes: np.ndarray, A_nodes: np.ndarray, W: np.ndarray, x: np.ndarray,
-               A_x: np.ndarray, tg: np.ndarray, leaf: np.ndarray, lo: float, hi: float,
+               A_x: np.ndarray, tg: np.ndarray, leaf: np.ndarray, t: float,
                acc: np.ndarray) -> None:
     """Add to ``acc[tg]`` the dense sums over the nodes of leaf ``leaf``, pair by pair.
 
@@ -429,7 +429,7 @@ def _leaf_sums(nodes: np.ndarray, A_nodes: np.ndarray, W: np.ndarray, x: np.ndar
         return (nodes[idx], A_nodes[idx], x[tg[p]], A_x[tg[p]],
                 lambda M: np.einsum("rs,jrs->rj", M, G))
 
-    for p, (re, im) in zip(parts, _kernel_sums(map(chunk, parts), lo, hi)):
+    for p, (re, im) in zip(parts, _kernel_sums(map(chunk, parts), t)):
         np.add.at(acc, tg[p], re + 1j * im)
 
 
@@ -464,7 +464,7 @@ def _far_sums(moments: np.ndarray, centre: np.ndarray, rho: np.ndarray, zx: np.n
 
 
 def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
-                   lo: float, hi: float) -> Optional[np.ndarray]:
+                   t: float) -> Optional[np.ndarray]:
     """The sums of ``_dense_sums`` by one FFT correlation, or None.
 
     On a flat graph a target ``x = origin + (k + par/2) h`` on the node
@@ -478,7 +478,7 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
 
     Returns None, leaving the input to the dense backend, when the curve
     is curved, the targets are empty, mixed or off-lattice, a lattice
-    offset lies within rounding of ``lo`` or ``hi`` (where the dense float
+    offset lies within rounding of ``-t`` or ``t`` (where the dense float
     comparison decides), or the padded length makes the FFT dearer than
     the dense sum.
     """
@@ -512,13 +512,12 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
         return None
     # Offset of node j from target k_hi - r is (j + r - k0) h.
     k0 = k_hi + 0.5 * par
-    for edge in (lo, hi):
+    for edge in (-t, t):
         j = np.rint(edge / h + k0)  # the lattice offset nearest the edge
         if 0 <= j < width and abs((j - k0) * h - edge) <= 2.0 * tol:
             return None
     m = np.arange(width) - k0
-    d = m * h
-    keep = (d < lo) | (d > hi)
+    keep = np.abs(m * h) > t
     kern = np.zeros(width)
     np.divide(1.0, m, out=kern, where=keep)
     kern_hat = np.fft.rfft(kern, size)

@@ -26,8 +26,6 @@ def _fmt(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (complex, np.complexfloating)):
-        return f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j"
     return str(v)
 
 
@@ -38,12 +36,8 @@ def _jsonable(v):
         return int(v)
     if isinstance(v, (float, np.floating)):
         return float(v)
-    if isinstance(v, (complex, np.complexfloating)):
-        return {"re": float(v.real), "im": float(v.imag)}
     if isinstance(v, np.ndarray):
         return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
     return v
 
 

@@ -10,6 +10,13 @@ Conventions
 -----------
 * An interval ``I(x, r)`` is the open interval ``(x - r, x + r)`` with
   measure ``2 r``.  Dilation scales the radius and keeps the center.
+* The nodes an interval holds are decided in one place,
+  ``SampledFunction.node_bounds``: the nodes strictly inside it, where an
+  endpoint within ``ALIGNMENT_TOL`` steps of a node snaps onto that node.
+  So the interval from node ``a`` to node ``a + w`` holds exactly the
+  ``w - 1`` interior nodes however its endpoints rounded.  Oscillations,
+  medians, test-function split sets and support checks all take their
+  nodes from it.
 * A sampled function stores node values at ``origin + i * step``.  The
   midpoint rule reads the value on node ``i`` as the constant value of
   the cell of width ``step`` centered at that node.
@@ -22,7 +29,8 @@ Blocks
 A sampled function holds either one function, with ``values`` of shape
 ``(n,)``, or a block of ``c`` functions on one grid, with ``values`` of
 shape ``(n, c)`` and one column per function; ``count`` is ``n`` either
-way.  ``stack`` builds a block from a family and ``columns`` splits it.
+way.  ``stack`` builds a block from a family; column ``j`` is
+``values[:, j]``.
 The operators apply to a whole block at once (see ``operator``), which
 is how a family of test functions shares one kernel matrix.  Operations
 that make sense for one function only (``real_values``, ``value_at``,
@@ -81,37 +89,8 @@ class Interval:
             raise InputError(f"dilation factor must be positive, got {k}")
         return Interval(self.center, k * self.radius)
 
-    def contains(self, x):
-        """Elementwise open-interval membership test."""
-        x = np.asarray(x)
-        return (x > self.lower) & (x < self.upper)
-
     def is_disjoint_from(self, other: "Interval") -> bool:
         return self.upper <= other.lower or other.upper <= self.lower
-
-
-@dataclass(frozen=True)
-class Annulus:
-    """Right-hand dyadic annulus of a base interval.
-
-    For base ``I(x, r)`` and level ``k`` this is the set
-    ``(x + 2^k r, x + 2^(k+1) r)``, sitting at dyadic distance from the
-    base.  Decay reports for the commutator are measured on these sets.
-    """
-
-    base: Interval
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InputError(f"annulus level must be >= 1, got {self.k}")
-
-    @property
-    def as_interval(self) -> Interval:
-        r = self.base.radius
-        lo = self.base.center + (2.0**self.k) * r
-        hi = self.base.center + (2.0 ** (self.k + 1)) * r
-        return Interval.from_endpoints(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -157,12 +136,6 @@ class SampledFunction:
                 "apply it to each of the block's columns"
             )
 
-    def columns(self) -> Tuple["SampledFunction", ...]:
-        """The functions of a block, one per column; ``(self,)`` for one function."""
-        if self.values.ndim == 1:
-            return (self,)
-        return tuple(self.with_values(v) for v in self.values.T)
-
     @property
     def nodes(self) -> np.ndarray:
         return self.origin + self.step * np.arange(self.count)
@@ -175,8 +148,34 @@ class SampledFunction:
     def upper(self) -> float:
         return self.origin + self.step * (self.count - 1)
 
+    def node_bounds(self, lowers, uppers) -> Tuple[np.ndarray, np.ndarray]:
+        """Bounds ``lo, hi`` of the nodes strictly inside ``(lowers, uppers)``.
+
+        The nodes are ``lo <= i < hi``; ``hi <= lo`` when the interval holds
+        no node.  An endpoint within ``ALIGNMENT_TOL`` steps of a node snaps
+        onto it.  The bounds are node counts found by index arithmetic on
+        ``origin`` and ``step``, in time independent of the grid size: an
+        endpoint ``s`` steps from the origin has ``floor(s) + 1`` nodes at or
+        below it, and one that snaps onto node ``k`` has ``k + 1`` at or
+        below it and ``k`` strictly below.  Works elementwise on arrays of
+        endpoints.
+        """
+        def nodes_below(x, snapped_count):
+            s = (np.asarray(x, dtype=float) - self.origin) / self.step
+            k = np.rint(s)
+            below = np.where(np.abs(s - k) <= ALIGNMENT_TOL, k + snapped_count,
+                             np.floor(s) + 1)
+            return np.clip(below, 0, self.count).astype(np.int64)
+
+        # Nodes at or below the lower endpoint, and strictly below the upper.
+        return nodes_below(lowers, 1), nodes_below(uppers, 0)
+
     def node_mask(self, domain: Interval) -> np.ndarray:
-        return domain.contains(self.nodes)
+        """The nodes ``domain`` holds (``node_bounds``) as a boolean mask."""
+        lo, hi = self.node_bounds(domain.lower, domain.upper)
+        mask = np.zeros(self.count, dtype=bool)
+        mask[lo:hi] = True
+        return mask
 
     def real_values(self) -> np.ndarray:
         """Real parts; rejects imaginary parts above ``1e-12`` of ``max(|f|, 1)``.
@@ -323,7 +322,7 @@ def shift(f: SampledFunction, z: float) -> SampledFunction:
     """Translate: returns g with ``g(x) = f(x + z)``, zero-extended.
 
     ``z`` must be a whole number of grid steps so the result is exact.
-    A block shifts column by column.
+    A block shifts column by column.  The result has no source callable.
     """
     k_real = z / f.step
     k = round(k_real)
@@ -339,11 +338,7 @@ def shift(f: SampledFunction, z: float) -> SampledFunction:
     else:
         if -k < f.count:
             out[-k:] = f.values[: f.count + k]
-    src = None
-    if f.source is not None:
-        base = f.source
-        src = lambda x, _b=base, _z=z: _b(np.asarray(x) + _z)
-    return SampledFunction(f.origin, f.step, out, src)
+    return f.with_values(out)
 
 
 def function_to_csv(f: SampledFunction, path) -> None:

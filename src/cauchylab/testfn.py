@@ -7,12 +7,17 @@ upper set ``{b > a}`` and the lower set ``{b < a}``, and builds
     f = |I|^(-1/p) * (chi_upper - chi_lower - a_bal * chi_I),
 
 where the balancing constant ``a_bal`` is chosen by exact node counting
-so that ``f`` integrates to zero on the grid.  By construction ``f`` is
-supported in ``I``, is sign-aligned with ``b - a`` node by node, has
-``|a_bal| <= 1/2``, and takes values of size ``|I|^(-1/p)`` on the two
-sets (between one half and five halves of it).
+so that ``f`` integrates to zero on the grid.  The median, the split sets
+and ``chi_I`` all read the nodes of ``I`` from ``SampledFunction.node_mask``
+(the one node rule, see ``sampling``), so the median halves exactly the
+nodes that are split.  By construction ``f`` is supported in ``I``, is
+sign-aligned with ``b - a`` node by node, has ``|a_bal| <= 1/2``, and takes
+values of size ``|I|^(-1/p)`` on the two sets (between one half and five
+halves of it).
 
-On the dyadic annulus at distance ``2^k r`` to the right of ``I`` the
+The dyadic annulus of level ``k`` is ``(x0 + 2^k r, x0 + 2^(k+1) r)`` to
+the right of ``I`` and its mirror image to the left; ``_annulus`` builds
+both pieces with the same arithmetic.  On the right-hand annulus the
 commutator image of ``f`` obeys a two-sided power law: the integral of
 ``|[b, C] f|^p`` is bounded below by a constant times
 ``eps^p |I|^(p-1) / |2^k I|^(p-1)`` (``eps`` the mean oscillation of
@@ -39,7 +44,7 @@ from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import pv_values
 from .reports import BoundReport
-from .sampling import Annulus, Interval, SampledFunction, sample
+from .sampling import Interval, SampledFunction, sample
 
 POINTWISE_SLACK = 0.10  # cushion of the pointwise majorant check
 DRIFT_BOUND = 4.0  # recorded empirical cap of the median-drift to k * bmo ratio
@@ -152,7 +157,7 @@ def check_invariants(tf: TestFunction, b: SampledFunction) -> dict:
     f, base, p = tf.f, tf.base, tf.p
     h = f.step
     integral = abs(complex(h * np.sum(f.values)))
-    out_mask = ~base.contains(f.nodes)
+    out_mask = ~f.node_mask(base)
     support_leak = float(np.max(np.abs(f.values[out_mask]))) if np.any(out_mask) else 0.0
     alpha = median(b, base).value
     in_mask = b.node_mask(base)
@@ -209,6 +214,17 @@ def _power_integrals(b: SampledFunction, tf: TestFunction, kernel: CauchyKernel,
             for part, (_, cell_h) in zip(parts, lattices)]
 
 
+def _annulus(base: Interval, k: int, side: float) -> Interval:
+    """The level-``k`` dyadic annulus piece of ``base`` on ``side`` (+1 right, -1 left).
+
+    The piece runs from ``2^k r`` to ``2^(k+1) r`` away from the centre;
+    the two sides are mirror images, since negation is exact.
+    """
+    near = base.center + side * (2.0**k) * base.radius
+    far = base.center + side * (2.0 ** (k + 1)) * base.radius
+    return Interval.from_endpoints(min(near, far), max(near, far))
+
+
 def _require_level(k: int, cfg: AnnulusConfig) -> None:
     if k < cfg.k_min:
         raise InputError(
@@ -238,7 +254,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
         the ratio is recorded and capped by ``DRIFT_BOUND``.
     """
     _require_level(k, cfg)
-    region = Annulus(tf.base, k).as_interval
+    region = _annulus(tf.base, k, 1.0)
     base = tf.base
     p_conj = tf.p / (tf.p - 1.0)
     alpha = median(b, base).value
@@ -318,9 +334,8 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
         raise InputError("level ladder must be non-empty")
     for k in ks:
         _require_level(k, cfg)
-    r, c = tf.base.radius, tf.base.center
-    rights = [Annulus(tf.base, k).as_interval for k in ks]
-    lefts = [Interval.from_endpoints(c - (2.0 ** (k + 1)) * r, c - (2.0**k) * r) for k in ks]
+    rights = [_annulus(tf.base, k, 1.0) for k in ks]
+    lefts = [_annulus(tf.base, k, -1.0) for k in ks]
     half = max(8, cfg.eval_cells // 2)
     regions = ([(right, cfg.eval_cells) for right in rights]
                + [(piece, half) for pair in zip(lefts, rights) for piece in pair])

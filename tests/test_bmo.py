@@ -98,7 +98,7 @@ class TestBmoNorm:
     def test_monotone_under_sweep_growth(self):
         f = grid_fn(lambda y: np.sin(5 * y))
         sweep = dyadic_sweep(f)
-        small = bmo_norm(f, sweep[:10])
+        small = bmo_norm(f, list(sweep)[:10])
         assert bmo_norm(f, sweep) >= small
 
     def test_empty_sweep_rejected(self):
@@ -212,7 +212,7 @@ class TestSweep:
         lengths = {round(I.measure / f.step) for I in sweep}
         assert lengths <= {2, 4, 8, 16, 32, 64}
         node_set = set(np.round(f.nodes, 12))
-        for I in sweep[:50]:
+        for I in list(sweep)[:50]:
             assert round(I.lower, 12) in node_set
             assert round(I.upper, 12) in node_set
 
@@ -261,11 +261,14 @@ class TestSweep:
         want_lo, want_hi = reference(lowers, uppers)
         hits = want_hi > want_lo
         assert np.count_nonzero(~hits) > 0
-        got_lo, got_hi = bmo._node_bounds(f, lowers[hits], uppers[hits])
-        np.testing.assert_array_equal(got_lo, want_lo[hits])
-        np.testing.assert_array_equal(got_hi, want_hi[hits])
-        with pytest.raises(InputError):
-            bmo._node_bounds(f, lowers[~hits][:1], uppers[~hits][:1])
+        got_lo, got_hi = f.node_bounds(lowers, uppers)
+        np.testing.assert_array_equal(got_lo[hits], want_lo[hits])
+        np.testing.assert_array_equal(got_hi[hits], want_hi[hits])
+        assert np.all(got_hi[~hits] <= got_lo[~hits])
+        miss = Interval.from_endpoints(lowers[~hits][0], uppers[~hits][0])
+        assert not np.any(f.node_mask(miss))
+        with pytest.raises(InputError, match="does not intersect"):
+            mean_oscillation(f, miss)
 
     @pytest.mark.parametrize("chunk", [1, 5, 10**8])
     def test_chunk_size_does_not_change_results(self, monkeypatch, rng, chunk):
@@ -294,10 +297,9 @@ class TestSweep:
             table[rows]
         with pytest.raises(IndexError):
             sweep[-rows - 1]
-        for part, whole in ((table[5:40:3], table), (sweep[::-7], sweep)):
-            assert type(part) is type(whole)
-        assert list(table[5:40:3]) == list(table)[5:40:3]
-        assert list(sweep[::-7]) == list(sweep)[::-7]
+        for seq in (table, sweep):
+            with pytest.raises(TypeError):
+                seq[5:40:3]
         assert list(table) == [table[k] for k in range(rows)]
         assert [I for I, _ in table] == list(sweep)
         assert np.array_equal(table.measures, [I.measure for I in sweep])
@@ -356,7 +358,7 @@ class TestRankPath:
         f = SampledFunction(x[0], step, _long_row_values(kind, x, rng))
         vals = f.real_values()
         table = oscillation_table(f)
-        lo, hi = bmo._node_bounds(f, table.lowers, table.uppers)
+        lo, hi = f.node_bounds(table.lowers, table.uppers)
         wide = np.flatnonzero(hi - lo > bmo._DIRECT_WIDTH)
         runs = np.unique(hi[wide] - lo[wide]).size  # a table's rows are grouped by width
         assert bmo._rank_pays(count, wide.size, int(np.sum(hi[wide] - lo[wide])), runs)

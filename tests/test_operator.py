@@ -122,7 +122,7 @@ class TestPv:
         xs = f.midpoints_in(Interval(0.0, 2.5))
         cut = 0.5e-6 * f.step if t_steps is None else (t_steps + 0.25) * f.step
         dense_only = curve.kind is ProfileKind.SAWTOOTH
-        assert (operator._toeplitz_sums(curve, f, xs, -cut, cut) is None) == dense_only
+        assert (operator._toeplitz_sums(curve, f, xs, cut) is None) == dense_only
 
         def apply(u):
             if t_steps is None:

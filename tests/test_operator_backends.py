@@ -31,9 +31,8 @@ FLAT = LipschitzCurve.flat()
 
 
 def _window(f, t):
-    """The symmetric window ``(-cut, cut)`` of a pv (``t = None``) or truncated sum."""
-    cut = 0.5 * f.step * 1e-6 if t is None else t
-    return -cut, cut
+    """The radius ``cut`` of a pv (``t = None``) or truncated sum: ``|y - x| <= cut`` is dropped."""
+    return 0.5 * f.step * 1e-6 if t is None else t
 
 
 def _grid(n, seed=0, real=False, lo=-2.0, hi=2.0):
@@ -53,13 +52,18 @@ def _rel_dev(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
-def _per_target_sums(curve, f, xs, lo, hi):
-    """One complex sum per target over the offsets outside ``[lo, hi]``,
+def _column(block, j):
+    """Column ``j`` of a block as one function on the block's grid."""
+    return block.with_values(block.values[:, j])
+
+
+def _per_target_sums(curve, f, xs, t):
+    """One complex sum per target over the offsets outside ``[-t, t]``,
     straight from the kernel formula."""
     nodes, A_nodes = f.nodes, eval_A(curve, f.nodes)
     out = []
     for x in xs:
-        keep = ~((nodes - x >= lo) & (nodes - x <= hi))
+        keep = ~((nodes - x >= -t) & (nodes - x <= t))
         z = (nodes[keep] - x) + 1j * (A_nodes[keep] - eval_A(curve, x))
         out.append(f.step * np.sum(f.values[keep] / z))
     return np.array(out)
@@ -86,48 +90,44 @@ class TestToeplitzAgreesWithDense:
         xs = _lattice(f, ks, par)
         # A quarter step keeps the radius off both lattices of offsets.
         t = None if t_steps is None else (t_steps + 0.25) * f.step
-        fast = operator._toeplitz_sums(curve, f, xs, *_window(f, t))
+        fast = operator._toeplitz_sums(curve, f, xs, _window(f, t))
         assert fast is not None
-        dense = operator._dense_sums(curve, f, xs, *_window(f, t))
+        dense = operator._dense_sums(curve, f, xs, _window(f, t))
         assert _rel_dev(fast, dense) <= 1e-10
 
     def test_benchmark_sized_flat_pv(self):
         f = _grid(8192, seed=3)
         xs = _lattice(f, np.arange(2048, 6145), 1)
-        fast = operator._toeplitz_sums(FLAT, f, xs, *_window(f, None))
-        dense = operator._dense_sums(FLAT, f, xs, *_window(f, None))
+        fast = operator._toeplitz_sums(FLAT, f, xs, _window(f, None))
+        dense = operator._dense_sums(FLAT, f, xs, _window(f, None))
         assert fast is not None and _rel_dev(fast, dense) <= 1e-12
 
 
 class TestOffsetWindow:
+    """The window of dropped offsets ``[-t, t]`` against the kernel formula."""
+
     @given(
         n=st.integers(300, 500),
         curve=st.sampled_from([FLAT, LipschitzCurve.affine(-1.3),
                                LipschitzCurve.sawtooth(0.5, 2.0)]),
         par=st.sampled_from([0, 1]),
         first=st.integers(-100, 200),
-        lo_steps=st.integers(-60, 40),
-        width_steps=st.integers(0, 60),
-        lo_frac=st.floats(0.1, 0.4),
-        hi_frac=st.floats(0.1, 0.4),
+        t_steps=st.integers(0, 60),
+        t_frac=st.floats(0.1, 0.4),
         real=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60)
-    def test_matches_per_target_sums(self, n, curve, par, first, lo_steps, width_steps,
-                                     lo_frac, hi_frac, real, seed):
-        # Edges a fraction of a step off both lattices of offsets, so the
+    def test_matches_per_target_sums(self, n, curve, par, first, t_steps, t_frac, real, seed):
+        # A radius a fraction of a step off both lattices of offsets, so the
         # Toeplitz backend runs on the flat and affine graphs.
         f = _grid(n, seed, real)
-        lo = (lo_steps + lo_frac) * f.step
-        hi = (lo_steps + width_steps + 1 + hi_frac) * f.step
-        if not lo < 0 < hi:
-            par = 1  # a window off 0 keeps the coincident node of a node target
+        t = (t_steps + t_frac) * f.step
         xs = _lattice(f, np.arange(first, first + n), par)
-        got = operator._masked_sums(CauchyKernel.for_curve(curve), f, xs, lo, hi)
-        fast = operator._toeplitz_sums(curve, f, xs, lo, hi)
+        got = operator._masked_sums(CauchyKernel.for_curve(curve), f, xs, t)
+        fast = operator._toeplitz_sums(curve, f, xs, t)
         assert (fast is None) == (curve.kind is ProfileKind.SAWTOOTH)
-        assert _rel_dev(got, _per_target_sums(curve, f, xs, lo, hi)) <= 1e-12
+        assert _rel_dev(got, _per_target_sums(curve, f, xs, t)) <= 1e-12
 
 
 class TestDispatch:
@@ -136,20 +136,9 @@ class TestDispatch:
         f = _grid(600)
         xs = _lattice(f, np.arange(100, 500), par)
         t = t_steps * f.step
-        assert operator._toeplitz_sums(FLAT, f, xs, -t, t) is None
+        assert operator._toeplitz_sums(FLAT, f, xs, t) is None
         got = truncated_values(CauchyKernel.for_curve(FLAT), f, xs, t)
-        np.testing.assert_array_equal(got, operator._dense_sums(FLAT, f, xs, -t, t))
-
-    @pytest.mark.parametrize("par, lo_steps, hi_steps", [
-        (0, -2.3, 7.0), (0, -6.0, 3.7), (1, -4.5, 3.2), (1, 1.5, 9.25)])
-    def test_window_edge_on_a_lattice_offset_goes_dense(self, par, lo_steps, hi_steps):
-        # One edge ties an offset, the other does not.
-        f = _grid(600)
-        xs = _lattice(f, np.arange(100, 500), par)
-        lo, hi = lo_steps * f.step, hi_steps * f.step
-        assert operator._toeplitz_sums(FLAT, f, xs, lo, hi) is None
-        got = operator._masked_sums(CauchyKernel.for_curve(FLAT), f, xs, lo, hi)
-        np.testing.assert_array_equal(got, operator._dense_sums(FLAT, f, xs, lo, hi))
+        np.testing.assert_array_equal(got, operator._dense_sums(FLAT, f, xs, t))
 
     @pytest.mark.parametrize("case", ["mixed", "off_lattice", "far_apart"])
     def test_unsuitable_targets_go_dense(self, case):
@@ -161,16 +150,16 @@ class TestDispatch:
             xs = _lattice(f, ks, 1) + 1e-7 * f.step
         else:
             xs = _lattice(f, [0, 10**6], 1)
-        lo, hi = _window(f, None)
-        assert operator._toeplitz_sums(FLAT, f, xs, lo, hi) is None
-        got = operator._masked_sums(CauchyKernel.for_curve(FLAT), f, xs, lo, hi)
-        np.testing.assert_array_equal(got, operator._dense_sums(FLAT, f, xs, lo, hi))
+        t = _window(f, None)
+        assert operator._toeplitz_sums(FLAT, f, xs, t) is None
+        got = operator._masked_sums(CauchyKernel.for_curve(FLAT), f, xs, t)
+        np.testing.assert_array_equal(got, operator._dense_sums(FLAT, f, xs, t))
 
     def test_curved_graph_goes_dense(self):
         f = _grid(600)
         xs = _lattice(f, np.arange(100, 500), 1)
         curve = LipschitzCurve.sawtooth(0.5, 2.0)
-        assert operator._toeplitz_sums(curve, f, xs, *_window(f, None)) is None
+        assert operator._toeplitz_sums(curve, f, xs, _window(f, None)) is None
 
     @pytest.mark.parametrize("curve", [FLAT, LipschitzCurve.sawtooth(0.5, 2.0)])
     def test_empty_targets(self, curve):
@@ -183,7 +172,7 @@ class TestDispatch:
         f = _grid(1024, real=True)
         kernel = CauchyKernel.for_curve(FLAT)
         lattice = _lattice(f, np.arange(0, 1024), 1)
-        assert operator._toeplitz_sums(FLAT, f, lattice, *_window(f, None)) is not None
+        assert operator._toeplitz_sums(FLAT, f, lattice, _window(f, None)) is not None
         off = lattice[:50] + 0.25 * f.step
         for out in (pv_values(kernel, f, lattice),
                     truncated_values(kernel, f, lattice, 10.25 * f.step),
@@ -200,8 +189,8 @@ class TestDense:
         rows = operator._CHUNK_ELEMENTS // f.count
         xs = _lattice(f, np.arange(-20, 3 * rows + 5) * 3, 1)
         assert xs.size % rows != 0
-        got = operator._masked_sums(CauchyKernel.for_curve(curve), f, xs, *_window(f, t))
-        ref = _per_target_sums(curve, f, xs, *_window(f, t))
+        got = operator._masked_sums(CauchyKernel.for_curve(curve), f, xs, _window(f, t))
+        ref = _per_target_sums(curve, f, xs, _window(f, t))
         assert _rel_dev(got, ref) <= 1e-12
 
     def test_grid_wider_than_one_chunk(self):
@@ -209,7 +198,7 @@ class TestDense:
         f = _grid(operator._CHUNK_ELEMENTS + 7, seed=11)
         xs = _lattice(f, [5, 9000, 20000, f.count + 3], 1)
         got = pv_values(CauchyKernel.for_curve(curve), f, xs)
-        assert _rel_dev(got, _per_target_sums(curve, f, xs, *_window(f, None))) <= 1e-12
+        assert _rel_dev(got, _per_target_sums(curve, f, xs, _window(f, None))) <= 1e-12
 
 
 def test_misaligned_targets_name_the_first():
@@ -241,37 +230,32 @@ class TestBlock:
         dense=st.booleans(),
         par=st.sampled_from([0, 1]),
         first=st.integers(-100, 200),
-        lo_steps=st.integers(-60, 40),
-        width_steps=st.integers(0, 60),
+        t_steps=st.integers(0, 60),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60)
-    def test_block_equals_columns(self, n, curve, c, real, dense, par, first, lo_steps,
-                                  width_steps, seed):
-        # An asymmetric window with edges off both lattices of offsets, so
-        # the Toeplitz backend runs on the flat and affine graphs unless
-        # ``dense`` calls the dense backend directly.
+    def test_block_equals_columns(self, n, curve, c, real, dense, par, first, t_steps, seed):
+        # A radius off both lattices of offsets, so the Toeplitz backend
+        # runs on the flat and affine graphs unless ``dense`` calls the
+        # dense backend directly.
         block = _block(n, c, real[:c], seed)
-        lo = (lo_steps + 0.3) * block.step
-        hi = (lo_steps + width_steps + 1.2) * block.step
-        if not lo < 0 < hi:
-            par = 1  # a window off 0 keeps the coincident node of a node target
+        t = (t_steps + 0.3) * block.step
         xs = _lattice(block, np.arange(first, first + n), par)
         if dense:
             def sums(u):
-                return operator._dense_sums(curve, u, xs, lo, hi)
+                return operator._dense_sums(curve, u, xs, t)
         else:
             kernel = CauchyKernel.for_curve(curve)
-            fast = operator._toeplitz_sums(curve, block, xs, lo, hi)
+            fast = operator._toeplitz_sums(curve, block, xs, t)
             assert (fast is None) == (curve.kind is ProfileKind.SAWTOOTH)
 
             def sums(u):
-                return operator._masked_sums(kernel, u, xs, lo, hi)
+                return operator._masked_sums(kernel, u, xs, t)
 
         got = sums(block)
         assert got.shape == (xs.size, c) and got.dtype == np.complex128
-        for j, col in enumerate(block.columns()):
-            want = sums(col)
+        for j in range(c):
+            want = sums(_column(block, j))
             assert want.shape == (xs.size,)
             assert _rel_dev(got[:, j], want) <= 1e-14
             if curve is FLAT and real[j] and not dense:
@@ -295,8 +279,8 @@ class TestBlock:
             kernel = CauchyKernel.for_curve(curve)
             got = commutator_values(b, block, kernel, xs)
             assert calls == [(400, 3), (400, 3)]  # C(F) and C(b F)
-            for j, col in enumerate(block.columns()):
-                want = commutator_values(b, col, kernel, xs)
+            for j in range(3):
+                want = commutator_values(b, _column(block, j), kernel, xs)
                 assert _rel_dev(got[:, j], want) <= 1e-14
 
     def test_dense_backend_evaluates_the_profile_twice_per_call(self, monkeypatch):
@@ -312,7 +296,7 @@ class TestBlock:
             return original(curve, x)
 
         monkeypatch.setattr(operator, "eval_A", counted)
-        operator._dense_sums(curve, f, xs, *_window(f, None))
+        operator._dense_sums(curve, f, xs, _window(f, None))
         assert sorted(calls) == sorted([f.count, xs.size])
 
 
@@ -320,13 +304,9 @@ SAWTOOTH = LipschitzCurve.sawtooth(0.5, 2.0)
 TREE_CURVES = [SAWTOOTH, LipschitzCurve.smooth_bump(0.8, 0.5), LipschitzCurve.affine(0.7), FLAT]
 
 
-def _tree_window(f, kind, a, b):
-    """A pv, truncated (radius ``a`` steps) or asymmetric (``[-a, b]`` steps) window."""
-    if kind == "pv":
-        return _window(f, None)
-    if kind == "truncated":
-        return _window(f, a * f.step)
-    return -a * f.step, b * f.step
+def _tree_radius(f, kind, a):
+    """The radius of a pv or a truncated (``a`` steps) sum."""
+    return _window(f, None if kind == "pv" else a * f.step)
 
 
 class TestTree:
@@ -336,16 +316,15 @@ class TestTree:
         n=st.integers(33, 700),
         curve=st.sampled_from(TREE_CURVES),
         c=st.sampled_from([1, 2]),
-        kind=st.sampled_from(["pv", "truncated", "asymmetric"]),
+        kind=st.sampled_from(["pv", "truncated"]),
         a=st.one_of(st.integers(1, 300), st.floats(0.3, 300.0)),
-        b=st.one_of(st.integers(1, 300), st.floats(0.3, 300.0)),
         par=st.sampled_from([0, 1]),
         off=st.one_of(st.just(0.0), st.floats(0.05, 0.45)),
         reach=st.floats(1.0, 1e3),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=80, deadline=None)
-    def test_agrees_with_dense(self, n, curve, c, kind, a, b, par, off, reach, seed):
+    def test_agrees_with_dense(self, n, curve, c, kind, a, par, off, reach, seed):
         # Whole-step radii put window edges on lattice offsets, so boxes
         # straddle an edge and ties are decided by the float mask; ``off``
         # moves the targets off both lattices.
@@ -354,10 +333,10 @@ class TestTree:
         inside = _lattice(f, np.arange(-n // 4, n + n // 4), par) + off * f.step
         sides = np.array([-1.0, 1.0])[rng.integers(0, 2, 200)]
         far = f.origin + sides * (f.upper - f.lower) * (1.0 + reach * rng.random(200))
-        lo, hi = _tree_window(f, kind, a, b)
+        t = _tree_radius(f, kind, a)
         for xs in (inside, far, np.concatenate([inside, far])):
-            got = operator._tree_sums(curve, f, xs, lo, hi)
-            want = operator._dense_sums(curve, f, xs, lo, hi)
+            got = operator._tree_sums(curve, f, xs, t)
+            want = operator._dense_sums(curve, f, xs, t)
             assert got.shape == want.shape == (xs.size, c)
             if np.any(want):
                 assert _rel_dev(got, want) <= 1e-12
@@ -369,20 +348,19 @@ class TestTree:
         curve=st.sampled_from(TREE_CURVES),
         c=st.sampled_from([2, 3, 5]),
         real=st.lists(st.booleans(), min_size=5, max_size=5),
-        kind=st.sampled_from(["pv", "truncated", "asymmetric"]),
+        kind=st.sampled_from(["pv", "truncated"]),
         a=st.floats(0.3, 100.0),
-        b=st.floats(0.3, 100.0),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=30, deadline=None)
-    def test_block_equals_columns(self, n, curve, c, real, kind, a, b, seed):
+    def test_block_equals_columns(self, n, curve, c, real, kind, a, seed):
         block = _block(n, c, real[:c], seed)
         xs = np.concatenate([_lattice(block, np.arange(-50, n + 50), 1),
                              block.upper + np.linspace(1.0, 50.0, 40)])
-        lo, hi = _tree_window(block, kind, a, b)
-        got = operator._tree_sums(curve, block, xs, lo, hi)
-        for j, col in enumerate(block.columns()):
-            want = operator._tree_sums(curve, col, xs, lo, hi)
+        t = _tree_radius(block, kind, a)
+        got = operator._tree_sums(curve, block, xs, t)
+        for j in range(c):
+            want = operator._tree_sums(curve, _column(block, j), xs, t)
             assert want.shape == (xs.size,)
             assert _rel_dev(got[:, j], want) <= 1e-14
 
@@ -393,8 +371,8 @@ class TestTree:
         xs = np.concatenate([1e4 + np.arange(500) * 0.5, -1e4 - np.arange(500) * 0.5,
                              _lattice(f, np.arange(0, 2000, 7), 1)])
         for curve in (SAWTOOTH, FLAT):
-            got = operator._tree_sums(curve, f, xs, *_window(f, None))
-            want = operator._dense_sums(curve, f, xs, *_window(f, None))
+            got = operator._tree_sums(curve, f, xs, _window(f, None))
+            want = operator._dense_sums(curve, f, xs, _window(f, None))
             assert np.all(np.isfinite(got))
             assert _rel_dev(got, want) <= 1e-12
             assert _rel_dev(got[:1000], want[:1000]) <= 1e-12
@@ -411,11 +389,11 @@ class TestTree:
     def test_large_curved_input_goes_to_the_tree(self):
         f = _block(2000, 3, [True, False, True], seed=12)
         xs = _lattice(f, np.arange(-3000, 5000), 1)
-        lo, hi = _window(f, None)
+        t = _window(f, None)
         assert operator._tree_pays(f, xs)
-        got = operator._masked_sums(CauchyKernel.for_curve(SAWTOOTH), f, xs, lo, hi)
-        np.testing.assert_array_equal(got, operator._tree_sums(SAWTOOTH, f, xs, lo, hi))
-        assert _rel_dev(got, operator._dense_sums(SAWTOOTH, f, xs, lo, hi)) <= 1e-12
+        got = operator._masked_sums(CauchyKernel.for_curve(SAWTOOTH), f, xs, t)
+        np.testing.assert_array_equal(got, operator._tree_sums(SAWTOOTH, f, xs, t))
+        assert _rel_dev(got, operator._dense_sums(SAWTOOTH, f, xs, t)) <= 1e-12
 
     def test_small_inputs_stay_dense(self):
         # Targets spread over the nodes, where the tree walks to the most leaves.
@@ -434,7 +412,7 @@ class TestTree:
             return original(curve, x)
 
         monkeypatch.setattr(operator, "eval_A", counted)
-        operator._tree_sums(SAWTOOTH, f, xs, *_window(f, None))
+        operator._tree_sums(SAWTOOTH, f, xs, _window(f, None))
         assert sorted(calls) == sorted([f.count, xs.size])
 
 
@@ -460,14 +438,14 @@ class TestLabBackends:
         picked = {}
         dense, tree = operator._dense_sums, operator._tree_sums
 
-        def spy_dense(curve, f, xs, lo, hi):
+        def spy_dense(curve, f, xs, t):
             picked.setdefault((f.count, xs.size), set()).add("dense")
-            return dense(curve, f, xs, lo, hi)
+            return dense(curve, f, xs, t)
 
-        def spy_tree(curve, f, xs, lo, hi):
+        def spy_tree(curve, f, xs, t):
             picked.setdefault((f.count, xs.size), set()).add("tree")
-            got = tree(curve, f, xs, lo, hi)
-            assert _rel_dev(got, dense(curve, f, xs, lo, hi)) <= 1e-12
+            got = tree(curve, f, xs, t)
+            assert _rel_dev(got, dense(curve, f, xs, t)) <= 1e-12
             return got
 
         monkeypatch.setattr(operator, "_dense_sums", spy_dense)

@@ -1,9 +1,10 @@
-"""Every public function and class of the library has a user besides its unit tests.
+"""Every public function, class and member of the library has a user besides its unit tests.
 
 The paper's claims are tested through the CLI subcommands, the benchmark
 workloads and the acceptance checks c01-c10, so the library exports what
 those run and no more.  A public module-level function or class of
-``src/cauchylab`` passes when its name is read
+``src/cauchylab``, and a public method or property of a public class,
+passes when its name is read
 
 * in the package outside its own definition (the ``__init__``
   re-exports do not count),
@@ -50,6 +51,21 @@ def public_definitions():
     return out
 
 
+def public_members():
+    """``module, name, lines`` of each public method and property of a public class."""
+    out = []
+    for path in MODULES:
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    lines = range(node.lineno, node.end_lineno + 1)
+                    out.append(pytest.param(path.stem, node.name, lines,
+                                            id=f"{path.stem}.{cls.name}.{node.name}"))
+    return out
+
+
 def outside_users():
     """Names read by the benchmark, its traced names and the acceptance checks."""
     names = set()
@@ -64,13 +80,25 @@ TREES = {path.stem: ast.parse(path.read_text()) for path in MODULES}
 OUTSIDE, TRACED = outside_users()
 
 
-@pytest.mark.parametrize("module, name, lines", public_definitions())
-def test_public_name_has_a_user(module, name, lines):
+def has_a_user(module, name, lines):
     in_package = any(
         name in read_names(tree, lines if stem == module else range(0))
         for stem, tree in TREES.items()
     )
-    assert in_package or name in OUTSIDE or (module, name) in TRACED, (
+    return in_package or name in OUTSIDE or (module, name) in TRACED
+
+
+@pytest.mark.parametrize("module, name, lines", public_definitions())
+def test_public_name_has_a_user(module, name, lines):
+    assert has_a_user(module, name, lines), (
         f"cauchylab.{module}.{name} is run only by its own unit tests: "
+        f"delete it, or give it a caller in the CLI, the benchmark or c01-c10"
+    )
+
+
+@pytest.mark.parametrize("module, name, lines", public_members())
+def test_public_member_has_a_user(module, name, lines):
+    assert has_a_user(module, name, lines), (
+        f"the member {name} of cauchylab.{module} is run only by its own unit tests: "
         f"delete it, or give it a caller in the CLI, the benchmark or c01-c10"
     )

@@ -18,6 +18,7 @@ from cauchylab import (
     verify_intermediate_bounds,
 )
 from cauchylab import testfn
+from cauchylab.sampling import ALIGNMENT_TOL
 from cauchylab.symbols import sign_step, truncated_log
 
 from conftest import random_symbol_case
@@ -81,14 +82,7 @@ class TestInvariantSuite:
     def test_randomized_cases(self, rng):
         for _ in range(100):
             b, base, p = random_symbol_case(rng)
-            tf = build_test_function(b, base, p)
-            inv = check_invariants(tf, b)
-            assert inv["mean_zero"] <= inv["mean_zero_tol"]
-            assert inv["a_j_abs"] <= 0.5 + 1e-12
-            assert inv["support_leak"] == 0.0
-            assert inv["sign_min"] >= -1e-12
-            assert 0.5 * (1 - 1e-12) <= inv["band_lo"]
-            assert inv["band_hi"] <= 2.5 * (1 + 1e-12)
+            assert_invariants_hold(build_test_function(b, base, p), b)
 
     def test_norm_band(self, rng):
         # |f|_p is capped by 5/2 and floored by half the split coverage.
@@ -101,6 +95,100 @@ class TestInvariantSuite:
             covered = b.step * int(np.sum(tf.upper_set_mask | tf.lower_set_mask))
             floor = 0.5 * (covered / base.measure) ** (1 / p)
             assert norm >= floor * (1 - 1e-9)
+
+
+def assert_invariants_hold(tf, b):
+    inv = check_invariants(tf, b)
+    assert inv["mean_zero"] <= inv["mean_zero_tol"]
+    assert inv["a_j_abs"] <= 0.5 + 1e-12
+    assert inv["support_leak"] == 0.0
+    assert inv["sign_min"] >= -1e-12
+    assert 0.5 * (1 - 1e-12) <= inv["band_lo"]
+    assert inv["band_hi"] <= 2.5 * (1 + 1e-12)
+
+
+class TestNodeEndpoints:
+    """Intervals with node endpoints: the median and the split sets see the same nodes."""
+
+    H = 1 / 3
+
+    def test_median_split_balances_within_one_half(self):
+        # Rounded, center - radius lands just below node 2, which an open
+        # float comparison counted in the split sets but not in the median.
+        b = SampledFunction(-1.0, self.H, [0, 0, 1, 1, 1, -1, -1, 0, 0, 0, 0, 0])
+        base = Interval.from_endpoints(-1 + 2 * self.H, -1 + 7 * self.H)
+        tf = build_test_function(b, base, 2.0)
+        assert abs(tf.a_j) <= 0.5
+        assert np.flatnonzero(tf.f.values).tolist() == [3, 4, 5, 6]
+        assert_invariants_hold(tf, b)
+
+    def test_three_valued_symbols_meet_every_bound(self):
+        rng = np.random.default_rng(469)
+        built = 0
+        for _ in range(2000):
+            n = int(rng.integers(8, 40))
+            origin = -1.0 + self.H * int(rng.integers(-30, 30))
+            b = SampledFunction(origin, self.H, rng.integers(-1, 2, n).astype(float))
+            a, c = np.sort(rng.choice(n, 2, replace=False))
+            if c - a < 2:
+                continue
+            base = Interval.from_endpoints(origin + a * self.H, origin + c * self.H)
+            try:
+                tf = build_test_function(b, base, float(rng.uniform(1.2, 3.5)))
+            except InputError:
+                continue  # constant on the interior nodes
+            built += 1
+            assert_invariants_hold(tf, b)
+            assert np.count_nonzero(b.node_mask(base)) == c - a - 1
+        assert built > 1000
+
+    def test_node_mask_is_the_snapped_index_range(self):
+        rng = np.random.default_rng(7)
+        b = SampledFunction(-1.0, self.H, np.zeros(30))
+        k = b.nodes.size
+        # Endpoints on nodes, within and beyond the snapping tolerance of a
+        # node, between nodes, and off either end of the grid.
+        ends = self.H * (rng.integers(-5, k + 5, (400, 2)).astype(float)
+                         + rng.choice([0.0, 0.5e-6, -0.5e-6, 2e-6, -2e-6, 0.4], (400, 2)))
+        for lo, hi in np.sort(ends, axis=1):
+            if not hi > lo:
+                continue
+            base = Interval.from_endpoints(-1.0 + lo, -1.0 + hi)
+            s_lo, s_hi = ((np.array([base.lower, base.upper]) + 1.0) / self.H)
+            s_lo, s_hi = (np.rint(s) if abs(s - np.rint(s)) <= ALIGNMENT_TOL else s
+                          for s in (s_lo, s_hi))
+            want = (np.arange(k) > s_lo) & (np.arange(k) < s_hi)
+            np.testing.assert_array_equal(b.node_mask(base), want)
+            first, stop = b.node_bounds(base.lower, base.upper)
+            assert np.count_nonzero(want) == max(0, stop - first)
+
+
+class TestAnnulusPieces:
+    def test_set_identity(self):
+        base = Interval(2.0, 0.5)
+        right, left = testfn._annulus(base, 3, 1.0), testfn._annulus(base, 3, -1.0)
+        assert right.lower == 2.0 + 8 * 0.5 and right.upper == 2.0 + 16 * 0.5
+        assert left.lower == 2.0 - 16 * 0.5 and left.upper == 2.0 - 8 * 0.5
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    def test_dyadic_inclusion_chain(self, k):
+        # 2^(k+1) I is inside 8 * annulus which is inside 2^(k+3) I, on each side.
+        base = Interval(0.3, 0.7)
+        big = base.dilate(2.0 ** (k + 1))
+        bigger = base.dilate(2.0 ** (k + 3))
+        for side in (1.0, -1.0):
+            eight = testfn._annulus(base, k, side).dilate(8.0)
+            assert eight.lower <= big.lower and big.upper <= eight.upper
+            assert bigger.lower <= eight.lower and eight.upper <= bigger.upper
+
+    def test_level_validation(self):
+        b = sample(sign_step(0.0), -1.25, 1.25, 1000)
+        tf = build_test_function(b, I01, 2.0)
+        for k in (0, -1):
+            with pytest.raises(InputError, match="level"):
+                annulus_ladder_reports(b, tf, [k], FLAT)
+            with pytest.raises(InputError, match="level"):
+                verify_intermediate_bounds(b, tf, k, FLAT)
 
 
 class TestAnnulusReports:
