@@ -30,6 +30,10 @@ from .curve import LipschitzCurve, eval_A
 from .errors import InputError, SingularityError
 from .reports import BoundReport
 
+# Samples per chunk of a check's lhs column, so that the kernel temporaries
+# of a sweep stay a few hundred kilobytes whatever its sample count.
+_CHECK_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class CauchyKernel:
@@ -79,11 +83,25 @@ def kernel_modulus(kernel: CauchyKernel, x, y):
     return out
 
 
+def _by_chunks(fn, *arrays) -> np.ndarray:
+    """``fn`` of the broadcast ``arrays``, taken ``_CHECK_CHUNK`` elements at a time.
+
+    ``fn`` is elementwise and returns floats, so the result does not depend
+    on the chunking.
+    """
+    arrays = np.broadcast_arrays(*arrays)
+    out = np.empty(arrays[0].shape)
+    for a in range(0, len(out), _CHECK_CHUNK):
+        part = slice(a, a + _CHECK_CHUNK)
+        out[part] = fn(*(v[part] for v in arrays))
+    return out
+
+
 def check_size(kernel: CauchyKernel, x, y) -> BoundReport:
     """Check ``|K(x, y)| <= 1/|y - x|`` pointwise, with no tolerance."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    lhs = np.atleast_1d(kernel_modulus(kernel, x, y))
+    lhs = _by_chunks(lambda u, v: kernel_modulus(kernel, u, v), x, y)
     rhs = 1.0 / np.abs(y - x)
     passed = lhs <= rhs
     return BoundReport(
@@ -99,7 +117,8 @@ def check_smoothness(kernel: CauchyKernel, x, y, y_prime, transposed: bool = Fal
     Requires ``|y - y'| <= |y - x| / 2`` for every triple; a violated
     precondition is a rejected input, never a failed bound.  With the
     ``transposed`` flag the difference is taken in the first argument,
-    ``|K(y, x) - K(y', x)|``, against the same right-hand side.
+    ``|K(y, x) - K(y', x)|``, against the same right-hand side.  ``A`` is
+    evaluated once on each of ``x`` and the stacked ``y`` and ``y'``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -110,12 +129,16 @@ def check_smoothness(kernel: CauchyKernel, x, y, y_prime, transposed: bool = Fal
     if np.any(np.abs(y - y_prime) > 0.5 * gap):
         raise InputError("inadmissible triple: need |y - y'| <= |y - x| / 2")
     if transposed:
-        diff = eval_kernel(kernel, y, x) - eval_kernel(kernel, y_prime, x)
         name = "|K(y,x) - K(y',x)| <= 2(L+1)|y-y'| / |y-x|^2"
     else:
-        diff = eval_kernel(kernel, x, y) - eval_kernel(kernel, x, y_prime)
         name = "|K(x,y) - K(x,y')| <= 2(L+1)|y-y'| / |y-x|^2"
-    lhs = np.abs(diff)
+
+    def lhs_of(u, v, v_prime):
+        w = np.stack([v, v_prime])
+        K = eval_kernel(kernel, w, u) if transposed else eval_kernel(kernel, u, w)
+        return np.abs(K[0] - K[1])
+
+    lhs = _by_chunks(lhs_of, x, y, y_prime)
     rhs = kernel.size_constant * np.abs(y_prime - y) / gap**2
     passed = lhs <= rhs
     return BoundReport(

@@ -36,18 +36,21 @@ this order:
 * Multipole tree: any graph, when ``_tree_pays`` estimates that it does
   less work than the dense sum.  The estimate counts what each backend
   does with these inputs: dense one kernel pair per node and target; the
-  tree its moments at every level, a walk to the leaves for each target
-  near the nodes and one series for each target far from them, where only
-  the arithmetic, not the walk, grows with the block width.  So small
-  grids evaluated far away, as the non-compactness witnesses do, go to the
+  tree its moments at every level it can use (the root alone when no
+  target is near the nodes), a walk to the leaves for each near target
+  and one series for each far one, where only the arithmetic, not the
+  walk, grows with the block width.  So small grids evaluated far away,
+  as the non-compactness witnesses and the homogeneity check do, go to the
   tree.  ``1 / (z_y - z_x)`` is the 2-D Cauchy kernel of the fast multipole
   method (Greengard and Rokhlin, J. Comput. Phys. 73 (1987); Barnes and
   Hut, Nature 324 (1986)).  A binary tree over the sorted nodes sums each
   box far from a target by its multipole series about the box centre and
-  every other node by the dense backend's ``_kernel_sums``.  It keeps the
-  dense set of summed terms; a far box differs from its dense sum by the
-  dropped series tail, at most ``2^-53 sum |w| / |z_x - c|`` for weights
-  ``w`` and box centre ``c``, plus rounding.
+  every other node by the dense backend's ``_kernel_sums``.  Targets walk
+  it in blocks of ``_TREE_BLOCK``, and a level's moments are built the
+  first time a far box of that level is summed.  It keeps the dense set of
+  summed terms; a far box differs from its dense sum by the dropped series
+  tail, at most ``2^-53 sum |w| / |z_x - c|`` for weights ``w`` and box
+  centre ``c``, plus rounding.
 * Dense: every other input, by cache-sized chunks of the kernel matrix
   in real arithmetic.  It is the oracle both others are tested against,
   and the path for small inputs.
@@ -105,6 +108,11 @@ _COST = {
 }
 # Far-field (target, box) pairs summed per Horner pass.
 _FAR_PAIRS = 2048
+# Targets per tree walk.  A block's walk, leaf and far-pair index arrays
+# grow with it: one unblocked walk of 32767 midpoints over 32768 sawtooth
+# nodes peaked 24 MB higher than blocks of 2048, which were also faster
+# than blocks of 512.
+_TREE_BLOCK = 2048
 
 
 def _points(xs) -> np.ndarray:
@@ -244,16 +252,17 @@ def _kernel_sums(chunks, t: float):
 def _tree_pays(f: SampledFunction, xs: np.ndarray) -> bool:
     """Whether the tree backend is estimated cheaper than dense for ``f`` at ``xs``.
 
-    Dense work is one kernel pair per node and target.  The tree builds
-    moments at every level for every node; a target within one node span of
-    the span's midpoint is near and walks every level to the leaves, while
-    any other target is summed by the root box's series.  Each count is
-    weighted by its ``_COST`` row for the ``c`` columns of ``f``.
+    Dense work is one kernel pair per node and target.  A target within one
+    node span of the span's midpoint is near and walks every level to the
+    leaves, while any other target is summed by the root box's series.  The
+    tree builds moments for every node at each level a far pair uses: every
+    level when some target is near, the root alone when none is.  Each count
+    is weighted by its ``_COST`` row for the ``c`` columns of ``f``.
     """
     n, m, c = f.count, xs.size, f.values.size // f.count
-    levels = (-(-n // _LEAF) - 1).bit_length() + 1
     span = f.upper - f.lower
     near = int(np.count_nonzero(np.abs(xs - (f.lower + 0.5 * span)) <= span))
+    levels = (-(-n // _LEAF) - 1).bit_length() + 1 if near else 1
 
     def work(item: str, count: int) -> float:
         shared, per_column = _COST[item]
@@ -281,12 +290,16 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     node span and of its range of ``A``), a radius ``rho``, the largest
     ``|z_y - c|`` over its nodes, and moments
     ``M_k = sum w_y ((z_y - c) / rho)^k`` for ``k <= _ORDER``, scaled so that
-    no power overflows or underflows.  Each level's moments are summed
-    directly from the nodes, by chunks, with no translation between levels.
+    no power overflows or underflows.  The spans, centres and radii of every
+    level are set up front; a level's moments are summed directly from the
+    nodes by ``_moment_builder``, with no translation between levels, the
+    first time a far pair uses that level, and kept for the rest of the
+    call.  A call whose targets all lie far from the nodes builds the root's
+    moments alone.
 
-    Every target walks down from the root.  A box whose node offsets all
-    lie outside ``[-t, t]`` and which satisfies ``rho < _THETA |z_x - c|``
-    is summed by its series
+    Targets walk down from the root in blocks of ``_TREE_BLOCK``.  A box
+    whose node offsets all lie outside ``[-t, t]`` and which satisfies
+    ``rho < _THETA |z_x - c|`` is summed by its series
     ``1 / (z_y - z_x) = -1 / (z_x - c) sum_k ((z_y - c) / (z_x - c))^k``,
     to the order ``_series_order`` gives for that pair's ratio, by Horner's
     rule.  A box whose offsets all lie inside the window is dropped.  Any
@@ -298,10 +311,10 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     whole by the dense mask too.  The set of summed terms is therefore
     exactly the dense set, and a far box differs from its dense sum only by
     the series tail, at most 2^-53 of ``sum |w| / |z_x - c|``, plus rounding.
+    Each block makes one ``_leaf_sums`` and one ``_far_sums`` call for all
+    of its pairs.
 
-    ``A`` is evaluated once at the nodes and once at the targets; targets
-    go through in blocks so that transient arrays stay near the dense
-    chunk budget.
+    ``A`` is evaluated once at the nodes and once at the targets.
     """
     nodes = f.nodes
     n = nodes.size
@@ -314,15 +327,17 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     weights[:n] = np.concatenate([V.real, V.imag], axis=1)
     at = np.minimum(np.arange(weights.shape[0]), n - 1)
     leaf_nodes, leaf_A = nodes[at], A_nodes[at]
-    offsets, x_first, x_last, centre, rho, moments = _tree_boxes(nodes, A_nodes, weights, depth)
+    offsets, x_first, x_last, centre, rho = _tree_boxes(nodes, A_nodes, depth)
+    # Pages of levels whose moments are never built are never touched.
+    moments = np.zeros((_ORDER + 1, offsets[-1], c), dtype=np.complex128)
+    build = _moment_builder(nodes + 1j * A_nodes, weights, offsets, centre, rho, depth, moments)
 
     out = np.zeros((xs.size, c), dtype=np.complex128)
-    block = max(1, _CHUNK_ELEMENTS // (2 * _LEAF))
-    for start in range(0, xs.size, block):
-        x = xs[start:start + block]
-        A_x = A_xs[start:start + block]
+    for start in range(0, xs.size, _TREE_BLOCK):
+        x = xs[start:start + _TREE_BLOCK]
+        A_x = A_xs[start:start + _TREE_BLOCK]
         zx = x + 1j * A_x
-        acc = out[start:start + block]
+        acc = out[start:start + _TREE_BLOCK]
         tg = np.arange(x.size)
         bx = np.zeros(x.size, dtype=np.int64)
         far_t, far_g = [], []
@@ -333,71 +348,87 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
             d_last = x_last[g] - xt
             far = (((d_last < -t) | (d_first > t))
                    & (rho[g] < _THETA * np.abs(zx[tg] - centre[g])))
+            if np.any(far):
+                build(l)
             far_t.append(tg[far])
             far_g.append(g[far])
             opened = ~far & ~((d_first >= -t) & (d_last <= t))
             tg, bx = tg[opened], bx[opened]
-            if l < depth:
-                tg = np.repeat(tg, 2)
-                bx = (2 * bx[:, None] + np.arange(2)).ravel()
-                exists = bx < offsets[l + 2] - offsets[l + 1]
-                tg, bx = tg[exists], bx[exists]
+            if l == depth or not tg.size:
+                break
+            tg = np.repeat(tg, 2)
+            bx = (2 * bx[:, None] + np.arange(2)).ravel()
+            exists = bx < offsets[l + 2] - offsets[l + 1]
+            tg, bx = tg[exists], bx[exists]
         _leaf_sums(leaf_nodes, leaf_A, weights.T, x, A_x, tg, bx, t, acc)
         _far_sums(moments, centre, rho, zx, np.concatenate(far_t), np.concatenate(far_g), acc)
     out *= f.step
     return out.reshape(xs.shape + f.values.shape[1:])
 
 
-def _tree_boxes(nodes: np.ndarray, A_nodes: np.ndarray, weights: np.ndarray, depth: int):
-    """Node span, centre, radius and moments of every box, level 0 first.
+def _tree_boxes(nodes: np.ndarray, A_nodes: np.ndarray, depth: int):
+    """Node span, centre and radius of every box, level 0 first.
 
     Returns ``offsets``, whose entry ``l`` is the first box of level ``l``
-    (and whose last entry is the number of boxes), ``x_first``, ``x_last``,
-    ``centre`` and ``rho`` with one entry per box, and ``moments`` of shape
-    ``(_ORDER + 1, boxes, c)``.  The powers of ``(z_y - c) / rho`` are built
-    by chunks of ``chunk`` nodes, the largest ``_LEAF 2^j`` that keeps a
-    chunk of powers within ``_CHUNK_ELEMENTS``; a chunk holds whole boxes or
-    part of one box.  ``weights`` holds ``[Re V, Im V]`` padded with zeros
-    to ``_LEAF 2^depth`` rows.
+    (and whose last entry is the number of boxes), and ``x_first``,
+    ``x_last``, ``centre`` and ``rho`` with one entry per box.
     """
-    n, c = nodes.size, weights.shape[1] // 2
+    n = nodes.size
     z = nodes + 1j * A_nodes
-    root = _LEAF << depth
-    chunk = min(root, _LEAF << max(0, (_CHUNK_ELEMENTS // (_LEAF * (_ORDER + 1)))
-                                   .bit_length() - 1))
-    # The products run in real arithmetic, [Re p; Im p] @ [Re V, Im V], on
-    # the real matrix kernels the dense backend uses.
-    t = np.zeros(root, dtype=np.complex128)
-    powers = np.empty((_ORDER + 1, chunk), dtype=np.complex128)
-    powers[0] = 1.0
-    planes = np.empty((2, _ORDER + 1, chunk))
     levels = range(depth + 1)
     starts = [np.arange(0, n, _LEAF << (depth - l)) for l in levels]
+    offsets = np.cumsum([0] + [s.size for s in starts])
     first = np.concatenate(starts)
     last = np.concatenate([np.minimum(s + (_LEAF << (depth - l)), n) - 1
                            for l, s in zip(levels, starts)])
-    centre = np.empty(first.size, dtype=np.complex128)
+    a_lo = np.concatenate([np.minimum.reduceat(A_nodes, s) for s in starts])
+    a_hi = np.concatenate([np.maximum.reduceat(A_nodes, s) for s in starts])
+    centre = 0.5 * (nodes[first] + nodes[last]) + 0.5j * (a_lo + a_hi)
     rho = np.empty(first.size)
-    moments = np.zeros((_ORDER + 1, first.size, c), dtype=np.complex128)
-    box0 = 0
-    for l in levels:
+    for l, s in zip(levels, starts):
+        of_node = offsets[l] + np.arange(n) // (_LEAF << (depth - l))
+        rho[offsets[l]:offsets[l + 1]] = np.maximum.reduceat(np.abs(z - centre[of_node]), s)
+    return offsets, nodes[first], nodes[last], centre, rho
+
+
+def _moment_builder(z: np.ndarray, weights: np.ndarray, offsets: np.ndarray,
+                    centre: np.ndarray, rho: np.ndarray, depth: int, moments: np.ndarray):
+    """A function ``build(l)`` that sums the moments of level ``l``'s boxes into ``moments``.
+
+    ``z`` holds the nodes ``y + i A(y)``; ``moments`` has shape
+    ``(_ORDER + 1, boxes, c)`` and is zero on a level until it is built.
+    ``build`` sums a level once; a later call for that level returns at once.
+    The powers of ``(z_y - c) / rho`` are built by chunks of ``chunk``
+    nodes, the largest ``_LEAF 2^j`` that keeps a chunk of powers within
+    ``_CHUNK_ELEMENTS``; a chunk holds whole boxes or part of one box.
+    ``weights`` holds ``[Re V, Im V]`` padded with zeros to ``_LEAF 2^depth``
+    rows.  The chunk buffers are allocated once and shared by every level.
+    """
+    n, c = z.size, weights.shape[1] // 2
+    chunk = min(_LEAF << depth, _LEAF << max(0, (_CHUNK_ELEMENTS // (_LEAF * (_ORDER + 1)))
+                                            .bit_length() - 1))
+    u = np.zeros(_LEAF << depth, dtype=np.complex128)
+    powers = np.empty((_ORDER + 1, chunk), dtype=np.complex128)
+    powers[0] = 1.0
+    planes = np.empty((2, _ORDER + 1, chunk))
+    built = set()
+
+    def build(l: int) -> None:
+        if l in built:
+            return
+        built.add(l)
         size = _LEAF << (depth - l)
-        boxes = slice(box0, box0 + starts[l].size)
-        box0 = boxes.stop
-        a_lo = np.minimum.reduceat(A_nodes, starts[l])
-        a_hi = np.maximum.reduceat(A_nodes, starts[l])
-        centre[boxes] = 0.5 * (nodes[first[boxes]] + nodes[last[boxes]]) + 0.5j * (a_lo + a_hi)
+        boxes = slice(offsets[l], offsets[l + 1])
         of_node = boxes.start + np.arange(n) // size
-        dz = z - centre[of_node]
-        rho[boxes] = np.maximum.reduceat(np.abs(dz), starts[l])
         r = rho[of_node]
-        t[:n] = 0.0
-        np.divide(dz, r, out=t[:n], where=r > 0)
+        u[:n] = 0.0
+        np.divide(z - centre[of_node], r, out=u[:n], where=r > 0)
+        # The products run in real arithmetic, [Re p; Im p] @ [Re V, Im V],
+        # on the real matrix kernels the dense backend uses.
         group = min(size, chunk)
         for a in range(0, n, chunk):
-            u = t[a:a + chunk]
             for k in range(1, _ORDER + 1):
-                np.multiply(powers[k - 1], u, out=powers[k])
+                np.multiply(powers[k - 1], u[a:a + chunk], out=powers[k])
             planes[0] = powers.real
             planes[1] = powers.imag
             part = np.matmul(planes.reshape(2 * (_ORDER + 1), -1, group).transpose(1, 0, 2),
@@ -408,8 +439,8 @@ def _tree_boxes(nodes: np.ndarray, A_nodes: np.ndarray, weights: np.ndarray, dep
             box = moments[:, b0:b1]
             box.real += (re[..., :c] - im[..., c:]).transpose(1, 0, 2)
             box.imag += (re[..., c:] + im[..., :c]).transpose(1, 0, 2)
-    offsets = np.cumsum([0] + [s.size for s in starts])
-    return offsets, nodes[first], nodes[last], centre, rho, moments
+
+    return build
 
 
 def _leaf_sums(nodes: np.ndarray, A_nodes: np.ndarray, W: np.ndarray, x: np.ndarray,

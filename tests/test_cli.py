@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cauchylab import BoundReport, InputError, oscillation_table
+from cauchylab import cli
 from cauchylab.cli import HANDLERS, main
 from cauchylab.config import DEFAULTS, ExperimentConfig
 
@@ -26,6 +27,42 @@ class TestReports:
         rep = BoundReport("x", {"lhs": np.array([1.0, 0.0]), "rhs": np.array([2.0, 0.0]),
                                 "pass": np.array([True, True])})
         assert rep.passed and rep.ratios().max() == 0.5
+
+    @pytest.mark.parametrize("case", ["spread", "all_tied", "ties", "inf_nan", "mostly_nan",
+                                      "violations", "no_pass"])
+    def test_trim_keeps_the_rows_of_a_full_stable_sort(self, case):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        n = 5000
+        lhs = rng.random(n)
+        rhs = np.ones(n)
+        if case == "all_tied":  # every size ratio is 1.0 on the flat graph
+            lhs = rhs.copy()
+        elif case == "ties":  # the 200th ratio falls inside a run of ties
+            lhs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n, p=[0.5, 0.2, 0.1, 0.18, 0.02])
+        elif case == "inf_nan":
+            lhs[rng.choice(n, 30, replace=False)] = np.nan
+            rhs[rng.choice(n, 30, replace=False)] = 0.0
+            lhs[rng.choice(n, 150, replace=False)] = 0.75
+        elif case == "mostly_nan":
+            lhs[rng.choice(n, n - 120, replace=False)] = np.nan
+        passed = ~(lhs > rhs)
+        if case == "violations":
+            lhs[rng.choice(n, 260, replace=False)] *= 3.0
+            passed = lhs <= 0.9
+        columns = {"lhs": lhs, "rhs": rhs, "pass": passed, "row": np.arange(n)}
+        if case == "no_pass":
+            del columns["pass"]
+        rep = BoundReport("x", columns)
+        got = cli._trim_rows(rep)
+        keep = np.argsort(-rep.ratios(), kind="stable")[:cli.MAX_REPORT_ROWS]
+        if case == "no_pass":
+            keep = np.sort(keep)
+        else:
+            keep = np.unique(np.concatenate([keep, np.flatnonzero(~passed)]))
+        assert keep.size > cli.MAX_REPORT_ROWS or case != "violations"
+        assert got.extras == {"rows_total": n, "rows_written": keep.size}
+        for name in columns:
+            np.testing.assert_array_equal(got.columns[name], columns[name][keep])
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(InputError):

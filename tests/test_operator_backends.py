@@ -364,6 +364,45 @@ class TestTree:
             assert want.shape == (xs.size,)
             assert _rel_dev(got[:, j], want) <= 1e-14
 
+    def test_more_targets_than_one_block(self):
+        # Three blocks, the last one short; near and far targets in each.
+        block = _block(700, 3, [True, False, True], seed=13)
+        ks = np.arange(-300, 1000)
+        xs = np.concatenate([_lattice(block, ks, 1), block.upper + 0.01 * np.arange(1, 4000)])
+        assert xs.size > 2 * operator._TREE_BLOCK and xs.size % operator._TREE_BLOCK
+        for t in (_window(block, None), 7.3 * block.step):
+            got = operator._tree_sums(SAWTOOTH, block, xs, t)
+            assert _rel_dev(got, operator._dense_sums(SAWTOOTH, block, xs, t)) <= 1e-12
+            for j in range(3):
+                want = operator._tree_sums(SAWTOOTH, _column(block, j), xs, t)
+                assert _rel_dev(got[:, j], want) <= 1e-14
+
+    def test_far_targets_build_the_root_moments_alone(self, monkeypatch):
+        # Three blocks of far targets, then near ones: each level a far pair
+        # uses is summed once (a second sum would double it), no other level.
+        f = _block(2000, 2, [True, False], seed=14)
+        xs = np.concatenate([f.upper + 3.0 * (f.upper - f.lower) + np.arange(3000) * 0.01,
+                             f.lower - 2.5 * (f.upper - f.lower) - np.arange(3000) * 0.01])
+        trees = []
+        original = operator._moment_builder
+
+        def spy(z, weights, offsets, centre, rho, depth, moments):
+            trees.append((offsets, moments))
+            return original(z, weights, offsets, centre, rho, depth, moments)
+
+        def built_levels():
+            offsets, moments = trees.pop()
+            return [l for l in range(offsets.size - 1)
+                    if np.any(moments[:, offsets[l]:offsets[l + 1]])]
+
+        monkeypatch.setattr(operator, "_moment_builder", spy)
+        t = _window(f, None)
+        for targets, levels in ((xs, [0]), (np.concatenate([xs, _lattice(f, np.arange(2000), 1)]),
+                                            list(range(7)))):
+            got = operator._tree_sums(SAWTOOTH, f, targets, t)
+            assert built_levels() == levels
+            assert _rel_dev(got, operator._dense_sums(SAWTOOTH, f, targets, t)) <= 1e-12
+
     def test_fine_grid_far_targets_are_finite(self):
         # Step 1e-7 against targets 1e4 away: ratios near 1e-11, powers that
         # would underflow unscaled, and no warning (warnings are errors here).
@@ -419,13 +458,13 @@ class TestTree:
 # Backend of every kernel sum three lab invocations make on the sawtooth
 # graph, by (nodes, targets).  The witnesses evaluate grids of a few hundred
 # nodes at targets spread far beyond them; homogeneity evaluates a long grid
-# at a few points far from it.
+# at a few points far from it, where the tree builds the root's moments alone.
 LAB_CURVE = {"curve": {"kind": "sawtooth", "params": {"amplitude": 0.5, "period": 2.0}}}
 WITNESS_SHAPES = {(n, m): "tree" for n in (245, 305, 381, 1901) for m in (1536, 8192)}
 LAB_BACKENDS = {
     "witness-small": (["witness", "--case", "small"], WITNESS_SHAPES),
     "witness-large": (["witness", "--case", "large"], WITNESS_SHAPES),
-    "verify-homogeneity": (["verify-homogeneity"], {(2048, 128): "dense"}),
+    "verify-homogeneity": (["verify-homogeneity"], {(2048, 128): "tree"}),
 }
 
 
