@@ -83,7 +83,8 @@ def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     n = cfg.integer("kernel_check.samples", 1)
     box = cfg.number("kernel_check.box")
     ok = True
-    # One sweep at a time, so that a single sweep's columns are alive at once.
+    # One sweep at a time: each report is written and dropped before the
+    # next sweep draws, so a single sweep's columns are alive at once.
     for name, sweep in (
         ("kernel_size", lambda: random_size_sweep(kern, n, rng, box)),
         ("kernel_smoothness", lambda: random_smoothness_sweep(kern, n, rng, box)),
@@ -93,6 +94,7 @@ def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         rep = sweep()
         ok &= rep.passed
         write_report(_trim_rows(rep), out_dir, name)
+        del rep
     return ok
 
 
