@@ -29,14 +29,12 @@ from .bmo import (
     vmo_profile,
 )
 from .commutator import (
-    HomogeneityCase,
     HomogeneityConfig,
     apply_commutator,
     commutator_norm_lower,
     commutator_norm_ratios,
     commutator_values,
     homogeneity_check,
-    make_homogeneity_case,
 )
 from .compactness import (
     FkReport,
@@ -56,7 +54,6 @@ from .reports import BoundReport, write_report
 from .sampling import (
     Interval,
     SampledFunction,
-    function_to_csv,
     lp_norm,
     sample,
     sample_on,

@@ -25,15 +25,14 @@ from .commutator import (
     HomogeneityConfig,
     apply_commutator,
     commutator_norm_ratios,
-    make_homogeneity_case,
     homogeneity_check,
 )
 from .config import ExperimentConfig
 from .errors import InputError
 from .kernel import random_size_sweep, random_smoothness_sweep
 from .operator import apply_on_window, pv_values
-from .reports import BoundReport, write_report
-from .sampling import function_to_csv, lp_norm, sample_on, stack
+from .reports import BoundReport, _write_csv, write_report
+from .sampling import lp_norm, sample_on, stack
 from .symbols import make_symbol
 
 MAX_REPORT_ROWS = 200
@@ -102,7 +101,8 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     kern = cfg.kernel()
     f = cfg.function("input")
     out = apply_on_window(kern, f, cfg.interval("window"))
-    function_to_csv(out, out_dir / "operator_output.csv")
+    _write_csv(out_dir / "operator_output.csv", (),
+               {"x": out.nodes, "re": out.values.real, "im": out.values.imag})
     extras = {
         "output_points": out.count,
         "output_norm_p2": lp_norm(out, 2.0),
@@ -198,7 +198,7 @@ def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 
 def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     curve = cfg.curve()
-    # make_homogeneity_case needs M > 10.
+    # homogeneity_check needs M > 10.
     ladder = [cfg.number(key, above=10.0) for key in cfg.entries("homogeneity.M_ladder")]
     hcfg = HomogeneityConfig(
         quadrature_cells=cfg.integer("homogeneity.quadrature_cells", 1),
@@ -209,7 +209,7 @@ def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> 
     r = cfg.number("homogeneity.r")
     rows = {"M": [], "lhs": [], "rhs": [], "raw_min": [], "pass": []}
     for M in ladder:
-        rep = homogeneity_check(make_homogeneity_case(curve, M, r), hcfg)
+        rep = homogeneity_check(curve, M, r, hcfg)
         rows["M"].append(M)
         rows["lhs"].append(rep.extras["adjusted_min"])
         rows["rhs"].append(rep.extras["slack"] * rep.extras["target"])

@@ -13,6 +13,8 @@ The quantitative lower-bound check: for well-separated same-radius
 intervals the operator does not wash out indicators.  With ``I0`` and
 ``I1`` of radius ``r`` at mutual distance pinned to ``[M r, 2 M r]``, the
 modulus of ``C(chi_I1)`` on ``I0`` is at least a constant over ``M``.
+``homogeneity_check(curve, M, r)`` places the two intervals itself, so
+the window holds by construction for every ``M > 10``.
 The checker compares ``pi`` times the computed modulus (restoring the
 conventional prefactor that the target constant ``2 / ((L^2 + 1) M)``
 is stated with) and passes at a configurable slack below the target.
@@ -30,47 +32,8 @@ from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import _points, pv_values
 from .reports import BoundReport
-from .sampling import Interval, SampledFunction, _rowwise, lp_norm, sample, stack
-
-
-@dataclass(frozen=True)
-class HomogeneityCase:
-    """Two disjoint radius-``r`` intervals with separation pinned to [Mr, 2Mr]."""
-
-    M: float
-    r: float
-    I0: Interval
-    I1: Interval
-    curve: LipschitzCurve
-
-    def __post_init__(self):
-        if not self.M > 10:
-            raise InputError(f"need M > 10, got {self.M}")
-        if not self.r > 0:
-            raise InputError("need r > 0")
-        for name, I in (("I0", self.I0), ("I1", self.I1)):
-            if abs(I.radius - self.r) > 1e-12 * self.r:
-                raise InputError(f"{name} must have radius r = {self.r}")
-        if not self.I0.is_disjoint_from(self.I1):
-            raise InputError("I0 and I1 must be disjoint")
-        gap = abs(self.I1.center - self.I0.center)
-        sep_min = gap - 2.0 * self.r
-        sep_max = gap + 2.0 * self.r
-        if sep_min < self.M * self.r * (1.0 - 1e-12):
-            raise InputError(
-                f"closest points are {sep_min}, below the window floor M r = {self.M * self.r}"
-            )
-        if sep_max > 2.0 * self.M * self.r * (1.0 + 1e-12):
-            raise InputError(
-                f"farthest points are {sep_max}, above the window cap 2 M r = {2 * self.M * self.r}"
-            )
-
-
-def make_homogeneity_case(curve: LipschitzCurve, M: float, r: float) -> HomogeneityCase:
-    """``I0 = I(0, r)`` and ``I1`` at ``1.2 (M + 1) r``, which satisfies the separation window for M > 10."""
-    I0 = Interval(0.0, r)
-    I1 = Interval(1.2 * (M + 1.0) * r, r)
-    return HomogeneityCase(M=M, r=r, I0=I0, I1=I1, curve=curve)
+from .sampling import (Interval, SampledFunction, _cell_centres, _rowwise, lp_norm, sample,
+                       stack)
 
 
 @dataclass(frozen=True)
@@ -84,22 +47,28 @@ class HomogeneityConfig:
             raise InputError(f"need eval_points >= 1, got {self.eval_points}")
 
 
-def homogeneity_check(case: HomogeneityCase,
+def homogeneity_check(curve: LipschitzCurve, M: float, r: float,
                       cfg: HomogeneityConfig = HomogeneityConfig()) -> BoundReport:
     """Lower bound for ``|C(chi_I1)|`` on ``I0`` against ``2 / ((L^2 + 1) M)``.
 
+    ``I0 = I(0, r)`` and ``I1 = I(1.2 (M + 1) r, r)``; for ``M > 10``
+    their closest points are ``(1.2 M - 0.8) r >= M r`` apart and their
+    farthest ``(1.2 M + 3.2) r <= 2 M r``, inside the separation window.
     Reports both the raw minimum modulus and the prefactor-adjusted value
     ``pi * min``; the pass criterion is ``pi * min >= slack * target``.
     """
-    kernel = CauchyKernel.for_curve(case.curve)
-    chi = sample(lambda y: np.ones_like(y), case.I1.lower, case.I1.upper,
-                 cfg.quadrature_cells)
-    xs = case.I0.lower + (np.arange(cfg.eval_points) + 0.5) * (
-        case.I0.measure / cfg.eval_points
-    )
+    if not M > 10:
+        raise InputError(f"need M > 10, got {M}")
+    if not r > 0:
+        raise InputError(f"need r > 0, got {r}")
+    I0 = Interval(0.0, r)
+    I1 = Interval(1.2 * (M + 1.0) * r, r)
+    kernel = CauchyKernel.for_curve(curve)
+    chi = sample(lambda y: np.ones_like(y), I1.lower, I1.upper, cfg.quadrature_cells)
+    xs, _ = _cell_centres(I0.lower, I0.measure, cfg.eval_points)
     values = np.abs(pv_values(kernel, chi, xs))
-    L = case.curve.lipschitz_constant
-    target = 2.0 / ((L * L + 1.0) * case.M)
+    L = curve.lipschitz_constant
+    target = 2.0 / ((L * L + 1.0) * M)
     adjusted = np.pi * values
     passed = adjusted >= cfg.slack * target
     return BoundReport(
@@ -107,14 +76,14 @@ def homogeneity_check(case: HomogeneityCase,
         columns={"x": xs, "lhs": adjusted, "rhs": np.full_like(xs, cfg.slack * target),
                  "pass": passed},
         extras={
-            "M": case.M,
+            "M": M,
             "L": L,
             "raw_min": float(values.min()),
             "adjusted_min": float(adjusted.min()),
             "target": target,
             "slack": cfg.slack,
-            "separation_floor": case.M * case.r,
-            "separation_cap": 2.0 * case.M * case.r,
+            "separation_floor": M * r,
+            "separation_cap": 2.0 * M * r,
         },
     )
 

@@ -39,8 +39,8 @@ from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import pv_values
 from .reports import BoundReport
-from .sampling import (Interval, SampledFunction, _lp, _rowwise, lp_norm, sample_on, shift,
-                       stack)
+from .sampling import (Interval, SampledFunction, _cell_centres, _lp, _rowwise, lp_norm,
+                       sample_on, shift, stack)
 from .testfn import AnnulusConfig, annulus_ladder_reports, build_test_function
 
 TAIL_WINDOW_FACTOR = 20.0  # tail lattice reaches factor * t_max * R
@@ -191,8 +191,7 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
 
     reach = TAIL_WINDOW_FACTOR * ts[-1] * R
     lo = ts[0] * R
-    cell_h = (reach - lo) / TAIL_CELLS_PER_SIDE
-    right = lo + (np.arange(TAIL_CELLS_PER_SIDE) + 0.5) * cell_h
+    right, cell_h = _cell_centres(lo, reach - lo, TAIL_CELLS_PER_SIDE)
     xs = np.concatenate([-right[::-1], right])
 
     block = stack(family)
@@ -270,6 +269,11 @@ def far_away_sequence(c_eps: float, a2: float, count: int) -> Tuple[Interval, ..
     return tuple(out)
 
 
+def _a3(c1: float, eps: float, a1: float, p: float) -> float:
+    """The separation floor ``A3 = 8^(1-p) * C1 * eps^p * A1^(1-p)``."""
+    return 8.0 ** (1.0 - p) * c1 * eps**p * a1 ** (1.0 - p)
+
+
 def choose_a2(c1: float, c2: float, epsilon: float, a1: float, p: float) -> float:
     """Smallest power of two separating the floor ``A3`` from the spill bound.
 
@@ -280,8 +284,7 @@ def choose_a2(c1: float, c2: float, epsilon: float, a1: float, p: float) -> floa
     """
     if not (c1 > 0 and c2 > 0 and epsilon > 0):
         raise InputError("need positive empirical constants and oscillation")
-    a3 = 8.0 ** (1.0 - p) * c1 * epsilon**p * a1 ** (1.0 - p)
-    rhs = 2.0 * c2 / ((1.0 - 2.0 ** (1.0 - p)) * a3)
+    rhs = 2.0 * c2 / ((1.0 - 2.0 ** (1.0 - p)) * _a3(c1, epsilon, a1, p))
     m = max(
         math.floor(math.log2(rhs) / (p - 1.0)) + 1,
         math.floor(math.log2(a1)) + 1,
@@ -333,8 +336,7 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
     pad = 0.05 * (hi - lo)
     window = Interval.from_endpoints(lo - pad, hi + pad)
     w0 = window.lower
-    h_eval = window.measure / engine.eval_cells
-    xs = w0 + (np.arange(engine.eval_cells) + 0.5) * h_eval
+    xs, h_eval = _cell_centres(w0, window.measure, engine.eval_cells)
 
     k_lo = WITNESS_ANNULUS.k_min
     k_ladder = list(range(k_lo, k_lo + C1_LEVELS))
@@ -374,14 +376,13 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
             dist[i, j] = d
             dist[j, i] = d
     offdiag = dist[~np.eye(n, dtype=bool)]
-    a3 = 8.0 ** (1.0 - p) * c1 * eps**p * cfg.a1 ** (1.0 - p)
     return WitnessReport(
         distances=dist,
         min_offdiag=float(np.min(offdiag)),
         epsilon=eps,
         c1_empirical=c1,
         c2_empirical=c2,
-        a3=a3,
+        a3=_a3(c1, eps, cfg.a1, p),
         a2_recommended=choose_a2(c1, c2, eps, cfg.a1, p),
     )
 

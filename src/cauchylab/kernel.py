@@ -42,7 +42,7 @@ class CauchyKernel:
     curve: LipschitzCurve
 
     @property
-    def size_constant(self) -> float:
+    def smoothness_constant(self) -> float:
         """Constant ``2 (L + 1)`` of the smoothness estimate."""
         return 2.0 * (self.curve.lipschitz_constant + 1.0)
 
@@ -139,7 +139,7 @@ def check_smoothness(kernel: CauchyKernel, x, y, y_prime, transposed: bool = Fal
         return np.abs(K[0] - K[1])
 
     lhs = _by_chunks(lhs_of, x, y, y_prime)
-    rhs = kernel.size_constant * np.abs(y_prime - y) / gap**2
+    rhs = kernel.smoothness_constant * np.abs(y_prime - y) / gap**2
     passed = lhs <= rhs
     return BoundReport(
         inequality=name,

@@ -3,8 +3,10 @@
 A report stores one checked inequality (written out as a formula), the
 measured columns (always including ``lhs``, ``rhs`` and ``pass`` when the
 check is thresholded), and scalar extras.  Serialization is deterministic:
-floats are written with ``repr`` (shortest round-trip form), rows keep
-construction order, and JSON keys are sorted.
+every value is turned into Python values once (``tolist``), floats are
+written in their shortest round-trip form, rows keep construction order,
+and JSON keys are sorted.  ``_write_csv`` is the one CSV writer, for
+reports and for the operator output alike.
 """
 
 from __future__ import annotations
@@ -12,33 +14,38 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Iterator
 
 import numpy as np
 
 from .errors import InputError
 
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+# Rows the CSV writer turns into Python values at a time.
+_CSV_ROWS = 1024
 
 
-def _jsonable(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    return v
+def _python(v):
+    """``v`` as Python values: ``v.tolist()`` for an array or a numpy scalar, else ``v``."""
+    return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+
+
+def _cells(values) -> Iterator[str]:
+    """Lazy CSV cells of an array or scalar: a boolean as 1 or 0, else ``str(value)``."""
+    values = np.atleast_1d(values)
+    python = _python(values)
+    return map(str, map(int, python) if values.dtype == bool else python)
+
+
+def _write_csv(path, comments, columns: Dict[str, np.ndarray]) -> None:
+    """``# comment`` lines, the column names, then the rows, ``_CSV_ROWS`` at a time."""
+    rows = len(next(iter(columns.values()), ()))
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for a in range(0, rows, _CSV_ROWS):
+            cells = [_cells(c[a:a + _CSV_ROWS]) for c in columns.values()]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 @dataclass
@@ -83,14 +90,9 @@ class BoundReport:
         return out
 
     def to_csv(self, path) -> None:
-        names = list(self.columns)
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# check: {self.inequality}\n")
-            for k in sorted(self.extras):
-                fh.write(f"# {k}: {_fmt(self.extras[k])}\n")
-            fh.write(",".join(names) + "\n")
-            for i in range(self.n_rows):
-                fh.write(",".join(_fmt(self.columns[k][i]) for k in names) + "\n")
+        comments = [f"check: {self.inequality}"]
+        comments += [f"{k}: {next(_cells(self.extras[k]))}" for k in sorted(self.extras)]
+        _write_csv(path, comments, self.columns)
 
     def to_json(self, path) -> None:
         payload = {
@@ -98,8 +100,8 @@ class BoundReport:
             "passed": self.passed,
             "n_rows": self.n_rows,
             "n_violations": self.n_violations,
-            "extras": {k: _jsonable(v) for k, v in self.extras.items()},
-            "columns": {k: _jsonable(v) for k, v in self.columns.items()},
+            "extras": {k: _python(v) for k, v in self.extras.items()},
+            "columns": {k: _python(v) for k, v in self.columns.items()},
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)

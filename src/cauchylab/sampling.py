@@ -33,9 +33,9 @@ way.  ``stack`` builds a block from a family; column ``j`` is
 ``values[:, j]``.
 The operators apply to a whole block at once (see ``operator``), which
 is how a family of test functions shares one kernel matrix.  Operations
-that make sense for one function only (``real_values``, ``value_at``,
-``function_to_csv`` and every oscillation in ``bmo``) raise ``InputError``
-on a block; ``lp_norm`` and ``shift`` work column by column.
+that make sense for one function only (``real_values``, ``value_at`` and
+every oscillation in ``bmo``) raise ``InputError`` on a block; ``lp_norm``
+and ``shift`` work column by column.
 """
 
 from __future__ import annotations
@@ -263,6 +263,12 @@ def _checked_real(values: np.ndarray) -> np.ndarray:
     return values.real
 
 
+def _cell_centres(lower: float, width: float, count: int) -> Tuple[np.ndarray, float]:
+    """Centres of the ``count`` equal cells of ``[lower, lower + width]``, and the cell width."""
+    h = width / count
+    return lower + (np.arange(count) + 0.5) * h, h
+
+
 def sample(fn: Callable[[np.ndarray], np.ndarray], lower: float, upper: float,
            count: int) -> SampledFunction:
     """Sample ``fn`` on the cell-centered grid of ``count`` cells over [lower, upper]."""
@@ -270,8 +276,7 @@ def sample(fn: Callable[[np.ndarray], np.ndarray], lower: float, upper: float,
         raise InputError(f"need upper > lower, got [{lower}, {upper}]")
     if count < 1:
         raise InputError("need at least one cell")
-    h = (upper - lower) / count
-    nodes = lower + (np.arange(count) + 0.5) * h
+    nodes, h = _cell_centres(lower, upper - lower, count)
     return SampledFunction(lower + 0.5 * h, h, fn(nodes), source=fn)
 
 
@@ -339,13 +344,4 @@ def shift(f: SampledFunction, z: float) -> SampledFunction:
         if -k < f.count:
             out[-k:] = f.values[: f.count + k]
     return f.with_values(out)
-
-
-def function_to_csv(f: SampledFunction, path) -> None:
-    """Write columns x, re, im (one row per node)."""
-    f.require_single("function_to_csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("x,re,im\n")
-        for x, v in zip(f.nodes, f.values):
-            fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 

@@ -44,7 +44,7 @@ from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import pv_values
 from .reports import BoundReport
-from .sampling import Interval, SampledFunction, sample
+from .sampling import Interval, SampledFunction, _cell_centres, sample
 
 POINTWISE_SLACK = 0.10  # cushion of the pointwise majorant check
 DRIFT_BOUND = 4.0  # recorded empirical cap of the median-drift to k * bmo ratio
@@ -183,11 +183,6 @@ def check_invariants(tf: TestFunction, b: SampledFunction) -> dict:
     }
 
 
-def _region_lattice(region: Interval, cells: int) -> Tuple[np.ndarray, float]:
-    h = region.measure / cells
-    return region.lower + (np.arange(cells) + 0.5) * h, h
-
-
 def _require_sampled(b: SampledFunction, region: Interval, what: str) -> None:
     """Reject a symbol with no source callable whose samples miss part of ``region``."""
     if b.source is None and (region.lower < b.lower - b.step or region.upper > b.upper + b.step):
@@ -207,7 +202,7 @@ def _power_integrals(b: SampledFunction, tf: TestFunction, kernel: CauchyKernel,
     """
     for region, _ in regions:
         _require_sampled(b, region, "evaluation region")
-    lattices = [_region_lattice(region, cells) for region, cells in regions]
+    lattices = [_cell_centres(region.lower, region.measure, cells) for region, cells in regions]
     vals = commutator_values(b, tf.f, kernel, np.concatenate([xs for xs, _ in lattices]))
     parts = np.split(vals, np.cumsum([xs.size for xs, _ in lattices])[:-1])
     return [float(cell_h * np.sum(np.abs(part) ** tf.p))
@@ -262,12 +257,11 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
     _require_sampled(b, region, "annulus")
     _require_sampled(b, dilate, "dilated interval")
 
-    xs, _ = _region_lattice(region, cfg.eval_cells)
+    xs, _ = _cell_centres(region.lower, region.measure, cfg.eval_cells)
     cf = pv_values(kernel, tf.f, xs)
     b_at = b.value_at(xs).real
     lhs = np.abs(b_at - alpha) * np.abs(cf)
-    L = kernel.curve.lipschitz_constant
-    c_fold = 2.0 * (L + 1.0) * 2.5
+    c_fold = kernel.smoothness_constant * 2.5
     majorant = (
         c_fold
         * base.radius

@@ -23,7 +23,6 @@ from cauchylab import (
     build_test_function,
     check_invariants,
     homogeneity_check,
-    make_homogeneity_case,
     mean_deviation,
     median,
     pv_values,
@@ -106,7 +105,7 @@ def test_c03_homogeneity_lower_bound():
         Ms = [16.0, 64.0, 256.0, 1024.0]
         mins = []
         for M in Ms:
-            rep = homogeneity_check(make_homogeneity_case(curve, M, 1.0))
+            rep = homogeneity_check(curve, M, 1.0)
             target = 2.0 / ((L * L + 1.0) * M)
             ok &= rep.extras["adjusted_min"] >= 0.9 * target
             mins.append(rep.extras["adjusted_min"])

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cauchylab import (
     CauchyKernel,
-    HomogeneityCase,
     InputError,
     Interval,
     LipschitzCurve,
@@ -16,7 +15,6 @@ from cauchylab import (
     commutator_values,
     homogeneity_check,
     lp_norm,
-    make_homogeneity_case,
     pv_values,
     sample,
     sample_on,
@@ -85,16 +83,13 @@ class TestApply:
 class TestHomogeneity:
     def test_case_invariants(self):
         curve = LipschitzCurve.flat()
-        with pytest.raises(InputError):
-            make_homogeneity_case(curve, 5.0, 1.0)  # M too small
-        with pytest.raises(InputError):
-            HomogeneityCase(100.0, 1.0, Interval(0.0, 1.0), Interval(1.5, 1.0), curve)
-        with pytest.raises(InputError):  # too far: beyond 2 M r
-            HomogeneityCase(20.0, 1.0, Interval(0.0, 1.0), Interval(45.0, 1.0), curve)
+        with pytest.raises(InputError, match="M > 10"):
+            homogeneity_check(curve, 5.0, 1.0)  # M too small
+        with pytest.raises(InputError, match="r > 0"):
+            homogeneity_check(curve, 100.0, 0.0)
 
     def test_flat_closed_form_window(self):
-        case = make_homogeneity_case(LipschitzCurve.flat(), 100.0, 1.0)
-        rep = homogeneity_check(case)
+        rep = homogeneity_check(LipschitzCurve.flat(), 100.0, 1.0)
         assert rep.passed
         assert rep.extras["adjusted_min"] >= 0.9 * 2.0 / 100.0
         d_max = 1.2 * 101.0  # farthest evaluation point to the near edge
@@ -104,14 +99,13 @@ class TestHomogeneity:
 
     def test_doubling_M_halves(self):
         curve = LipschitzCurve.flat()
-        r1 = homogeneity_check(make_homogeneity_case(curve, 64.0, 1.0))
-        r2 = homogeneity_check(make_homogeneity_case(curve, 128.0, 1.0))
+        r1 = homogeneity_check(curve, 64.0, 1.0)
+        r2 = homogeneity_check(curve, 128.0, 1.0)
         ratio = r2.extras["adjusted_min"] / r1.extras["adjusted_min"]
         assert 0.4 <= ratio <= 0.6
 
     def test_affine_passes(self):
-        case = make_homogeneity_case(LipschitzCurve.affine(1.0), 64.0, 0.5)
-        rep = homogeneity_check(case)
+        rep = homogeneity_check(LipschitzCurve.affine(1.0), 64.0, 0.5)
         assert rep.passed
         assert rep.extras["target"] == pytest.approx(2.0 / (2.0 * 64.0))
 
@@ -119,7 +113,7 @@ class TestHomogeneity:
         curve = LipschitzCurve.flat()
         Ms = [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
         mins = [
-            homogeneity_check(make_homogeneity_case(curve, M, 1.0),
+            homogeneity_check(curve, M, 1.0,
                               HomogeneityConfig(quadrature_cells=1024, eval_points=64)
                               ).extras["adjusted_min"]
             for M in Ms

@@ -26,8 +26,8 @@ def test_eval_examples():
 
 
 def test_constants():
-    assert FLAT.size_constant == 2.0
-    assert AFFINE1.size_constant == 4.0
+    assert FLAT.smoothness_constant == 2.0
+    assert AFFINE1.smoothness_constant == 4.0
 
 
 def test_singularity():

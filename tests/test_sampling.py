@@ -8,12 +8,13 @@ from cauchylab import (
     InputError,
     Interval,
     SampledFunction,
-    function_to_csv,
     lp_norm,
     sample,
     shift,
     stack,
 )
+from cauchylab.config import ExperimentConfig
+from cauchylab.reports import _write_csv
 from cauchylab.symbols import indicator
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -156,10 +157,35 @@ class TestSampledFunction:
         gaps = np.abs(xs[:, None] - f.nodes[None, :])
         assert np.min(gaps) >= 0.49 * f.step
 
+    @pytest.mark.xfail(strict=True, reason="midpoints_in treats its window as closed and "
+                       "compares unsnapped floats; node_bounds' open, snapped rule is not "
+                       "applied to the midpoint lattice yet")
+    @pytest.mark.parametrize("case", ["unit_grid", "third_step", "default_window"])
+    def test_midpoints_in_holds_the_open_snapped_window(self, case):
+        # The lattice points strictly inside the window, an endpoint within
+        # ALIGNMENT_TOL steps of a lattice point snapping onto it.
+        if case == "unit_grid":
+            f = SampledFunction(0.0, 1.0, np.zeros(4))
+            window, expected = Interval(1.0, 0.5), np.empty(0)
+        elif case == "third_step":
+            f = SampledFunction(-1.0, 1.0 / 3.0, np.zeros(12))
+            lattice = f.origin + (np.arange(12) + 0.5) * f.step
+            window = Interval.from_endpoints(lattice[2], lattice[7])
+            expected = lattice[3:7]
+        else:
+            # eval-operator's default grid and window I(0, 4): lattice
+            # points fall on both edges, -4 and +4.
+            cfg = ExperimentConfig.from_dict({})
+            f, window = cfg.function("input"), cfg.interval("window")
+            expected = np.arange(-3999, 4000) * 1e-3
+        xs = f.midpoints_in(window)
+        assert xs.size == expected.size
+        np.testing.assert_allclose(xs, expected, rtol=0, atol=1e-9)
+
     def test_csv_round_trip(self, tmp_path):
         f = sample(lambda y: np.exp(1j * y), -1, 1, 37)
         path = tmp_path / "f.csv"
-        function_to_csv(f, path)
+        _write_csv(path, (), {"x": f.nodes, "re": f.values.real, "im": f.values.imag})
         assert path.read_text().splitlines()[0] == "x,re,im"
         x, re, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         assert np.array_equal(x, f.nodes)
@@ -212,12 +238,9 @@ class TestBlocks:
         for j, col in enumerate(self.columns(f)):
             np.testing.assert_array_equal(got.values[:, j], shift(col, k * f.step).values)
 
-    def test_single_function_operations_reject_a_block(self, tmp_path):
+    def test_single_function_operations_reject_a_block(self):
         f = self.block()
         with pytest.raises(InputError, match="real_values takes one function"):
             f.with_values(f.values.real).real_values()
         with pytest.raises(InputError, match="value_at takes one function"):
             f.value_at([0.0])
-        with pytest.raises(InputError, match="function_to_csv takes one function"):
-            function_to_csv(f, tmp_path / "f.csv")
-        assert not (tmp_path / "f.csv").exists()

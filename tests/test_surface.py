@@ -13,6 +13,10 @@ passes when its name is read
   ``BENCHMARK.json``, or
 * in ``tests/test_acceptance.py``.
 
+A private module-level function, class or constant (one name with a
+leading underscore, dunders such as ``__version__`` aside) passes when
+its name is read in the package outside its own definition.
+
 Names are collected with ``ast``, so a mention in a docstring or a
 comment keeps nothing alive.  A bare name matches any read of it, so an
 unrelated attribute of the same name (``np.median``) also counts.
@@ -51,6 +55,26 @@ def public_definitions():
     return out
 
 
+def private_definitions():
+    """``module, name, lines`` of each private module-level function, class and constant."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            lines = range(node.lineno, node.end_lineno + 1)
+            for name in names:
+                dunder = name.startswith("__") and name.endswith("__")
+                if name.startswith("_") and not dunder:
+                    out.append(pytest.param(path.stem, name, lines, id=f"{path.stem}.{name}"))
+    return out
+
+
 def public_members():
     """``module, name, lines`` of each public method and property of a public class."""
     out = []
@@ -80,12 +104,13 @@ TREES = {path.stem: ast.parse(path.read_text()) for path in MODULES}
 OUTSIDE, TRACED = outside_users()
 
 
+def read_in_package(module, name, lines):
+    return any(name in read_names(tree, lines if stem == module else range(0))
+               for stem, tree in TREES.items())
+
+
 def has_a_user(module, name, lines):
-    in_package = any(
-        name in read_names(tree, lines if stem == module else range(0))
-        for stem, tree in TREES.items()
-    )
-    return in_package or name in OUTSIDE or (module, name) in TRACED
+    return read_in_package(module, name, lines) or name in OUTSIDE or (module, name) in TRACED
 
 
 @pytest.mark.parametrize("module, name, lines", public_definitions())
@@ -101,4 +126,11 @@ def test_public_member_has_a_user(module, name, lines):
     assert has_a_user(module, name, lines), (
         f"the member {name} of cauchylab.{module} is run only by its own unit tests: "
         f"delete it, or give it a caller in the CLI, the benchmark or c01-c10"
+    )
+
+
+@pytest.mark.parametrize("module, name, lines", private_definitions())
+def test_private_name_has_a_reader(module, name, lines):
+    assert read_in_package(module, name, lines), (
+        f"cauchylab.{module}.{name} is private and nothing in the package reads it: delete it"
     )
