@@ -17,7 +17,6 @@ from .kernel import (
 from .operator import apply_on_window, pv_values, truncated_values
 from .bmo import (
     IntervalSweep,
-    MedianResult,
     OscillationTable,
     VmoProfile,
     bmo_norm,
@@ -37,11 +36,9 @@ from .commutator import (
     homogeneity_check,
 )
 from .compactness import (
-    FkReport,
     WitnessCase,
     WitnessConfig,
     WitnessEngineConfig,
-    WitnessReport,
     choose_a2,
     far_away_sequence,
     fk_diagnose,
@@ -61,9 +58,7 @@ from .sampling import (
     stack,
 )
 from .testfn import (
-    AnnulusBoundReport,
     AnnulusConfig,
-    Side,
     TestFunction,
     annulus_ladder_reports,
     build_test_function,

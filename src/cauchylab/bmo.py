@@ -78,15 +78,6 @@ _QUERY_ROWS = 8192
 
 
 @dataclass(frozen=True)
-class MedianResult:
-    """A median value plus its two half-measure certificates."""
-
-    value: float
-    upper_excess: float  # fraction of I where f > value
-    lower_excess: float  # fraction of I where f < value
-
-
-@dataclass(frozen=True)
 class VmoProfile:
     """Oscillation suprema along the three vanishing limits.
 
@@ -137,15 +128,10 @@ def bmo_norm(f: SampledFunction, sweep: Sequence[Interval]) -> float:
     return float(_range_oscillations(f.real_values(), lo[order], hi[order]).max())
 
 
-def median(f: SampledFunction, domain: Interval) -> MedianResult:
-    """Smallest admissible median node value with its excess fractions."""
-    vals = _real_on(f, domain)
-    n = vals.size
-    ordered = np.sort(vals)
-    value = float(ordered[(n - 1) // 2])
-    upper = float(np.sum(vals > value)) / n
-    lower = float(np.sum(vals < value)) / n
-    return MedianResult(value=value, upper_excess=upper, lower_excess=lower)
+def median(f: SampledFunction, domain: Interval) -> float:
+    """Smallest admissible median node value: at most half the nodes lie on either side."""
+    vals = np.sort(_real_on(f, domain))
+    return float(vals[(vals.size - 1) // 2])
 
 
 def mean_deviation(f: SampledFunction, domain: Interval, center: float) -> float:

@@ -32,7 +32,7 @@ from .errors import InputError
 from .kernel import random_size_sweep, random_smoothness_sweep
 from .operator import apply_on_window, pv_values
 from .reports import BoundReport, _write_csv, write_report
-from .sampling import lp_norm, sample_on, stack
+from .sampling import lp_norm, sample, sample_on, stack
 from .symbols import make_symbol
 
 MAX_REPORT_ROWS = 200
@@ -114,9 +114,7 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         xs = out.nodes
         levels = []
         for refine in (1, 2, 4):
-            count = f.count * refine
-            h = (hi_edge - lo_edge) / count
-            fr = sample_on(f.source, lo_edge + 0.5 * h, h, count)
+            fr = sample(f.source, lo_edge, hi_edge, f.count * refine)
             levels.append(pv_values(kern, fr, xs))
         num = np.abs(levels[0] - levels[1])
         den = np.abs(levels[1] - levels[2])
@@ -244,19 +242,12 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     lower_cap = cfg.number("lemma41.lower_spread_cap", above=1.0)
     upper_cap = cfg.number("lemma41.upper_spread_cap", above=1.0)
     tf = testfn.build_test_function(b, base, p)
-    lowers, uppers = testfn.annulus_ladder_reports(b, tf, ks, kern, acfg)
+    rep = testfn.annulus_ladder_reports(b, tf, ks, kern, acfg)
     inter = [testfn.verify_intermediate_bounds(b, tf, k, kern, acfg) for k in ks]
 
-    eps_p = tf.epsilon**p
-    low_c1 = [rep.ratio / eps_p for rep in lowers]
-    up_ratio = [rep.ratio for rep in uppers]
-    rows = {
-        "k": np.asarray([r.k for r in lowers + uppers]),
-        "side": np.asarray([r.side.value for r in lowers + uppers]),
-        "lhs": np.asarray([r.lhs for r in lowers + uppers]),
-        "normalizer": np.asarray([r.normalizer for r in lowers + uppers]),
-        "ratio": np.asarray([r.ratio for r in lowers + uppers]),
-    }
+    ratio, lower = rep.columns["ratio"], rep.columns["side"] == "lower"
+    low_c1 = (ratio[lower] / tf.epsilon**p).tolist()
+    up_ratio = ratio[~lower].tolist()
     lower_spread = max(low_c1) / min(low_c1) if min(low_c1) > 0 else np.inf
     upper_spread = max(up_ratio) / min(up_ratio) if min(up_ratio) > 0 else np.inf
     ok = (
@@ -264,23 +255,16 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         and upper_spread <= upper_cap
         and all(r.passed for r in inter)
     )
-    rep = BoundReport(
-        inequality=(
-            "annulus integrals of |[b,C]f|^p follow the dyadic power law: "
-            "lower ratios k-stable, upper ratios k-bounded"
-        ),
-        columns=rows,
-        extras={
-            "p": p,
-            "epsilon": tf.epsilon,
-            "a_j": tf.a_j,
-            "c1_candidate_min": min(low_c1),
-            "c1_candidate_max": max(low_c1),
-            "lower_spread": lower_spread,
-            "c2_candidate_max": max(up_ratio),
-            "upper_spread": upper_spread,
-            "intermediate_pass": all(r.passed for r in inter),
-        },
+    rep.extras.update(
+        p=p,
+        epsilon=tf.epsilon,
+        a_j=tf.a_j,
+        c1_candidate_min=min(low_c1),
+        c1_candidate_max=max(low_c1),
+        lower_spread=lower_spread,
+        c2_candidate_max=max(up_ratio),
+        upper_spread=upper_spread,
+        intermediate_pass=all(r.passed for r in inter),
     )
     write_report(rep, out_dir, "lemma41")
     for k, irep in zip(ks, inter):
@@ -308,23 +292,7 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         family.append(g.with_values(g.values / norm))
     images = apply_commutator(b, stack(family), kern, window)
     zs = [k * images.step for k in z_steps]
-    report = compactness.fk_diagnose(images, p, t_ladder, zs)
-    kinds, params, vals = ["uniform_bound"], [0.0], [report.uniform_bound]
-    for t, v in report.tail_curve:
-        kinds.append("tail")
-        params.append(t)
-        vals.append(v)
-    for z, v in report.equicontinuity_curve:
-        kinds.append("equicontinuity")
-        params.append(z)
-        vals.append(v)
-    rep = BoundReport(
-        inequality="uniform bound, tail, and shift-difference curves of the image set",
-        columns={"curve": np.asarray(kinds), "parameter": np.asarray(params),
-                 "lhs": np.asarray(vals)},
-        extras={"p": p, "images": len(family)},
-    )
-    write_report(rep, out_dir, "fk_diagnose")
+    write_report(compactness.fk_diagnose(images, p, t_ladder, zs), out_dir, "fk_diagnose")
     return True
 
 
@@ -351,31 +319,9 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         eval_cells=cfg.integer("witness.eval_cells", 1),
         nodes_per_radius=cfg.integer("witness.nodes_per_radius", 1),
     )
-    report = compactness.witness_separation(b, wcfg, kern, engine)
-    n = report.distances.shape[0]
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    rep = BoundReport(
-        inequality="pairwise L^p distances of commutator images stay separated",
-        columns={
-            "i": ii.ravel(),
-            "j": jj.ravel(),
-            "lhs": report.distances.ravel(),
-        },
-        extras={
-            "case": args.case,
-            "min_offdiag": report.min_offdiag,
-            "epsilon": report.epsilon,
-            "c1_empirical": report.c1_empirical,
-            "c2_empirical": report.c2_empirical,
-            "a3": report.a3,
-            "a3_root": report.a3 ** (1.0 / wcfg.p),
-            "a2_used": wcfg.a2,
-            "a2_recommended": report.a2_recommended,
-            "prefix_note": "separation certified for the computed finite prefix only",
-        },
-    )
+    rep = compactness.witness_separation(b, wcfg, kern, engine)
     write_report(rep, out_dir, "witness")
-    return report.min_offdiag > 0
+    return rep.extras["min_offdiag"] > 0
 
 
 def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 from .curve import LipschitzCurve
 from .errors import InputError
 from .kernel import CauchyKernel
-from .operator import _points, pv_values
+from .operator import _on_window, _points, pv_values
 from .reports import BoundReport
 from .sampling import (Interval, SampledFunction, _cell_centres, _rowwise, lp_norm, sample,
                        stack)
@@ -118,11 +118,7 @@ def commutator_values(b: SampledFunction, f: SampledFunction, kernel: CauchyKern
 def apply_commutator(b: SampledFunction, f: SampledFunction, kernel: CauchyKernel,
                      window: Interval) -> SampledFunction:
     """Commutator output on the midpoint lattice of the declared window; a block maps to a block."""
-    xs = f.midpoints_in(window)
-    if xs.size == 0:
-        raise InputError("evaluation window contains no midpoint-lattice points")
-    vals = commutator_values(b, f, kernel, xs)
-    return SampledFunction(float(xs[0]), f.step, vals)
+    return _on_window(f, window, lambda xs: commutator_values(b, f, kernel, xs))
 
 
 def commutator_norm_ratios(b: SampledFunction, p: float,

@@ -4,7 +4,8 @@ A set of functions is precompact in ``L^p`` exactly when it is uniformly
 norm-bounded, uniformly small outside large balls, and uniformly
 continuous under small translations.  ``fk_diagnose`` measures those
 three curves for a finite image set, given as one block whose columns
-are the images (see ``sampling``).
+are the images (see ``sampling``), and returns them as the rows of one
+report.
 
 The converse direction is witnessed constructively: when a symbol keeps
 oscillating on a sequence of intervals whose geometry degenerates in one
@@ -13,7 +14,8 @@ escaping), the commutator images of the oscillation-split test functions
 stay uniformly separated in ``L^p``, so no subsequence can converge.
 ``witness_separation`` builds the test functions, computes the full
 pairwise distance matrix of the images on one shared evaluation lattice,
-and reports the separation floor
+and returns it as a report, one row per pair, whose extras hold the
+separation floor
 
     A3 = 8^(1-p) * C1 * eps^p * A1^(1-p)
 
@@ -22,7 +24,8 @@ level ``eps``.  All three degeneration cases share this one engine; the
 case tag only validates the sequence geometry (measure ratios below
 ``1/A2`` in the collapsing and exploding cases, disjoint ``A2`` dilates
 in the escaping case).  Infinite-sequence claims are truncated to the
-computed finite prefix, and the report says so.
+computed finite prefix, and the report says so.  Every check here
+returns the ``BoundReport`` that the CLI writes as it is.
 """
 
 from __future__ import annotations
@@ -50,15 +53,6 @@ TAIL_SLOPE_BAND = 0.15  # pass band of the fitted tail slope around -1/p'
 # levels from floor(log2 a1) up, at the resolution of WITNESS_ANNULUS.
 C1_LEVELS = 3
 WITNESS_ANNULUS = AnnulusConfig(a1=8.0, eval_cells=256)
-
-
-@dataclass(frozen=True)
-class FkReport:
-    """The three precompactness curves of an image set."""
-
-    uniform_bound: float
-    tail_curve: Tuple[Tuple[float, float], ...]
-    equicontinuity_curve: Tuple[Tuple[float, float], ...]
 
 
 class WitnessCase(enum.Enum):
@@ -112,36 +106,26 @@ class WitnessConfig:
                         )
 
 
-@dataclass
-class WitnessReport:
-    """Pairwise image distances plus the separation-floor bookkeeping."""
-
-    distances: np.ndarray
-    min_offdiag: float
-    epsilon: float
-    c1_empirical: float
-    c2_empirical: float
-    a3: float
-    a2_recommended: float
-
-
 def fk_diagnose(images: SampledFunction, p: float,
-                t_ladder: Sequence[float], z_ladder: Sequence[float]) -> FkReport:
+                t_ladder: Sequence[float], z_ladder: Sequence[float]) -> BoundReport:
     """Measure the three precompactness curves over a finite image set.
 
     ``images`` is one function or a block whose columns are the images.
-    Tail values at radius ``t`` are the largest ``L^p`` mass outside
-    ``I(0, t)`` over the columns; equicontinuity values at shift ``z`` (a
-    whole number of grid steps) are the largest ``L^p`` distance between
-    a column and its translate.  Each column is summed as on its own.
+    The report has one row per curve point, with the columns ``curve``,
+    ``parameter`` and ``lhs``: first the ``uniform_bound`` row (the
+    largest ``L^p`` norm, parameter 0), then the ``tail`` rows by
+    increasing radius ``t`` (the largest ``L^p`` mass outside ``I(0, t)``
+    over the columns), then the ``equicontinuity`` rows by increasing
+    ``|z|`` (the largest ``L^p`` distance between a column and its
+    translate by ``z``, a whole number of grid steps).  Each column is
+    summed as on its own.  The extras are ``p`` and the image count.
     """
-    ts = [float(t) for t in t_ladder]
-    zs = [float(z) for z in z_ladder]
+    ts = sorted(float(t) for t in t_ladder)
+    zs = sorted((float(z) for z in z_ladder), key=abs)
     if not ts or not zs:
         raise InputError("ladders must be non-empty")
     if any(t <= 0 for t in ts):
         raise InputError("tail radii must be positive")
-    uniform = float(np.max(lp_norm(images, p)))
     V = images.values.reshape(images.count, -1)
 
     def worst(rows: np.ndarray) -> float:
@@ -149,12 +133,18 @@ def fk_diagnose(images: SampledFunction, p: float,
         return max(_lp(col, images.step, p) for col in rows.T)
 
     far = np.abs(images.nodes)
-    return FkReport(
-        uniform_bound=uniform,
-        tail_curve=tuple((t, worst(V[far > t])) for t in sorted(ts)),
-        equicontinuity_curve=tuple(
-            (z, worst(shift(images, z).values.reshape(V.shape) - V))
-            for z in sorted(zs, key=abs)),
+    lhs = ([float(np.max(lp_norm(images, p)))]
+           + [worst(V[far > t]) for t in ts]
+           + [worst(shift(images, z).values.reshape(V.shape) - V) for z in zs])
+    return BoundReport(
+        inequality="uniform bound, tail, and shift-difference curves of the image set",
+        columns={
+            "curve": np.asarray(["uniform_bound"] + ["tail"] * len(ts)
+                                + ["equicontinuity"] * len(zs)),
+            "parameter": np.asarray([0.0] + ts + zs),
+            "lhs": np.asarray(lhs),
+        },
+        extras={"p": p, "images": V.shape[1]},
     )
 
 
@@ -314,14 +304,18 @@ class WitnessEngineConfig:
 
 
 def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKernel,
-                       engine: WitnessEngineConfig = WitnessEngineConfig()) -> WitnessReport:
+                       engine: WitnessEngineConfig = WitnessEngineConfig()) -> BoundReport:
     """Pairwise ``L^p`` distances between commutator images of the sequence.
 
     The symbol must oscillate on every interval of the sequence; a
     constant stretch is rejected with the offending index.  The report
-    carries the measured oscillation floor ``eps``, the empirical
-    annulus constants, the separation floor ``A3``, and the recommended
-    ``A2`` for reproducibility.
+    has one row per ordered pair, with the columns ``i``, ``j`` and
+    ``lhs`` (their distance), ``i``-major.  Its extras carry the case,
+    the smallest off-diagonal distance ``min_offdiag``, the measured
+    oscillation floor ``epsilon``, the empirical annulus constants
+    ``c1_empirical`` and ``c2_empirical``, the separation floor ``a3``
+    and its ``p``-th root, the ``a2`` used and the recommended one (see
+    ``choose_a2``), and a note that the claim covers the computed prefix.
     """
     if b.source is None:
         raise InputError(
@@ -359,10 +353,10 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
         except InputError as exc:
             raise InputError(f"interval {idx} of the sequence: {exc}") from exc
         oscillations.append(tf.epsilon)
-        lowers, uppers = annulus_ladder_reports(b_local, tf, k_ladder, kernel,
-                                                WITNESS_ANNULUS)
-        c1_candidates.extend(rep.ratio / tf.epsilon**p for rep in lowers)
-        c2_candidates.extend(rep.ratio for rep in uppers)
+        ladder = annulus_ladder_reports(b_local, tf, k_ladder, kernel, WITNESS_ANNULUS)
+        ratio, lower = ladder.columns["ratio"], ladder.columns["side"] == "lower"
+        c1_candidates.extend((ratio[lower] / tf.epsilon**p).tolist())
+        c2_candidates.extend(ratio[~lower].tolist())
         images.append(commutator_values(b_local, tf.f, kernel, xs))
 
     eps = min(oscillations)
@@ -375,14 +369,21 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
             d = _lp(images[i] - images[j], h_eval, p)
             dist[i, j] = d
             dist[j, i] = d
-    offdiag = dist[~np.eye(n, dtype=bool)]
-    return WitnessReport(
-        distances=dist,
-        min_offdiag=float(np.min(offdiag)),
-        epsilon=eps,
-        c1_empirical=c1,
-        c2_empirical=c2,
-        a3=_a3(c1, eps, cfg.a1, p),
-        a2_recommended=choose_a2(c1, c2, eps, cfg.a1, p),
+    a3 = _a3(c1, eps, cfg.a1, p)
+    ii, jj = np.indices((n, n))
+    return BoundReport(
+        inequality="pairwise L^p distances of commutator images stay separated",
+        columns={"i": ii.ravel(), "j": jj.ravel(), "lhs": dist.ravel()},
+        extras={
+            "case": cfg.case.value,
+            "min_offdiag": float(np.min(dist[~np.eye(n, dtype=bool)])),
+            "epsilon": eps,
+            "c1_empirical": c1,
+            "c2_empirical": c2,
+            "a3": a3,
+            "a3_root": a3 ** (1.0 / p),
+            "a2_used": cfg.a2,
+            "a2_recommended": choose_a2(c1, c2, eps, cfg.a1, p),
+            "prefix_note": "separation certified for the computed finite prefix only",
+        },
     )
-

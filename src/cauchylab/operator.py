@@ -567,6 +567,18 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     return (out * factor).T
 
 
+def _on_window(f: SampledFunction, window: Interval, values) -> SampledFunction:
+    """``values(xs)`` as a function on the midpoint lattice ``xs`` of ``f`` in ``window``.
+
+    The one place that takes an operator's output points: the midpoints
+    of the input grid, which guarantee no collision with its nodes.
+    """
+    xs = f.midpoints_in(window)
+    if xs.size == 0:
+        raise InputError("evaluation window contains no midpoint-lattice points")
+    return SampledFunction(float(xs[0]), f.step, values(xs))
+
+
 def apply_on_window(kernel: CauchyKernel, f: SampledFunction,
                     window: Interval) -> SampledFunction:
     """Operator output on the midpoint lattice of the input grid.
@@ -575,8 +587,4 @@ def apply_on_window(kernel: CauchyKernel, f: SampledFunction,
     window; half-step evaluation points guarantee no collision with the
     quadrature nodes.
     """
-    xs = f.midpoints_in(window)
-    if xs.size == 0:
-        raise InputError("evaluation window contains no midpoint-lattice points")
-    vals = pv_values(kernel, f, xs)
-    return SampledFunction(float(xs[0]), f.step, vals)
+    return _on_window(f, window, lambda xs: pv_values(kernel, f, xs))

@@ -26,12 +26,12 @@ commutator image of ``f`` obeys a two-sided power law: the integral of
 integral by that power law; the empirical constants are outputs, and the
 meaningful pass criterion is their stability across ``k``.
 ``annulus_ladder_reports`` measures a whole ladder of levels in one
-commutator call; a single level is a one-level ladder.
+commutator call and returns one report with a lower and an upper row
+per level; a single level is a one-level ladder.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -50,11 +50,6 @@ POINTWISE_SLACK = 0.10  # cushion of the pointwise majorant check
 DRIFT_BOUND = 4.0  # recorded empirical cap of the median-drift to k * bmo ratio
 
 
-class Side(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """A normalized oscillation-split function on its base interval."""
@@ -66,17 +61,6 @@ class TestFunction:
     lower_set_mask: np.ndarray
     p: float
     epsilon: float  # measured mean oscillation of the symbol on the base
-
-
-@dataclass
-class AnnulusBoundReport:
-    """One measured annulus integral against its dyadic power-law normalizer."""
-
-    k: int
-    lhs: float          # integral of |[b, C] f|^p over the region
-    normalizer: float   # |I|^(p-1) / |2^k I|^(p-1) = 2^(-k (p-1))
-    ratio: float        # lhs / normalizer, the empirical constant candidate
-    side: Side
 
 
 @dataclass(frozen=True)
@@ -115,7 +99,7 @@ def build_test_function(b: SampledFunction, base: Interval, p: float) -> TestFun
     if not np.any(mask):
         raise InputError("base interval does not intersect the grid")
     eps = mean_oscillation(b, base)
-    alpha = median(b, base).value
+    alpha = median(b, base)
     b_real = b.real_values()
     upper = mask & (b_real > alpha)
     lower = mask & (b_real < alpha)
@@ -159,7 +143,7 @@ def check_invariants(tf: TestFunction, b: SampledFunction) -> dict:
     integral = abs(complex(h * np.sum(f.values)))
     out_mask = ~f.node_mask(base)
     support_leak = float(np.max(np.abs(f.values[out_mask]))) if np.any(out_mask) else 0.0
-    alpha = median(b, base).value
+    alpha = median(b, base)
     in_mask = b.node_mask(base)
     sign_min = float(
         np.min((f.values.real * (b.real_values() - alpha))[in_mask])
@@ -227,13 +211,6 @@ def _require_level(k: int, cfg: AnnulusConfig) -> None:
         )
 
 
-def _annulus_report(tf: TestFunction, k: int, lhs: float, side: Side) -> AnnulusBoundReport:
-    normalizer = 2.0 ** (-k * (tf.p - 1.0))
-    return AnnulusBoundReport(
-        k=k, lhs=lhs, normalizer=normalizer, ratio=lhs / normalizer, side=side
-    )
-
-
 def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
                                kernel: CauchyKernel,
                                cfg: AnnulusConfig = AnnulusConfig()) -> BoundReport:
@@ -252,7 +229,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
     region = _annulus(tf.base, k, 1.0)
     base = tf.base
     p_conj = tf.p / (tf.p - 1.0)
-    alpha = median(b, base).value
+    alpha = median(b, base)
     dilate = base.dilate(2.0 ** (k + 1))
     _require_sampled(b, region, "annulus")
     _require_sampled(b, dilate, "dilated interval")
@@ -277,7 +254,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
         # than silently measuring only the covered part.
         wide = sample(b.source, dilate.lower, dilate.upper,
                       max(4096, 4 * cfg.eval_cells))
-    drift = abs(median(wide, dilate).value - alpha)
+    drift = abs(median(wide, dilate) - alpha)
     sweep = [base.dilate(2.0**j) for j in range(0, k + 2)]
     bmo_lower = bmo_norm(wide, sweep)
     drift_rhs = k * bmo_lower
@@ -311,13 +288,16 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
 
 def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
                            k_ladder: Sequence[int], kernel: CauchyKernel,
-                           cfg: AnnulusConfig = AnnulusConfig()
-                           ) -> Tuple[list, list]:
-    """Lower and upper reports across a level ladder, in ladder order.
+                           cfg: AnnulusConfig = AnnulusConfig()) -> BoundReport:
+    """Lower and upper rows across a level ladder: lower rows first, each in ladder order.
 
-    The lower report of level ``k`` measures the right-hand annulus; its
+    The columns are ``k``, ``side`` (``"lower"`` or ``"upper"``), ``lhs``
+    (the integral of ``|[b, C] f|^p`` over the row's region),
+    ``normalizer`` (``|I|^(p-1) / |2^k I|^(p-1) = 2^(-k (p-1))``) and
+    ``ratio = lhs / normalizer``, the empirical constant candidate.  The
+    lower row of level ``k`` measures the right-hand annulus; its
     ``ratio / eps^p`` is the empirical constant of the lower power law.
-    The upper report measures the dyadic shell ``2^(k+1) I minus 2^k I``,
+    The upper row measures the dyadic shell ``2^(k+1) I minus 2^k I``,
     a piece on each side of the base, with half the cells per piece;
     bounded ``ratio`` across levels is the upper power law.  The lattices
     of every level and both shell sides go through one
@@ -334,8 +314,20 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
     regions = ([(right, cfg.eval_cells) for right in rights]
                + [(piece, half) for pair in zip(lefts, rights) for piece in pair])
     integrals = _power_integrals(b, tf, kernel, regions)
-    lowers = [_annulus_report(tf, k, lhs, Side.LOWER) for k, lhs in zip(ks, integrals)]
     shells = integrals[len(ks):]  # left and right piece of each level
-    uppers = [_annulus_report(tf, k, sum(shells[2 * i:2 * i + 2]), Side.UPPER)
-              for i, k in enumerate(ks)]
-    return lowers, uppers
+    lhs = np.asarray(integrals[:len(ks)] + [sum(shells[2 * i:2 * i + 2]) for i in range(len(ks))])
+    # Python float powers, level by level: numpy's power may round differently.
+    normalizer = np.asarray([2.0 ** (-k * (tf.p - 1.0)) for k in ks] * 2)
+    return BoundReport(
+        inequality=(
+            "annulus integrals of |[b,C]f|^p follow the dyadic power law: "
+            "lower ratios k-stable, upper ratios k-bounded"
+        ),
+        columns={
+            "k": np.asarray(ks * 2),
+            "side": np.asarray(["lower"] * len(ks) + ["upper"] * len(ks)),
+            "lhs": lhs,
+            "normalizer": normalizer,
+            "ratio": lhs / normalizer,
+        },
+    )

@@ -27,19 +27,28 @@ from cauchylab.symbols import indicator, smooth_bump, truncated_log
 FLAT = CauchyKernel.for_curve(LipschitzCurve.flat())
 
 
+def fk_curve(rep, curve):
+    """The ``parameter`` and ``lhs`` columns of one curve's rows."""
+    rows = rep.columns["curve"] == curve
+    return rep.columns["parameter"][rows], rep.columns["lhs"][rows]
+
+
 class TestFkDiagnose:
     def test_zero_images(self):
         z = sample(lambda y: np.zeros_like(y), -2, 2, 256)
         rep = fk_diagnose(stack([z]), 2.0, [0.5, 1.0], [z.step, 2 * z.step])
-        assert rep.uniform_bound == 0.0
-        assert all(v == 0.0 for _, v in rep.tail_curve)
-        assert all(v == 0.0 for _, v in rep.equicontinuity_curve)
+        assert rep.columns["curve"].tolist() == (
+            ["uniform_bound"] + ["tail"] * 2 + ["equicontinuity"] * 2)
+        assert fk_curve(rep, "uniform_bound")[1].tolist() == [0.0]
+        assert all(v == 0.0 for v in fk_curve(rep, "tail")[1])
+        assert all(v == 0.0 for v in fk_curve(rep, "equicontinuity")[1])
+        assert rep.extras == {"p": 2.0, "images": 1}
 
     def test_single_bump_equicontinuity_decreases(self):
         g = sample(smooth_bump(0.0, 1.0, 1.0), -3, 3, 3000)
         zs = [g.step * k for k in (1, 4, 16, 64)]
         rep = fk_diagnose(stack([g]), 2.0, [1.0], zs)
-        vals = [v for _, v in rep.equicontinuity_curve]
+        vals = fk_curve(rep, "equicontinuity")[1].tolist()
         assert vals == sorted(vals)
         assert vals[0] <= 0.1 * vals[-1]
 
@@ -48,13 +57,13 @@ class TestFkDiagnose:
         h = sample(smooth_bump(0.0, 1.0, 0.5), -3, 3, 600)
         rep = fk_diagnose(stack([g, h]), 2.0, [1.0, 2.5], [g.step])
         solo = fk_diagnose(stack([g]), 2.0, [1.0, 2.5], [g.step])
-        for (t, v), (_, vs) in zip(rep.tail_curve, solo.tail_curve):
+        for v, vs in zip(fk_curve(rep, "tail")[1], fk_curve(solo, "tail")[1]):
             assert v >= vs
 
     def test_tail_curve_non_increasing(self):
         g = sample(smooth_bump(0.0, 1.0, 2.0), -3, 3, 500)
         rep = fk_diagnose(stack([g]), 2.0, [0.25, 0.5, 1.0, 2.0], [g.step])
-        vals = [v for _, v in rep.tail_curve]
+        vals = fk_curve(rep, "tail")[1]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
@@ -184,27 +193,33 @@ def small_witness(symbol_fn, engine=None):
     return witness_separation(b, cfg, FLAT, engine)
 
 
+def distances(rep):
+    """The witness distance matrix, from the ``i``-major ``lhs`` column."""
+    n = int(np.sqrt(rep.n_rows))
+    return rep.columns["lhs"].reshape(n, n)
+
+
 class TestWitness:
     def test_matrix_symmetric_zero_diagonal(self):
         rep = small_witness(truncated_log(0.0))
-        d = rep.distances
+        d = distances(rep)
         np.testing.assert_array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
-        assert rep.min_offdiag > 0
+        assert rep.extras["min_offdiag"] > 0
 
     def test_symbol_scaling_scales_distances(self):
         r1 = small_witness(truncated_log(0.0))
         lam = 2.0
         fn = truncated_log(0.0)
         r2 = small_witness(lambda x: lam * fn(x))
-        np.testing.assert_allclose(r2.distances, lam * r1.distances, rtol=1e-12)
+        np.testing.assert_allclose(distances(r2), lam * distances(r1), rtol=1e-12)
 
     def test_oscillating_vs_vanishing_contrast(self):
         sep = small_witness(truncated_log(0.0))
         vanish = small_witness(smooth_bump(0.0, 1.0, 1.0))
-        assert sep.min_offdiag > 10 * vanish.min_offdiag
+        assert sep.extras["min_offdiag"] > 10 * vanish.extras["min_offdiag"]
         # The oscillation floor drives the separation floor.
-        assert sep.epsilon > 0.5 and vanish.epsilon < 0.05
+        assert sep.extras["epsilon"] > 0.5 and vanish.extras["epsilon"] < 0.05
 
     def test_identical_construction_gives_identical_image(self):
         b = sample_on(truncated_log(0.0), -2.0, 0.01, 401)
@@ -257,5 +272,5 @@ class TestWitness:
         cfg = WitnessConfig(WitnessCase.FAR_AWAY, 4.2, 4.9, seq, 2.0)
         rep = witness_separation(b, cfg, FLAT, WitnessEngineConfig(
             eval_cells=2048, nodes_per_radius=32))
-        assert rep.min_offdiag > 0
+        assert rep.extras["min_offdiag"] > 0
 

@@ -17,6 +17,11 @@ A private module-level function, class or constant (one name with a
 leading underscore, dunders such as ``__version__`` aside) passes when
 its name is read in the package outside its own definition.
 
+An annotated field of a public dataclass passes when its name is read
+outside its own declaration: in the package, in ``bench/*.py`` or in
+``tests/test_acceptance.py``.  A field that nothing reads cannot change
+a result.
+
 Names are collected with ``ast``, so a mention in a docstring or a
 comment keeps nothing alive.  A bare name matches any read of it, so an
 unrelated attribute of the same name (``np.median``) also counts.
@@ -90,6 +95,28 @@ def public_members():
     return out
 
 
+def is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list))
+
+
+def dataclass_fields():
+    """``module, name, lines`` of each annotated field of a public dataclass."""
+    out = []
+    for path in MODULES:
+        for cls in ast.parse(path.read_text()).body:
+            if not (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    and is_dataclass(cls)):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                    lines = range(node.lineno, node.end_lineno + 1)
+                    out.append(pytest.param(path.stem, name, lines,
+                                            id=f"{path.stem}.{cls.name}.{name}"))
+    return out
+
+
 def outside_users():
     """Names read by the benchmark, its traced names and the acceptance checks."""
     names = set()
@@ -133,4 +160,12 @@ def test_public_member_has_a_user(module, name, lines):
 def test_private_name_has_a_reader(module, name, lines):
     assert read_in_package(module, name, lines), (
         f"cauchylab.{module}.{name} is private and nothing in the package reads it: delete it"
+    )
+
+
+@pytest.mark.parametrize("module, name, lines", dataclass_fields())
+def test_dataclass_field_is_read(module, name, lines):
+    assert read_in_package(module, name, lines) or name in OUTSIDE, (
+        f"the field {name} of cauchylab.{module} is never read: delete it, "
+        f"or read it in the package, the benchmark or c01-c10"
     )

@@ -8,7 +8,6 @@ from cauchylab import (
     Interval,
     LipschitzCurve,
     SampledFunction,
-    Side,
     annulus_ladder_reports,
     build_test_function,
     check_invariants,
@@ -57,7 +56,7 @@ class TestBuild:
         for _ in range(10):
             b, base, p = random_symbol_case(rng)
             tf = build_test_function(b, base, p)
-            alpha = median(b, base).value
+            alpha = median(b, base)
             inside = b.node_mask(base)
             prod = (tf.f.values.real * (b.real_values() - alpha))[inside]
             assert np.min(prod) >= -1e-12
@@ -191,16 +190,22 @@ class TestAnnulusPieces:
                 verify_intermediate_bounds(b, tf, k, FLAT)
 
 
+def ladder_rows(rep, side):
+    """The ``k``, ``lhs``, ``normalizer`` and ``ratio`` columns of one side's rows."""
+    rows = rep.columns["side"] == side
+    return {name: rep.columns[name][rows] for name in ("k", "lhs", "normalizer", "ratio")}
+
+
 class TestAnnulusReports:
     @pytest.mark.parametrize("fn,name", [(sign_step(0.0), "sign"),
                                          (truncated_log(0.0), "log")])
     def test_lower_ratios_k_stable(self, fn, name):
         b = sample(fn, -1.25, 1.25, 2500)
         tf = build_test_function(b, I01, 2.0)
-        lowers, uppers = annulus_ladder_reports(b, tf, [3, 4, 5], FLAT)
-        c1 = [r.ratio / tf.epsilon**2 for r in lowers]
+        rep = annulus_ladder_reports(b, tf, [3, 4, 5], FLAT)
+        c1 = ladder_rows(rep, "lower")["ratio"] / tf.epsilon**2
         assert max(c1) / min(c1) <= 3.0
-        up = [r.ratio for r in uppers]
+        up = ladder_rows(rep, "upper")["ratio"]
         assert max(up) / min(up) <= 10.0
 
     @pytest.mark.parametrize("curve", [LipschitzCurve.flat(), LipschitzCurve.sawtooth(0.5, 2.0)])
@@ -219,44 +224,52 @@ class TestAnnulusReports:
             return original(*args)
 
         monkeypatch.setattr(testfn, "commutator_values", counted)
-        lowers, uppers = annulus_ladder_reports(b, tf, ks, kernel)
+        rep = annulus_ladder_reports(b, tf, ks, kernel)
         cfg = AnnulusConfig()
         assert calls == [len(ks) * (cfg.eval_cells + 2 * (cfg.eval_cells // 2))]
-        for k, low, up in zip(ks, lowers, uppers):
-            (want_low,), (want_up,) = annulus_ladder_reports(b, tf, [k], kernel)
-            assert (low.k, low.side, up.k, up.side) == (k, Side.LOWER, k, Side.UPPER)
-            assert low.lhs == pytest.approx(want_low.lhs, rel=1e-12)
-            assert up.lhs == pytest.approx(want_up.lhs, rel=1e-12)
-            assert up.normalizer == want_up.normalizer == 2.0 ** (-k)
+        assert rep.columns["k"].tolist() == ks + ks
+        assert rep.columns["side"].tolist() == ["lower"] * 3 + ["upper"] * 3
+        for i, k in enumerate(ks):
+            want = annulus_ladder_reports(b, tf, [k], kernel)
+            assert want.columns["k"].tolist() == [k, k]
+            assert want.columns["side"].tolist() == ["lower", "upper"]
+            low, up = rep.columns["lhs"][[i, i + len(ks)]]
+            assert low == pytest.approx(want.columns["lhs"][0], rel=1e-12)
+            assert up == pytest.approx(want.columns["lhs"][1], rel=1e-12)
+            assert (rep.columns["normalizer"][i + len(ks)] == want.columns["normalizer"][1]
+                    == 2.0 ** (-k))
 
     def test_normalizer_exact(self):
         b = sample(sign_step(0.0), -1.25, 1.25, 1000)
         tf = build_test_function(b, I01, 2.0)
-        (rep,), _ = annulus_ladder_reports(b, tf, [4], FLAT)
-        assert rep.normalizer == 2.0 ** (-4 * (2.0 - 1.0))
-        assert rep.side is Side.LOWER and rep.lhs >= 0
+        rep = annulus_ladder_reports(b, tf, [4], FLAT)
+        assert rep.columns["normalizer"][0] == 2.0 ** (-4 * (2.0 - 1.0))
+        assert rep.columns["side"][0] == "lower" and rep.columns["lhs"][0] >= 0
+        np.testing.assert_array_equal(rep.columns["ratio"],
+                                      rep.columns["lhs"] / rep.columns["normalizer"])
 
     def test_upper_decay_rate(self):
         # The shell mass itself decays like the normalizer, within a
         # factor of four between consecutive levels.
         b = sample(sign_step(0.0), -1.25, 1.25, 2000)
         tf = build_test_function(b, I01, 2.0)
-        reps = [annulus_ladder_reports(b, tf, [k], FLAT)[1][0] for k in (3, 4, 5, 6)]
+        reps = [ladder_rows(annulus_ladder_reports(b, tf, [k], FLAT), "upper")
+                for k in (3, 4, 5, 6)]
         for a, c in zip(reps, reps[1:]):
-            decay = a.lhs / c.lhs
-            model = c.normalizer and a.normalizer / c.normalizer
+            decay = a["lhs"][0] / c["lhs"][0]
+            model = c["normalizer"][0] and a["normalizer"][0] / c["normalizer"][0]
             assert decay == pytest.approx(model, rel=3.0)
             assert decay / model <= 4.0 and model / decay <= 4.0
 
     def test_radius_doubling_leaves_lower_ratio(self):
         b1 = sample(sign_step(0.0), -1.25, 1.25, 2500)
         tf1 = build_test_function(b1, Interval(0.0, 1.0), 2.0)
-        (r1,), _ = annulus_ladder_reports(b1, tf1, [4], FLAT)
+        r1 = ladder_rows(annulus_ladder_reports(b1, tf1, [4], FLAT), "lower")["ratio"][0]
         b2 = sample(sign_step(0.0), -2.5, 2.5, 5000)
         tf2 = build_test_function(b2, Interval(0.0, 2.0), 2.0)
-        (r2,), _ = annulus_ladder_reports(b2, tf2, [4], FLAT)
-        assert (r2.ratio / tf2.epsilon**2) == pytest.approx(
-            r1.ratio / tf1.epsilon**2, rel=0.10
+        r2 = ladder_rows(annulus_ladder_reports(b2, tf2, [4], FLAT), "lower")["ratio"][0]
+        assert (r2 / tf2.epsilon**2) == pytest.approx(
+            r1 / tf1.epsilon**2, rel=0.10
         )
 
     def test_low_level_rejected(self):
