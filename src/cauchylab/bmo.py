@@ -32,14 +32,17 @@ of runs of one width that direct reduction would set up (each a
 Python-level pass); otherwise they are reduced node by node too.  The
 rank path uses ``sum |f - m| = (S - 2 S_) - m (k - 2 k_) = 2 (m k_ - S_)`` for a row of
 ``k`` nodes with sum ``S`` and mean ``m``, where ``k_`` and ``S_`` count
-and sum its values below ``m``; a merge-sort tree over aligned dyadic blocks, built in
-O(N log^2 N), answers both in O(log^2 N) per row, so the O(N log N) rows
-of a table on ``N`` nodes cost O(N log^3 N) instead of O(N^2).  A
-rank-path row agrees with ``mean_oscillation`` only to rounding: within
-``2e-14 (|M| + mean |f|)``, the mean taken over the row, in every case
-measured up to 65536 nodes (offset, noisy, tied and log inputs; at most
-44 ulps of that scale and mostly a few), the error growing slowly with
-the row width.
+and sum its values below ``m``.  ``S`` adds one pairwise sum over a dyadic
+window per set bit of ``k``, the windows starting at every node and built
+in O(N) per level; a merge-sort tree over aligned dyadic blocks, built in
+O(N log^2 N), answers ``k_`` and ``S_`` in O(log^2 N) per row, so the
+O(N log N) rows of a table on ``N`` nodes cost O(N log^3 N) instead of
+O(N^2).  Every term summed lies in the row.  A rank-path row agrees with
+``mean_oscillation`` only to rounding: within ``3e-14 (|M| + mean |f|)``,
+the mean taken over the row, in every case measured up to 65536 nodes
+(offset, noisy, tied and log inputs; at most 2.5e-14, on log inputs at
+65536 nodes, below 6e-15 up to 16384 nodes, and the median row within
+2 ulps of that scale).
 
 The median of ``f`` over ``I`` is the smallest node value ``a`` such that
 both level sets ``{f > a}`` and ``{f < a}`` occupy at most half of the
@@ -297,15 +300,40 @@ def _tiles(lo: np.ndarray, hi: np.ndarray, j: int) -> Iterator[Tuple[np.ndarray,
         yield start + last, right[last] - 1
 
 
+def _row_sums(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sum of each row ``v[lo:hi]`` from pairwise sums over dyadic windows.
+
+    ``window[a]`` at level ``k`` is the pairwise sum of ``v[a : a + 2^k]``,
+    built from the level below as ``window[a] + window[a + 2^(k-1)]``, one
+    level live at a time.  A row of ``w`` nodes is the run of one window
+    per set bit of ``w``, in ascending ``k``, so every term summed lies in
+    the row and each row's sum is the same whatever the other rows.
+    """
+    sums = np.zeros(lo.size)
+    start = lo.copy()
+    width = hi - lo
+    window = v
+    for k in range(int(width.max()).bit_length()):
+        if k:
+            half = 1 << (k - 1)
+            window = window[:-half] + window[half:]
+        bit = width & (1 << k)
+        # A row without bit k may start past the last window: clip, then skip it.
+        np.add(sums, window.take(start, mode="clip"), out=sums, where=bit != 0)
+        start += bit
+    return sums
+
+
 def _rank_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mean oscillation of each row ``vals[lo:hi]`` from rank counts, without reading the row.
 
     For a row of ``k`` nodes with sum ``S`` and mean ``m = S / k``, let ``k_``
     and ``S_`` be the count and the sum of its values below ``m``; then
-    ``sum |v - m| = (S - 2 S_) - m (k - 2 k_) = 2 (m k_ - S_)``.  A row is tiled by at most
-    two aligned blocks of ``2^j`` nodes per level ``j`` (:func:`_tiles`).
-    ``S`` sums the block totals, built pairwise level by level.  A
-    merge-sort tree keeps, per level, the nodes sorted by global value rank
+    ``sum |v - m| = (S - 2 S_) - m (k - 2 k_) = 2 (m k_ - S_)``.  ``S`` adds
+    one pairwise sum over a dyadic window per set bit of ``k``
+    (:func:`_row_sums`).  For ``k_`` and ``S_`` a row is tiled once, by at
+    most two aligned blocks of ``2^j`` nodes per level ``j`` (:func:`_tiles`).
+    A merge-sort tree keeps, per level, the nodes sorted by global value rank
     inside each aligned block, with the running sum of the values in that
     order restarted at every block, so one ``np.searchsorted`` on the key
     ``block * (n + 1) + rank`` gives a block's count and sum below ``m``.
@@ -329,16 +357,8 @@ def _rank_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
     # A block of 2^j nodes tiles only rows of at least 2^j nodes.
     levels = int(count.max()).bit_length()
 
-    sums = np.zeros(lo.size)
-    totals = v
-    for j in range(levels):
-        if j:
-            pairs = totals[0::2].copy()
-            pairs[: totals.size // 2] += totals[1::2]
-            totals = pairs
-        for rows, blocks in _tiles(lo, hi, j):
-            sums[rows] += totals[blocks]
-    mean = np.divide(sums, count, out=sums)
+    mean = _row_sums(v, lo, hi)
+    mean /= count
     cut = np.searchsorted(ordered, mean).astype(dtype)  # values below the mean have rank < cut
 
     below = np.zeros(lo.size)
@@ -398,7 +418,7 @@ def oscillation_table(f: SampledFunction) -> OscillationTable:
     does not pay (grids below about 1300 nodes), are reduced node by node
     and equal ``mean_oscillation`` exactly.  Longer rows are computed from
     rank counts in O(log^2 N) each and agree with it only to rounding,
-    within ``2e-14 (|M| + mean |f|)`` over the row as measured.
+    within ``3e-14 (|M| + mean |f|)`` over the row as measured.
     """
     vals = f.real_values()
     n = vals.size

@@ -403,6 +403,39 @@ class TestRankPath:
         want = bmo._rank_oscillations(g, starts, stops)
         assert np.array_equal(bmo._rank_oscillations(2.0**40 + g, starts, stops), want)
 
+    def test_row_sums_read_only_their_row(self):
+        # A row's sum is the same, bit for bit, when every node outside the
+        # row is NaN; a difference of running sums reads the NaNs before it.
+        rng = np.random.default_rng(5)
+        v = 10.0 + rng.normal(size=10_007)
+        widths = np.tile([257, 258, 511, 4097, 8191], 3)
+        lo = np.concatenate([np.zeros(5, int), 1 + 397 * np.arange(5), v.size - widths[:5]])
+        hi = lo + widths
+        sums = bmo._row_sums(v, lo, hi)
+        for a, b, total in zip(lo, hi, sums):
+            assert abs(total - v[a:b].sum()) <= 1e-12 * abs(total)
+            alone = np.full(v.size, np.nan)
+            alone[a:b] = v[a:b]
+            assert np.array_equal(bmo._row_sums(alone, np.array([a]), np.array([b])), [total])
+
+    def test_row_order_changes_no_value(self):
+        rng = np.random.default_rng(6)
+        vals = rng.normal(size=5000)
+        lo = rng.integers(0, vals.size - bmo._DIRECT_WIDTH - 1, size=bmo._QUERY_ROWS + 1000)
+        hi = rng.integers(lo + bmo._DIRECT_WIDTH + 1, vals.size + 1)
+        shuffle = rng.permutation(lo.size)
+        want = bmo._rank_oscillations(vals, lo, hi)
+        assert np.array_equal(bmo._rank_oscillations(vals, lo[shuffle], hi[shuffle]), want[shuffle])
+
+    def test_rows_are_tiled_once(self, monkeypatch):
+        levels = []
+        original = bmo._tiles
+        monkeypatch.setattr(bmo, "_tiles",
+                            lambda lo, hi, j: levels.append(j) or original(lo, hi, j))
+        starts = np.arange(0, 1000, 9)
+        bmo._rank_oscillations(np.sin(np.arange(4000.0)), starts, starts + 3000)
+        assert levels == list(range((3000).bit_length()))
+
     def test_bmo_norm_equals_table_max_with_long_rows(self):
         f = SampledFunction(-1.3, 3.4 / 3999, np.random.default_rng(2).normal(size=4000))
         table = oscillation_table(f)
