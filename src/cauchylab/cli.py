@@ -31,11 +31,9 @@ from .config import ExperimentConfig
 from .errors import InputError
 from .kernel import random_size_sweep, random_smoothness_sweep
 from .operator import apply_on_window, pv_values
-from .reports import BoundReport, _write_csv, write_report
+from .reports import BoundReport, _cap_rows, _write_csv, write_report
 from .sampling import lp_norm, sample, sample_on, stack
 from .symbols import make_symbol
-
-MAX_REPORT_ROWS = 200
 
 # Rounding floor of the convergence study, relative to the largest
 # finest-level output: a difference |v_h/2 - v_h/4| at or below it is
@@ -46,34 +44,6 @@ RICHARDSON_FLOOR = 1e-12
 TIE_RTOL = 1e-12
 
 
-def _trim_rows(report: BoundReport) -> BoundReport:
-    """Keep the ``MAX_REPORT_ROWS`` worst rows by lhs/rhs ratio plus every violation.
-
-    The worst rows are the first ``MAX_REPORT_ROWS`` of a stable descending
-    sort (ties in row order, NaN last).  Only the rows at or above the
-    ``MAX_REPORT_ROWS``-th ratio, which ``np.partition`` finds, are sorted.
-    """
-    n = report.n_rows
-    if n <= MAX_REPORT_ROWS:
-        return report
-    neg = -report.ratios()
-    cut = np.partition(neg, MAX_REPORT_ROWS - 1)[MAX_REPORT_ROWS - 1]
-    # ``neg > cut`` is false for every row when ``cut`` is NaN, and NaN rows
-    # sort after every other candidate.
-    candidates = np.flatnonzero(~(neg > cut))
-    keep = candidates[np.argsort(neg[candidates], kind="stable")[:MAX_REPORT_ROWS]]
-    if "pass" in report.columns:
-        bad = np.nonzero(~report.columns["pass"].astype(bool))[0]
-        keep = np.unique(np.concatenate([keep, bad]))
-    else:
-        keep = np.sort(keep)
-    cols = {k: v[keep] for k, v in report.columns.items()}
-    extras = dict(report.extras)
-    extras["rows_total"] = n
-    extras["rows_written"] = int(keep.size)
-    return BoundReport(report.inequality, cols, extras)
-
-
 # ----- subcommand handlers ------------------------------------------
 
 
@@ -82,8 +52,6 @@ def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     n = cfg.integer("kernel_check.samples", 1)
     box = cfg.number("kernel_check.box")
     ok = True
-    # One sweep at a time: each report is written and dropped before the
-    # next sweep draws, so a single sweep's columns are alive at once.
     for name, sweep in (
         ("kernel_size", lambda: random_size_sweep(kern, n, rng, box)),
         ("kernel_smoothness", lambda: random_smoothness_sweep(kern, n, rng, box)),
@@ -92,8 +60,7 @@ def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     ):
         rep = sweep()
         ok &= rep.passed
-        write_report(_trim_rows(rep), out_dir, name)
-        del rep
+        write_report(rep, out_dir, name)
     return ok
 
 
@@ -268,7 +235,7 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     )
     write_report(rep, out_dir, "lemma41")
     for k, irep in zip(ks, inter):
-        write_report(_trim_rows(irep), out_dir, f"lemma41_intermediate_k{k}")
+        write_report(_cap_rows([irep]), out_dir, f"lemma41_intermediate_k{k}")
     return bool(ok)
 
 

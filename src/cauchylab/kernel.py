@@ -18,6 +18,13 @@ with exponent 1 on the modulus of continuity.  The checkers test these as
 exact inequalities: any violation is a bug, not noise, because the size
 bound follows from ``|u + iv| >= |u|`` and the smoothness bound carries a
 factor-2 cushion away from the admissibility boundary.
+
+The random sweeps draw, check and cut their samples ``_CHECK_CHUNK`` at a
+time.  A sweep returns the report a report file keeps (``_cap_rows``): the
+``MAX_REPORT_ROWS`` worst rows by lhs/rhs ratio plus every violation, with
+``n_violations`` over all samples and, past ``MAX_REPORT_ROWS`` samples,
+``rows_total`` and ``rows_written``.  It holds O(``_CHECK_CHUNK`` +
+``MAX_REPORT_ROWS``) rows besides its violations, whatever the sample count.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ import numpy as np
 
 from .curve import LipschitzCurve, eval_A
 from .errors import InputError, SingularityError
-from .reports import BoundReport
+from .reports import BoundReport, _cap_rows
 
-# Samples per chunk of a check's lhs column, so that the kernel temporaries
-# of a sweep stay a few hundred kilobytes whatever its sample count.
+# Samples a sweep draws and checks at a time, so that its columns and kernel
+# temporaries stay a few hundred kilobytes whatever its sample count.
 _CHECK_CHUNK = 1 << 14
 
 
@@ -83,25 +90,11 @@ def kernel_modulus(kernel: CauchyKernel, x, y):
     return out
 
 
-def _by_chunks(fn, *arrays) -> np.ndarray:
-    """``fn`` of the broadcast ``arrays``, taken ``_CHECK_CHUNK`` elements at a time.
-
-    ``fn`` is elementwise and returns floats, so the result does not depend
-    on the chunking.
-    """
-    arrays = np.broadcast_arrays(*arrays)
-    out = np.empty(arrays[0].shape)
-    for a in range(0, len(out), _CHECK_CHUNK):
-        part = slice(a, a + _CHECK_CHUNK)
-        out[part] = fn(*(v[part] for v in arrays))
-    return out
-
-
 def check_size(kernel: CauchyKernel, x, y) -> BoundReport:
     """Check ``|K(x, y)| <= 1/|y - x|`` pointwise, with no tolerance."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    lhs = _by_chunks(lambda u, v: kernel_modulus(kernel, u, v), x, y)
+    lhs = kernel_modulus(kernel, x, y)
     rhs = 1.0 / np.abs(y - x)
     passed = lhs <= rhs
     return BoundReport(
@@ -133,12 +126,9 @@ def check_smoothness(kernel: CauchyKernel, x, y, y_prime, transposed: bool = Fal
     else:
         name = "|K(x,y) - K(x,y')| <= 2(L+1)|y-y'| / |y-x|^2"
 
-    def lhs_of(u, v, v_prime):
-        w = np.stack([v, v_prime])
-        K = eval_kernel(kernel, w, u) if transposed else eval_kernel(kernel, u, w)
-        return np.abs(K[0] - K[1])
-
-    lhs = _by_chunks(lhs_of, x, y, y_prime)
+    w = np.stack(np.broadcast_arrays(y, y_prime))
+    K = eval_kernel(kernel, w, x) if transposed else eval_kernel(kernel, x, w)
+    lhs = np.abs(K[0] - K[1])
     rhs = kernel.smoothness_constant * np.abs(y_prime - y) / gap**2
     passed = lhs <= rhs
     return BoundReport(
@@ -155,21 +145,58 @@ def check_smoothness(kernel: CauchyKernel, x, y, y_prime, transposed: bool = Fal
     )
 
 
-def _random_pairs(n: int, rng: np.random.Generator, box: float):
-    """``n`` random off-diagonal pairs ``(x, y)`` in ``[-box, box]``."""
+def _random_pairs(n: int, rng: np.random.Generator, box: float, *more):
+    """Chunks of ``n`` random off-diagonal pairs ``(x, y)`` in ``[-box, box]``.
+
+    A chunk is ``[x, y, *rest]`` of ``_CHECK_CHUNK`` rows (the last one
+    shorter), with one more uniform column per ``(low, high)`` in ``more``.
+    The columns equal, bit for bit, the whole-column draws
+    ``rng.uniform(low, high, size=n)`` taken one after another, x first:
+    column ``k`` is drawn from a copy of ``rng`` advanced ``k n`` draws.
+    After the last chunk ``rng`` holds the state those draws leave, its
+    buffered 32-bit half included, which ``advance`` would clear.
+    """
     if n < 1:
         raise InputError("need at least one sample")
-    x = rng.uniform(-box, box, size=n)
-    y = rng.uniform(-box, box, size=n)
-    coincide = y == x
-    y[coincide] = x[coincide] + box * 1e-6  # measure-zero guard
-    return x, y
+    bits = rng.bit_generator
+    # Their ``advance(k)`` skips exactly ``k`` doubles (Philox skips blocks of four).
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise InputError("kernel sweeps need a PCG64 generator such as "
+                         f"np.random.default_rng(seed), got {type(bits).__name__}")
+    start = bits.state
+    bounds = [(-box, box), (-box, box), *more]
+    columns = []
+    for k in range(len(bounds)):
+        twin = type(bits)()
+        twin.state = start
+        twin.advance(k * n)
+        columns.append(np.random.Generator(twin))
+    for a in range(0, n, _CHECK_CHUNK):
+        size = min(_CHECK_CHUNK, n - a)
+        x, y, *rest = [g.uniform(lo, hi, size) for g, (lo, hi) in zip(columns, bounds)]
+        coincide = y == x
+        y[coincide] = x[coincide] + box * 1e-6  # measure-zero guard
+        yield [x, y, *rest]
+    bits.state = dict(columns[-1].bit_generator.state,
+                      has_uint32=start["has_uint32"], uinteger=start["uinteger"])
+
+
+def _swept(checks) -> BoundReport:
+    """``_cap_rows`` of the chunk ``checks``, with ``n_violations`` over all of them."""
+    rep = _cap_rows(checks)
+    rep.extras["n_violations"] = rep.n_violations  # every violation is kept
+    return rep
 
 
 def random_size_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generator,
                       box: float = 50.0) -> BoundReport:
-    """Size estimate on ``n`` random off-diagonal pairs in ``[-box, box]``."""
-    return check_size(kernel, *_random_pairs(n, rng, box))
+    """Size estimate on ``n`` random off-diagonal pairs in ``[-box, box]``.
+
+    Returns the worst rows plus every violation, with ``rows_total`` and
+    ``rows_written`` past ``MAX_REPORT_ROWS`` samples; the sweep holds
+    O(``_CHECK_CHUNK`` + ``MAX_REPORT_ROWS``) rows besides its violations.
+    """
+    return _swept(check_size(kernel, x, y) for x, y in _random_pairs(n, rng, box))
 
 
 def random_smoothness_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generator,
@@ -178,9 +205,12 @@ def random_smoothness_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generat
 
     ``y'`` is placed uniformly inside the admissible ball of radius
     ``|y - x| / 2`` around ``y``, so the precondition holds by
-    construction and every reported failure would be meaningful.
+    construction and every reported failure would be meaningful.  Returns
+    the worst rows plus every violation, with ``rows_total`` and
+    ``rows_written`` past ``MAX_REPORT_ROWS`` samples; the sweep holds
+    O(``_CHECK_CHUNK`` + ``MAX_REPORT_ROWS``) rows besides its violations.
     """
-    x, y = _random_pairs(n, rng, box)
-    u = rng.uniform(-1.0, 1.0, size=n)
-    y_prime = y + 0.5 * u * np.abs(y - x)
-    return check_smoothness(kernel, x, y, y_prime, transposed=transposed)
+    return _swept(
+        check_smoothness(kernel, x, y, y + 0.5 * u * np.abs(y - x), transposed=transposed)
+        for x, y, u in _random_pairs(n, rng, box, (-1.0, 1.0))
+    )

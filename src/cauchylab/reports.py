@@ -6,7 +6,8 @@ check is thresholded), and scalar extras.  Serialization is deterministic:
 every value is turned into Python values once (``tolist``), floats are
 written in their shortest round-trip form, rows keep construction order,
 and JSON keys are sorted.  ``_write_csv`` is the one CSV writer, for
-reports and for the operator output alike.
+reports and for the operator output alike.  ``_cap_rows`` is the one rule
+for which rows of a long check a report file keeps.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator
+from typing import Dict, Iterable, Iterator
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .errors import InputError
 
 # Rows the CSV writer turns into Python values at a time.
 _CSV_ROWS = 1024
+# Worst rows a capped report keeps, besides every violation.
+MAX_REPORT_ROWS = 200
 
 
 def _python(v):
@@ -114,3 +117,55 @@ def write_report(report: BoundReport, out_dir, name: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / f"{name}.csv")
     report.to_json(out / f"{name}.json")
+
+
+def _worst_rows(report: BoundReport) -> np.ndarray:
+    """Ascending indices of the ``MAX_REPORT_ROWS`` worst rows by lhs/rhs plus every violation.
+
+    The worst rows are the first ``MAX_REPORT_ROWS`` of a stable descending
+    sort (ties in row order, NaN last).  Only the rows at or above the
+    ``MAX_REPORT_ROWS``-th ratio, which ``np.partition`` finds, are sorted.
+    A report of at most ``MAX_REPORT_ROWS`` rows keeps them all.
+    """
+    if report.n_rows <= MAX_REPORT_ROWS:
+        return np.arange(report.n_rows)
+    neg = -report.ratios()
+    cut = np.partition(neg, MAX_REPORT_ROWS - 1)[MAX_REPORT_ROWS - 1]
+    # ``neg > cut`` is false for every row when ``cut`` is NaN, and NaN rows
+    # sort after every other candidate.
+    candidates = np.flatnonzero(~(neg > cut))
+    kept = np.zeros(report.n_rows, dtype=bool)
+    kept[candidates[np.argsort(neg[candidates], kind="stable")[:MAX_REPORT_ROWS]]] = True
+    if "pass" in report.columns:
+        kept |= ~report.columns["pass"].astype(bool)
+    return np.flatnonzero(kept)
+
+
+def _cap_rows(parts: Iterable[BoundReport]) -> BoundReport:
+    """The rows of ``parts``, in order, cut to the worst rows plus every violation.
+
+    The kept rows are those ``_worst_rows`` picks from the concatenated
+    parts; past ``MAX_REPORT_ROWS`` rows in all, the extras ``rows_total``
+    and ``rows_written`` count the rows that came in and the rows kept.  A
+    row among the worst of the whole is among the worst of its own part,
+    so each part is cut to its own worst rows as it arrives, and one part
+    plus the rows kept so far are alive at a time.  The inequality and the
+    other extras are the first part's.  ``_cap_rows([report])`` caps one
+    whole report.
+    """
+    head, kept, total = None, [], 0
+    for part in parts:
+        if head is None:
+            head = part.inequality, dict(part.extras)
+        keep = _worst_rows(part)
+        kept.append({k: v[keep] for k, v in part.columns.items()})
+        total += part.n_rows
+        del part  # free the part before the next one is made
+    inequality, extras = head
+    merged = BoundReport(inequality, {k: np.concatenate([c[k] for c in kept]) for k in kept[0]},
+                         extras)
+    if total <= MAX_REPORT_ROWS:
+        return merged
+    keep = _worst_rows(merged)
+    return BoundReport(inequality, {k: v[keep] for k, v in merged.columns.items()},
+                       dict(extras, rows_total=total, rows_written=int(keep.size)))

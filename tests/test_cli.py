@@ -4,13 +4,40 @@ import numpy as np
 import pytest
 
 from cauchylab import BoundReport, InputError, oscillation_table
-from cauchylab import cli
 from cauchylab.cli import HANDLERS, main
 from cauchylab.config import DEFAULTS, ExperimentConfig
+from cauchylab.reports import MAX_REPORT_ROWS, _cap_rows
+
+TRIM_CASES = ["spread", "all_tied", "ties", "inf_nan", "mostly_nan", "violations", "no_pass"]
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def trim_case(case, n):
+    """One capping case: its columns (no ``pass`` column for ``no_pass``) and its pass flags."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    lhs = rng.random(n)
+    rhs = np.ones(n)
+    if case == "all_tied":  # every size ratio is 1.0 on the flat graph
+        lhs = rhs.copy()
+    elif case == "ties":  # the 200th ratio falls inside a run of ties
+        lhs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n, p=[0.5, 0.2, 0.1, 0.18, 0.02])
+    elif case == "inf_nan":
+        lhs[rng.choice(n, 30, replace=False)] = np.nan
+        rhs[rng.choice(n, 30, replace=False)] = 0.0
+        lhs[rng.choice(n, 150, replace=False)] = 0.75
+    elif case == "mostly_nan":
+        lhs[rng.choice(n, n - 120, replace=False)] = np.nan
+    passed = ~(lhs > rhs)
+    if case == "violations":
+        lhs[rng.choice(n, 260, replace=False)] *= 3.0
+        passed = lhs <= 0.9
+    columns = {"lhs": lhs, "rhs": rhs, "pass": passed, "row": np.arange(n)}
+    if case == "no_pass":
+        del columns["pass"]
+    return columns, passed
 
 
 class TestReports:
@@ -28,41 +55,33 @@ class TestReports:
                                 "pass": np.array([True, True])})
         assert rep.passed and rep.ratios().max() == 0.5
 
-    @pytest.mark.parametrize("case", ["spread", "all_tied", "ties", "inf_nan", "mostly_nan",
-                                      "violations", "no_pass"])
+    @pytest.mark.parametrize("case", TRIM_CASES)
     def test_trim_keeps_the_rows_of_a_full_stable_sort(self, case):
-        rng = np.random.default_rng(sum(map(ord, case)))
         n = 5000
-        lhs = rng.random(n)
-        rhs = np.ones(n)
-        if case == "all_tied":  # every size ratio is 1.0 on the flat graph
-            lhs = rhs.copy()
-        elif case == "ties":  # the 200th ratio falls inside a run of ties
-            lhs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n, p=[0.5, 0.2, 0.1, 0.18, 0.02])
-        elif case == "inf_nan":
-            lhs[rng.choice(n, 30, replace=False)] = np.nan
-            rhs[rng.choice(n, 30, replace=False)] = 0.0
-            lhs[rng.choice(n, 150, replace=False)] = 0.75
-        elif case == "mostly_nan":
-            lhs[rng.choice(n, n - 120, replace=False)] = np.nan
-        passed = ~(lhs > rhs)
-        if case == "violations":
-            lhs[rng.choice(n, 260, replace=False)] *= 3.0
-            passed = lhs <= 0.9
-        columns = {"lhs": lhs, "rhs": rhs, "pass": passed, "row": np.arange(n)}
-        if case == "no_pass":
-            del columns["pass"]
+        columns, passed = trim_case(case, n)
         rep = BoundReport("x", columns)
-        got = cli._trim_rows(rep)
-        keep = np.argsort(-rep.ratios(), kind="stable")[:cli.MAX_REPORT_ROWS]
+        got = _cap_rows([rep])
+        keep = np.argsort(-rep.ratios(), kind="stable")[:MAX_REPORT_ROWS]
         if case == "no_pass":
             keep = np.sort(keep)
         else:
             keep = np.unique(np.concatenate([keep, np.flatnonzero(~passed)]))
-        assert keep.size > cli.MAX_REPORT_ROWS or case != "violations"
+        assert keep.size > MAX_REPORT_ROWS or case != "violations"
         assert got.extras == {"rows_total": n, "rows_written": keep.size}
         for name in columns:
             np.testing.assert_array_equal(got.columns[name], columns[name][keep])
+
+    @pytest.mark.parametrize("case", TRIM_CASES)
+    @pytest.mark.parametrize("cuts", [[1], [199, 200, 2500], [1000, 2000, 3000, 4000], [4999]])
+    def test_parts_cap_to_the_rows_of_the_whole(self, case, cuts):
+        columns, _ = trim_case(case, 5000)
+        whole = _cap_rows([BoundReport("x", columns, {"note": 1})])
+        parts = [BoundReport("x", {k: v[a:b] for k, v in columns.items()}, {"note": 1})
+                 for a, b in zip([0] + cuts, cuts + [5000])]
+        got = _cap_rows(iter(parts))
+        assert got.inequality == whole.inequality and got.extras == whole.extras
+        for name in columns:
+            assert got.columns[name].tobytes() == whole.columns[name].tobytes()
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(InputError):

@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,10 +16,29 @@ from cauchylab import (
     random_size_sweep,
     random_smoothness_sweep,
 )
+from cauchylab.kernel import _CHECK_CHUNK
+from cauchylab.reports import _cap_rows
 
 FLAT = CauchyKernel.for_curve(LipschitzCurve.flat())
 AFFINE1 = CauchyKernel.for_curve(LipschitzCurve.affine(1.0))
 SAW = CauchyKernel.for_curve(LipschitzCurve.sawtooth(1.0, 4.0))
+LAB = CauchyKernel.for_curve(LipschitzCurve.sawtooth(0.5, 2.0))
+
+
+class HalvedConstant(CauchyKernel):
+    """The kernel checked against half its smoothness constant: about 0.3% of triples fail."""
+
+    @property
+    def smoothness_constant(self) -> float:
+        return 0.5 * super().smoothness_constant
+
+
+TIGHT = HalvedConstant(LipschitzCurve.sawtooth(1.0, 4.0))
+SWEEPS = {
+    "size": random_size_sweep,
+    "smoothness": random_smoothness_sweep,
+    "transposed": partial(random_smoothness_sweep, transposed=True),
+}
 
 
 def test_eval_examples():
@@ -92,3 +114,75 @@ def test_modulus_symmetry_exact(rng):
     m_yx = kernel_modulus(SAW, y[keep], x[keep])
     np.testing.assert_array_equal(m_xy, m_yx)
 
+
+
+def whole_column_report(kernel, n, rng, sweep, box=50.0):
+    """The full report of one sweep's draws, each column drawn whole."""
+    x = rng.uniform(-box, box, size=n)
+    y = rng.uniform(-box, box, size=n)
+    coincide = y == x
+    y[coincide] = x[coincide] + box * 1e-6
+    if sweep == "size":
+        return check_size(kernel, x, y)
+    u = rng.uniform(-1.0, 1.0, size=n)
+    return check_smoothness(kernel, x, y, y + 0.5 * u * np.abs(y - x),
+                            transposed=sweep == "transposed")
+
+
+STREAM_CASES = [
+    *(pytest.param(SAW, s, n, id=f"saw-{s}-{n}")
+      for s in SWEEPS for n in (1, 200, 201, 16384, 16385, 100_000)),
+    # Every size ratio is 1.0 on the flat graph: ties across every chunk boundary.
+    *(pytest.param(FLAT, "size", n, id=f"flat-size-{n}") for n in (16385, 100_000)),
+    *(pytest.param(TIGHT, s, n, id=f"violations-{s}-{n}")
+      for s in ("smoothness", "transposed") for n in (16385, 100_000)),
+]
+
+
+@pytest.mark.parametrize("kernel, sweep, n", STREAM_CASES)
+def test_sweep_is_the_capped_whole_column_report(kernel, sweep, n):
+    streamed, whole = np.random.default_rng(n), np.random.default_rng(n)
+    got = SWEEPS[sweep](kernel, n, streamed)
+    full = whole_column_report(kernel, n, whole, sweep)
+    want = _cap_rows([full])
+    if kernel is TIGHT and n == 100_000:
+        bad_chunks = np.flatnonzero(~full.columns["pass"]) // _CHECK_CHUNK
+        assert np.unique(bad_chunks).size > 1
+    assert got.inequality == want.inequality
+    assert got.extras == want.extras
+    assert list(got.columns) == list(want.columns)
+    for name, column in want.columns.items():
+        assert got.columns[name].dtype == column.dtype
+        assert got.columns[name].tobytes() == column.tobytes()
+    assert streamed.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("sweep, columns", [("size", 2), ("smoothness", 3)])
+def test_sweep_leaves_the_generator_as_whole_column_draws(sweep, columns):
+    streamed, whole = np.random.default_rng(5), np.random.default_rng(5)
+    for g in (streamed, whole):
+        g.integers(0, 10, dtype=np.int32)  # buffers the other 32-bit half
+    SWEEPS[sweep](SAW, 1000, streamed)
+    whole.uniform(size=columns * 1000)
+    assert whole.bit_generator.state["has_uint32"] == 1
+    assert streamed.bit_generator.state == whole.bit_generator.state
+    np.testing.assert_array_equal(streamed.integers(0, 10, 9, dtype=np.int32),
+                                  whole.integers(0, 10, 9, dtype=np.int32))
+
+
+@pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937, np.random.Philox])
+def test_sweep_refuses_a_generator_it_cannot_advance_by_draws(bits):
+    with pytest.raises(InputError, match=r"np\.random\.default_rng"):
+        random_size_sweep(SAW, 10, np.random.Generator(bits(1)))
+
+
+def test_smoothness_sweep_peak_memory():
+    rng = np.random.default_rng(8191)
+    random_smoothness_sweep(LAB, 1000, rng)
+    tracemalloc.start()
+    try:
+        random_smoothness_sweep(LAB, 100_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
