@@ -115,7 +115,6 @@ def test_modulus_symmetry_exact(rng):
     np.testing.assert_array_equal(m_xy, m_yx)
 
 
-
 def whole_column_report(kernel, n, rng, sweep, box=50.0):
     """The full report of one sweep's draws, each column drawn whole."""
     x = rng.uniform(-box, box, size=n)
@@ -177,6 +176,7 @@ def test_sweep_refuses_a_generator_it_cannot_advance_by_draws(bits):
 
 
 def test_smoothness_sweep_peak_memory():
+    # Whole 100k-sample columns peak at about 6.4 MiB here, one chunk at a time at about 2.5.
     rng = np.random.default_rng(8191)
     random_smoothness_sweep(LAB, 1000, rng)
     tracemalloc.start()
