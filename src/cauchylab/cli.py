@@ -90,11 +90,12 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         resolved = den > RICHARDSON_FLOOR * float(np.max(np.abs(levels[2]), initial=0.0))
         with np.errstate(divide="ignore"):
             orders = np.log2(rich[resolved])
+        finite = rich[np.isfinite(rich)]
         conv = BoundReport(
             inequality="Richardson ratio |v_h - v_h/2| / |v_h/2 - v_h/4| per point",
             columns={"x": xs, "lhs": num, "rhs": den, "ratio": rich},
             extras={
-                "median_ratio": float(np.median(rich[np.isfinite(rich)])),
+                "median_ratio": float(np.median(finite)) if finite.size else float("nan"),
                 "observed_order": float(np.median(orders)) if orders.size else float("nan"),
                 "points_at_floor": int(np.count_nonzero(~resolved)),
             },

@@ -211,10 +211,9 @@ class ExperimentConfig:
         return CauchyKernel.for_curve(self.curve())
 
     def grid(self) -> tuple:
-        spec = self.get("grid")
-        step = _number(spec.get("step"), "grid.step")
+        step = self.number("grid.step")
         count = self.integer("grid.count", 2)
-        if spec.get("origin") is None:
+        if self.get("grid.origin") is None:
             # Cell-centered around zero by default.
             return -0.5 * step * (count - 1), step, count
         return self.number("grid.origin", above=None), step, count

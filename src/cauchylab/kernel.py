@@ -20,7 +20,10 @@ bound follows from ``|u + iv| >= |u|`` and the smoothness bound carries a
 factor-2 cushion away from the admissibility boundary.
 
 The random sweeps draw, check and cut their samples ``_CHECK_CHUNK`` at a
-time.  A sweep returns the report a report file keeps (``_cap_rows``): the
+time.  They draw sample-major from the caller's generator, any
+``np.random.Generator``: each sample takes its columns from consecutive
+draws of ``rng.random``, so the samples do not depend on the chunk size.
+A sweep returns the report a report file keeps (``_cap_rows``): the
 ``MAX_REPORT_ROWS`` worst rows by lhs/rhs ratio plus every violation, with
 ``n_violations`` over all samples and, past ``MAX_REPORT_ROWS`` samples,
 ``rows_total`` and ``rows_written``.  It holds O(``_CHECK_CHUNK`` +
@@ -150,35 +153,26 @@ def _random_pairs(n: int, rng: np.random.Generator, box: float, *more):
 
     A chunk is ``[x, y, *rest]`` of ``_CHECK_CHUNK`` rows (the last one
     shorter), with one more uniform column per ``(low, high)`` in ``more``.
-    The columns equal, bit for bit, the whole-column draws
-    ``rng.uniform(low, high, size=n)`` taken one after another, x first:
-    column ``k`` is drawn from a copy of ``rng`` advanced ``k n`` draws.
-    After the last chunk ``rng`` holds the state those draws leave, its
-    buffered 32-bit half included, which ``advance`` would clear.
+    The draws are sample-major: with ``k`` columns, sample ``i`` takes draws
+    ``k i .. k i + k - 1`` of ``rng.random``, and column ``j`` maps its draw
+    ``u`` to ``low + (high - low) u``.  The samples, and the state ``rng`` is
+    left in, therefore depend on ``n`` but not on ``_CHECK_CHUNK``, and any
+    ``np.random.Generator`` works.
     """
     if n < 1:
         raise InputError("need at least one sample")
-    bits = rng.bit_generator
-    # Their ``advance(k)`` skips exactly ``k`` doubles (Philox skips blocks of four).
-    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise InputError("kernel sweeps need a PCG64 generator such as "
-                         f"np.random.default_rng(seed), got {type(bits).__name__}")
-    start = bits.state
     bounds = [(-box, box), (-box, box), *more]
-    columns = []
-    for k in range(len(bounds)):
-        twin = type(bits)()
-        twin.state = start
-        twin.advance(k * n)
-        columns.append(np.random.Generator(twin))
     for a in range(0, n, _CHECK_CHUNK):
-        size = min(_CHECK_CHUNK, n - a)
-        x, y, *rest = [g.uniform(lo, hi, size) for g, (lo, hi) in zip(columns, bounds)]
+        columns = rng.random((min(_CHECK_CHUNK, n - a), len(bounds))).T
+        for column, (low, high) in zip(columns, bounds):
+            # In place, column by column: one broadcast over the whole block
+            # would run an inner loop of only k draws per sample.
+            column *= high - low
+            column += low
+        x, y, *rest = columns
         coincide = y == x
         y[coincide] = x[coincide] + box * 1e-6  # measure-zero guard
         yield [x, y, *rest]
-    bits.state = dict(columns[-1].bit_generator.state,
-                      has_uint32=start["has_uint32"], uinteger=start["uinteger"])
 
 
 def _swept(checks) -> BoundReport:

@@ -98,10 +98,10 @@ class SampledFunction:
     """Complex values on the uniform grid ``origin + i * step``.
 
     ``values`` has shape ``(n,)`` for one function or ``(n, c)`` for a
-    block of ``c`` functions on the same ``n`` nodes.  ``source``, when present, is the callable the samples were drawn
-    from; it lets consumers evaluate the same function off this grid
-    (refined lattices, midpoints) without interpolation.  Derived
-    functions generally drop it.
+    block of ``c`` functions on the same ``n`` nodes.  ``source``, when
+    present, is the callable the samples were drawn from; it lets consumers
+    evaluate the same function off this grid (refined lattices, midpoints)
+    without interpolation.  Derived functions generally drop it.
     """
 
     origin: float

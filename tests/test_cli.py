@@ -265,6 +265,8 @@ class TestExitCodes:
          "symbol.params: bad parameters for symbol 'sign'"),
         ("eval-operator", {"curve": {"kind": "nope"}}, "curve.kind: unknown curve kind 'nope'"),
         ("bmo-norm", {"symbol": {"kind": ["sign"]}}, "config field symbol.kind must be a string"),
+        ("bmo-norm", {"grid": 5}, "grid.step"),
+        ("eval-operator", {"grid": [1, 2]}, "grid.step"),
     ], ids=["eval_points", "eval_cells", "nodes_per_radius", "bump_positions", "family",
             "vmo.delta_ladder", "vmo.R_ladder", "fk.z_steps", "fk.t_ladder",
             "lemma41.k_ladder", "homogeneity.quadrature_cells", "kernel_check.samples",
@@ -287,7 +289,8 @@ class TestExitCodes:
             "bmo.max_length", "bmo.max_length.bool", "vmo.delta_ladder.entry",
             "vmo.delta_ladder.bool", "vmo.R_ladder.entry", "vmo.R_ladder.bool",
             "family.kind.unknown", "symbol.params.builder", "input.params.builder",
-            "symbol.params.unknown", "curve.kind.unknown", "symbol.kind.not_string"])
+            "symbol.params.unknown", "curve.kind.unknown", "symbol.kind.not_string",
+            "grid.not_object", "grid.list"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(tree))
@@ -347,18 +350,22 @@ class TestSubcommands:
 
     def test_eval_operator_rounding_floor(self, tmp_path):
         # A smooth bump on the flat graph converges to rounding at once: every
-        # difference is noise, so no order is claimed.
+        # difference is noise, so no order is claimed.  On the zero input every
+        # difference is 0, so no Richardson ratio is finite either.
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
-            "grid": {"step": 0.002, "count": 1000},
-            "input": {"kind": "smooth_bump",
-                      "params": {"center": 0.0, "height": 1.0, "width": 1.0}},
-        }))
-        assert run(["eval-operator", "--convergence", "--config", cfg,
-                    "--out-dir", tmp_path / "o"]) == 0
-        data = json.loads((tmp_path / "o" / "operator_convergence.json").read_text())
-        assert data["extras"]["points_at_floor"] == data["n_rows"]
-        assert np.isnan(data["extras"]["observed_order"])
+        for case, source in (
+            ("bump", {"kind": "smooth_bump",
+                      "params": {"center": 0.0, "height": 1.0, "width": 1.0}}),
+            ("zero", {"kind": "constant", "params": {"value": 0}}),
+        ):
+            cfg.write_text(json.dumps({"grid": {"step": 0.002, "count": 1000}, "input": source}))
+            assert run(["eval-operator", "--convergence", "--config", cfg,
+                        "--out-dir", tmp_path / case]) == 0
+            data = json.loads((tmp_path / case / "operator_convergence.json").read_text())
+            assert data["extras"]["points_at_floor"] == data["n_rows"]
+            assert np.isnan(data["extras"]["observed_order"])
+            if case == "zero":
+                assert np.isnan(data["extras"]["median_ratio"])
 
     def test_bmo_norm_max_length(self, tmp_path, capsys):
         tree = {"grid": {"step": 0.005, "count": 800}, "bmo": {"max_length": 0.1}}

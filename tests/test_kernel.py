@@ -116,15 +116,16 @@ def test_modulus_symmetry_exact(rng):
 
 
 def whole_column_report(kernel, n, rng, sweep, box=50.0):
-    """The full report of one sweep's draws, each column drawn whole."""
-    x = rng.uniform(-box, box, size=n)
-    y = rng.uniform(-box, box, size=n)
+    """The full report of one sweep's draws, all ``n`` samples drawn at once, sample-major."""
+    u = rng.random((n, 2 if sweep == "size" else 3))
+    x = -box + 2 * box * u[:, 0]
+    y = -box + 2 * box * u[:, 1]
     coincide = y == x
     y[coincide] = x[coincide] + box * 1e-6
     if sweep == "size":
         return check_size(kernel, x, y)
-    u = rng.uniform(-1.0, 1.0, size=n)
-    return check_smoothness(kernel, x, y, y + 0.5 * u * np.abs(y - x),
+    t = -1.0 + 2.0 * u[:, 2]
+    return check_smoothness(kernel, x, y, y + 0.5 * t * np.abs(y - x),
                             transposed=sweep == "transposed")
 
 
@@ -169,10 +170,17 @@ def test_sweep_leaves_the_generator_as_whole_column_draws(sweep, columns):
                                   whole.integers(0, 10, 9, dtype=np.int32))
 
 
-@pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937, np.random.Philox])
-def test_sweep_refuses_a_generator_it_cannot_advance_by_draws(bits):
-    with pytest.raises(InputError, match=r"np\.random\.default_rng"):
-        random_size_sweep(SAW, 10, np.random.Generator(bits(1)))
+@pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937, np.random.Philox],
+                         ids=lambda bits: bits.__name__)
+def test_sweep_takes_any_generator(bits):
+    for sweep, n in (("size", 16385), ("smoothness", 201), ("transposed", 16385)):
+        streamed, whole = np.random.Generator(bits(n)), np.random.Generator(bits(n))
+        got = SWEEPS[sweep](SAW, n, streamed)
+        want = _cap_rows([whole_column_report(SAW, n, whole, sweep)])
+        assert got.extras == want.extras
+        for name, column in want.columns.items():
+            assert got.columns[name].tobytes() == column.tobytes()
+        np.testing.assert_equal(streamed.bit_generator.state, whole.bit_generator.state)
 
 
 def test_smoothness_sweep_peak_memory():
