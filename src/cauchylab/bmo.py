@@ -1,11 +1,13 @@
 """Mean oscillation, BMO norm sweeps, medians, and vanishing-oscillation profiles.
 
-All integrals are midpoint-rule node averages, so the average of a
-constant is that constant exactly.  Supremum-type quantities (the BMO
-norm, the three oscillation-limit profiles) are taken over a finite
-interval family and are therefore lower bounds for the true suprema;
-the default family is every interval with grid-node endpoints and a
-dyadic length, which keeps the candidate count at O(N log N).
+All integrals are midpoint-rule node averages.  The average of a
+constant is that constant only to rounding (``np.mean([0.1] * 3)`` is
+``0.10000000000000002``), so a row of one repeated value can show an
+oscillation of a few ulps.  Supremum-type quantities (the BMO norm, the
+three oscillation-limit profiles) are taken over a finite interval
+family and are therefore lower bounds for the true suprema; the default
+family is every interval with grid-node endpoints and a dyadic length,
+which keeps the candidate count at O(N log N).
 
 Sweeps and oscillation tables are array-backed: ``dyadic_sweep`` returns
 an :class:`IntervalSweep` of center and radius arrays and
@@ -20,9 +22,9 @@ holds by ``SampledFunction.node_bounds``, the one node rule of the
 library: an endpoint within ``ALIGNMENT_TOL`` steps of a node snaps onto
 it, so a sweep interval between two nodes holds just their interior.
 
-``oscillation_table`` and ``bmo_norm`` reduce node rows ``f[lo:hi]``
-through one primitive, ``_range_oscillations``, which takes each row down
-one of two paths.  A row of at most ``_DIRECT_WIDTH`` (256) nodes is
+``oscillation_table`` reduces node rows ``f[lo:hi]`` through one
+primitive, ``_range_oscillations``, which takes each row down one of two
+paths.  A row of at most ``_DIRECT_WIDTH`` (256) nodes is
 reduced node by node, rows of one width together in cache-sized blocks
 (``_CHUNK_ELEMENTS``) but each row alone, so the block size never changes
 a result and the row equals :func:`mean_oscillation` of its interval bit
@@ -43,6 +45,24 @@ the mean taken over the row, in every case measured up to 65536 nodes
 (offset, noisy, tied and log inputs; at most 2.5e-14, on log inputs at
 65536 nodes, below 6e-15 up to 16384 nodes, and the median row within
 2 ulps of that scale).
+
+``bmo_norm`` and ``vmo_profile`` want only suprema, which they take
+through one primitive, ``_suprema``, without evaluating every row.  Each
+row gets the bound ``(max - min) / 2`` of its oscillation, read from two
+overlapping dyadic max/min windows built like the rank path's sum
+windows, one level live at a time; a row holding more than one value gets
+``1e-12 max |f|`` more (``_BOUND_SLACK``), which covers the rounding of
+either path (the rank path's ``3e-14 (|M| + mean |f|)`` is at most
+``6e-14 max |f|``), and a row holding one value counts as exactly 0.  For
+each family of rows (the whole sweep, or one limit of the profile), the
+threshold is the largest direct oscillation, over the runs of rows of one
+width, of the run's largest-bound row in the family, times
+``1 - 1e-12``.  A row whose bound does not exceed the threshold cannot
+beat that row, so only the rows above it are evaluated, each on the path
+``_range_oscillations`` would pick for the whole row set.  Each supremum
+therefore equals the largest table value over its family bit for bit,
+except that a row holding one value counts as 0 rather than its rounding
+residue.
 
 The median of ``f`` over ``I`` is the smallest node value ``a`` such that
 both level sets ``{f > a}`` and ``{f < a}`` occupy at most half of the
@@ -78,6 +98,10 @@ _RANK_COST = 25
 _RUN_COST = 20_000
 # Rows per query batch of the rank path, which bounds its temporaries.
 _QUERY_ROWS = 8192
+# Slack of the oscillation bounds that prune supremum searches, relative to
+# max |f|: far above the rounding of either path (the rank path's stated
+# 3e-14 (|M| + mean |f|) is at most 6e-14 max |f|).
+_BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,7 +143,17 @@ def mean_oscillation(f: SampledFunction, domain: Interval) -> float:
 
 
 def bmo_norm(f: SampledFunction, sweep: Sequence[Interval]) -> float:
-    """Largest mean oscillation over the sweep; a lower bound for the sup."""
+    """Largest mean oscillation over the sweep; a lower bound for the sup.
+
+    Equal, bit for bit, to the largest of the sweep's oscillations taken
+    together as :func:`oscillation_table` takes its rows, except that an
+    interval whose nodes hold one value counts as exactly 0.  Each interval
+    gets the bound ``(max - min) / 2 + 1e-12 max |f|`` of its oscillation
+    (exactly 0 for one value); the threshold is ``1 - 1e-12`` times the
+    largest direct oscillation of the largest-bound interval of each width,
+    and only the intervals whose bound exceeds it are evaluated (see
+    ``_suprema``).
+    """
     if len(sweep) == 0:
         raise InputError("sweep must be non-empty")
     if not isinstance(sweep, IntervalSweep):
@@ -128,7 +162,8 @@ def bmo_norm(f: SampledFunction, sweep: Sequence[Interval]) -> float:
     lo, hi = _bounds_on_grid(f, sweep.lowers, sweep.uppers)
     # The max is order-free; rows sorted by width make one run per width.
     order = np.argsort(hi - lo, kind="stable")
-    return float(_range_oscillations(f.real_values(), lo[order], hi[order]).max())
+    everyone = np.ones((1, lo.size), dtype=bool)
+    return float(_suprema(f.real_values(), lo[order], hi[order], everyone)[0])
 
 
 def median(f: SampledFunction, domain: Interval) -> float:
@@ -230,6 +265,13 @@ def _rank_pays(n: int, rows: int, width: int, runs: int) -> bool:
     return width + _RUN_COST * runs > _RANK_COST * n.bit_length() * (n + rows)
 
 
+def _takes_rank(n: int, widths: np.ndarray) -> bool:
+    """Whether rows of these widths (grouped by width), as one row set on
+    ``n`` nodes, take the rank path for their rows wider than ``_DIRECT_WIDTH``."""
+    widths = widths[widths > _DIRECT_WIDTH]
+    return _rank_pays(n, widths.size, int(widths.sum()), len(_width_runs(widths)))
+
+
 def _range_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mean oscillation of ``vals[lo[r]:hi[r]]`` for every row ``r``.
 
@@ -237,15 +279,110 @@ def _range_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.
     (:func:`_rank_oscillations`) when ``_rank_pays`` for them together; the
     rest are reduced directly (:func:`_direct_oscillations`).
     """
-    wide = hi - lo > _DIRECT_WIDTH
-    widths = (hi - lo)[wide]
-    runs = int(np.count_nonzero(np.diff(widths, prepend=-1)))
-    if not _rank_pays(vals.size, widths.size, int(widths.sum()), runs):
+    if not _takes_rank(vals.size, hi - lo):
         return _direct_oscillations(vals, lo, hi)
+    wide = hi - lo > _DIRECT_WIDTH
     oscs = np.empty(lo.size)
     oscs[~wide] = _direct_oscillations(vals, lo[~wide], hi[~wide])
     oscs[wide] = _rank_oscillations(vals, lo[wide], hi[wide])
     return oscs
+
+
+def _row_bounds(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                runs: List[Tuple[int, int]]) -> np.ndarray:
+    """An upper bound on the mean oscillation of each row ``vals[lo:hi]``.
+
+    The bound is ``(max - min) / 2``, read for a row of ``k`` nodes from two
+    overlapping windows of ``2^p <= k`` nodes, plus ``_BOUND_SLACK * max |f|``
+    when the row holds more than one value; a row that holds one value gets
+    exactly 0.  ``runs`` are the ``(first, stop)`` runs of rows of one width,
+    in ascending width; the max and min windows of ``2^p`` nodes are built
+    from those of ``2^(p-1)``, one level live at a time.
+    """
+    bounds = np.empty(lo.size)
+    slack = _BOUND_SLACK * float(np.abs(vals).max())
+    top = bottom = vals
+    level = 0
+    for first, stop in runs:
+        p = int(hi[first] - lo[first]).bit_length() - 1
+        for level in range(level + 1, p + 1):
+            half = 1 << (level - 1)
+            top = np.maximum(top[:-half], top[half:])
+            bottom = np.minimum(bottom[:-half], bottom[half:])
+        left, right = lo[first:stop], hi[first:stop] - (1 << p)
+        spread = np.maximum(top[left], top[right])
+        spread -= np.minimum(bottom[left], bottom[right])
+        out = bounds[first:stop]
+        np.multiply(spread, 0.5, out=out)
+        out[spread > 0] += slack
+    return bounds
+
+
+def _width_runs(widths: np.ndarray) -> List[Tuple[int, int]]:
+    """``(first, stop)`` of each run of consecutive rows of one width."""
+    if not widths.size:
+        return []
+    edges = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), widths.size]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _suprema(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Largest mean oscillation of the rows ``vals[lo:hi]`` in each family,
+    as ``_range_oscillations`` of all the rows gives it, bit for bit.
+
+    Family ``i`` holds the rows ``r`` with ``member[i, r]``; the rows come
+    in runs of one width, in ascending width.  Each row gets the bound of
+    :func:`_row_bounds`, which covers its value on either path.  A family's
+    threshold is the largest direct oscillation, over the width runs, of the
+    run's largest-bound row in the family, times ``1 - _BOUND_SLACK``; the
+    rows whose bound exceeds it are the only ones of the family that can
+    hold its maximum, and only they are evaluated, on the path
+    :func:`_range_oscillations` picks for the whole row set; a largest-bound
+    row whose path is direct keeps the value its threshold was taken from.
+    A row that holds one value counts as exactly 0, and so does an empty
+    family.
+    """
+    widths = hi - lo
+    runs = _width_runs(widths)
+    # Wide rows, a suffix of the rows, take the rank path if the whole set would.
+    split = (int(np.searchsorted(widths, _DIRECT_WIDTH, side="right"))
+             if _takes_rank(vals.size, widths) else lo.size)
+    del widths  # freed, as is ``bounds`` below, before the evaluation peaks
+    bounds = _row_bounds(vals, lo, hi, runs)
+    thresholds = np.zeros(member.shape[0])
+    reps = {}  # row -> direct oscillation of a run's largest-bound row
+    for first, stop in runs:
+        for i, family in enumerate(member[:, first:stop]):
+            held = np.where(family, bounds[first:stop], 0.0)
+            best = int(held.argmax())
+            if held[best] > 0:
+                row = first + best
+                if row not in reps:
+                    reps[row] = _oscillation(vals[lo[row] : hi[row]])
+                thresholds[i] = max(thresholds[i], reps[row] * (1.0 - _BOUND_SLACK))
+    wanted = np.zeros(lo.size, dtype=bool)
+    for family, threshold in zip(member, thresholds):
+        wanted |= family & (bounds > threshold)
+    del bounds
+
+    suprema = np.zeros(member.shape[0])
+
+    def fold(rows: np.ndarray, oscs: np.ndarray) -> None:
+        for i, family in enumerate(member[:, rows]):
+            suprema[i] = max(suprema[i], np.max(oscs, where=family, initial=0.0))
+
+    # A representative on the direct path already holds its table value.
+    done = np.array([row for row in reps if row < split], dtype=np.intp)
+    wanted[done] = False
+    fold(done, np.array([reps[row] for row in done.tolist()]))
+    for first, stop in runs:
+        rows = first + np.flatnonzero(wanted[first:stop])
+        if first < split and rows.size:
+            fold(rows, _direct_oscillations(vals, lo[rows], hi[rows]))
+    rows = split + np.flatnonzero(wanted[split:])
+    if rows.size:
+        fold(rows, _rank_oscillations(vals, lo[rows], hi[rows]))
+    return suprema
 
 
 def _direct_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -259,8 +396,7 @@ def _direct_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np
     """
     oscs = np.empty(lo.size)
     widths = hi - lo
-    firsts = np.flatnonzero(np.diff(widths, prepend=-1)).tolist()
-    for first, stop in zip(firsts, firsts[1:] + [lo.size]):
+    for first, stop in _width_runs(widths):
         width = int(widths[first])
         starts = lo[first:stop]
         out = oscs[first:stop]
@@ -287,17 +423,22 @@ def _tiles(lo: np.ndarray, hi: np.ndarray, j: int) -> Iterator[Tuple[np.ndarray,
     closed form: level ``j`` spans the blocks ``ceil(lo / 2^j)`` to
     ``floor(hi / 2^j) - 1``, and the row takes the first when its index is
     odd and the last when the next index is odd.  Over all levels the
-    blocks tile the row without overlap, at most two per level.  Rows are
-    taken ``_QUERY_ROWS`` at a time, and each batch holds a row at most once.
+    blocks tile the row without overlap, at most two per level.  The block
+    ranges are found once per level for all rows, ``ceil(lo / 2^j)`` as
+    ``((lo - 1) >> j) + 1``; the rows are then taken ``_QUERY_ROWS`` at a
+    time, and each batch holds a row at most once.
     """
+    left = ((lo - 1) >> j) + 1
+    right = hi >> j
+    spans = left < right
+    takes_first = spans & (left & 1).astype(bool)
+    takes_last = spans & (right & 1).astype(bool)
     for start in range(0, lo.size, _QUERY_ROWS):
-        left = -(-lo[start : start + _QUERY_ROWS] >> j)
-        right = hi[start : start + _QUERY_ROWS] >> j
-        spans = left < right
-        first = np.flatnonzero(spans & (left % 2 == 1))
-        last = np.flatnonzero(spans & (right % 2 == 1))
-        yield start + first, left[first]
-        yield start + last, right[last] - 1
+        batch = slice(start, start + _QUERY_ROWS)
+        first = np.flatnonzero(takes_first[batch])
+        last = np.flatnonzero(takes_last[batch])
+        yield start + first, left[batch][first]
+        yield start + last, right[batch][last] - 1
 
 
 def _row_sums(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -361,7 +502,7 @@ def _rank_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
     mean /= count
     cut = np.searchsorted(ordered, mean).astype(dtype)  # values below the mean have rank < cut
 
-    below = np.zeros(lo.size)
+    below = np.zeros(lo.size, dtype=dtype)  # counts k_, exact in any dtype
     below_sums = np.zeros(lo.size)
     slot = np.arange(n, dtype=dtype)
     ranks = np.empty(n, dtype=dtype)
@@ -377,26 +518,45 @@ def _rank_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
         np.cumsum(blocks_of, axis=1, out=blocks_of)
         np.cumsum(running[whole:], out=running[whole:])
         for rows, blocks in _tiles(lo, hi, j):
-            at = np.searchsorted(keys, blocks * stride + cut[rows])
-            inside = at - (blocks << j)
-            below[rows] += inside
-            below_sums[rows] += np.where(inside > 0, running[at - 1], 0.0)
-    # sum |v - m| = (S - 2 S_) - m (k - 2 k_) = 2 (m k_ - S_) as S = m k, in place.
-    below *= mean
-    below -= below_sums
+            first = blocks << j
+            query = blocks * stride
+            query += cut[rows]
+            at = np.searchsorted(keys, query)
+            below_sums[rows] += np.where(at > first, running[at - 1], 0.0)
+            at -= first
+            below[rows] += at
+    # sum |v - m| = (S - 2 S_) - m (k - 2 k_) = 2 (m k_ - S_) as S = m k, in
+    # place over the means.
+    oscs = mean
+    oscs *= below
+    oscs -= below_sums
     # The exact value is nonnegative; clip a rounding residue of a flat row.
-    np.maximum(below, 0.0, out=below)
-    below *= 2.0
-    below /= count
-    return below
+    np.maximum(oscs, 0.0, out=oscs)
+    oscs *= 2.0
+    oscs /= count
+    return oscs
+
+
+def _level(nodes: np.ndarray, step: float, w: int) -> Tuple[np.ndarray, float]:
+    """Centers and radius of the sweep intervals from node ``a`` to node ``a + w``."""
+    return 0.5 * (nodes[:-w] + nodes[w:]), 0.5 * w * step
+
+
+def _dyadic_rows(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Node bounds ``lo, hi`` of every dyadic-sweep row, level by level:
+    the interior nodes ``a + 1 .. a + w - 1`` of the interval from node ``a``
+    to node ``a + w``."""
+    widths = _widths(n)
+    return (np.concatenate([np.arange(1, n - w + 1, dtype=np.int32) for w in widths]),
+            np.concatenate([np.arange(w, n, dtype=np.int32) for w in widths]))
 
 
 def _sweep(f: SampledFunction) -> IntervalSweep:
-    nodes, n = f.nodes, f.count
-    widths = _widths(n)
+    nodes = f.nodes
+    levels = [_level(nodes, f.step, w) for w in _widths(f.count)]
     return IntervalSweep(
-        np.concatenate([0.5 * (nodes[: n - w] + nodes[w:]) for w in widths]),
-        np.concatenate([np.full(n - w, 0.5 * w * f.step) for w in widths]),
+        np.concatenate([centers for centers, _ in levels]),
+        np.concatenate([np.full(centers.size, radius) for centers, radius in levels]),
     )
 
 
@@ -421,10 +581,7 @@ def oscillation_table(f: SampledFunction) -> OscillationTable:
     within ``3e-14 (|M| + mean |f|)`` over the row as measured.
     """
     vals = f.real_values()
-    n = vals.size
-    widths = _widths(n)
-    lo = np.concatenate([np.arange(1, n - w + 1, dtype=np.int32) for w in widths])
-    hi = np.concatenate([np.arange(w, n, dtype=np.int32) for w in widths])
+    lo, hi = _dyadic_rows(vals.size)
     oscs = _range_oscillations(vals, lo, hi)
     # Built after the oscillations so the two peaks do not overlap, and
     # privately so that a call of dyadic_sweep is one a caller asked for.
@@ -439,22 +596,40 @@ def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
     sweep intervals with ``|I| < delta``.  For each ``R`` in ``R_ladder``:
     the sup over ``|I| > R``, and the sup over intervals disjoint from
     ``I(0, R)``.  Empty families yield zero.
+
+    Each sup equals, bit for bit, the largest ``oscillation_table`` value
+    over its family, except that an interval whose nodes hold one value
+    counts as exactly 0, so a family of such intervals yields zero.  The
+    table is not built: the rows and the family masks are built one dyadic
+    level at a time, each row gets the bound ``(max - min) / 2 + 1e-12
+    max |f|`` (exactly 0 for one value), each family's threshold is
+    ``1 - 1e-12`` times the largest direct oscillation of its largest-bound
+    row on each level, and only the rows whose bound exceeds the threshold
+    of a family that holds them are evaluated (see ``_suprema``).
     """
-    deltas = [float(d) for d in delta_ladder]
-    Rs = [float(R) for R in R_ladder]
+    deltas = sorted(float(d) for d in delta_ladder)
+    Rs = sorted(float(R) for R in R_ladder)
     if not deltas or not Rs:
         raise InputError("ladders must be non-empty")
     if any(d <= 0 for d in deltas) or any(R <= 0 for R in Rs):
         raise InputError("ladder entries must be positive")
-    table = oscillation_table(f)
-    measures, lowers, uppers, oscs = table.measures, table.lowers, table.uppers, table.oscs
-
-    def sup_where(mask: np.ndarray) -> float:
-        return float(oscs[mask].max()) if np.any(mask) else 0.0
-
-    small = tuple((d, sup_where(measures < d)) for d in sorted(deltas))
-    large = tuple((R, sup_where(measures > R)) for R in sorted(Rs))
-    far = tuple(
-        (R, sup_where((lowers >= R) | (uppers <= -R))) for R in sorted(Rs)
+    vals = f.real_values()
+    nodes, n = f.nodes, f.count
+    lo, hi = _dyadic_rows(n)
+    caps, floors = np.array(deltas), np.array(Rs)[:, None]
+    member = np.empty((len(deltas) + 2 * len(Rs), lo.size), dtype=bool)
+    small, large, far = np.split(member, [len(deltas), len(deltas) + len(Rs)])
+    start = 0
+    for w in _widths(n):
+        level = slice(start, start + n - w)
+        centers, radius = _level(nodes, f.step, w)
+        small[:, level] = (2.0 * radius < caps)[:, None]
+        large[:, level] = 2.0 * radius > floors
+        far[:, level] = (centers - radius >= floors) | (centers + radius <= -floors)
+        start += n - w
+    sups = _suprema(vals, lo, hi, member).tolist()
+    return VmoProfile(
+        small_scale=tuple(zip(deltas, sups[: len(deltas)])),
+        large_scale=tuple(zip(Rs, sups[len(deltas) : len(deltas) + len(Rs)])),
+        far_away=tuple(zip(Rs, sups[len(deltas) + len(Rs) :])),
     )
-    return VmoProfile(small_scale=small, large_scale=large, far_away=far)

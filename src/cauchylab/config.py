@@ -135,15 +135,25 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(user)
 
     def get(self, dotted: str):
-        """The value at a dotted path; a numeric part indexes a list."""
+        """The value at a dotted path; a numeric part indexes a list.
+
+        A part under a value that cannot hold it (``grid.step`` when
+        ``grid`` is ``5`` or a list) names the type fault, not a missing key.
+        """
         node = self.data
-        for part in dotted.split("."):
-            if isinstance(node, list) and part.isdigit() and int(part) < len(node):
-                node = node[int(part)]
-            elif isinstance(node, dict) and part in node:
-                node = node[part]
+        parts = dotted.split(".")
+        for k, part in enumerate(parts):
+            if isinstance(node, dict):
+                found = part in node
+            elif isinstance(node, list) and part.isdigit():
+                found, part = int(part) < len(node), int(part)
             else:
+                kind = "a list" if part.isdigit() else "an object"
+                raise InputError(f"config field {dotted}: {'.'.join(parts[:k])} "
+                                 f"must be {kind}, got {node!r}")
+            if not found:
                 raise InputError(f"missing config field: {dotted}")
+            node = node[part]
         return node
 
     # Typed reads: a bad value exits 2 with a message naming the key.

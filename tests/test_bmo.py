@@ -499,3 +499,109 @@ class TestRankPath:
         monkeypatch.setattr(bmo, "_rank_pays", spy)
         oscillation_table(grid_fn(lambda y: np.sin(5 * y), count=count))
         assert choices == [(rank, rank)]
+
+
+def _supremum_values(kind: str, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Values for the supremum properties: the rank-path families, inexact
+    steps (whose one-value rows average to a rounding residue) and ramps."""
+    if kind == "inexact_steps":
+        cuts = np.sort(rng.uniform(x[0], x[-1], size=int(rng.integers(1, 12))))
+        return rng.choice([0.1, 0.3, -0.7, 1.1], size=cuts.size + 1)[np.searchsorted(cuts, x)]
+    if kind == "ramp":
+        return np.clip(rng.uniform(-3.0, 3.0) * x + rng.uniform(-1.0, 1.0), -0.3, 0.1)
+    return _long_row_values(kind, x, rng)
+
+
+def _one_valued(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each row ``vals[lo:hi]`` holds one value: its run of equal values reaches ``hi``."""
+    changes = np.flatnonzero(vals[1:] != vals[:-1]) + 1
+    run_end = np.append(changes, vals.size)[np.searchsorted(changes, lo, side="right")]
+    return hi <= run_end
+
+
+_supremum_cases = given(
+    kind=st.sampled_from(["ties", "offset_pieces", "log_floor", "noise", "inexact_steps", "ramp"]),
+    count=st.integers(300, 4000), span=st.floats(1.0, 10.0), seed=st.integers(0, 2**32 - 1))
+
+
+def _supremum_case(kind, count, span, seed):
+    rng = np.random.default_rng(seed)
+    step = span / count
+    x = -0.5 * span + step * (np.arange(count) + 0.5)
+    return SampledFunction(x[0], step, _supremum_values(kind, x, rng)), rng
+
+
+class TestSuprema:
+    """``vmo_profile`` and ``bmo_norm`` evaluate only the rows that can hold a supremum."""
+
+    @settings(max_examples=40, deadline=None)
+    @_supremum_cases
+    def test_vmo_profile_equals_table_suprema(self, kind, count, span, seed):
+        f, rng = _supremum_case(kind, count, span, seed)
+        deltas = rng.uniform(0.001, 1.2 * span, size=int(rng.integers(1, 5))).tolist()
+        radii = rng.uniform(0.001, 0.6 * span, size=int(rng.integers(1, 4))).tolist()
+        table = oscillation_table(f)
+        lo, hi = f.node_bounds(table.lowers, table.uppers)
+        oscs = np.where(_one_valued(f.real_values(), lo, hi), 0.0, table.oscs)
+        lowers, uppers, measures = table.lowers, table.uppers, table.measures
+
+        def sup(mask):
+            return float(oscs[mask].max()) if np.any(mask) else 0.0
+
+        prof = vmo_profile(f, deltas, radii)
+        assert prof.small_scale == tuple((d, sup(measures < d)) for d in sorted(deltas))
+        assert prof.large_scale == tuple((R, sup(measures > R)) for R in sorted(radii))
+        assert prof.far_away == tuple(
+            (R, sup((lowers >= R) | (uppers <= -R))) for R in sorted(radii))
+        assert bmo_norm(f, dyadic_sweep(f)) == oscs.max()
+
+    @settings(max_examples=30, deadline=None)
+    @_supremum_cases
+    def test_every_row_is_within_its_bound(self, kind, count, span, seed):
+        f, _ = _supremum_case(kind, count, span, seed)
+        vals = f.real_values()
+        table = oscillation_table(f)
+        lo, hi = f.node_bounds(table.lowers, table.uppers)
+        bounds = bmo._row_bounds(vals, lo, hi, bmo._width_runs(hi - lo))
+        one = _one_valued(vals, lo, hi)
+        assert np.array_equal(bounds == 0, one)
+        assert np.all(table.oscs[~one] <= bounds[~one])
+
+    def test_bound_covers_the_rounding_of_both_paths(self):
+        # Rows of even width over two alternating values have M = (max - min) / 2
+        # exactly, and on either path many of them round above it.
+        rng = np.random.default_rng(8)
+        vals = np.tile([-0.7, 1.1], 2048)
+        widths = np.sort(2 * rng.integers(1, 600, 2000))
+        lo = rng.integers(0, vals.size - widths)
+        hi = lo + widths
+        assert bmo._takes_rank(vals.size, widths)
+        oscs = bmo._range_oscillations(vals, lo, hi)
+        wide = widths > bmo._DIRECT_WIDTH
+        for path in (wide, ~wide):
+            assert np.any(oscs[path] > (1.1 - -0.7) / 2)
+        assert np.all(oscs <= bmo._row_bounds(vals, lo, hi, bmo._width_runs(widths)))
+
+    def test_constant_with_rounding_residue_is_exactly_zero(self):
+        # The mean of three 0.1s is 0.10000000000000002, so the table shows a
+        # residue; a row that holds one value counts as exactly 0.
+        f = SampledFunction(-1.0, 0.05, np.full(40, 0.1))
+        assert oscillation_table(f).oscs.max() > 0
+        assert bmo_norm(f, dyadic_sweep(f)) == 0.0
+        prof = vmo_profile(f, [0.1, 0.5, 4.0], [0.1, 0.5])
+        for curve in (prof.small_scale, prof.large_scale, prof.far_away):
+            assert all(v == 0.0 for _, v in curve)
+
+    @pytest.mark.parametrize("symbol", [sign_step(0.0), truncated_log(0.0)],
+                             ids=["sign", "truncated_log"])
+    def test_most_rows_are_never_evaluated(self, monkeypatch, symbol):
+        f = grid_fn(symbol, count=4096)
+        rows = len(oscillation_table(f))
+        evaluated = []
+        for name in ("_direct_oscillations", "_rank_oscillations"):
+            original = getattr(bmo, name)
+            monkeypatch.setattr(bmo, name, lambda vals, lo, hi, original=original:
+                                evaluated.append(lo.size) or original(vals, lo, hi))
+        prof = vmo_profile(f, [0.0625, 0.125, 0.25, 0.5], [0.5, 1.0, 2.0])
+        assert 0 < sum(evaluated) < rows / 4
+        assert prof.small_scale[0][1] > 0

@@ -129,6 +129,15 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"grid": {"step": None}}))
         assert run(["bmo-norm", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("grid", [5, [1, 2]], ids=["number", "list"])
+    def test_non_object_parent_named_exit_2(self, tmp_path, capsys, grid):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        assert run(["bmo-norm", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "config field grid.step: grid must be an object" in err
+        assert "missing" not in err
+
     def test_removed_operator_block_exit_2(self, tmp_path, capsys):
         # The principal value has no window radius or exclusion mode to set.
         cfg = tmp_path / "c.json"

@@ -23,6 +23,19 @@ def test_sawtooth_shape():
     np.testing.assert_allclose(eval_A(SAW, xs), [0, 1, 0, -1, 0, 1], atol=1e-15)
 
 
+@pytest.mark.parametrize("period", [0.5, 2.0])
+def test_sawtooth_phase_equals_mod_for_power_of_two_periods(period):
+    # The phase x / period less its floor equals np.mod(x, period) / period
+    # bit for bit here, also at -0.0, just below 0 and at |x| past 2^49.
+    xs = np.concatenate([np.linspace(-9.0, 9.0, 4097),
+                         [-1e-20, -0.0, 1e15 + 0.5, -(1e15 + 0.5), np.nextafter(0.0, -1.0)]])
+    u = np.mod(xs, period) / period
+    want = 0.5 * np.where(u < 0.25, 4.0 * u, np.where(u < 0.75, 4.0 * (0.5 - u), 4.0 * (u - 1.0)))
+    curve = LipschitzCurve.sawtooth(0.5, period)
+    assert np.array_equal(eval_A(curve, xs), want)
+    assert [eval_A(curve, float(x)) for x in xs[-5:]] == want[-5:].tolist()
+
+
 def test_stored_constants():
     assert FLAT.lipschitz_constant == 0.0
     assert AFFINE.lipschitz_constant == 0.5
