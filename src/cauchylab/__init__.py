@@ -28,7 +28,6 @@ from .bmo import (
     vmo_profile,
 )
 from .commutator import (
-    HomogeneityConfig,
     apply_commutator,
     commutator_norm_lower,
     commutator_norm_ratios,
@@ -37,8 +36,6 @@ from .commutator import (
 )
 from .compactness import (
     WitnessCase,
-    WitnessConfig,
-    WitnessEngineConfig,
     choose_a2,
     far_away_sequence,
     fk_diagnose,
@@ -58,7 +55,6 @@ from .sampling import (
     stack,
 )
 from .testfn import (
-    AnnulusConfig,
     TestFunction,
     annulus_ladder_reports,
     build_test_function,

@@ -611,8 +611,8 @@ def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
     Rs = sorted(float(R) for R in R_ladder)
     if not deltas or not Rs:
         raise InputError("ladders must be non-empty")
-    if any(d <= 0 for d in deltas) or any(R <= 0 for R in Rs):
-        raise InputError("ladder entries must be positive")
+    if not all(0 < v < np.inf for v in deltas + Rs):
+        raise InputError("ladder entries must be positive and finite")
     vals = f.real_values()
     nodes, n = f.nodes, f.count
     lo, hi = _dyadic_rows(n)

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import compactness, testfn
 from .bmo import oscillation_table, vmo_profile
-from .commutator import (
-    HomogeneityConfig,
-    apply_commutator,
-    commutator_norm_ratios,
-    homogeneity_check,
-)
+from .commutator import apply_commutator, commutator_norm_ratios, homogeneity_check
 from .config import ExperimentConfig
 from .errors import InputError
 from .kernel import random_size_sweep, random_smoothness_sweep
@@ -166,22 +161,20 @@ def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> 
     curve = cfg.curve()
     # homogeneity_check needs M > 10.
     ladder = [cfg.number(key, above=10.0) for key in cfg.entries("homogeneity.M_ladder")]
-    hcfg = HomogeneityConfig(
-        quadrature_cells=cfg.integer("homogeneity.quadrature_cells", 1),
-        eval_points=cfg.integer("homogeneity.eval_points", 1),
-        slack=cfg.number("homogeneity.slack"),
-    )
+    cells = cfg.integer("homogeneity.quadrature_cells", 1)
+    points = cfg.integer("homogeneity.eval_points", 1)
+    slack = cfg.number("homogeneity.slack")
     band = cfg.number("homogeneity.slope_band")
     r = cfg.number("homogeneity.r")
     rows = {"M": [], "lhs": [], "rhs": [], "raw_min": [], "pass": []}
     for M in ladder:
-        rep = homogeneity_check(curve, M, r, hcfg)
+        rep = homogeneity_check(curve, M, r, cells, points, slack)
         rows["M"].append(M)
         rows["lhs"].append(rep.extras["adjusted_min"])
         rows["rhs"].append(rep.extras["slack"] * rep.extras["target"])
         rows["raw_min"].append(rep.extras["raw_min"])
         rows["pass"].append(rep.passed)
-    extras = {"L": curve.lipschitz_constant, "r": r, "slack": hcfg.slack}
+    extras = {"L": curve.lipschitz_constant, "r": r, "slack": slack}
     all_ok = all(rows["pass"])
     if len(ladder) >= 2:
         slope = float(np.polyfit(np.log(rows["M"]), np.log(rows["lhs"]), 1)[0])
@@ -201,21 +194,17 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     b = cfg.function("symbol")
     base = cfg.interval("lemma41.interval")
     p = cfg.number("lemma41.p", above=1.0)
-    acfg = testfn.AnnulusConfig(
-        a1=cfg.number("lemma41.a1", above=4.0),
-        eval_cells=cfg.integer("lemma41.eval_cells", 8),
-    )
-    ks = [cfg.integer(key, acfg.k_min) for key in cfg.entries("lemma41.k_ladder")]
+    a1 = cfg.number("lemma41.a1", above=4.0)
+    cells = cfg.integer("lemma41.eval_cells", 8)
+    ks = [cfg.integer(key, testfn._level_floor(a1)) for key in cfg.entries("lemma41.k_ladder")]
     # A spread is a ratio max / min, at least 1, so a cap at or below 1 always fails.
     lower_cap = cfg.number("lemma41.lower_spread_cap", above=1.0)
     upper_cap = cfg.number("lemma41.upper_spread_cap", above=1.0)
     tf = testfn.build_test_function(b, base, p)
-    rep = testfn.annulus_ladder_reports(b, tf, ks, kern, acfg)
-    inter = [testfn.verify_intermediate_bounds(b, tf, k, kern, acfg) for k in ks]
+    rep = testfn.annulus_ladder_reports(b, tf, ks, kern, a1, cells)
+    inter = [testfn.verify_intermediate_bounds(b, tf, k, kern, a1, cells) for k in ks]
 
-    ratio, lower = rep.columns["ratio"], rep.columns["side"] == "lower"
-    low_c1 = (ratio[lower] / tf.epsilon**p).tolist()
-    up_ratio = ratio[~lower].tolist()
+    low_c1, up_ratio = (c.tolist() for c in testfn._ladder_constants(rep, tf))
     lower_spread = max(low_c1) / min(low_c1) if min(low_c1) > 0 else np.inf
     upper_spread = max(up_ratio) / min(up_ratio) if min(up_ratio) > 0 else np.inf
     ok = (
@@ -279,15 +268,9 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
                  else compactness.large_scale_sequence)
         seq = build(cfg.number("witness.sequence.center", above=None), r0,
                     cfg.number("witness.sequence.ratio", above=1.0), count)
-    wcfg = compactness.WitnessConfig(
-        case=case, a1=a1, a2=a2, interval_sequence=seq,
-        p=cfg.number("witness.p", above=1.0),
-    )
-    engine = compactness.WitnessEngineConfig(
-        eval_cells=cfg.integer("witness.eval_cells", 1),
-        nodes_per_radius=cfg.integer("witness.nodes_per_radius", 1),
-    )
-    rep = compactness.witness_separation(b, wcfg, kern, engine)
+    rep = compactness.witness_separation(
+        b, case, seq, kern, a1, a2, cfg.number("witness.p", above=1.0),
+        cfg.integer("witness.eval_cells", 1), cfg.integer("witness.nodes_per_radius", 1))
     write_report(rep, out_dir, "witness")
     return rep.extras["min_offdiag"] > 0
 

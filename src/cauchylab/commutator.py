@@ -17,12 +17,12 @@ modulus of ``C(chi_I1)`` on ``I0`` is at least a constant over ``M``.
 the window holds by construction for every ``M > 10``.
 The checker compares ``pi`` times the computed modulus (restoring the
 conventional prefactor that the target constant ``2 / ((L^2 + 1) M)``
-is stated with) and passes at a configurable slack below the target.
+is stated with) and passes at a positive ``slack`` (0.9 by default) times
+the target, a cushion for quadrature error and the dropped imaginary part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,44 +36,39 @@ from .sampling import (Interval, SampledFunction, _cell_centres, _rowwise, lp_no
                        stack)
 
 
-@dataclass(frozen=True)
-class HomogeneityConfig:
-    quadrature_cells: int = 2048  # cells across I1
-    eval_points: int = 128        # evaluation lattice across I0
-    slack: float = 0.9            # quadrature and dropped-imaginary-part cushion
-
-    def __post_init__(self):
-        if self.eval_points < 1:
-            raise InputError(f"need eval_points >= 1, got {self.eval_points}")
-
-
-def homogeneity_check(curve: LipschitzCurve, M: float, r: float,
-                      cfg: HomogeneityConfig = HomogeneityConfig()) -> BoundReport:
+def homogeneity_check(curve: LipschitzCurve, M: float, r: float, quadrature_cells: int = 2048,
+                      eval_points: int = 128, slack: float = 0.9) -> BoundReport:
     """Lower bound for ``|C(chi_I1)|`` on ``I0`` against ``2 / ((L^2 + 1) M)``.
 
     ``I0 = I(0, r)`` and ``I1 = I(1.2 (M + 1) r, r)``; for ``M > 10``
     their closest points are ``(1.2 M - 0.8) r >= M r`` apart and their
     farthest ``(1.2 M + 3.2) r <= 2 M r``, inside the separation window.
-    Reports both the raw minimum modulus and the prefactor-adjusted value
-    ``pi * min``; the pass criterion is ``pi * min >= slack * target``.
+    ``I1`` carries ``quadrature_cells`` cells and ``I0`` an
+    ``eval_points``-point lattice.  Reports both the raw minimum modulus
+    and the prefactor-adjusted value ``pi * min``; the pass criterion is
+    ``pi * min >= slack * target``.
     """
     if not M > 10:
         raise InputError(f"need M > 10, got {M}")
     if not r > 0:
         raise InputError(f"need r > 0, got {r}")
+    if eval_points < 1:
+        raise InputError(f"need eval_points >= 1, got {eval_points}")
+    if not (slack > 0 and np.isfinite(slack)):
+        raise InputError(f"need a finite slack > 0, got {slack}")
     I0 = Interval(0.0, r)
     I1 = Interval(1.2 * (M + 1.0) * r, r)
     kernel = CauchyKernel.for_curve(curve)
-    chi = sample(lambda y: np.ones_like(y), I1.lower, I1.upper, cfg.quadrature_cells)
-    xs, _ = _cell_centres(I0.lower, I0.measure, cfg.eval_points)
+    chi = sample(lambda y: np.ones_like(y), I1.lower, I1.upper, quadrature_cells)
+    xs, _ = _cell_centres(I0.lower, I0.measure, eval_points)
     values = np.abs(pv_values(kernel, chi, xs))
     L = curve.lipschitz_constant
     target = 2.0 / ((L * L + 1.0) * M)
     adjusted = np.pi * values
-    passed = adjusted >= cfg.slack * target
+    passed = adjusted >= slack * target
     return BoundReport(
         inequality="pi * |C(chi_I1)(x)| >= slack * 2 / ((L^2+1) M) on I0",
-        columns={"x": xs, "lhs": adjusted, "rhs": np.full_like(xs, cfg.slack * target),
+        columns={"x": xs, "lhs": adjusted, "rhs": np.full_like(xs, slack * target),
                  "pass": passed},
         extras={
             "M": M,
@@ -81,7 +76,7 @@ def homogeneity_check(curve: LipschitzCurve, M: float, r: float,
             "raw_min": float(values.min()),
             "adjusted_min": float(adjusted.min()),
             "target": target,
-            "slack": cfg.slack,
+            "slack": slack,
             "separation_floor": M * r,
             "separation_cap": 2.0 * M * r,
         },

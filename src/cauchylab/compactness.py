@@ -20,19 +20,19 @@ separation floor
     A3 = 8^(1-p) * C1 * eps^p * A1^(1-p)
 
 assembled from the measured annulus constant ``C1`` and oscillation
-level ``eps``.  All three degeneration cases share this one engine; the
-case tag only validates the sequence geometry (measure ratios below
-``1/A2`` in the collapsing and exploding cases, disjoint ``A2`` dilates
-in the escaping case).  Infinite-sequence claims are truncated to the
-computed finite prefix, and the report says so.  Every check here
-returns the ``BoundReport`` that the CLI writes as it is.
+level ``eps``.  All three degeneration cases share this one engine, at
+the resolution ``eval_cells`` and ``nodes_per_radius``; the case only names
+the sequence geometry that ``_require_geometry`` checks before any kernel work
+(measure ratios below ``1/A2`` in the collapsing and exploding cases,
+disjoint ``A2`` dilates in the escaping case).  Infinite-sequence claims
+are truncated to the computed finite prefix, and the report says so.
+Every check here returns the ``BoundReport`` that the CLI writes as it is.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -44,66 +44,22 @@ from .operator import pv_values
 from .reports import BoundReport
 from .sampling import (Interval, SampledFunction, _cell_centres, _lp, _rowwise, lp_norm,
                        sample_on, shift, stack)
-from .testfn import AnnulusConfig, annulus_ladder_reports, build_test_function
+from .testfn import _ladder_constants, _level_floor, annulus_ladder_reports, build_test_function
 
 TAIL_WINDOW_FACTOR = 20.0  # tail lattice reaches factor * t_max * R
 TAIL_CELLS_PER_SIDE = 2048
 TAIL_SLOPE_BAND = 0.15  # pass band of the fitted tail slope around -1/p'
 # Annulus ladder per interval behind the witness C1 and C2: C1_LEVELS
-# levels from floor(log2 a1) up, at the resolution of WITNESS_ANNULUS.
+# levels from floor(log2 C1_A1) up, at C1_CELLS cells per region.
 C1_LEVELS = 3
-WITNESS_ANNULUS = AnnulusConfig(a1=8.0, eval_cells=256)
+C1_A1 = 8.0
+C1_CELLS = 256
 
 
 class WitnessCase(enum.Enum):
     SMALL_SCALE = "small"
     LARGE_SCALE = "large"
     FAR_AWAY = "far"
-
-
-@dataclass(frozen=True)
-class WitnessConfig:
-    """A degeneration case, its constants, and the interval sequence."""
-
-    case: WitnessCase
-    a1: float
-    a2: float
-    interval_sequence: Tuple[Interval, ...]
-    p: float
-
-    def __post_init__(self):
-        if not self.a1 > 4:
-            raise InputError(f"need a1 > 4, got {self.a1}")
-        if not self.a2 > self.a1:
-            raise InputError(f"need a2 > a1, got a2 = {self.a2}, a1 = {self.a1}")
-        if not (self.p > 1 and np.isfinite(self.p)):
-            raise InputError(f"p must lie in (1, inf), got {self.p}")
-        seq = tuple(self.interval_sequence)
-        if len(seq) < 2:
-            raise InputError("interval sequence must have at least two entries")
-        object.__setattr__(self, "interval_sequence", seq)
-        if self.case is WitnessCase.SMALL_SCALE:
-            for a, b in zip(seq, seq[1:]):
-                if not b.measure / a.measure < 1.0 / self.a2:
-                    raise InputError(
-                        "collapsing sequence needs successive measure ratios "
-                        f"below 1/a2 = {1.0 / self.a2}"
-                    )
-        elif self.case is WitnessCase.LARGE_SCALE:
-            for a, b in zip(seq, seq[1:]):
-                if not a.measure / b.measure < 1.0 / self.a2:
-                    raise InputError(
-                        "exploding sequence needs reversed measure ratios "
-                        f"below 1/a2 = {1.0 / self.a2}"
-                    )
-        else:
-            dilates = [I.dilate(self.a2) for I in seq]
-            for i in range(len(dilates)):
-                for j in range(i + 1, len(dilates)):
-                    if not dilates[i].is_disjoint_from(dilates[j]):
-                        raise InputError(
-                            f"a2 dilates of intervals {i} and {j} overlap"
-                        )
 
 
 def fk_diagnose(images: SampledFunction, p: float,
@@ -124,8 +80,8 @@ def fk_diagnose(images: SampledFunction, p: float,
     zs = sorted((float(z) for z in z_ladder), key=abs)
     if not ts or not zs:
         raise InputError("ladders must be non-empty")
-    if any(t <= 0 for t in ts):
-        raise InputError("tail radii must be positive")
+    if not all(0 < t < np.inf for t in ts):
+        raise InputError("tail radii must be positive and finite")
     V = images.values.reshape(images.count, -1)
 
     def worst(rows: np.ndarray) -> float:
@@ -277,37 +233,54 @@ def choose_a2(c1: float, c2: float, epsilon: float, a1: float, p: float) -> floa
     rhs = 2.0 * c2 / ((1.0 - 2.0 ** (1.0 - p)) * _a3(c1, epsilon, a1, p))
     m = max(
         math.floor(math.log2(rhs) / (p - 1.0)) + 1,
-        math.floor(math.log2(a1)) + 1,
+        _level_floor(a1) + 1,
     )
     return float(2.0**m)
 
 
-@dataclass(frozen=True)
-class WitnessEngineConfig:
-    """Resolution of the shared-lattice witness computation.
+def _require_geometry(case: WitnessCase, a1: float, a2: float,
+                      sequence: Sequence[Interval], p: float) -> Tuple[Interval, ...]:
+    """The sequence as a tuple, once the constants and the case's geometry hold."""
+    if not a1 > 4:
+        raise InputError(f"need a1 > 4, got {a1}")
+    if not a2 > a1:
+        raise InputError(f"need a2 > a1, got a2 = {a2}, a1 = {a1}")
+    if not (p > 1 and np.isfinite(p)):
+        raise InputError(f"p must lie in (1, inf), got {p}")
+    seq = tuple(sequence)
+    if len(seq) < 2:
+        raise InputError("interval sequence must have at least two entries")
+    if case is WitnessCase.SMALL_SCALE:
+        for a, b in zip(seq, seq[1:]):
+            if not b.measure / a.measure < 1.0 / a2:
+                raise InputError("collapsing sequence needs successive measure ratios "
+                                 f"below 1/a2 = {1.0 / a2}")
+    elif case is WitnessCase.LARGE_SCALE:
+        for a, b in zip(seq, seq[1:]):
+            if not a.measure / b.measure < 1.0 / a2:
+                raise InputError("exploding sequence needs reversed measure ratios "
+                                 f"below 1/a2 = {1.0 / a2}")
+    else:
+        dilates = [I.dilate(a2) for I in seq]
+        for i in range(len(dilates)):
+            for j in range(i + 1, len(dilates)):
+                if not dilates[i].is_disjoint_from(dilates[j]):
+                    raise InputError(f"a2 dilates of intervals {i} and {j} overlap")
+    return seq
 
-    The lattice has ``eval_cells`` cells over the ``a2`` dilates of the
-    sequence plus 5% on each side.  Every test function lives on its own
-    grid, a power-of-two refinement of that lattice with at least
-    ``nodes_per_radius`` nodes per radius, so evaluation points land on
-    node- or midpoint-lattice positions of every grid.
-    """
 
-    eval_cells: int = 8192
-    nodes_per_radius: int = 64
-
-    def __post_init__(self):
-        if self.eval_cells < 1:
-            raise InputError(f"need eval_cells >= 1, got {self.eval_cells}")
-        if self.nodes_per_radius < 1:
-            raise InputError(f"need nodes_per_radius >= 1, got {self.nodes_per_radius}")
-
-
-def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKernel,
-                       engine: WitnessEngineConfig = WitnessEngineConfig()) -> BoundReport:
+def witness_separation(b: SampledFunction, case: WitnessCase, sequence: Sequence[Interval],
+                       kernel: CauchyKernel, a1: float, a2: float, p: float,
+                       eval_cells: int = 8192, nodes_per_radius: int = 64) -> BoundReport:
     """Pairwise ``L^p`` distances between commutator images of the sequence.
 
-    The symbol must oscillate on every interval of the sequence; a
+    ``case`` names the geometry ``sequence`` must have.  The lattice has
+    ``eval_cells`` cells over the
+    ``a2`` dilates of the sequence plus 5% on each side.  Every test
+    function lives on its own grid, a power-of-two refinement of that
+    lattice with at least ``nodes_per_radius`` nodes per radius, so
+    evaluation points land on node- or midpoint-lattice positions of every
+    grid.  The symbol must oscillate on every interval of the sequence; a
     constant stretch is rejected with the offending index.  The report
     has one row per ordered pair, with the columns ``i``, ``j`` and
     ``lhs`` (their distance), ``i``-major.  Its extras carry the case,
@@ -317,22 +290,25 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
     and its ``p``-th root, the ``a2`` used and the recommended one (see
     ``choose_a2``), and a note that the claim covers the computed prefix.
     """
+    seq = _require_geometry(case, a1, a2, sequence, p)
+    if eval_cells < 1:
+        raise InputError(f"need eval_cells >= 1, got {eval_cells}")
+    if nodes_per_radius < 1:
+        raise InputError(f"need nodes_per_radius >= 1, got {nodes_per_radius}")
     if b.source is None:
         raise InputError(
             "witness sequences span many scales; the symbol must carry a "
             "source callable (build it from a named profile)"
         )
-    seq = cfg.interval_sequence
-    p = cfg.p
 
-    lo = min(I.dilate(cfg.a2).lower for I in seq)
-    hi = max(I.dilate(cfg.a2).upper for I in seq)
+    lo = min(I.dilate(a2).lower for I in seq)
+    hi = max(I.dilate(a2).upper for I in seq)
     pad = 0.05 * (hi - lo)
     window = Interval.from_endpoints(lo - pad, hi + pad)
     w0 = window.lower
-    xs, h_eval = _cell_centres(w0, window.measure, engine.eval_cells)
+    xs, h_eval = _cell_centres(w0, window.measure, eval_cells)
 
-    k_lo = WITNESS_ANNULUS.k_min
+    k_lo = _level_floor(C1_A1)
     k_ladder = list(range(k_lo, k_lo + C1_LEVELS))
 
     images: List[np.ndarray] = []
@@ -340,7 +316,7 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
     c1_candidates: List[float] = []
     c2_candidates: List[float] = []
     for idx, I in enumerate(seq):
-        refine = max(0, math.ceil(math.log2(h_eval * engine.nodes_per_radius / I.radius)))
+        refine = max(0, math.ceil(math.log2(h_eval * nodes_per_radius / I.radius)))
         h_l = h_eval / 2.0**refine
         span_lo = I.center - 1.25 * I.radius
         span_hi = I.center + 1.25 * I.radius
@@ -353,10 +329,10 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
         except InputError as exc:
             raise InputError(f"interval {idx} of the sequence: {exc}") from exc
         oscillations.append(tf.epsilon)
-        ladder = annulus_ladder_reports(b_local, tf, k_ladder, kernel, WITNESS_ANNULUS)
-        ratio, lower = ladder.columns["ratio"], ladder.columns["side"] == "lower"
-        c1_candidates.extend((ratio[lower] / tf.epsilon**p).tolist())
-        c2_candidates.extend(ratio[~lower].tolist())
+        ladder = annulus_ladder_reports(b_local, tf, k_ladder, kernel, C1_A1, C1_CELLS)
+        c1s, c2s = _ladder_constants(ladder, tf)
+        c1_candidates.extend(c1s.tolist())
+        c2_candidates.extend(c2s.tolist())
         images.append(commutator_values(b_local, tf.f, kernel, xs))
 
     eps = min(oscillations)
@@ -369,21 +345,21 @@ def witness_separation(b: SampledFunction, cfg: WitnessConfig, kernel: CauchyKer
             d = _lp(images[i] - images[j], h_eval, p)
             dist[i, j] = d
             dist[j, i] = d
-    a3 = _a3(c1, eps, cfg.a1, p)
+    a3 = _a3(c1, eps, a1, p)
     ii, jj = np.indices((n, n))
     return BoundReport(
         inequality="pairwise L^p distances of commutator images stay separated",
         columns={"i": ii.ravel(), "j": jj.ravel(), "lhs": dist.ravel()},
         extras={
-            "case": cfg.case.value,
+            "case": case.value,
             "min_offdiag": float(np.min(dist[~np.eye(n, dtype=bool)])),
             "epsilon": eps,
             "c1_empirical": c1,
             "c2_empirical": c2,
             "a3": a3,
             "a3_root": a3 ** (1.0 / p),
-            "a2_used": cfg.a2,
-            "a2_recommended": choose_a2(c1, c2, eps, cfg.a1, p),
+            "a2_used": a2,
+            "a2_recommended": choose_a2(c1, c2, eps, a1, p),
             "prefix_note": "separation certified for the computed finite prefix only",
         },
     )

@@ -330,12 +330,12 @@ def shift(f: SampledFunction, z: float) -> SampledFunction:
     A block shifts column by column.  The result has no source callable.
     """
     k_real = z / f.step
-    k = round(k_real)
-    if abs(k_real - k) > ALIGNMENT_TOL:
+    if not np.isfinite(k_real) or abs(k_real - round(k_real)) > ALIGNMENT_TOL:
         raise GridAlignmentError(
             f"shift {z} is not an integer multiple of the step {f.step}; "
             "regrid the function or choose z = k * step"
         )
+    k = round(k_real)
     out = np.zeros(f.values.shape, dtype=np.complex128)
     if k >= 0:
         if k < f.count:

@@ -27,7 +27,9 @@ integral by that power law; the empirical constants are outputs, and the
 meaningful pass criterion is their stability across ``k``.
 ``annulus_ladder_reports`` measures a whole ladder of levels in one
 commutator call and returns one report with a lower and an upper row
-per level; a single level is a one-level ladder.
+per level.  Both annulus checks take ``a1``, whose ``floor(log2(a1))``
+is the smallest admissible level, and ``eval_cells``, the lattice cells
+per region; the intermediate bounds' slack and cap are module constants.
 """
 
 from __future__ import annotations
@@ -61,30 +63,6 @@ class TestFunction:
     lower_set_mask: np.ndarray
     p: float
     epsilon: float  # measured mean oscillation of the symbol on the base
-
-
-@dataclass(frozen=True)
-class AnnulusConfig:
-    """Level floor and resolution of annulus evaluation.
-
-    ``a1`` sets the smallest admissible level, ``floor(log2(a1))``;
-    ``eval_cells`` is the refined-lattice resolution per region.  The
-    slack and cap of the intermediate bounds are the module constants
-    ``POINTWISE_SLACK`` and ``DRIFT_BOUND``.
-    """
-
-    a1: float = 8.0
-    eval_cells: int = 512
-
-    def __post_init__(self):
-        if not self.a1 > 4:
-            raise InputError(f"need a1 > 4, got {self.a1}")
-        if self.eval_cells < 8:
-            raise InputError("need at least 8 evaluation cells")
-
-    @property
-    def k_min(self) -> int:
-        return int(math.floor(math.log2(self.a1)))
 
 
 def build_test_function(b: SampledFunction, base: Interval, p: float) -> TestFunction:
@@ -204,16 +182,26 @@ def _annulus(base: Interval, k: int, side: float) -> Interval:
     return Interval.from_endpoints(min(near, far), max(near, far))
 
 
-def _require_level(k: int, cfg: AnnulusConfig) -> None:
-    if k < cfg.k_min:
-        raise InputError(
-            f"annulus level k = {k} is below floor(log2(a1)) = {cfg.k_min}"
-        )
+def _level_floor(a1: float) -> int:
+    """The smallest admissible annulus level, ``floor(log2(a1))``."""
+    return int(math.floor(math.log2(a1)))
+
+
+def _require_level(ks: Sequence[int], a1: float, eval_cells: int) -> None:
+    """Reject ``a1 <= 4``, fewer than 8 cells, or a level below ``floor(log2(a1))``."""
+    if not a1 > 4:
+        raise InputError(f"need a1 > 4, got {a1}")
+    if eval_cells < 8:
+        raise InputError("need at least 8 evaluation cells")
+    k_min = _level_floor(a1)
+    for k in ks:
+        if k < k_min:
+            raise InputError(f"annulus level k = {k} is below floor(log2(a1)) = {k_min}")
 
 
 def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
-                               kernel: CauchyKernel,
-                               cfg: AnnulusConfig = AnnulusConfig()) -> BoundReport:
+                               kernel: CauchyKernel, a1: float = 8.0,
+                               eval_cells: int = 512) -> BoundReport:
     """Check the two workhorse estimates behind the annulus power laws.
 
     (i) pointwise on the annulus: the outer term
@@ -225,7 +213,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
         ``k`` times a BMO lower bound of ``b`` over the dilate family;
         the ratio is recorded and capped by ``DRIFT_BOUND``.
     """
-    _require_level(k, cfg)
+    _require_level([k], a1, eval_cells)
     region = _annulus(tf.base, k, 1.0)
     base = tf.base
     p_conj = tf.p / (tf.p - 1.0)
@@ -234,7 +222,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
     _require_sampled(b, region, "annulus")
     _require_sampled(b, dilate, "dilated interval")
 
-    xs, _ = _cell_centres(region.lower, region.measure, cfg.eval_cells)
+    xs, _ = _cell_centres(region.lower, region.measure, eval_cells)
     cf = pv_values(kernel, tf.f, xs)
     b_at = b.value_at(xs).real
     lhs = np.abs(b_at - alpha) * np.abs(cf)
@@ -253,7 +241,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
         # The dilate family reaches far outside the base; resample rather
         # than silently measuring only the covered part.
         wide = sample(b.source, dilate.lower, dilate.upper,
-                      max(4096, 4 * cfg.eval_cells))
+                      max(4096, 4 * eval_cells))
     drift = abs(median(wide, dilate) - alpha)
     sweep = [base.dilate(2.0**j) for j in range(0, k + 2)]
     bmo_lower = bmo_norm(wide, sweep)
@@ -288,7 +276,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
 
 def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
                            k_ladder: Sequence[int], kernel: CauchyKernel,
-                           cfg: AnnulusConfig = AnnulusConfig()) -> BoundReport:
+                           a1: float = 8.0, eval_cells: int = 512) -> BoundReport:
     """Lower and upper rows across a level ladder: lower rows first, each in ladder order.
 
     The columns are ``k``, ``side`` (``"lower"`` or ``"upper"``), ``lhs``
@@ -304,14 +292,13 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
     ``commutator_values`` call.  A single level is a one-level ladder.
     """
     ks = list(k_ladder)
+    _require_level(ks, a1, eval_cells)
     if not ks:
         raise InputError("level ladder must be non-empty")
-    for k in ks:
-        _require_level(k, cfg)
     rights = [_annulus(tf.base, k, 1.0) for k in ks]
     lefts = [_annulus(tf.base, k, -1.0) for k in ks]
-    half = max(8, cfg.eval_cells // 2)
-    regions = ([(right, cfg.eval_cells) for right in rights]
+    half = max(8, eval_cells // 2)
+    regions = ([(right, eval_cells) for right in rights]
                + [(piece, half) for pair in zip(lefts, rights) for piece in pair])
     integrals = _power_integrals(b, tf, kernel, regions)
     shells = integrals[len(ks):]  # left and right piece of each level
@@ -331,3 +318,9 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
             "ratio": lhs / normalizer,
         },
     )
+
+
+def _ladder_constants(ladder: BoundReport, tf: TestFunction) -> Tuple[np.ndarray, np.ndarray]:
+    """The C1 and C2 candidates of a ladder report: lower ratios over ``eps^p``, upper ratios."""
+    ratio, lower = ladder.columns["ratio"], ladder.columns["side"] == "lower"
+    return ratio[lower] / tf.epsilon**tf.p, ratio[~lower]

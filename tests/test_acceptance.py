@@ -16,8 +16,6 @@ from cauchylab import (
     LipschitzCurve,
     SampledFunction,
     WitnessCase,
-    WitnessConfig,
-    WitnessEngineConfig,
     annulus_ladder_reports,
     apply_commutator,
     build_test_function,
@@ -52,15 +50,12 @@ def witness_pair():
     from cauchylab.compactness import small_scale_sequence
 
     seq = small_scale_sequence(0.0, 0.2, 5.0, 4)
-    cfg = WitnessConfig(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)
-    engine = WitnessEngineConfig(
-        eval_cells=8192, nodes_per_radius=64,
-    )
     out = {}
     t0 = time.perf_counter()
     for name, fn in (("log", truncated_log(0.0)), ("bump", smooth_bump(0.0, 1.0, 1.0))):
         b = sample_on(fn, -2.0, 0.01, 401)
-        out[name] = witness_separation(b, cfg, FLAT, engine)
+        out[name] = witness_separation(b, WitnessCase.SMALL_SCALE, seq, FLAT, 4.2, 4.9, 2.0,
+                                       eval_cells=8192, nodes_per_radius=64)
     out["runtime"] = time.perf_counter() - t0
     return out
 

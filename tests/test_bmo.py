@@ -211,6 +211,11 @@ class TestVmoProfile:
             vmo_profile(f, [], [1.0])
         with pytest.raises(InputError):
             vmo_profile(f, [0.1], [-1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError, match="positive and finite"):
+                vmo_profile(f, [bad], [0.5])
+            with pytest.raises(InputError, match="positive and finite"):
+                vmo_profile(f, [0.1], [bad])
 
 
 class TestSweep:

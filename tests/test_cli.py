@@ -1,9 +1,12 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from cauchylab import BoundReport, InputError, oscillation_table
+from cauchylab import (BoundReport, InputError, annulus_ladder_reports, homogeneity_check,
+                       oscillation_table, random_size_sweep, random_smoothness_sweep,
+                       verify_intermediate_bounds, witness_separation)
 from cauchylab.cli import HANDLERS, main
 from cauchylab.config import DEFAULTS, ExperimentConfig
 from cauchylab.reports import MAX_REPORT_ROWS, _cap_rows
@@ -497,13 +500,47 @@ def test_every_default_key_is_read(tmp_path, monkeypatch):
     assert unread == []
 
 
+# A small config on which every subcommand passes in well under a second.
+SMALL = {
+    "symbol": {"kind": "truncated_log", "params": {}},
+    "grid": {"step": 0.01, "count": 400},
+    "kernel_check": {"samples": 3000},
+    "homogeneity": {"M_ladder": [16.0, 64.0], "quadrature_cells": 128, "eval_points": 16},
+    "lemma41": {"k_ladder": [3, 4], "eval_cells": 64},
+    "witness": {"sequence": {"center": 0.0, "r0": 0.2, "ratio": 5.0, "count": 2},
+                "eval_cells": 512, "nodes_per_radius": 16},
+}
+
+
 class TestDeterminism:
-    def test_two_runs_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("command", list(HANDLERS))
+    def test_two_runs_byte_identical(self, tmp_path, command):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"kernel_check": {"samples": 3000}}))
-        assert run(["verify-kernel", "--config", cfg, "--seed", "42",
+        cfg.write_text(json.dumps(SMALL))
+        assert run([command, "--config", cfg, "--seed", "42",
                     "--out-dir", tmp_path / "a"]) == 0
-        assert run(["verify-kernel", "--config", cfg, "--seed", "42",
+        assert run([command, "--config", cfg, "--seed", "42",
                     "--out-dir", tmp_path / "b"]) == 0
-        for f in sorted((tmp_path / "a").iterdir()):
-            assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+        names = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert names and names == sorted(f.name for f in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("function, parameter, key", [
+    (homogeneity_check, "quadrature_cells", "homogeneity.quadrature_cells"),
+    (homogeneity_check, "eval_points", "homogeneity.eval_points"),
+    (homogeneity_check, "slack", "homogeneity.slack"),
+    (annulus_ladder_reports, "a1", "lemma41.a1"),
+    (annulus_ladder_reports, "eval_cells", "lemma41.eval_cells"),
+    (verify_intermediate_bounds, "a1", "lemma41.a1"),
+    (verify_intermediate_bounds, "eval_cells", "lemma41.eval_cells"),
+    (witness_separation, "eval_cells", "witness.eval_cells"),
+    (witness_separation, "nodes_per_radius", "witness.nodes_per_radius"),
+    (random_size_sweep, "box", "kernel_check.box"),
+    (random_smoothness_sweep, "box", "kernel_check.box"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_signature_default_mirrors_config_default(function, parameter, key):
+    # A library caller who leaves a setting out gets what the CLI runs by default.
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == ExperimentConfig.from_dict({}).get(key)

@@ -21,7 +21,6 @@ from cauchylab import (
     stack,
 )
 from cauchylab import operator
-from cauchylab.commutator import HomogeneityConfig
 from cauchylab.symbols import indicator, ramp
 
 FLAT = CauchyKernel.for_curve(LipschitzCurve.flat())
@@ -88,6 +87,15 @@ class TestHomogeneity:
         with pytest.raises(InputError, match="r > 0"):
             homogeneity_check(curve, 100.0, 0.0)
 
+    def test_bad_slack_and_points_rejected(self):
+        # A slack of -1 would pass any minimum.
+        curve = LipschitzCurve.flat()
+        for slack in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="slack"):
+                homogeneity_check(curve, 100.0, 1.0, slack=slack)
+        with pytest.raises(InputError, match="eval_points"):
+            homogeneity_check(curve, 100.0, 1.0, eval_points=0)
+
     def test_flat_closed_form_window(self):
         rep = homogeneity_check(LipschitzCurve.flat(), 100.0, 1.0)
         assert rep.passed
@@ -113,9 +121,8 @@ class TestHomogeneity:
         curve = LipschitzCurve.flat()
         Ms = [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
         mins = [
-            homogeneity_check(curve, M, 1.0,
-                              HomogeneityConfig(quadrature_cells=1024, eval_points=64)
-                              ).extras["adjusted_min"]
+            homogeneity_check(curve, M, 1.0, quadrature_cells=1024,
+                              eval_points=64).extras["adjusted_min"]
             for M in Ms
         ]
         slope = np.polyfit(np.log(Ms), np.log(mins), 1)[0]

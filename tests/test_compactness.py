@@ -3,13 +3,12 @@ import pytest
 
 from cauchylab import (
     CauchyKernel,
+    GridAlignmentError,
     InputError,
     Interval,
     LipschitzCurve,
     SampledFunction,
     WitnessCase,
-    WitnessConfig,
-    WitnessEngineConfig,
     apply_commutator,
     choose_a2,
     far_away_sequence,
@@ -22,6 +21,7 @@ from cauchylab import (
     tail_decay_check,
     witness_separation,
 )
+from cauchylab.compactness import _require_geometry
 from cauchylab.symbols import indicator, smooth_bump, truncated_log
 
 FLAT = CauchyKernel.for_curve(LipschitzCurve.flat())
@@ -72,8 +72,12 @@ class TestFkDiagnose:
             fk_diagnose(stack([]), 2.0, [1.0], [g.step])
         with pytest.raises(InputError):
             fk_diagnose(stack([g]), 2.0, [], [g.step])
-        with pytest.raises(InputError):
-            fk_diagnose(stack([g]), 2.0, [-1.0], [g.step])
+        for t in (-1.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="tail radii"):
+                fk_diagnose(stack([g]), 2.0, [t], [g.step])
+        for z in (np.nan, np.inf):
+            with pytest.raises(GridAlignmentError):
+                fk_diagnose(stack([g]), 2.0, [1.0], [z])
 
 
 class TestTailDecay:
@@ -138,25 +142,24 @@ class TestTailDecay:
 class TestSequencesAndConstants:
     def test_small_scale_ratios(self):
         seq = small_scale_sequence(0.0, 0.2, 5.0, 4)
-        cfg = WitnessConfig(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)
-        assert len(cfg.interval_sequence) == 4
+        assert len(_require_geometry(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)) == 4
 
     def test_small_scale_ratio_violation(self):
         seq = small_scale_sequence(0.0, 0.2, 3.0, 4)  # ratio 3 < a2
         with pytest.raises(InputError, match="ratio"):
-            WitnessConfig(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)
+            _require_geometry(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)
 
     def test_large_scale(self):
         seq = large_scale_sequence(0.0, 0.2, 5.0, 3)
-        WitnessConfig(WitnessCase.LARGE_SCALE, 4.2, 4.9, seq, 2.0)
+        _require_geometry(WitnessCase.LARGE_SCALE, 4.2, 4.9, seq, 2.0)
         with pytest.raises(InputError):
-            WitnessConfig(WitnessCase.LARGE_SCALE, 4.2, 4.9,
-                          small_scale_sequence(0.0, 0.2, 5.0, 3), 2.0)
+            _require_geometry(WitnessCase.LARGE_SCALE, 4.2, 4.9,
+                              small_scale_sequence(0.0, 0.2, 5.0, 3), 2.0)
 
     def test_far_away_dilates_disjoint(self):
         seq = far_away_sequence(0.3, 4.9, 5)
-        cfg = WitnessConfig(WitnessCase.FAR_AWAY, 4.2, 4.9, seq, 2.0)
-        dil = [I.dilate(4.9) for I in cfg.interval_sequence]
+        checked = _require_geometry(WitnessCase.FAR_AWAY, 4.2, 4.9, seq, 2.0)
+        dil = [I.dilate(4.9) for I in checked]
         for i in range(len(dil)):
             for j in range(i + 1, len(dil)):
                 assert dil[i].is_disjoint_from(dil[j])
@@ -164,14 +167,14 @@ class TestSequencesAndConstants:
     def test_far_away_overlap_rejected(self):
         seq = (Interval(10.0, 1.0), Interval(12.0, 1.0))
         with pytest.raises(InputError, match="overlap"):
-            WitnessConfig(WitnessCase.FAR_AWAY, 4.2, 4.9, seq, 2.0)
+            _require_geometry(WitnessCase.FAR_AWAY, 4.2, 4.9, seq, 2.0)
 
     def test_constants_validation(self):
         seq = small_scale_sequence(0.0, 0.2, 5.0, 3)
         with pytest.raises(InputError):
-            WitnessConfig(WitnessCase.SMALL_SCALE, 3.0, 4.9, seq, 2.0)
+            _require_geometry(WitnessCase.SMALL_SCALE, 3.0, 4.9, seq, 2.0)
         with pytest.raises(InputError):
-            WitnessConfig(WitnessCase.SMALL_SCALE, 4.2, 4.0, seq, 2.0)
+            _require_geometry(WitnessCase.SMALL_SCALE, 4.2, 4.0, seq, 2.0)
 
     def test_choose_a2_satisfies_inequality(self):
         for p in (1.5, 2.0, 3.0):
@@ -183,14 +186,11 @@ class TestSequencesAndConstants:
             assert a3 > spill
 
 
-def small_witness(symbol_fn, engine=None):
+def small_witness(symbol_fn):
     b = sample_on(symbol_fn, -2.0, 0.01, 401)
     seq = small_scale_sequence(0.0, 0.2, 5.0, 3)
-    cfg = WitnessConfig(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)
-    engine = engine or WitnessEngineConfig(
-        eval_cells=2048, nodes_per_radius=48,
-    )
-    return witness_separation(b, cfg, FLAT, engine)
+    return witness_separation(b, WitnessCase.SMALL_SCALE, seq, FLAT, 4.2, 4.9, 2.0,
+                              eval_cells=2048, nodes_per_radius=48)
 
 
 def distances(rep):
@@ -237,9 +237,20 @@ class TestWitness:
     def test_sourceless_symbol_rejected(self):
         b = SampledFunction(-2.0, 0.01, np.sin(np.arange(401)))
         seq = small_scale_sequence(0.0, 0.2, 5.0, 3)
-        cfg = WitnessConfig(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)
         with pytest.raises(InputError, match="source"):
-            witness_separation(b, cfg, FLAT)
+            witness_separation(b, WitnessCase.SMALL_SCALE, seq, FLAT, 4.2, 4.9, 2.0)
+
+    def test_checks_run_before_kernel_work(self):
+        # The geometry and resolution checks come first, before the source check.
+        b = SampledFunction(-2.0, 0.01, np.sin(np.arange(401)))
+        seq = small_scale_sequence(0.0, 0.2, 3.0, 3)
+        with pytest.raises(InputError, match="ratio"):
+            witness_separation(b, WitnessCase.SMALL_SCALE, seq, FLAT, 4.2, 4.9, 2.0)
+        seq = small_scale_sequence(0.0, 0.2, 5.0, 3)
+        for key in ("eval_cells", "nodes_per_radius"):
+            with pytest.raises(InputError, match=f"{key} >= 1"):
+                witness_separation(b, WitnessCase.SMALL_SCALE, seq, FLAT, 4.2, 4.9, 2.0,
+                                   **{key: 0})
 
     def test_constant_stretch_reports_index(self):
         # Constant beyond |x| > 0.05: oscillates on the two big intervals
@@ -250,9 +261,8 @@ class TestWitness:
 
         b = sample_on(fn, -2.0, 0.01, 401)
         seq = small_scale_sequence(0.0, 0.2, 5.0, 3)  # radii 0.2, 0.04, 0.008
-        cfg = WitnessConfig(WitnessCase.SMALL_SCALE, 4.2, 4.9, seq, 2.0)
         with pytest.raises(InputError, match="interval 1"):
-            witness_separation(b, cfg, FLAT)
+            witness_separation(b, WitnessCase.SMALL_SCALE, seq, FLAT, 4.2, 4.9, 2.0)
 
     def test_far_case_runs(self):
         b = sample_on(truncated_log(7.35), -2.0, 0.01, 401)
@@ -269,8 +279,7 @@ class TestWitness:
             return out
 
         b = sample_on(fn, -2.0, 0.01, 401)
-        cfg = WitnessConfig(WitnessCase.FAR_AWAY, 4.2, 4.9, seq, 2.0)
-        rep = witness_separation(b, cfg, FLAT, WitnessEngineConfig(
-            eval_cells=2048, nodes_per_radius=32))
+        rep = witness_separation(b, WitnessCase.FAR_AWAY, seq, FLAT, 4.2, 4.9, 2.0,
+                                 eval_cells=2048, nodes_per_radius=32)
         assert rep.extras["min_offdiag"] > 0
 

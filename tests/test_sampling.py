@@ -122,8 +122,9 @@ class TestShift:
 
     def test_misaligned_rejected(self):
         f = sample(lambda y: y, -1, 1, 64)
-        with pytest.raises(GridAlignmentError, match="regrid"):
-            shift(f, 0.5 * f.step)
+        for z in (0.5 * f.step, np.nan, np.inf, -np.inf):
+            with pytest.raises(GridAlignmentError, match=f"shift {z} .*regrid"):
+                shift(f, z)
 
 
 class TestSampledFunction:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cauchylab import (
-    AnnulusConfig,
     CauchyKernel,
     InputError,
     Interval,
@@ -189,6 +188,16 @@ class TestAnnulusPieces:
             with pytest.raises(InputError, match="level"):
                 verify_intermediate_bounds(b, tf, k, FLAT)
 
+    def test_constants_validation(self):
+        b = sample(sign_step(0.0), -1.25, 1.25, 1000)
+        tf = build_test_function(b, I01, 2.0)
+        for check in (lambda **kw: annulus_ladder_reports(b, tf, [4], FLAT, **kw),
+                      lambda **kw: verify_intermediate_bounds(b, tf, 4, FLAT, **kw)):
+            with pytest.raises(InputError, match="a1 > 4"):
+                check(a1=4.0)
+            with pytest.raises(InputError, match="8 evaluation cells"):
+                check(eval_cells=7)
+
 
 def ladder_rows(rep, side):
     """The ``k``, ``lhs``, ``normalizer`` and ``ratio`` columns of one side's rows."""
@@ -225,8 +234,8 @@ class TestAnnulusReports:
 
         monkeypatch.setattr(testfn, "commutator_values", counted)
         rep = annulus_ladder_reports(b, tf, ks, kernel)
-        cfg = AnnulusConfig()
-        assert calls == [len(ks) * (cfg.eval_cells + 2 * (cfg.eval_cells // 2))]
+        cells = 512  # the default eval_cells
+        assert calls == [len(ks) * (cells + 2 * (cells // 2))]
         assert rep.columns["k"].tolist() == ks + ks
         assert rep.columns["side"].tolist() == ["lower"] * 3 + ["upper"] * 3
         for i, k in enumerate(ks):
@@ -276,7 +285,7 @@ class TestAnnulusReports:
         b = sample(sign_step(0.0), -1.25, 1.25, 1000)
         tf = build_test_function(b, I01, 2.0)
         with pytest.raises(InputError, match="level"):
-            annulus_ladder_reports(b, tf, [2], FLAT, AnnulusConfig(a1=8.0))
+            annulus_ladder_reports(b, tf, [2], FLAT, a1=8.0)
 
     def test_sourceless_out_of_range_rejected(self):
         b_s = sample(sign_step(0.0), -1.25, 1.25, 1000)
@@ -297,10 +306,9 @@ class TestIntermediateBounds:
     def test_log_drift_bounded(self):
         b = sample(truncated_log(0.0), -1.25, 1.25, 2500)
         tf = build_test_function(b, I01, 2.0)
-        cfg = AnnulusConfig(a1=4.2)
         ratios = []
         for k in range(2, 9):
-            rep = verify_intermediate_bounds(b, tf, k, FLAT, cfg)
+            rep = verify_intermediate_bounds(b, tf, k, FLAT, a1=4.2)
             assert rep.extras["pointwise_violations"] == 0
             ratios.append(rep.extras["drift_ratio"])
         assert max(ratios) <= testfn.DRIFT_BOUND
