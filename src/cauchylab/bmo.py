@@ -46,23 +46,17 @@ the mean taken over the row, in every case measured up to 65536 nodes
 65536 nodes, below 6e-15 up to 16384 nodes, and the median row within
 2 ulps of that scale).
 
-``bmo_norm`` and ``vmo_profile`` want only suprema, which they take
-through one primitive, ``_suprema``, without evaluating every row.  Each
-row gets the bound ``(max - min) / 2`` of its oscillation, read from two
-overlapping dyadic max/min windows built like the rank path's sum
-windows, one level live at a time; a row holding more than one value gets
-``1e-12 max |f|`` more (``_BOUND_SLACK``), which covers the rounding of
-either path (the rank path's ``3e-14 (|M| + mean |f|)`` is at most
-``6e-14 max |f|``), and a row holding one value counts as exactly 0.  For
-each family of rows (the whole sweep, or one limit of the profile), the
-threshold is the largest direct oscillation, over the runs of rows of one
-width, of the run's largest-bound row in the family, times
-``1 - 1e-12``.  A row whose bound does not exceed the threshold cannot
-beat that row, so only the rows above it are evaluated, each on the path
-``_range_oscillations`` would pick for the whole row set.  Each supremum
-therefore equals the largest table value over its family bit for bit,
-except that a row holding one value counts as 0 rather than its rounding
-residue.
+``bmo_norm`` and ``vmo_profile`` want only suprema, which ``_suprema``
+finds without evaluating every row.  Each row gets the bound ``(max -
+min) / 2`` of its oscillation, read from two overlapping dyadic max/min
+windows, plus ``1e-12 max |f|`` (``_BOUND_SLACK``) when it holds more than
+one value, which covers the rounding of either path; a row holding one
+value counts as exactly 0.  A family's threshold is ``1 - 1e-12`` times
+the largest direct oscillation of its largest-bound row in each width
+run, and only the rows above the threshold of a family that holds them
+are evaluated, by ``_range_oscillations`` with the path rule of the whole
+row set.  Each supremum therefore equals the largest table value over its
+family bit for bit, except that a row holding one value counts as 0.
 
 The median of ``f`` over ``I`` is the smallest node value ``a`` such that
 both level sets ``{f > a}`` and ``{f < a}`` occupy at most half of the
@@ -272,19 +266,28 @@ def _takes_rank(n: int, widths: np.ndarray) -> bool:
     return _rank_pays(n, widths.size, int(widths.sum()), len(_width_runs(widths)))
 
 
-def _range_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mean oscillation of ``vals[lo[r]:hi[r]]`` for every row ``r``.
+def _range_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                        rows: np.ndarray | None = None) -> np.ndarray:
+    """Mean oscillation of ``vals[lo[r]:hi[r]]`` for each row ``r`` of ``rows``
+    (ascending; every row by default).
 
     Rows of more than ``_DIRECT_WIDTH`` nodes take the rank path
-    (:func:`_rank_oscillations`) when ``_rank_pays`` for them together; the
-    rest are reduced directly (:func:`_direct_oscillations`).
+    (:func:`_rank_oscillations`) when ``_rank_pays`` for the whole row set
+    ``lo, hi`` together; the rest are reduced directly
+    (:func:`_direct_oscillations`).  A row's value does not depend on the
+    other rows evaluated with it, so the values of ``rows`` equal those of
+    the whole set at ``rows`` bit for bit.
     """
-    if not _takes_rank(vals.size, hi - lo):
-        return _direct_oscillations(vals, lo, hi)
+    rank = _takes_rank(vals.size, hi - lo)
+    if rows is not None:
+        lo, hi = lo[rows], hi[rows]
     wide = hi - lo > _DIRECT_WIDTH
+    if not (rank and wide.any()):
+        return _direct_oscillations(vals, lo, hi)
+    ranked = _rank_oscillations(vals, lo[wide], hi[wide])  # peaks before ``oscs`` exists
     oscs = np.empty(lo.size)
+    oscs[wide] = ranked
     oscs[~wide] = _direct_oscillations(vals, lo[~wide], hi[~wide])
-    oscs[wide] = _rank_oscillations(vals, lo[wide], hi[wide])
     return oscs
 
 
@@ -332,57 +335,34 @@ def _suprema(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray, member: np.ndarra
 
     Family ``i`` holds the rows ``r`` with ``member[i, r]``; the rows come
     in runs of one width, in ascending width.  Each row gets the bound of
-    :func:`_row_bounds`, which covers its value on either path.  A family's
-    threshold is the largest direct oscillation, over the width runs, of the
-    run's largest-bound row in the family, times ``1 - _BOUND_SLACK``; the
-    rows whose bound exceeds it are the only ones of the family that can
-    hold its maximum, and only they are evaluated, on the path
-    :func:`_range_oscillations` picks for the whole row set; a largest-bound
-    row whose path is direct keeps the value its threshold was taken from.
-    A row that holds one value counts as exactly 0, and so does an empty
-    family.
+    :func:`_row_bounds`, which covers its value on either path.  In each
+    width run, each family's largest-bound row is its representative; a
+    family's threshold is the largest direct oscillation of its
+    representatives times ``1 - _BOUND_SLACK``.  The rows whose bound
+    exceeds the threshold of a family that holds them are the only ones
+    that can hold a family's maximum, and only they are evaluated, by
+    ``_range_oscillations`` with the whole row set's path rule.  A row that
+    holds one value counts as exactly 0, and so does an empty family.
     """
-    widths = hi - lo
-    runs = _width_runs(widths)
-    # Wide rows, a suffix of the rows, take the rank path if the whole set would.
-    split = (int(np.searchsorted(widths, _DIRECT_WIDTH, side="right"))
-             if _takes_rank(vals.size, widths) else lo.size)
-    del widths  # freed, as is ``bounds`` below, before the evaluation peaks
+    runs = _width_runs(hi - lo)
     bounds = _row_bounds(vals, lo, hi, runs)
-    thresholds = np.zeros(member.shape[0])
-    reps = {}  # row -> direct oscillation of a run's largest-bound row
+    reps, families = [], []
     for first, stop in runs:
-        for i, family in enumerate(member[:, first:stop]):
-            held = np.where(family, bounds[first:stop], 0.0)
-            best = int(held.argmax())
-            if held[best] > 0:
-                row = first + best
-                if row not in reps:
-                    reps[row] = _oscillation(vals[lo[row] : hi[row]])
-                thresholds[i] = max(thresholds[i], reps[row] * (1.0 - _BOUND_SLACK))
+        best = first + np.where(member[:, first:stop], bounds[first:stop], 0.0).argmax(axis=1)
+        holding = np.flatnonzero(member[np.arange(best.size), best] & (bounds[best] > 0))
+        reps.append(best[holding])
+        families.append(holding)
+    reps, inverse = np.unique(np.concatenate(reps), return_inverse=True)
+    rep_oscs = _direct_oscillations(vals, lo[reps], hi[reps])
+    thresholds = np.zeros(member.shape[0])
+    np.maximum.at(thresholds, np.concatenate(families), rep_oscs[inverse] * (1.0 - _BOUND_SLACK))
     wanted = np.zeros(lo.size, dtype=bool)
     for family, threshold in zip(member, thresholds):
         wanted |= family & (bounds > threshold)
-    del bounds
-
-    suprema = np.zeros(member.shape[0])
-
-    def fold(rows: np.ndarray, oscs: np.ndarray) -> None:
-        for i, family in enumerate(member[:, rows]):
-            suprema[i] = max(suprema[i], np.max(oscs, where=family, initial=0.0))
-
-    # A representative on the direct path already holds its table value.
-    done = np.array([row for row in reps if row < split], dtype=np.intp)
-    wanted[done] = False
-    fold(done, np.array([reps[row] for row in done.tolist()]))
-    for first, stop in runs:
-        rows = first + np.flatnonzero(wanted[first:stop])
-        if first < split and rows.size:
-            fold(rows, _direct_oscillations(vals, lo[rows], hi[rows]))
-    rows = split + np.flatnonzero(wanted[split:])
-    if rows.size:
-        fold(rows, _rank_oscillations(vals, lo[rows], hi[rows]))
-    return suprema
+    del bounds  # freed before the evaluation peaks
+    rows = np.flatnonzero(wanted)
+    oscs = _range_oscillations(vals, lo, hi, rows)
+    return np.array([np.max(oscs, where=family, initial=0.0) for family in member[:, rows]])
 
 
 def _direct_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

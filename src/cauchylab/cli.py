@@ -272,7 +272,7 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         b, case, seq, kern, a1, a2, cfg.number("witness.p", above=1.0),
         cfg.integer("witness.eval_cells", 1), cfg.integer("witness.nodes_per_radius", 1))
     write_report(rep, out_dir, "witness")
-    return rep.extras["min_offdiag"] > 0
+    return rep.extras["separation_margin"] > 0
 
 
 def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:

@@ -287,7 +287,9 @@ def witness_separation(b: SampledFunction, case: WitnessCase, sequence: Sequence
     the smallest off-diagonal distance ``min_offdiag``, the measured
     oscillation floor ``epsilon``, the empirical annulus constants
     ``c1_empirical`` and ``c2_empirical``, the separation floor ``a3``
-    and its ``p``-th root, the ``a2`` used and the recommended one (see
+    and its ``p``-th root ``a3_root``, the ``separation_margin``
+    ``min_offdiag - a3_root`` (positive when the images stay farther apart
+    than the floor), the ``a2`` used and the recommended one (see
     ``choose_a2``), and a note that the claim covers the computed prefix.
     """
     seq = _require_geometry(case, a1, a2, sequence, p)
@@ -346,18 +348,21 @@ def witness_separation(b: SampledFunction, case: WitnessCase, sequence: Sequence
             dist[i, j] = d
             dist[j, i] = d
     a3 = _a3(c1, eps, a1, p)
+    a3_root = a3 ** (1.0 / p)
+    min_offdiag = float(np.min(dist[~np.eye(n, dtype=bool)]))
     ii, jj = np.indices((n, n))
     return BoundReport(
         inequality="pairwise L^p distances of commutator images stay separated",
         columns={"i": ii.ravel(), "j": jj.ravel(), "lhs": dist.ravel()},
         extras={
             "case": case.value,
-            "min_offdiag": float(np.min(dist[~np.eye(n, dtype=bool)])),
+            "min_offdiag": min_offdiag,
             "epsilon": eps,
             "c1_empirical": c1,
             "c2_empirical": c2,
             "a3": a3,
-            "a3_root": a3 ** (1.0 / p),
+            "a3_root": a3_root,
+            "separation_margin": min_offdiag - a3_root,
             "a2_used": a2,
             "a2_recommended": choose_a2(c1, c2, eps, a1, p),
             "prefix_note": "separation certified for the computed finite prefix only",

@@ -23,11 +23,12 @@ The random sweeps draw, check and cut their samples ``_CHECK_CHUNK`` at a
 time.  They draw sample-major from the caller's generator, any
 ``np.random.Generator``: each sample takes its columns from consecutive
 draws of ``rng.random``, so the samples do not depend on the chunk size.
-A sweep returns the report a report file keeps (``_cap_rows``): the
-``MAX_REPORT_ROWS`` worst rows by lhs/rhs ratio plus every violation, with
-``n_violations`` over all samples and, past ``MAX_REPORT_ROWS`` samples,
-``rows_total`` and ``rows_written``.  It holds O(``_CHECK_CHUNK`` +
-``MAX_REPORT_ROWS``) rows besides its violations, whatever the sample count.
+A sweep returns the report a report file keeps (``_cap_rows``): at most
+``MAX_REPORT_ROWS`` rows, the violations first and then the worst rows by
+lhs/rhs ratio, with ``n_violations`` counted over every chunk and, past
+``MAX_REPORT_ROWS`` samples, ``rows_total`` and ``rows_written``.  It
+holds O(``_CHECK_CHUNK`` + ``MAX_REPORT_ROWS``) rows whatever the sample
+count.
 """
 
 from __future__ import annotations
@@ -176,9 +177,17 @@ def _random_pairs(n: int, rng: np.random.Generator, box: float, *more):
 
 
 def _swept(checks) -> BoundReport:
-    """``_cap_rows`` of the chunk ``checks``, with ``n_violations`` over all of them."""
-    rep = _cap_rows(checks)
-    rep.extras["n_violations"] = rep.n_violations  # every violation is kept
+    """``_cap_rows`` of the chunk ``checks``, with ``n_violations`` summed over all of them."""
+    counts = []
+
+    def counted():
+        for check in checks:
+            counts.append(check.n_violations)
+            yield check
+            del check  # free the chunk before the next one is made
+
+    rep = _cap_rows(counted())
+    rep.extras["n_violations"] = sum(counts)
     return rep
 
 
@@ -186,9 +195,8 @@ def random_size_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generator,
                       box: float = 50.0) -> BoundReport:
     """Size estimate on ``n`` random off-diagonal pairs in ``[-box, box]``.
 
-    Returns the worst rows plus every violation, with ``rows_total`` and
-    ``rows_written`` past ``MAX_REPORT_ROWS`` samples; the sweep holds
-    O(``_CHECK_CHUNK`` + ``MAX_REPORT_ROWS``) rows besides its violations.
+    Returns the capped report of the module docstring; the sweep holds
+    O(``_CHECK_CHUNK`` + ``MAX_REPORT_ROWS``) rows.
     """
     return _swept(check_size(kernel, x, y) for x, y in _random_pairs(n, rng, box))
 
@@ -200,9 +208,8 @@ def random_smoothness_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generat
     ``y'`` is placed uniformly inside the admissible ball of radius
     ``|y - x| / 2`` around ``y``, so the precondition holds by
     construction and every reported failure would be meaningful.  Returns
-    the worst rows plus every violation, with ``rows_total`` and
-    ``rows_written`` past ``MAX_REPORT_ROWS`` samples; the sweep holds
-    O(``_CHECK_CHUNK`` + ``MAX_REPORT_ROWS``) rows besides its violations.
+    the capped report of the module docstring; the sweep holds
+    O(``_CHECK_CHUNK`` + ``MAX_REPORT_ROWS``) rows.
     """
     return _swept(
         check_smoothness(kernel, x, y, y + 0.5 * u * np.abs(y - x), transposed=transposed)

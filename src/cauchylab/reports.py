@@ -7,7 +7,9 @@ every value is turned into Python values once (``tolist``), floats are
 written in their shortest round-trip form, rows keep construction order,
 and JSON keys are sorted.  ``_write_csv`` is the one CSV writer, for
 reports and for the operator output alike.  ``_cap_rows`` is the one rule
-for which rows of a long check a report file keeps.
+for which rows of a long check a report file keeps: at most
+``MAX_REPORT_ROWS``, the violations first and then the rows of largest
+lhs/rhs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import InputError
 
 # Rows the CSV writer turns into Python values at a time.
 _CSV_ROWS = 1024
-# Worst rows a capped report keeps, besides every violation.
+# Rows a capped report keeps: violations first, then the largest lhs/rhs.
 MAX_REPORT_ROWS = 200
 
 
@@ -119,30 +121,42 @@ def write_report(report: BoundReport, out_dir, name: str) -> None:
     report.to_json(out / f"{name}.json")
 
 
-def _worst_rows(report: BoundReport) -> np.ndarray:
-    """Ascending indices of the ``MAX_REPORT_ROWS`` worst rows by lhs/rhs plus every violation.
+def _first_rows(neg: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` of ``rows`` in a stable ascending sort by ``neg`` (NaN last).
 
-    The worst rows are the first ``MAX_REPORT_ROWS`` of a stable descending
-    sort (ties in row order, NaN last).  Only the rows at or above the
-    ``MAX_REPORT_ROWS``-th ratio, which ``np.partition`` finds, are sorted.
-    A report of at most ``MAX_REPORT_ROWS`` rows keeps them all.
+    Only the rows at or below the ``k``-th key, which ``np.partition``
+    finds, are sorted.
+    """
+    if rows.size <= k or k == 0:
+        return rows[:k]
+    keys = neg[rows]
+    cut = np.partition(keys, k - 1)[k - 1]
+    # ``keys > cut`` is false for every row when ``cut`` is NaN, and NaN rows
+    # sort after every other candidate.
+    candidates = rows[~(keys > cut)]
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+
+
+def _worst_rows(report: BoundReport) -> np.ndarray:
+    """Ascending indices of the ``MAX_REPORT_ROWS`` worst rows.
+
+    The worst rows are the first ``MAX_REPORT_ROWS`` of a stable sort that
+    puts the violations first and then the other rows, each by falling
+    lhs/rhs (ties in row order, NaN last).  A report of at most
+    ``MAX_REPORT_ROWS`` rows keeps them all.
     """
     if report.n_rows <= MAX_REPORT_ROWS:
         return np.arange(report.n_rows)
     neg = -report.ratios()
-    cut = np.partition(neg, MAX_REPORT_ROWS - 1)[MAX_REPORT_ROWS - 1]
-    # ``neg > cut`` is false for every row when ``cut`` is NaN, and NaN rows
-    # sort after every other candidate.
-    candidates = np.flatnonzero(~(neg > cut))
-    kept = np.zeros(report.n_rows, dtype=bool)
-    kept[candidates[np.argsort(neg[candidates], kind="stable")[:MAX_REPORT_ROWS]]] = True
-    if "pass" in report.columns:
-        kept |= ~report.columns["pass"].astype(bool)
-    return np.flatnonzero(kept)
+    failed = (~report.columns["pass"].astype(bool) if "pass" in report.columns
+              else np.zeros(report.n_rows, dtype=bool))
+    worst = _first_rows(neg, np.flatnonzero(failed), MAX_REPORT_ROWS)
+    rest = _first_rows(neg, np.flatnonzero(~failed), MAX_REPORT_ROWS - worst.size)
+    return np.sort(np.concatenate([worst, rest]))
 
 
 def _cap_rows(parts: Iterable[BoundReport]) -> BoundReport:
-    """The rows of ``parts``, in order, cut to the worst rows plus every violation.
+    """The rows of ``parts``, in order, cut to the worst rows.
 
     The kept rows are those ``_worst_rows`` picks from the concatenated
     parts; past ``MAX_REPORT_ROWS`` rows in all, the extras ``rows_total``

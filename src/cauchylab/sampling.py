@@ -264,7 +264,14 @@ def _checked_real(values: np.ndarray) -> np.ndarray:
 
 
 def _cell_centres(lower: float, width: float, count: int) -> Tuple[np.ndarray, float]:
-    """Centres of the ``count`` equal cells of ``[lower, lower + width]``, and the cell width."""
+    """Centres of the ``count`` equal cells of ``[lower, lower + width]``, and the cell width.
+
+    ``InputError`` unless ``count`` is a whole number of at least 1.
+    """
+    if count < 1:
+        raise InputError("need at least one cell")
+    if not float(count).is_integer():
+        raise InputError(f"need a whole number of cells, got {count}")
     h = width / count
     return lower + (np.arange(count) + 0.5) * h, h
 
@@ -274,8 +281,6 @@ def sample(fn: Callable[[np.ndarray], np.ndarray], lower: float, upper: float,
     """Sample ``fn`` on the cell-centered grid of ``count`` cells over [lower, upper]."""
     if not upper > lower:
         raise InputError(f"need upper > lower, got [{lower}, {upper}]")
-    if count < 1:
-        raise InputError("need at least one cell")
     nodes, h = _cell_centres(lower, upper - lower, count)
     return SampledFunction(lower + 0.5 * h, h, fn(nodes), source=fn)
 

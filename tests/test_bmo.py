@@ -356,13 +356,16 @@ def _long_row_values(kind: str, x: np.ndarray, rng: np.random.Generator) -> np.n
     return np.sin(3 * x) + rng.normal(scale=0.3, size=x.size)
 
 
+_long_row_cases = dict(kind=st.sampled_from(["ties", "offset_pieces", "log_floor", "noise"]),
+                       count=st.integers(1500, 4000), span=st.floats(1.0, 10.0),
+                       seed=st.integers(0, 2**32 - 1))
+
+
 class TestRankPath:
     """Rows wider than ``_DIRECT_WIDTH`` nodes, computed from rank counts."""
 
     @settings(max_examples=40)
-    @given(kind=st.sampled_from(["ties", "offset_pieces", "log_floor", "noise"]),
-           count=st.integers(1500, 4000), span=st.floats(1.0, 10.0),
-           seed=st.integers(0, 2**32 - 1))
+    @given(**_long_row_cases)
     def test_long_rows_match_mean_oscillation(self, kind, count, span, seed):
         # span / count is off-dyadic for almost every draw.
         rng = np.random.default_rng(seed)
@@ -389,6 +392,25 @@ class TestRankPath:
         for a, b, osc in zip(starts, stops, got):
             assert_close(osc, bmo._oscillation(vals[a:b]), vals[a:b])
 
+    @settings(max_examples=30)
+    @given(rank=st.booleans(), **_long_row_cases)
+    def test_row_subset_equals_the_whole_set_at_its_rows(self, rank, kind, count, span, seed):
+        # A fifth of the count keeps a dyadic table below the rank path's crossover.
+        count = count if rank else count // 5
+        rng = np.random.default_rng(seed)
+        step = span / count
+        x = -0.5 * span + step * (np.arange(count) + 0.5)
+        vals = _long_row_values(kind, x, rng)
+        lo, hi = bmo._dyadic_rows(count)
+        assert bmo._takes_rank(count, hi - lo) == rank
+        whole = bmo._range_oscillations(vals, lo, hi)
+        narrow = hi - lo <= bmo._DIRECT_WIDTH
+        for keep in (np.zeros(lo.size, dtype=bool), narrow & (rng.random(lo.size) < 0.3),
+                     rng.random(lo.size) < rng.uniform(0.0, 0.1), rng.random(lo.size) < 0.8):
+            rows = np.flatnonzero(keep)
+            got = bmo._range_oscillations(vals, lo, hi, rows)
+            assert got.tobytes() == whole[rows].tobytes()
+
     @pytest.mark.parametrize("value", [3.25, -7.0])
     def test_constant_is_exactly_zero_on_both_paths(self, value):
         f = grid_fn(lambda y: np.full_like(y, value), count=4000)
@@ -398,6 +420,11 @@ class TestRankPath:
         assert not np.any(bmo._direct_oscillations(vals, starts, stops))
         assert not np.any(bmo._rank_oscillations(vals, starts, stops))
         assert not np.any(oscillation_table(f).oscs)
+        # No row is evaluated for a supremum, though the table takes the rank path.
+        assert bmo_norm(f, dyadic_sweep(f)) == 0.0
+        prof = vmo_profile(f, [0.1, 4.0], [0.5])
+        for curve in (prof.small_scale, prof.large_scale, prof.far_away):
+            assert all(v == 0.0 for _, v in curve)
 
     def test_offset_cancels_exactly(self):
         # An exact offset leaves the median-shifted values, and so every

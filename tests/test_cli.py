@@ -7,11 +7,13 @@ import pytest
 from cauchylab import (BoundReport, InputError, annulus_ladder_reports, homogeneity_check,
                        oscillation_table, random_size_sweep, random_smoothness_sweep,
                        verify_intermediate_bounds, witness_separation)
+from cauchylab import compactness
 from cauchylab.cli import HANDLERS, main
 from cauchylab.config import DEFAULTS, ExperimentConfig
 from cauchylab.reports import MAX_REPORT_ROWS, _cap_rows
 
-TRIM_CASES = ["spread", "all_tied", "ties", "inf_nan", "mostly_nan", "violations", "no_pass"]
+TRIM_CASES = ["spread", "all_tied", "ties", "inf_nan", "mostly_nan", "violations",
+              "quiet_violations", "no_pass"]
 
 
 def run(args):
@@ -37,6 +39,10 @@ def trim_case(case, n):
     if case == "violations":
         lhs[rng.choice(n, 260, replace=False)] *= 3.0
         passed = lhs <= 0.9
+    elif case == "quiet_violations":  # 50 violations, none among the largest ratios
+        quiet = rng.choice(n, 50, replace=False)
+        lhs[quiet] *= 0.1
+        passed[quiet] = False
     columns = {"lhs": lhs, "rhs": rhs, "pass": passed, "row": np.arange(n)}
     if case == "no_pass":
         del columns["pass"]
@@ -64,13 +70,14 @@ class TestReports:
         columns, passed = trim_case(case, n)
         rep = BoundReport("x", columns)
         got = _cap_rows([rep])
-        keep = np.argsort(-rep.ratios(), kind="stable")[:MAX_REPORT_ROWS]
-        if case == "no_pass":
-            keep = np.sort(keep)
-        else:
-            keep = np.unique(np.concatenate([keep, np.flatnonzero(~passed)]))
-        assert keep.size > MAX_REPORT_ROWS or case != "violations"
-        assert got.extras == {"rows_total": n, "rows_written": keep.size}
+        # Violations first, then by falling ratio; lexsort is stable and puts NaN last.
+        failed = ~passed if case != "no_pass" else np.zeros(n, dtype=bool)
+        keep = np.sort(np.lexsort((-rep.ratios(), ~failed))[:MAX_REPORT_ROWS])
+        if case == "violations":
+            assert failed.sum() > MAX_REPORT_ROWS and failed[keep].all()
+        if case == "quiet_violations":
+            assert failed[keep].sum() == 50 and keep.size == MAX_REPORT_ROWS
+        assert got.extras == {"rows_total": n, "rows_written": MAX_REPORT_ROWS}
         for name in columns:
             np.testing.assert_array_equal(got.columns[name], columns[name][keep])
 
@@ -434,7 +441,7 @@ class TestSubcommands:
         text = (tmp_path / "o" / "vmo_profile.csv").read_text()
         assert "small_scale" in text and "far_away" in text
 
-    def test_witness_cli(self, tmp_path):
+    def run_small_witness(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "symbol": {"kind": "truncated_log", "params": {}},
@@ -443,9 +450,21 @@ class TestSubcommands:
         }))
         rc = run(["witness", "--case", "small", "--config", cfg,
                   "--out-dir", tmp_path / "o"])
+        return rc, json.loads((tmp_path / "o" / "witness.json").read_text())["extras"]
+
+    def test_witness_cli(self, tmp_path):
+        rc, extras = self.run_small_witness(tmp_path)
         assert rc == 0
-        data = json.loads((tmp_path / "o" / "witness.json").read_text())
-        assert data["extras"]["min_offdiag"] > 0
+        assert extras["min_offdiag"] > extras["a3_root"] > 0
+        assert extras["separation_margin"] == extras["min_offdiag"] - extras["a3_root"]
+
+    def test_witness_below_the_a3_floor_fails(self, tmp_path, monkeypatch):
+        # Images farther apart than 0 but not than the floor A3^(1/p) are no witness.
+        monkeypatch.setattr(compactness, "_a3", lambda c1, eps, a1, p: 100.0 ** p)
+        rc, extras = self.run_small_witness(tmp_path)
+        assert rc == 1
+        assert 0 < extras["min_offdiag"] < extras["a3_root"] == pytest.approx(100.0)
+        assert extras["separation_margin"] < 0
 
     def test_commutator_norm(self, tmp_path):
         cfg = tmp_path / "c.json"

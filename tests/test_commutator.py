@@ -95,6 +95,10 @@ class TestHomogeneity:
                 homogeneity_check(curve, 100.0, 1.0, slack=slack)
         with pytest.raises(InputError, match="eval_points"):
             homogeneity_check(curve, 100.0, 1.0, eval_points=0)
+        # 2.5 points would be three cells that do not tile I0.
+        for key in ("eval_points", "quadrature_cells"):
+            with pytest.raises(InputError, match="whole number of cells, got 2.5"):
+                homogeneity_check(curve, 100.0, 1.0, **{key: 2.5})
 
     def test_flat_closed_form_window(self):
         rep = homogeneity_check(LipschitzCurve.flat(), 100.0, 1.0)

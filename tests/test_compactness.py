@@ -251,6 +251,10 @@ class TestWitness:
             with pytest.raises(InputError, match=f"{key} >= 1"):
                 witness_separation(b, WitnessCase.SMALL_SCALE, seq, FLAT, 4.2, 4.9, 2.0,
                                    **{key: 0})
+        b = sample_on(np.sign, -2.0, 0.01, 401)
+        with pytest.raises(InputError, match="whole number of cells, got 2048.5"):
+            witness_separation(b, WitnessCase.SMALL_SCALE, seq, FLAT, 4.2, 4.9, 2.0,
+                               eval_cells=2048.5)
 
     def test_constant_stretch_reports_index(self):
         # Constant beyond |x| > 0.05: oscillates on the two big intervals

@@ -17,7 +17,7 @@ from cauchylab import (
     random_smoothness_sweep,
 )
 from cauchylab.kernel import _CHECK_CHUNK
-from cauchylab.reports import _cap_rows
+from cauchylab.reports import MAX_REPORT_ROWS, _cap_rows
 
 FLAT = CauchyKernel.for_curve(LipschitzCurve.flat())
 AFFINE1 = CauchyKernel.for_curve(LipschitzCurve.affine(1.0))
@@ -155,6 +155,16 @@ def test_sweep_is_the_capped_whole_column_report(kernel, sweep, n):
         assert got.columns[name].dtype == column.dtype
         assert got.columns[name].tobytes() == column.tobytes()
     assert streamed.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("sweep", ["smoothness", "transposed"])
+def test_failing_sweep_writes_at_most_the_cap(sweep):
+    got = SWEEPS[sweep](TIGHT, 100_000, np.random.default_rng(3))
+    full = whole_column_report(TIGHT, 100_000, np.random.default_rng(3), sweep)
+    assert full.n_violations > MAX_REPORT_ROWS  # about 0.3% of 100000 triples fail
+    assert got.n_rows == MAX_REPORT_ROWS and got.n_violations == MAX_REPORT_ROWS
+    assert got.extras["n_violations"] == full.n_violations
+    assert got.extras["rows_written"] == MAX_REPORT_ROWS
 
 
 @pytest.mark.parametrize("sweep, columns", [("size", 2), ("smoothness", 3)])

@@ -135,6 +135,12 @@ class TestSampledFunction:
             SampledFunction(0.0, 1.0, np.array([1.0, np.nan]))
         with pytest.raises(InputError):
             SampledFunction(0.0, 1.0, np.empty(0))
+        for count in (0, 0.5):
+            with pytest.raises(InputError, match="at least one cell"):
+                sample(np.sin, 0.0, 1.0, count)
+        for count in (2.5, np.nan):
+            with pytest.raises(InputError, match=f"whole number of cells, got {count}"):
+                sample(np.sin, 0.0, 1.0, count)
 
     def test_values_frozen(self):
         f = sample(lambda y: y, -1, 1, 8)

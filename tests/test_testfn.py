@@ -197,6 +197,8 @@ class TestAnnulusPieces:
                 check(a1=4.0)
             with pytest.raises(InputError, match="8 evaluation cells"):
                 check(eval_cells=7)
+            with pytest.raises(InputError, match="whole number of cells, got 8.5"):
+                check(eval_cells=8.5)
 
 
 def ladder_rows(rep, side):
