@@ -30,7 +30,6 @@ from .bmo import (
 from .commutator import (
     apply_commutator,
     commutator_norm_lower,
-    commutator_norm_ratios,
     commutator_values,
     homogeneity_check,
 )

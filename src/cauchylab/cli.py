@@ -21,12 +21,12 @@ import numpy as np
 
 from . import compactness, testfn
 from .bmo import oscillation_table, vmo_profile
-from .commutator import apply_commutator, commutator_norm_ratios, homogeneity_check
+from .commutator import apply_commutator, commutator_norm_lower, homogeneity_check
 from .config import ExperimentConfig
 from .errors import InputError
 from .kernel import random_size_sweep, random_smoothness_sweep
 from .operator import apply_on_window, pv_values
-from .reports import BoundReport, _cap_rows, _write_csv, write_report
+from .reports import BoundReport, _write_csv, write_report
 from .sampling import lp_norm, sample, sample_on, stack
 from .symbols import make_symbol
 
@@ -159,34 +159,18 @@ def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
 
 def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     curve = cfg.curve()
-    # homogeneity_check needs M > 10.
+    # homogeneity_check needs M > 10, each M once.
     ladder = [cfg.number(key, above=10.0) for key in cfg.entries("homogeneity.M_ladder")]
+    if len(set(ladder)) < len(ladder):
+        raise InputError(f"config field homogeneity.M_ladder must not repeat an entry, "
+                         f"got {ladder}")
     cells = cfg.integer("homogeneity.quadrature_cells", 1)
     points = cfg.integer("homogeneity.eval_points", 1)
     slack = cfg.number("homogeneity.slack")
     band = cfg.number("homogeneity.slope_band")
-    r = cfg.number("homogeneity.r")
-    rows = {"M": [], "lhs": [], "rhs": [], "raw_min": [], "pass": []}
-    for M in ladder:
-        rep = homogeneity_check(curve, M, r, cells, points, slack)
-        rows["M"].append(M)
-        rows["lhs"].append(rep.extras["adjusted_min"])
-        rows["rhs"].append(rep.extras["slack"] * rep.extras["target"])
-        rows["raw_min"].append(rep.extras["raw_min"])
-        rows["pass"].append(rep.passed)
-    extras = {"L": curve.lipschitz_constant, "r": r, "slack": slack}
-    all_ok = all(rows["pass"])
-    if len(ladder) >= 2:
-        slope = float(np.polyfit(np.log(rows["M"]), np.log(rows["lhs"]), 1)[0])
-        extras.update(slope=slope, slope_target=-1.0, slope_band=band)
-        all_ok &= abs(slope + 1.0) <= band
-    rep = BoundReport(
-        inequality="min_x pi |C(chi_I1)(x)| >= slack * 2/((L^2+1) M); slope vs M is -1",
-        columns={k: np.asarray(v) for k, v in rows.items()},
-        extras=extras,
-    )
+    rep = homogeneity_check(curve, ladder, cfg.number("homogeneity.r"), cells, points, slack, band)
     write_report(rep, out_dir, "homogeneity")
-    return all_ok
+    return rep.passed
 
 
 def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
@@ -225,7 +209,7 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     )
     write_report(rep, out_dir, "lemma41")
     for k, irep in zip(ks, inter):
-        write_report(_cap_rows([irep]), out_dir, f"lemma41_intermediate_k{k}")
+        write_report(irep, out_dir, f"lemma41_intermediate_k{k}")
     return bool(ok)
 
 
@@ -281,13 +265,7 @@ def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> boo
     p = cfg.number("commutator_norm.p", above=1.0)
     window = cfg.interval("window")
     family = [cfg.function(key) for key in cfg.entries("commutator_norm.family")]
-    ratios = commutator_norm_ratios(b, p, family, kern, window)
-    rep = BoundReport(
-        inequality="max_f |[b,C]f|_p / |f|_p over the family (lower bound)",
-        columns={"member": np.arange(len(family)), "lhs": ratios},
-        extras={"p": p, "norm_lower_bound": float(np.max(ratios))},
-    )
-    write_report(rep, out_dir, "commutator_norm")
+    write_report(commutator_norm_lower(b, p, family, kern, window), out_dir, "commutator_norm")
     return True
 
 

@@ -13,12 +13,19 @@ The quantitative lower-bound check: for well-separated same-radius
 intervals the operator does not wash out indicators.  With ``I0`` and
 ``I1`` of radius ``r`` at mutual distance pinned to ``[M r, 2 M r]``, the
 modulus of ``C(chi_I1)`` on ``I0`` is at least a constant over ``M``.
-``homogeneity_check(curve, M, r)`` places the two intervals itself, so
-the window holds by construction for every ``M > 10``.
-The checker compares ``pi`` times the computed modulus (restoring the
-conventional prefactor that the target constant ``2 / ((L^2 + 1) M)``
-is stated with) and passes at a positive ``slack`` (0.9 by default) times
-the target, a cushion for quadrature error and the dropped imaginary part.
+``homogeneity_check(curve, M_ladder, r)`` places the two intervals itself
+for each ``M`` of the ladder, so the window holds by construction for
+every ``M > 10``, and returns one report with a row per ``M``.  A row
+compares ``pi`` times the smallest computed modulus on ``I0`` (restoring
+the conventional prefactor that the target constant ``2 / ((L^2 + 1) M)``
+is stated with) with a positive ``slack`` (0.9 by default) times the
+target, a cushion for quadrature error and the dropped imaginary part.
+On a ladder of two or more ``M`` the log-log slope of those minima
+against ``M`` must also lie within ``slope_band`` of -1.
+
+``commutator_norm_lower`` returns the report of the norm lower bound:
+the ratio ``|[b, C] f|_p / |f|_p`` of each member of a family, all from
+one block application, and their maximum.
 """
 
 from __future__ import annotations
@@ -36,50 +43,57 @@ from .sampling import (Interval, SampledFunction, _cell_centres, _rowwise, lp_no
                        stack)
 
 
-def homogeneity_check(curve: LipschitzCurve, M: float, r: float, quadrature_cells: int = 2048,
-                      eval_points: int = 128, slack: float = 0.9) -> BoundReport:
-    """Lower bound for ``|C(chi_I1)|`` on ``I0`` against ``2 / ((L^2 + 1) M)``.
+def homogeneity_check(curve: LipschitzCurve, M_ladder: Sequence[float], r: float,
+                      quadrature_cells: int = 2048, eval_points: int = 128,
+                      slack: float = 0.9, slope_band: float = 0.1) -> BoundReport:
+    """Lower bound for ``|C(chi_I1)|`` on ``I0`` against ``2 / ((L^2 + 1) M)``, per ``M``.
 
     ``I0 = I(0, r)`` and ``I1 = I(1.2 (M + 1) r, r)``; for ``M > 10``
     their closest points are ``(1.2 M - 0.8) r >= M r`` apart and their
     farthest ``(1.2 M + 3.2) r <= 2 M r``, inside the separation window.
-    ``I1`` carries ``quadrature_cells`` cells and ``I0`` an
-    ``eval_points``-point lattice.  Reports both the raw minimum modulus
-    and the prefactor-adjusted value ``pi * min``; the pass criterion is
-    ``pi * min >= slack * target``.
+    ``I1`` carries ``quadrature_cells`` cells and ``I0`` one
+    ``eval_points``-point lattice shared by every ``M``.  Each row holds
+    ``M``, the raw minimum modulus ``raw_min``, ``lhs = pi * raw_min`` and
+    ``rhs = slack * target``; it passes when ``lhs >= rhs``.  With two or
+    more ``M`` (which must be distinct) the extras add the fitted
+    ``slope`` of log ``lhs`` against log ``M``, and a row passes only if
+    also ``|slope + 1| <= slope_band``.
     """
-    if not M > 10:
-        raise InputError(f"need M > 10, got {M}")
+    Ms = np.asarray(M_ladder, dtype=float)
+    if Ms.size == 0:
+        raise InputError("M_ladder must be non-empty")
+    if not np.all(Ms > 10):
+        raise InputError(f"need M > 10, got {Ms[~(Ms > 10)][0]}")
+    if np.unique(Ms).size < Ms.size:
+        raise InputError(f"M_ladder must not repeat an entry, got {Ms.tolist()}")
     if not r > 0:
         raise InputError(f"need r > 0, got {r}")
     if eval_points < 1:
         raise InputError(f"need eval_points >= 1, got {eval_points}")
-    if not (slack > 0 and np.isfinite(slack)):
-        raise InputError(f"need a finite slack > 0, got {slack}")
+    for name, value in (("slack", slack), ("slope_band", slope_band)):
+        if not (value > 0 and np.isfinite(value)):
+            raise InputError(f"need a finite {name} > 0, got {value}")
     I0 = Interval(0.0, r)
-    I1 = Interval(1.2 * (M + 1.0) * r, r)
     kernel = CauchyKernel.for_curve(curve)
-    chi = sample(lambda y: np.ones_like(y), I1.lower, I1.upper, quadrature_cells)
     xs, _ = _cell_centres(I0.lower, I0.measure, eval_points)
-    values = np.abs(pv_values(kernel, chi, xs))
+    raw_min = np.empty(Ms.size)
+    for i, M in enumerate(Ms):
+        I1 = Interval(1.2 * (M + 1.0) * r, r)
+        chi = sample(lambda y: np.ones_like(y), I1.lower, I1.upper, quadrature_cells)
+        raw_min[i] = np.abs(pv_values(kernel, chi, xs)).min()
     L = curve.lipschitz_constant
-    target = 2.0 / ((L * L + 1.0) * M)
-    adjusted = np.pi * values
-    passed = adjusted >= slack * target
+    lhs = np.pi * raw_min
+    rhs = slack * (2.0 / ((L * L + 1.0) * Ms))
+    passed = lhs >= rhs
+    extras = {"L": L, "r": r, "slack": slack}
+    if Ms.size >= 2:
+        slope = float(np.polyfit(np.log(Ms), np.log(lhs), 1)[0])
+        extras.update(slope=slope, slope_target=-1.0, slope_band=slope_band)
+        passed &= abs(slope + 1.0) <= slope_band
     return BoundReport(
-        inequality="pi * |C(chi_I1)(x)| >= slack * 2 / ((L^2+1) M) on I0",
-        columns={"x": xs, "lhs": adjusted, "rhs": np.full_like(xs, slack * target),
-                 "pass": passed},
-        extras={
-            "M": M,
-            "L": L,
-            "raw_min": float(values.min()),
-            "adjusted_min": float(adjusted.min()),
-            "target": target,
-            "slack": slack,
-            "separation_floor": M * r,
-            "separation_cap": 2.0 * M * r,
-        },
+        inequality="min_x pi |C(chi_I1)(x)| >= slack * 2/((L^2+1) M); slope vs M is -1",
+        columns={"M": Ms, "lhs": lhs, "rhs": rhs, "raw_min": raw_min, "pass": passed},
+        extras=extras,
     )
 
 
@@ -116,21 +130,22 @@ def apply_commutator(b: SampledFunction, f: SampledFunction, kernel: CauchyKerne
     return _on_window(f, window, lambda xs: commutator_values(b, f, kernel, xs))
 
 
-def commutator_norm_ratios(b: SampledFunction, p: float,
-                           family: Sequence[SampledFunction], kernel: CauchyKernel,
-                           window: Interval) -> np.ndarray:
-    """``|[b, C] f|_p / |f|_p`` for each member of the family, from one block application."""
+def commutator_norm_lower(b: SampledFunction, p: float,
+                          family: Sequence[SampledFunction], kernel: CauchyKernel,
+                          window: Interval) -> BoundReport:
+    """The ``commutator_norm`` report: ``lhs`` is ``|[b, C] f|_p / |f|_p`` per ``member``.
+
+    The extra ``norm_lower_bound`` is the largest ratio, a lower bound for the norm.
+    """
     if len(family) == 0:
         raise InputError("family must be non-empty")
     block = stack(family)
     denom = lp_norm(block, p)
     if np.any(denom == 0.0):
         raise InputError("family member has zero norm")
-    return lp_norm(apply_commutator(b, block, kernel, window), p) / denom
-
-
-def commutator_norm_lower(b: SampledFunction, p: float,
-                          family: Sequence[SampledFunction], kernel: CauchyKernel,
-                          window: Interval) -> float:
-    """Largest ``|[b, C] f|_p / |f|_p`` over the family (lower bound only)."""
-    return float(np.max(commutator_norm_ratios(b, p, family, kernel, window)))
+    ratios = lp_norm(apply_commutator(b, block, kernel, window), p) / denom
+    return BoundReport(
+        inequality="max_f |[b,C]f|_p / |f|_p over the family (lower bound)",
+        columns={"member": np.arange(len(family)), "lhs": ratios},
+        extras={"p": p, "norm_lower_bound": float(np.max(ratios))},
+    )

@@ -121,6 +121,8 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
     ts = sorted(float(t) for t in t_ladder)
     if len(ts) < 2:
         raise InputError("need at least two truncation factors to fit a slope")
+    if len(set(ts)) < len(ts):
+        raise InputError(f"t_ladder must not repeat an entry, got {ts}")
     if ts[0] <= 2:
         raise InputError("truncation factors must exceed 2")
     R = float(support_radius)

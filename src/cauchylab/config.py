@@ -171,16 +171,12 @@ class ExperimentConfig:
                              f"got {value!r}")
         return int(value)
 
-    def nonempty(self, dotted: str) -> list:
-        """A non-empty list."""
+    def entries(self, dotted: str) -> List[str]:
+        """Dotted paths ``dotted.0``, ``dotted.1``, ... of a non-empty list, for typed reads."""
         value = self.get(dotted)
         if not (isinstance(value, list) and value):
             raise InputError(f"config field {dotted} must be a non-empty list, got {value!r}")
-        return value
-
-    def entries(self, dotted: str) -> List[str]:
-        """Dotted paths ``dotted.0``, ``dotted.1``, ... of a non-empty list, for typed reads."""
-        return [f"{dotted}.{i}" for i in range(len(self.nonempty(dotted)))]
+        return [f"{dotted}.{i}" for i in range(len(value))]
 
     # ----- builders -------------------------------------------------
 

@@ -45,7 +45,7 @@ from .commutator import commutator_values
 from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import pv_values
-from .reports import BoundReport
+from .reports import BoundReport, _cap_rows
 from .sampling import Interval, SampledFunction, _cell_centres, sample
 
 POINTWISE_SLACK = 0.10  # cushion of the pointwise majorant check
@@ -212,6 +212,10 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
     (ii) median drift: ``|median(b, 2^(k+1) I) - median(b, I)|`` against
         ``k`` times a BMO lower bound of ``b`` over the dilate family;
         the ratio is recorded and capped by ``DRIFT_BOUND``.
+
+    The report is the one a report file keeps (``_cap_rows``): one row
+    per lattice point of the annulus, at most ``MAX_REPORT_ROWS`` of them,
+    the violations first.
     """
     _require_level([k], a1, eval_cells)
     region = _annulus(tf.base, k, 1.0)
@@ -249,7 +253,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
     drift_ratio = drift / drift_rhs if drift_rhs > 0 else (0.0 if drift == 0 else np.inf)
     drift_pass = bool(drift_ratio <= DRIFT_BOUND)
 
-    return BoundReport(
+    return _cap_rows([BoundReport(
         inequality=(
             "|B(y)| <= C_fold r |I|^(1/p') |b(y)-a| / |x0-y|^2 on the annulus; "
             "|median(b, 2^(k+1) I) - median(b, I)| <= drift_bound * k * bmo"
@@ -271,7 +275,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
             "drift_bound": DRIFT_BOUND,
             "drift_pass": drift_pass,
         },
-    )
+    )])
 
 
 def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,

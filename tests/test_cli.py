@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from cauchylab import (BoundReport, InputError, annulus_ladder_reports, homogeneity_check,
-                       oscillation_table, random_size_sweep, random_smoothness_sweep,
-                       verify_intermediate_bounds, witness_separation)
+from cauchylab import (BoundReport, InputError, annulus_ladder_reports, commutator_norm_lower,
+                       homogeneity_check, oscillation_table, random_size_sweep,
+                       random_smoothness_sweep, verify_intermediate_bounds, witness_separation,
+                       write_report)
 from cauchylab import compactness
 from cauchylab.cli import HANDLERS, main
 from cauchylab.config import DEFAULTS, ExperimentConfig
@@ -218,6 +219,10 @@ class TestExitCodes:
         ("lemma41", {"lemma41": {"k_ladder": [3, 4.5]}}, "lemma41.k_ladder.1"),
         ("verify-homogeneity", {"homogeneity": {"M_ladder": [16.0, 8.0]}},
          "homogeneity.M_ladder.1"),
+        # A slope fitted over a repeated M is meaningless.
+        ("verify-homogeneity", {"homogeneity": {"M_ladder": [16, 16]}}, "homogeneity.M_ladder"),
+        ("verify-homogeneity", {"homogeneity": {"M_ladder": [16.0, 64.0, 16]}},
+         "homogeneity.M_ladder"),
         ("fk-diagnose", {"fk": {"bump_positions": [0.0, "x"]}}, "fk.bump_positions.1"),
         ("witness", {"witness": {"sequence": {"center": "left"}}}, "witness.sequence.center"),
         ("witness", {"witness": {"sequence": {"r0": "big"}}}, "witness.sequence.r0"),
@@ -295,6 +300,7 @@ class TestExitCodes:
             "homogeneity.slope_band", "lemma41.lower_spread_cap",
             "lemma41.upper_spread_cap", "witness.a2", "fk.z_steps.entry",
             "fk.t_ladder.entry", "lemma41.k_ladder.entry", "homogeneity.M_ladder.entry",
+            "homogeneity.M_ladder.repeat", "homogeneity.M_ladder.repeat_apart",
             "fk.bump_positions.entry", "witness.sequence.center", "witness.sequence.r0",
             "witness.sequence.ratio", "window.center", "lemma41.interval.center",
             "fk.z_steps.bool", "kernel_check.samples.bool", "fk.bump_width.bool",
@@ -546,10 +552,31 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command, name, check", [
+    ("verify-homogeneity", "homogeneity",
+     lambda cfg: homogeneity_check(cfg.curve(), [16.0, 64.0], 1.0, 128, 16)),
+    ("commutator-norm", "commutator_norm",
+     lambda cfg: commutator_norm_lower(
+         cfg.function("symbol"), 2.0,
+         [cfg.function("commutator_norm.family.0"), cfg.function("commutator_norm.family.1")],
+         cfg.kernel(), cfg.interval("window"))),
+], ids=["verify-homogeneity", "commutator-norm"])
+def test_cli_writes_the_library_report(tmp_path, command, name, check):
+    # The subcommand adds nothing to the report of the library call on the same inputs.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(SMALL))
+    run([command, "--config", cfg, "--out-dir", tmp_path / "cli"])
+    write_report(check(ExperimentConfig.from_dict(SMALL)), tmp_path / "lib", name)
+    for suffix in (".json", ".csv"):
+        cli_bytes = (tmp_path / "cli" / (name + suffix)).read_bytes()
+        assert cli_bytes == (tmp_path / "lib" / (name + suffix)).read_bytes()
+
+
 @pytest.mark.parametrize("function, parameter, key", [
     (homogeneity_check, "quadrature_cells", "homogeneity.quadrature_cells"),
     (homogeneity_check, "eval_points", "homogeneity.eval_points"),
     (homogeneity_check, "slack", "homogeneity.slack"),
+    (homogeneity_check, "slope_band", "homogeneity.slope_band"),
     (annulus_ladder_reports, "a1", "lemma41.a1"),
     (annulus_ladder_reports, "eval_cells", "lemma41.eval_cells"),
     (verify_intermediate_bounds, "a1", "lemma41.a1"),

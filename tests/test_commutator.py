@@ -11,7 +11,6 @@ from cauchylab import (
     SampledFunction,
     apply_commutator,
     commutator_norm_lower,
-    commutator_norm_ratios,
     commutator_values,
     homogeneity_check,
     lp_norm,
@@ -70,12 +69,12 @@ class TestApply:
         window1 = Interval(0.0, 3.0)
         b1, f1 = setup_pair(lambda y: np.tanh(y), indicator(-1.0, 1.0),
                             lo=-3.0, hi=3.0, count=6000)
-        r1 = commutator_norm_lower(b1, 2.0, [f1], FLAT, window1)
+        r1 = commutator_norm_lower(b1, 2.0, [f1], FLAT, window1).extras["norm_lower_bound"]
         lam = 2.0
         window2 = Interval(0.0, 3.0 / lam)
         b2, f2 = setup_pair(lambda y: np.tanh(lam * y), indicator(-1.0 / lam, 1.0 / lam),
                             lo=-3.0 / lam, hi=3.0 / lam, count=6000)
-        r2 = commutator_norm_lower(b2, 2.0, [f2], FLAT, window2)
+        r2 = commutator_norm_lower(b2, 2.0, [f2], FLAT, window2).extras["norm_lower_bound"]
         assert r2 == pytest.approx(r1, rel=0.05)
 
 
@@ -83,91 +82,107 @@ class TestHomogeneity:
     def test_case_invariants(self):
         curve = LipschitzCurve.flat()
         with pytest.raises(InputError, match="M > 10"):
-            homogeneity_check(curve, 5.0, 1.0)  # M too small
+            homogeneity_check(curve, [100.0, 5.0], 1.0)  # M too small
         with pytest.raises(InputError, match="r > 0"):
-            homogeneity_check(curve, 100.0, 0.0)
+            homogeneity_check(curve, [100.0], 0.0)
+        with pytest.raises(InputError, match="non-empty"):
+            homogeneity_check(curve, [], 1.0)
+        # A slope fitted over a repeated M is meaningless.
+        for ladder in ([16.0, 16.0], [16.0, 64.0, 16]):
+            with pytest.raises(InputError, match="must not repeat an entry"):
+                homogeneity_check(curve, ladder, 1.0)
 
     def test_bad_slack_and_points_rejected(self):
         # A slack of -1 would pass any minimum.
         curve = LipschitzCurve.flat()
         for slack in (-1.0, 0.0, np.nan, np.inf):
             with pytest.raises(InputError, match="slack"):
-                homogeneity_check(curve, 100.0, 1.0, slack=slack)
+                homogeneity_check(curve, [100.0], 1.0, slack=slack)
+            with pytest.raises(InputError, match="slope_band"):
+                homogeneity_check(curve, [100.0], 1.0, slope_band=slack)
         with pytest.raises(InputError, match="eval_points"):
-            homogeneity_check(curve, 100.0, 1.0, eval_points=0)
+            homogeneity_check(curve, [100.0], 1.0, eval_points=0)
         # 2.5 points would be three cells that do not tile I0.
         for key in ("eval_points", "quadrature_cells"):
             with pytest.raises(InputError, match="whole number of cells, got 2.5"):
-                homogeneity_check(curve, 100.0, 1.0, **{key: 2.5})
+                homogeneity_check(curve, [100.0], 1.0, **{key: 2.5})
 
     def test_flat_closed_form_window(self):
-        rep = homogeneity_check(LipschitzCurve.flat(), 100.0, 1.0)
+        rep = homogeneity_check(LipschitzCurve.flat(), [100.0], 1.0)
         assert rep.passed
-        assert rep.extras["adjusted_min"] >= 0.9 * 2.0 / 100.0
+        assert "slope" not in rep.extras  # one M fits no slope
+        assert rep.columns["lhs"][0] >= 0.9 * 2.0 / 100.0
         d_max = 1.2 * 101.0  # farthest evaluation point to the near edge
         lo = np.log(1 + 2 / d_max)
         hi = np.log(1 + 2 / (d_max - 2  - 2))
-        assert lo * 0.99 <= rep.extras["raw_min"] <= hi * 1.01
+        assert lo * 0.99 <= rep.columns["raw_min"][0] <= hi * 1.01
 
     def test_doubling_M_halves(self):
-        curve = LipschitzCurve.flat()
-        r1 = homogeneity_check(curve, 64.0, 1.0)
-        r2 = homogeneity_check(curve, 128.0, 1.0)
-        ratio = r2.extras["adjusted_min"] / r1.extras["adjusted_min"]
+        rep = homogeneity_check(LipschitzCurve.flat(), [64.0, 128.0], 1.0)
+        ratio = rep.columns["lhs"][1] / rep.columns["lhs"][0]
         assert 0.4 <= ratio <= 0.6
 
     def test_affine_passes(self):
-        rep = homogeneity_check(LipschitzCurve.affine(1.0), 64.0, 0.5)
+        rep = homogeneity_check(LipschitzCurve.affine(1.0), [64.0], 0.5)
         assert rep.passed
-        assert rep.extras["target"] == pytest.approx(2.0 / (2.0 * 64.0))
+        target = rep.columns["rhs"][0] / rep.extras["slack"]
+        assert target == pytest.approx(2.0 / (2.0 * 64.0))
 
     def test_dyadic_ladder_slope(self):
-        curve = LipschitzCurve.flat()
         Ms = [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
-        mins = [
-            homogeneity_check(curve, M, 1.0, quadrature_cells=1024,
-                              eval_points=64).extras["adjusted_min"]
-            for M in Ms
-        ]
-        slope = np.polyfit(np.log(Ms), np.log(mins), 1)[0]
-        assert abs(slope + 1.0) <= 0.1
+        rep = homogeneity_check(LipschitzCurve.flat(), Ms, 1.0, quadrature_cells=1024,
+                                eval_points=64)
+        np.testing.assert_array_equal(rep.columns["M"], Ms)
+        assert abs(rep.extras["slope"] + 1.0) <= 0.1
+
+    def test_slope_outside_band_fails_every_row(self):
+        # The rows pass their own bound; the slope verdict is folded into each.
+        rep = homogeneity_check(LipschitzCurve.flat(), [16.0, 64.0], 1.0, quadrature_cells=128,
+                                eval_points=16, slope_band=1e-6)
+        assert np.all(rep.columns["lhs"] >= rep.columns["rhs"])
+        assert abs(rep.extras["slope"] + 1.0) > rep.extras["slope_band"]
+        assert not np.any(rep.columns["pass"])
 
 
 class TestNormLower:
+    @staticmethod
+    def bound(*args):
+        return commutator_norm_lower(*args).extras["norm_lower_bound"]
+
     def test_constant_symbol_zero(self):
         b, f = setup_pair(lambda y: np.full_like(y, 5.0), indicator(-1.0, 1.0))
-        v = commutator_norm_lower(b, 2.0, [f], FLAT, Interval(0.0, 1.5))
+        v = self.bound(b, 2.0, [f], FLAT, Interval(0.0, 1.5))
         assert v <= 1e-10 * 5.0
 
     def test_scaling_in_symbol(self):
         b, f = setup_pair(lambda y: np.sin(y), indicator(-1.0, 1.0))
         window = Interval(0.0, 1.5)
-        v1 = commutator_norm_lower(b, 2.0, [f], FLAT, window)
-        v2 = commutator_norm_lower(b.scaled(4.0), 2.0, [f], FLAT, window)
+        v1 = self.bound(b, 2.0, [f], FLAT, window)
+        v2 = self.bound(b.scaled(4.0), 2.0, [f], FLAT, window)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
     def test_monotone_in_family(self):
         b, f = setup_pair(lambda y: np.sin(y), indicator(-1.0, 1.0))
         g = sample(lambda y: np.exp(-(y**2)), -2, 2, 4000)
         window = Interval(0.0, 1.5)
-        assert commutator_norm_lower(b, 2.0, [f, g], FLAT, window) >= commutator_norm_lower(
-            b, 2.0, [f], FLAT, window
-        )
+        assert self.bound(b, 2.0, [f, g], FLAT, window) >= self.bound(b, 2.0, [f], FLAT, window)
 
     def test_argmax_stable_under_symbol_rescaling(self):
         b, f = setup_pair(lambda y: np.sin(y), indicator(-1.0, 1.0))
         g = sample(lambda y: np.exp(-(y**2)), -2, 2, 4000)
         window = Interval(0.0, 1.5)
-        ratios = [commutator_norm_lower(b, 2.0, [m], FLAT, window) for m in (f, g)]
+        ratios = [self.bound(b, 2.0, [m], FLAT, window) for m in (f, g)]
         b4 = b.scaled(4.0)
-        ratios4 = [commutator_norm_lower(b4, 2.0, [m], FLAT, window) for m in (f, g)]
+        ratios4 = [self.bound(b4, 2.0, [m], FLAT, window) for m in (f, g)]
         assert int(np.argmax(ratios)) == int(np.argmax(ratios4))
 
     def test_zero_member_rejected(self):
         b = sample(lambda y: np.sin(y), -2, 2, 100)
         z = sample(lambda y: np.zeros_like(y), -2, 2, 100)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="zero norm"):
             commutator_norm_lower(b, 2.0, [z], FLAT, Interval(0.0, 1.0))
+        with pytest.raises(InputError, match="non-empty"):
+            commutator_norm_lower(b, 2.0, [], FLAT, Interval(0.0, 1.0))
 
 
 class TestBlock:
@@ -196,11 +211,12 @@ class TestBlock:
     def test_norm_ratios_are_the_member_ratios(self, kernel):
         b, fs = self.family()
         window = Interval(0.0, 1.5)
-        ratios = commutator_norm_ratios(b, 2.0, fs, kernel, window)
+        rep = commutator_norm_lower(b, 2.0, fs, kernel, window)
         want = [lp_norm(apply_commutator(b, f, kernel, window), 2.0) / lp_norm(f, 2.0)
                 for f in fs]
-        np.testing.assert_allclose(ratios, want, rtol=1e-14, atol=0)
-        assert commutator_norm_lower(b, 2.0, fs, kernel, window) == float(np.max(ratios))
+        np.testing.assert_array_equal(rep.columns["member"], np.arange(len(fs)))
+        np.testing.assert_allclose(rep.columns["lhs"], want, rtol=1e-14, atol=0)
+        assert rep.extras["norm_lower_bound"] == float(np.max(rep.columns["lhs"]))
 
     def test_block_symbol_rejected(self):
         b, fs = self.family(count=100)

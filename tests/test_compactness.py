@@ -116,6 +116,10 @@ class TestTailDecay:
             tail_decay_check(b, 1.0, [f], 2.0, [1.5, 4.0], FLAT)
         with pytest.raises(InputError, match="slope"):
             tail_decay_check(b, 1.0, [f], 2.0, [4.0], FLAT)
+        # A slope fitted over a repeated factor is meaningless.
+        for ts in ([4.0, 4.0], [4.0, 8.0, 4.0]):
+            with pytest.raises(InputError, match="must not repeat an entry"):
+                tail_decay_check(b, 1.0, [f], 2.0, ts, FLAT)
 
     def test_family_takes_the_worst_member(self):
         b, f = self.make_inputs(count=800)

@@ -16,6 +16,7 @@ from cauchylab import (
     verify_intermediate_bounds,
 )
 from cauchylab import testfn
+from cauchylab.reports import MAX_REPORT_ROWS
 from cauchylab.sampling import ALIGNMENT_TOL
 from cauchylab.symbols import sign_step, truncated_log
 
@@ -304,6 +305,8 @@ class TestIntermediateBounds:
         rep = verify_intermediate_bounds(b, tf, 4, FLAT)
         assert rep.extras["pointwise_violations"] == 0
         assert rep.passed
+        # One row per lattice point, cut to the rows a report file keeps.
+        assert rep.extras["rows_total"] == 512 and rep.n_rows == MAX_REPORT_ROWS
 
     def test_log_drift_bounded(self):
         b = sample(truncated_log(0.0), -1.25, 1.25, 2500)
