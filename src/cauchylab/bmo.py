@@ -517,11 +517,6 @@ def _rank_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
     return oscs
 
 
-def _level(nodes: np.ndarray, step: float, w: int) -> Tuple[np.ndarray, float]:
-    """Centers and radius of the sweep intervals from node ``a`` to node ``a + w``."""
-    return 0.5 * (nodes[:-w] + nodes[w:]), 0.5 * w * step
-
-
 def _dyadic_rows(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Node bounds ``lo, hi`` of every dyadic-sweep row, level by level:
     the interior nodes ``a + 1 .. a + w - 1`` of the interval from node ``a``
@@ -532,11 +527,11 @@ def _dyadic_rows(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep(f: SampledFunction) -> IntervalSweep:
-    nodes = f.nodes
-    levels = [_level(nodes, f.step, w) for w in _widths(f.count)]
+    """The intervals from node ``a`` to node ``a + w``, level by level, as ``_dyadic_rows``."""
+    nodes, widths = f.nodes, _widths(f.count)
     return IntervalSweep(
-        np.concatenate([centers for centers, _ in levels]),
-        np.concatenate([np.full(centers.size, radius) for centers, radius in levels]),
+        np.concatenate([0.5 * (nodes[:-w] + nodes[w:]) for w in widths]),
+        np.concatenate([np.full(f.count - w, 0.5 * w * f.step) for w in widths]),
     )
 
 
@@ -580,12 +575,13 @@ def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
     Each sup equals, bit for bit, the largest ``oscillation_table`` value
     over its family, except that an interval whose nodes hold one value
     counts as exactly 0, so a family of such intervals yields zero.  The
-    table is not built: the rows and the family masks are built one dyadic
-    level at a time, each row gets the bound ``(max - min) / 2 + 1e-12
-    max |f|`` (exactly 0 for one value), each family's threshold is
-    ``1 - 1e-12`` times the largest direct oscillation of its largest-bound
-    row on each level, and only the rows whose bound exceeds the threshold
-    of a family that holds them are evaluated (see ``_suprema``).
+    table is not built: the family masks are read from the measures and
+    endpoints of ``dyadic_sweep``'s arrays, each row gets the bound
+    ``(max - min) / 2 + 1e-12 max |f|`` (exactly 0 for one value), each
+    family's threshold is ``1 - 1e-12`` times the largest direct oscillation
+    of its largest-bound row on each level, and only the rows whose bound
+    exceeds the threshold of a family that holds them are evaluated (see
+    ``_suprema``).
     """
     deltas = sorted(float(d) for d in delta_ladder)
     Rs = sorted(float(R) for R in R_ladder)
@@ -593,21 +589,17 @@ def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
         raise InputError("ladders must be non-empty")
     if not all(0 < v < np.inf for v in deltas + Rs):
         raise InputError("ladder entries must be positive and finite")
-    vals = f.real_values()
-    nodes, n = f.nodes, f.count
-    lo, hi = _dyadic_rows(n)
-    caps, floors = np.array(deltas), np.array(Rs)[:, None]
-    member = np.empty((len(deltas) + 2 * len(Rs), lo.size), dtype=bool)
+    sweep, floors = _sweep(f), np.array(Rs)[:, None]
+    member = np.empty((len(deltas) + 2 * len(Rs), len(sweep)), dtype=bool)
     small, large, far = np.split(member, [len(deltas), len(deltas) + len(Rs)])
-    start = 0
-    for w in _widths(n):
-        level = slice(start, start + n - w)
-        centers, radius = _level(nodes, f.step, w)
-        small[:, level] = (2.0 * radius < caps)[:, None]
-        large[:, level] = 2.0 * radius > floors
-        far[:, level] = (centers - radius >= floors) | (centers + radius <= -floors)
-        start += n - w
-    sups = _suprema(vals, lo, hi, member).tolist()
+    # Each derived row array is dropped before the next is made, and the
+    # sweep before the suprema run, to keep the peak to the suprema's own.
+    np.less(sweep.measures, np.array(deltas)[:, None], out=small)
+    np.greater(sweep.measures, floors, out=large)
+    np.greater_equal(sweep.lowers, floors, out=far)
+    far |= sweep.uppers <= -floors
+    del sweep
+    sups = _suprema(f.real_values(), *_dyadic_rows(f.count), member).tolist()
     return VmoProfile(
         small_scale=tuple(zip(deltas, sups[: len(deltas)])),
         large_scale=tuple(zip(Rs, sups[len(deltas) : len(deltas) + len(Rs)])),

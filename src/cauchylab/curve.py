@@ -80,14 +80,18 @@ def eval_A(curve: LipschitzCurve, x):
         out = slope * x
     elif kind is ProfileKind.SAWTOOTH:
         amplitude, period = curve.params
-        # Phase in [0, 1]: the quotient less its floor, which is
-        # np.mod(x, period) / period bit for bit for a power-of-two period
-        # and about three times faster.  For another period the quotient
-        # rounds, so the phase is good to about |x / period| ulps.  The
+        # Phase in [0, 1], from the exact remainder np.mod(x, period), so it
+        # rounds once whatever |x|.  For a power-of-two period the quotient
+        # less its floor is that phase bit for bit and about four times
+        # faster; for another period the quotient would round before its
+        # floor is taken and lose the phase as |x / period| grows.  The
         # three linear pieces are written so the subtractions are exact for
         # power-of-two parameters.
-        u = x / period
-        u -= np.floor(u)
+        if math.frexp(period)[0] == 0.5:
+            u = x / period
+            u -= np.floor(u)
+        else:
+            u = np.mod(x, period) / period
         g = np.where(
             u < 0.25, 4.0 * u, np.where(u < 0.75, 4.0 * (0.5 - u), 4.0 * (u - 1.0))
         )

@@ -46,11 +46,12 @@ this order:
   Hut, Nature 324 (1986)).  A binary tree over the sorted nodes sums each
   box far from a target by its multipole series about the box centre and
   every other node by the dense backend's ``_kernel_sums``.  Targets walk
-  it in blocks of ``_TREE_BLOCK``, and a level's moments are built the
-  first time a far box of that level is summed.  It keeps the dense set of
-  summed terms; a far box differs from its dense sum by the dropped series
-  tail, at most ``2^-53 sum |w| / |z_x - c|`` for weights ``w`` and box
-  centre ``c``, plus rounding.
+  it in blocks of ``_TREE_BLOCK``; a level's boxes are set up the first
+  time the walk reaches it, and its moments the first time a far box of
+  that level is summed.  It keeps the dense set of summed terms; a far box
+  differs from its dense sum by the dropped series tail, at most
+  ``2^-53 sum |w| / |z_x - c|`` for weights ``w`` and box centre ``c``,
+  plus rounding.
 * Dense: every other input, by cache-sized chunks of the kernel matrix
   in real arithmetic.  It is the oracle both others are tested against,
   and the path for small inputs.
@@ -290,12 +291,12 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     node span and of its range of ``A``), a radius ``rho``, the largest
     ``|z_y - c|`` over its nodes, and moments
     ``M_k = sum w_y ((z_y - c) / rho)^k`` for ``k <= _ORDER``, scaled so that
-    no power overflows or underflows.  The spans, centres and radii of every
-    level are set up front; a level's moments are summed directly from the
-    nodes by ``_moment_builder``, with no translation between levels, the
-    first time a far pair uses that level, and kept for the rest of the
-    call.  A call whose targets all lie far from the nodes builds the root's
-    moments alone.
+    no power overflows or underflows.  ``_tree_levels`` sets up a level's
+    spans, centres and radii the first time the walk reaches it, and sums
+    its moments directly from the nodes, with no translation between levels,
+    the first time a far pair uses it; both are kept for the rest of the
+    call.  A call whose targets all lie far from the nodes sets up the root
+    alone.
 
     Targets walk down from the root in blocks of ``_TREE_BLOCK``.  A box
     whose node offsets all lie outside ``[-t, t]`` and which satisfies
@@ -327,10 +328,8 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     weights[:n] = np.concatenate([V.real, V.imag], axis=1)
     at = np.minimum(np.arange(weights.shape[0]), n - 1)
     leaf_nodes, leaf_A = nodes[at], A_nodes[at]
-    offsets, x_first, x_last, centre, rho = _tree_boxes(nodes, A_nodes, depth)
-    # Pages of levels whose moments are never built are never touched.
-    moments = np.zeros((_ORDER + 1, offsets[-1], c), dtype=np.complex128)
-    build = _moment_builder(nodes + 1j * A_nodes, weights, offsets, centre, rho, depth, moments)
+    offsets, x_first, x_last, centre, rho, moments, build = _tree_levels(
+        nodes, A_nodes, weights, depth)
 
     out = np.zeros((xs.size, c), dtype=np.complex128)
     for start in range(0, xs.size, _TREE_BLOCK):
@@ -342,6 +341,7 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
         bx = np.zeros(x.size, dtype=np.int64)
         far_t, far_g = [], []
         for l in range(depth + 1):
+            build(l, False)
             g = bx + offsets[l]
             xt = x[tg]
             d_first = x_first[g] - xt
@@ -349,7 +349,7 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
             far = (((d_last < -t) | (d_first > t))
                    & (rho[g] < _THETA * np.abs(zx[tg] - centre[g])))
             if np.any(far):
-                build(l)
+                build(l, True)
             far_t.append(tg[far])
             far_g.append(g[far])
             opened = ~far & ~((d_first >= -t) & (d_last <= t))
@@ -366,63 +366,60 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     return out.reshape(xs.shape + f.values.shape[1:])
 
 
-def _tree_boxes(nodes: np.ndarray, A_nodes: np.ndarray, depth: int):
-    """Node span, centre and radius of every box, level 0 first.
+def _tree_levels(nodes: np.ndarray, A_nodes: np.ndarray, weights: np.ndarray, depth: int):
+    """Unset per-box arrays of every tree level and ``build(l, far)``, which sets up level ``l``.
 
     Returns ``offsets``, whose entry ``l`` is the first box of level ``l``
-    (and whose last entry is the number of boxes), and ``x_first``,
-    ``x_last``, ``centre`` and ``rho`` with one entry per box.
-    """
-    n = nodes.size
-    z = nodes + 1j * A_nodes
-    levels = range(depth + 1)
-    starts = [np.arange(0, n, _LEAF << (depth - l)) for l in levels]
-    offsets = np.cumsum([0] + [s.size for s in starts])
-    first = np.concatenate(starts)
-    last = np.concatenate([np.minimum(s + (_LEAF << (depth - l)), n) - 1
-                           for l, s in zip(levels, starts)])
-    a_lo = np.concatenate([np.minimum.reduceat(A_nodes, s) for s in starts])
-    a_hi = np.concatenate([np.maximum.reduceat(A_nodes, s) for s in starts])
-    centre = 0.5 * (nodes[first] + nodes[last]) + 0.5j * (a_lo + a_hi)
-    rho = np.empty(first.size)
-    for l, s in zip(levels, starts):
-        of_node = offsets[l] + np.arange(n) // (_LEAF << (depth - l))
-        rho[offsets[l]:offsets[l + 1]] = np.maximum.reduceat(np.abs(z - centre[of_node]), s)
-    return offsets, nodes[first], nodes[last], centre, rho
-
-
-def _moment_builder(z: np.ndarray, weights: np.ndarray, offsets: np.ndarray,
-                    centre: np.ndarray, rho: np.ndarray, depth: int, moments: np.ndarray):
-    """A function ``build(l)`` that sums the moments of level ``l``'s boxes into ``moments``.
-
-    ``z`` holds the nodes ``y + i A(y)``; ``moments`` has shape
-    ``(_ORDER + 1, boxes, c)`` and is zero on a level until it is built.
-    ``build`` sums a level once; a later call for that level returns at once.
-    The powers of ``(z_y - c) / rho`` are built by chunks of ``chunk``
-    nodes, the largest ``_LEAF 2^j`` that keeps a chunk of powers within
-    ``_CHUNK_ELEMENTS``; a chunk holds whole boxes or part of one box.
+    (and whose last entry is the number of boxes), ``x_first``, ``x_last``,
+    ``centre`` and ``rho`` with one entry per box, NaN until the box's level
+    is set up, ``moments`` of shape ``(_ORDER + 1, boxes, c)``, zero until
+    they are summed, and ``build``.  ``build(l, False)`` sets up level
+    ``l``'s spans, centres and radii on its first call; ``build(l, True)``
+    also sums its moments on its first call.  Both use the node offsets
+    ``z_y - c``, computed in one place: a box's radius is their largest
+    modulus, and its moments sum powers of them divided by ``rho``.
     ``weights`` holds ``[Re V, Im V]`` padded with zeros to ``_LEAF 2^depth``
-    rows.  The chunk buffers are allocated once and shared by every level.
+    rows.  The powers are built by chunks of ``chunk`` nodes, the largest
+    ``_LEAF 2^j`` that keeps a chunk of powers within ``_CHUNK_ELEMENTS``;
+    a chunk holds whole boxes or part of one box.  The chunk buffers are
+    allocated once and shared by every level.
     """
-    n, c = z.size, weights.shape[1] // 2
+    n, c = nodes.size, weights.shape[1] // 2
+    z = nodes + 1j * A_nodes
+    offsets = np.cumsum([0] + [-(-n // (_LEAF << (depth - l))) for l in range(depth + 1)])
+    x_first, x_last, rho = np.full((3, offsets[-1]), np.nan)
+    centre = np.full(offsets[-1], np.nan, dtype=np.complex128)
+    # Pages of levels whose moments are never summed are never touched.
+    moments = np.zeros((_ORDER + 1, offsets[-1], c), dtype=np.complex128)
     chunk = min(_LEAF << depth, _LEAF << max(0, (_CHUNK_ELEMENTS // (_LEAF * (_ORDER + 1)))
                                             .bit_length() - 1))
     u = np.zeros(_LEAF << depth, dtype=np.complex128)
     powers = np.empty((_ORDER + 1, chunk), dtype=np.complex128)
     powers[0] = 1.0
     planes = np.empty((2, _ORDER + 1, chunk))
-    built = set()
+    boxed, summed = set(), set()
 
-    def build(l: int) -> None:
-        if l in built:
+    def build(l: int, far: bool) -> None:
+        if l in summed or (l in boxed and not far):
             return
-        built.add(l)
         size = _LEAF << (depth - l)
         boxes = slice(offsets[l], offsets[l + 1])
-        of_node = boxes.start + np.arange(n) // size
-        r = rho[of_node]
-        u[:n] = 0.0
-        np.divide(z - centre[of_node], r, out=u[:n], where=r > 0)
+        starts = np.arange(0, n, size)
+        if l not in boxed:
+            x_first[boxes] = nodes[starts]
+            x_last[boxes] = nodes[np.minimum(starts + size, n) - 1]
+            centre[boxes] = 0.5 * (x_first[boxes] + x_last[boxes]) + 0.5j * (
+                np.minimum.reduceat(A_nodes, starts) + np.maximum.reduceat(A_nodes, starts))
+        offset = np.subtract(z, np.repeat(centre[boxes], size)[:n], out=u[:n])
+        if l not in boxed:
+            boxed.add(l)
+            rho[boxes] = np.maximum.reduceat(np.abs(offset), starts)
+        if not far:
+            return
+        summed.add(l)
+        # A box of radius 0 holds nodes at its centre, whose offsets are 0.
+        r = np.repeat(rho[boxes], size)[:n]
+        np.divide(offset, r, out=offset, where=r > 0)
         # The products run in real arithmetic, [Re p; Im p] @ [Re V, Im V],
         # on the real matrix kernels the dense backend uses.
         group = min(size, chunk)
@@ -440,7 +437,7 @@ def _moment_builder(z: np.ndarray, weights: np.ndarray, offsets: np.ndarray,
             box.real += (re[..., :c] - im[..., c:]).transpose(1, 0, 2)
             box.imag += (re[..., c:] + im[..., :c]).transpose(1, 0, 2)
 
-    return build
+    return offsets, x_first, x_last, centre, rho, moments, build
 
 
 def _leaf_sums(nodes: np.ndarray, A_nodes: np.ndarray, W: np.ndarray, x: np.ndarray,

@@ -23,17 +23,39 @@ def test_sawtooth_shape():
     np.testing.assert_allclose(eval_A(SAW, xs), [0, 1, 0, -1, 0, 1], atol=1e-15)
 
 
+def _triangle(u):
+    return np.where(u < 0.25, 4.0 * u, np.where(u < 0.75, 4.0 * (0.5 - u), 4.0 * (u - 1.0)))
+
+
 @pytest.mark.parametrize("period", [0.5, 2.0])
 def test_sawtooth_phase_equals_mod_for_power_of_two_periods(period):
     # The phase x / period less its floor equals np.mod(x, period) / period
-    # bit for bit here, also at -0.0, just below 0 and at |x| past 2^49.
+    # bit for bit here, also at -0.0, just below 0 and at |x| past 2^49,
+    # and a power-of-two period keeps that quotient phase.
     xs = np.concatenate([np.linspace(-9.0, 9.0, 4097),
+                         np.random.default_rng(8191).uniform(-50.0, 50.0, 4096),
                          [-1e-20, -0.0, 1e15 + 0.5, -(1e15 + 0.5), np.nextafter(0.0, -1.0)]])
-    u = np.mod(xs, period) / period
-    want = 0.5 * np.where(u < 0.25, 4.0 * u, np.where(u < 0.75, 4.0 * (0.5 - u), 4.0 * (u - 1.0)))
+    want = 0.5 * _triangle(np.mod(xs, period) / period)
+    quotient = xs / period
+    quotient -= np.floor(quotient)
     curve = LipschitzCurve.sawtooth(0.5, period)
     assert np.array_equal(eval_A(curve, xs), want)
+    assert np.array_equal(eval_A(curve, xs), 0.5 * _triangle(quotient))
     assert [eval_A(curve, float(x)) for x in xs[-5:]] == want[-5:].tolist()
+
+
+@pytest.mark.parametrize("period", [3.0, 0.3])
+def test_sawtooth_phase_is_exact_for_other_periods(period):
+    # The phase is the exact remainder over the period: x / period would
+    # round before its floor is taken and lose up to 2^-53 |x / period|.
+    rng = np.random.default_rng(26)
+    xs = np.concatenate([rng.uniform(-1e8, 1e8, 2000), [1e8 - 0.1, -1e8 + 0.1, -1e-20, -0.0],
+                         period * np.arange(-5, 6)])
+    phases = [math.fmod(x, period) for x in xs]
+    u = np.array([r + period if r < 0 else r for r in phases]) / period
+    curve = LipschitzCurve.sawtooth(0.5, period)
+    assert np.array_equal(eval_A(curve, xs), 0.5 * _triangle(u))
+    assert eval_A(curve, float(xs[0])) == 0.5 * _triangle(u[0])
 
 
 def test_stored_constants():

@@ -377,31 +377,51 @@ class TestTree:
                 want = operator._tree_sums(SAWTOOTH, _column(block, j), xs, t)
                 assert _rel_dev(got[:, j], want) <= 1e-14
 
+    @staticmethod
+    def _spy_levels(monkeypatch):
+        """The list that receives what each ``_tree_levels`` call returns."""
+        trees = []
+        original = operator._tree_levels
+
+        def spy(*args):
+            trees.append(original(*args))
+            return trees[-1]
+
+        monkeypatch.setattr(operator, "_tree_levels", spy)
+        return trees
+
+    @staticmethod
+    def _levels_where(offsets, test):
+        return [l for l in range(offsets.size - 1) if test(slice(offsets[l], offsets[l + 1]))]
+
     def test_far_targets_build_the_root_moments_alone(self, monkeypatch):
         # Three blocks of far targets, then near ones: each level a far pair
         # uses is summed once (a second sum would double it), no other level.
         f = _block(2000, 2, [True, False], seed=14)
         xs = np.concatenate([f.upper + 3.0 * (f.upper - f.lower) + np.arange(3000) * 0.01,
                              f.lower - 2.5 * (f.upper - f.lower) - np.arange(3000) * 0.01])
-        trees = []
-        original = operator._moment_builder
-
-        def spy(z, weights, offsets, centre, rho, depth, moments):
-            trees.append((offsets, moments))
-            return original(z, weights, offsets, centre, rho, depth, moments)
-
-        def built_levels():
-            offsets, moments = trees.pop()
-            return [l for l in range(offsets.size - 1)
-                    if np.any(moments[:, offsets[l]:offsets[l + 1]])]
-
-        monkeypatch.setattr(operator, "_moment_builder", spy)
+        trees = self._spy_levels(monkeypatch)
         t = _window(f, None)
         for targets, levels in ((xs, [0]), (np.concatenate([xs, _lattice(f, np.arange(2000), 1)]),
                                             list(range(7)))):
             got = operator._tree_sums(SAWTOOTH, f, targets, t)
-            assert built_levels() == levels
+            offsets, moments = trees[-1][0], trees[-1][5]
+            assert self._levels_where(offsets, lambda b: np.any(moments[:, b])) == levels
             assert _rel_dev(got, operator._dense_sums(SAWTOOTH, f, targets, t)) <= 1e-12
+
+    def test_far_targets_set_up_the_root_boxes_alone(self, monkeypatch):
+        # A far-only call sets up the spans, centres and radii of level 0
+        # and leaves every deeper level NaN; a near call sets up them all.
+        f = _block(2000, 2, [True, False], seed=14)
+        far = f.upper + 3.0 * (f.upper - f.lower) + np.arange(600) * 0.01
+        trees = self._spy_levels(monkeypatch)
+        for targets, levels in ((far, [0]), (_lattice(f, np.arange(2000), 1), list(range(7)))):
+            operator._tree_sums(SAWTOOTH, f, targets, _window(f, None))
+            offsets, *geometry = trees[-1][:5]
+            for per_box in geometry:
+                unset = np.isnan(per_box)
+                assert self._levels_where(offsets, lambda b: not np.any(unset[b])) == levels
+                assert np.all(unset[offsets[len(levels)]:])
 
     def test_fine_grid_far_targets_are_finite(self):
         # Step 1e-7 against targets 1e4 away: ratios near 1e-11, powers that
