@@ -1,13 +1,14 @@
 """Experiment driver: subcommand dispatch and report files.
 
-Every subcommand reads one JSON config, runs its checks, and writes CSV
-and JSON reports side by side into the output directory.  The flags are
+Every subcommand reads one JSON config and runs its checks; its handler
+returns the checks' reports by name, and ``main`` writes each as CSV and
+JSON side by side into the output directory.  The flags are
 ``--config`` and ``--out-dir`` on every subcommand, ``--seed`` (which
 overrides the config seed), ``witness --case small|large|far`` and
 ``eval-operator --convergence``; every other value comes from the
-config.  Exit status: 0 when every pass/fail check in the run passed, 1
-on any bound violation, 2 on rejected input (malformed config, guard
-violations).  With a fixed seed, reruns are byte-identical.
+config.  Exit status: 0 when every report written has passed, 1
+otherwise, 2 on rejected input (malformed config, guard violations),
+which writes no report.  With a fixed seed, reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import compactness, testfn
+from . import compactness, symbols, testfn
 from .bmo import oscillation_table, vmo_profile
 from .commutator import apply_commutator, commutator_norm_lower, homogeneity_check
 from .config import ExperimentConfig
@@ -28,7 +29,6 @@ from .kernel import random_size_sweep, random_smoothness_sweep
 from .operator import apply_on_window, pv_values
 from .reports import BoundReport, _write_csv, write_report
 from .sampling import lp_norm, sample, sample_on, stack
-from .symbols import make_symbol
 
 # Rounding floor of the convergence study, relative to the largest
 # finest-level output: a difference |v_h/2 - v_h/4| at or below it is
@@ -37,29 +37,26 @@ from .symbols import make_symbol
 RICHARDSON_FLOOR = 1e-12
 # Relative band within which two bmo-norm rows of one length count as tied.
 TIE_RTOL = 1e-12
+# A handler's reports by file name: ``main`` writes them and exits on their verdict.
+Reports = Dict[str, BoundReport]
 
 
 # ----- subcommand handlers ------------------------------------------
 
 
-def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
+def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     n = cfg.integer("kernel_check.samples", 1)
     box = cfg.number("kernel_check.box")
-    ok = True
-    for name, sweep in (
-        ("kernel_size", lambda: random_size_sweep(kern, n, rng, box)),
-        ("kernel_smoothness", lambda: random_smoothness_sweep(kern, n, rng, box)),
-        ("kernel_smoothness_transposed",
-         lambda: random_smoothness_sweep(kern, n, rng, box, transposed=True)),
-    ):
-        rep = sweep()
-        ok &= rep.passed
-        write_report(rep, out_dir, name)
-    return ok
+    return {
+        "kernel_size": random_size_sweep(kern, n, rng, box),
+        "kernel_smoothness": random_smoothness_sweep(kern, n, rng, box),
+        "kernel_smoothness_transposed":
+            random_smoothness_sweep(kern, n, rng, box, transposed=True),
+    }
 
 
-def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
+def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     f = cfg.function("input")
     out = apply_on_window(kern, f, cfg.interval("window"))
@@ -70,6 +67,7 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         "output_norm_p2": lp_norm(out, 2.0),
         "step": f.step,
     }
+    reports = {}
     if args.convergence:
         lo_edge = f.origin - 0.5 * f.step
         hi_edge = f.origin + (f.count - 0.5) * f.step
@@ -95,17 +93,16 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
                 "points_at_floor": int(np.count_nonzero(~resolved)),
             },
         )
-        write_report(conv, out_dir, "operator_convergence")
+        reports["operator_convergence"] = conv
         extras["median_richardson_ratio"] = conv.extras["median_ratio"]
-    summary = BoundReport(
+    reports["operator_summary"] = BoundReport(
         inequality="operator output on the declared window (informational)",
         columns={}, extras=extras,
     )
-    write_report(summary, out_dir, "operator_summary")
-    return True
+    return reports
 
 
-def _run_bmo_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
+def _run_bmo_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     b = cfg.function("symbol")
     max_len = None if cfg.get("bmo.max_length") is None else cfg.number("bmo.max_length")
     table = oscillation_table(b)
@@ -123,16 +120,14 @@ def _run_bmo_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     np.maximum.at(top, group, oscs)
     order = np.lexsort((centers, oscs < (1.0 - TIE_RTOL) * top[group], group))
     best = order[np.unique(group[order], return_index=True)[1]]
-    rep = BoundReport(
+    return {"bmo_norm": BoundReport(
         inequality="sup_I mean oscillation over the dyadic sweep (lower bound)",
         columns={"length": lengths, "center": centers[best], "lhs": oscs[best]},
         extras={"bmo_lower_bound": float(oscs.max()), "intervals_swept": int(oscs.size)},
-    )
-    write_report(rep, out_dir, "bmo_norm")
-    return True
+    )}
 
 
-def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
+def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     b = cfg.function("symbol")
     deltas = [cfg.number(key) for key in cfg.entries("vmo.delta_ladder")]
     radii = [cfg.number(key) for key in cfg.entries("vmo.R_ladder")]
@@ -147,17 +142,15 @@ def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
             kinds.append(kind)
             params.append(par)
             sups.append(sup)
-    rep = BoundReport(
+    return {"vmo_profile": BoundReport(
         inequality="oscillation suprema along the three vanishing limits (lower bounds)",
         columns={"limit": np.asarray(kinds), "parameter": np.asarray(params),
                  "lhs": np.asarray(sups)},
         extras={},
-    )
-    write_report(rep, out_dir, "vmo_profile")
-    return True
+    )}
 
 
-def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
+def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     curve = cfg.curve()
     # homogeneity_check needs M > 10, each M once.
     ladder = [cfg.number(key, above=10.0) for key in cfg.entries("homogeneity.M_ladder")]
@@ -168,12 +161,11 @@ def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> 
     points = cfg.integer("homogeneity.eval_points", 1)
     slack = cfg.number("homogeneity.slack")
     band = cfg.number("homogeneity.slope_band")
-    rep = homogeneity_check(curve, ladder, cfg.number("homogeneity.r"), cells, points, slack, band)
-    write_report(rep, out_dir, "homogeneity")
-    return rep.passed
+    return {"homogeneity": homogeneity_check(curve, ladder, cfg.number("homogeneity.r"),
+                                             cells, points, slack, band)}
 
 
-def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
+def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     base = cfg.interval("lemma41.interval")
@@ -191,11 +183,8 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     low_c1, up_ratio = (c.tolist() for c in testfn._ladder_constants(rep, tf))
     lower_spread = max(low_c1) / min(low_c1) if min(low_c1) > 0 else np.inf
     upper_spread = max(up_ratio) / min(up_ratio) if min(up_ratio) > 0 else np.inf
-    ok = (
-        lower_spread <= lower_cap
-        and upper_spread <= upper_cap
-        and all(r.passed for r in inter)
-    )
+    within_caps = lower_spread <= lower_cap and upper_spread <= upper_cap
+    rep.columns["pass"] = np.full(rep.n_rows, within_caps)
     rep.extras.update(
         p=p,
         epsilon=tf.epsilon,
@@ -203,17 +192,16 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
         c1_candidate_min=min(low_c1),
         c1_candidate_max=max(low_c1),
         lower_spread=lower_spread,
+        lower_spread_cap=lower_cap,
         c2_candidate_max=max(up_ratio),
         upper_spread=upper_spread,
+        upper_spread_cap=upper_cap,
         intermediate_pass=all(r.passed for r in inter),
     )
-    write_report(rep, out_dir, "lemma41")
-    for k, irep in zip(ks, inter):
-        write_report(irep, out_dir, f"lemma41_intermediate_k{k}")
-    return bool(ok)
+    return {"lemma41": rep, **{f"lemma41_intermediate_k{k}": r for k, r in zip(ks, inter)}}
 
 
-def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
+def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     origin, step, count = cfg.grid()
@@ -225,19 +213,17 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
     z_steps = [cfg.integer(key, 1) for key in cfg.entries("fk.z_steps")]
     family = []
     for pos in positions:
-        fn = make_symbol("smooth_bump", center=pos, height=1.0, width=width)
-        g = sample_on(fn, origin, step, count)
+        g = sample_on(symbols.smooth_bump(pos, 1.0, width), origin, step, count)
         norm = lp_norm(g, p)
         if norm == 0:
             raise InputError(f"fk bump at {pos} misses the grid")
         family.append(g.with_values(g.values / norm))
     images = apply_commutator(b, stack(family), kern, window)
     zs = [k * images.step for k in z_steps]
-    write_report(compactness.fk_diagnose(images, p, t_ladder, zs), out_dir, "fk_diagnose")
-    return True
+    return {"fk_diagnose": compactness.fk_diagnose(images, p, t_ladder, zs)}
 
 
-def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
+def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     case = compactness.WitnessCase(args.case)
@@ -252,21 +238,18 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
                  else compactness.large_scale_sequence)
         seq = build(cfg.number("witness.sequence.center", above=None), r0,
                     cfg.number("witness.sequence.ratio", above=1.0), count)
-    rep = compactness.witness_separation(
+    return {"witness": compactness.witness_separation(
         b, case, seq, kern, a1, a2, cfg.number("witness.p", above=1.0),
-        cfg.integer("witness.eval_cells", 1), cfg.integer("witness.nodes_per_radius", 1))
-    write_report(rep, out_dir, "witness")
-    return rep.extras["separation_margin"] > 0
+        cfg.integer("witness.eval_cells", 1), cfg.integer("witness.nodes_per_radius", 1))}
 
 
-def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> bool:
+def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     p = cfg.number("commutator_norm.p", above=1.0)
     window = cfg.interval("window")
     family = [cfg.function(key) for key in cfg.entries("commutator_norm.family")]
-    write_report(commutator_norm_lower(b, p, family, kern, window), out_dir, "commutator_norm")
-    return True
+    return {"commutator_norm": commutator_norm_lower(b, p, family, kern, window)}
 
 
 HANDLERS = {
@@ -316,11 +299,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.data["seed"] = args.seed
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rng = cfg.rng()
-        ok = HANDLERS[args.command](cfg, args, rng, out_dir)
+        reports = HANDLERS[args.command](cfg, args, cfg.rng(), out_dir)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for name, rep in reports.items():
+        write_report(rep, out_dir, name)
+    ok = all(rep.passed for rep in reports.values())
     print(f"{args.command}: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 

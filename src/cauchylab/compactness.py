@@ -20,7 +20,9 @@ separation floor
     A3 = 8^(1-p) * C1 * eps^p * A1^(1-p)
 
 assembled from the measured annulus constant ``C1`` and oscillation
-level ``eps``.  All three degeneration cases share this one engine, at
+level ``eps``.  Its ``pass`` column passes a pair of distinct images when
+their distance exceeds ``A3^(1/p)``, so the report passes exactly when
+every pair does.  All three degeneration cases share this one engine, at
 the resolution ``eval_cells`` and ``nodes_per_radius``; the case only names
 the sequence geometry that ``_require_geometry`` checks before any kernel work
 (measure ratios below ``1/A2`` in the collapsing and exploding cases,
@@ -284,8 +286,10 @@ def witness_separation(b: SampledFunction, case: WitnessCase, sequence: Sequence
     evaluation points land on node- or midpoint-lattice positions of every
     grid.  The symbol must oscillate on every interval of the sequence; a
     constant stretch is rejected with the offending index.  The report
-    has one row per ordered pair, with the columns ``i``, ``j`` and
-    ``lhs`` (their distance), ``i``-major.  Its extras carry the case,
+    has one row per ordered pair, with the columns ``i``, ``j``, ``lhs``
+    (their distance) and ``pass`` (true on the diagonal, elsewhere when
+    ``lhs > a3_root``), ``i``-major, so ``passed`` holds exactly when the
+    ``separation_margin`` is positive.  Its extras carry the case,
     the smallest off-diagonal distance ``min_offdiag``, the measured
     oscillation floor ``epsilon``, the empirical annulus constants
     ``c1_empirical`` and ``c2_empirical``, the separation floor ``a3``
@@ -355,7 +359,8 @@ def witness_separation(b: SampledFunction, case: WitnessCase, sequence: Sequence
     ii, jj = np.indices((n, n))
     return BoundReport(
         inequality="pairwise L^p distances of commutator images stay separated",
-        columns={"i": ii.ravel(), "j": jj.ravel(), "lhs": dist.ravel()},
+        columns={"i": ii.ravel(), "j": jj.ravel(), "lhs": dist.ravel(),
+                 "pass": ((ii == jj) | (dist > a3_root)).ravel()},
         extras={
             "case": case.value,
             "min_offdiag": min_offdiag,

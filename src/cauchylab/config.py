@@ -13,15 +13,15 @@ import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from .curve import LipschitzCurve
+from .curve import BUILDERS as CURVES, LipschitzCurve
 from .errors import InputError
 from .kernel import CauchyKernel
 from .sampling import Interval, SampledFunction, sample_on
-from .symbols import BUILDERS, make_symbol
+from .symbols import BUILDERS as SYMBOLS
 
 DEFAULTS: Dict[str, Any] = {
     "seed": 0,
@@ -180,8 +180,14 @@ class ExperimentConfig:
 
     # ----- builders -------------------------------------------------
 
-    def _kind_and_params(self, key: str) -> tuple:
-        """``kind`` and ``params`` of the object at ``key``; missing ``params`` read as empty."""
+    def _build(self, key: str, builders: Dict[str, Callable], what: str):
+        """Call ``builders[kind]`` on the ``params`` of the object at ``key``.
+
+        Missing ``params`` read as empty.  Every builder parameter is a
+        number, so each one is a typed read.  An unknown kind, a parameter
+        the builder does not take and the builder's own error are prefixed
+        with ``key.kind`` or ``key.params``, the part of the config to fix.
+        """
         spec = self.get(key)
         if not isinstance(spec, dict):
             raise InputError(f"config field {key} must be an object, got {spec!r}")
@@ -191,27 +197,19 @@ class ExperimentConfig:
         kind = self.get(f"{key}.kind")
         if not isinstance(kind, str):
             raise InputError(f"config field {key}.kind must be a string, got {kind!r}")
-        return kind, params
+        if kind not in builders:
+            raise InputError(f"{key}.kind: unknown {what} kind {kind!r}; "
+                             f"known: {', '.join(sorted(builders))}")
+        values = {name: self.number(f"{key}.params.{name}", above=None) for name in params}
+        try:
+            return builders[kind](**values)
+        except TypeError as exc:
+            raise InputError(f"{key}.params: bad parameters for {what} {kind!r}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"{key}.params: {exc}") from exc
 
     def curve(self) -> LipschitzCurve:
-        kind, params = self._kind_and_params("curve")
-
-        def num(name, above=None):
-            return _number(params[name], f"curve.params.{name}", above)
-
-        try:
-            if kind == "flat":
-                return LipschitzCurve.flat()
-            if kind == "affine":
-                return LipschitzCurve.affine(num("slope"))
-            if kind == "sawtooth":
-                return LipschitzCurve.sawtooth(num("amplitude"), num("period", 0.0))
-            if kind == "smooth_bump":
-                return LipschitzCurve.smooth_bump(num("height"), num("width", 0.0))
-        except KeyError as exc:
-            raise InputError(f"curve.params missing {exc.args[0]!r} for kind {kind!r}") from exc
-        raise InputError(f"curve.kind: unknown curve kind {kind!r}; "
-                         "known: affine, flat, sawtooth, smooth_bump")
+        return self._build("curve", CURVES, "curve")
 
     def kernel(self) -> CauchyKernel:
         return CauchyKernel.for_curve(self.curve())
@@ -225,18 +223,8 @@ class ExperimentConfig:
         return self.number("grid.origin", above=None), step, count
 
     def function(self, key: str) -> SampledFunction:
-        """Build the function under config key ``key`` on the config grid.
-
-        Every builder parameter in ``symbols.BUILDERS`` is a number, so
-        each one is a typed read.  A builder's own error is prefixed with
-        ``key.kind`` or ``key.params``, the part of the config to fix.
-        """
-        kind, params = self._kind_and_params(key)
-        values = {name: self.number(f"{key}.params.{name}", above=None) for name in params}
-        try:
-            fn = make_symbol(kind, **values)
-        except InputError as exc:
-            raise InputError(f"{key}.{'params' if kind in BUILDERS else 'kind'}: {exc}") from exc
+        """The ``symbols.BUILDERS`` function under config key ``key``, on the config grid."""
+        fn = self._build(key, SYMBOLS, "symbol")
         origin, step, count = self.grid()
         return sample_on(fn, origin, step, count)
 

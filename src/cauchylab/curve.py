@@ -69,6 +69,15 @@ class LipschitzCurve:
         )
 
 
+# Curve constructors by config kind.
+BUILDERS = {
+    "flat": LipschitzCurve.flat,
+    "affine": LipschitzCurve.affine,
+    "sawtooth": LipschitzCurve.sawtooth,
+    "smooth_bump": LipschitzCurve.smooth_bump,
+}
+
+
 def eval_A(curve: LipschitzCurve, x):
     """Evaluate the graph profile ``A`` at ``x`` (scalar or array)."""
     x = np.asarray(x, dtype=float)

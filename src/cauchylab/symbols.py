@@ -98,15 +98,3 @@ BUILDERS = {
     "indicator": indicator,
     "ramp": ramp,
 }
-
-
-def make_symbol(kind: str, **params):
-    """Look up a builder by name and construct the callable."""
-    if kind not in BUILDERS:
-        raise InputError(
-            f"unknown symbol kind {kind!r}; known: {', '.join(sorted(BUILDERS))}"
-        )
-    try:
-        return BUILDERS[kind](**params)
-    except TypeError as exc:
-        raise InputError(f"bad parameters for symbol {kind!r}: {exc}") from exc

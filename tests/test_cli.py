@@ -288,6 +288,12 @@ class TestExitCodes:
         ("bmo-norm", {"symbol": {"kind": "sign", "params": {"slope": 1.0}}},
          "symbol.params: bad parameters for symbol 'sign'"),
         ("eval-operator", {"curve": {"kind": "nope"}}, "curve.kind: unknown curve kind 'nope'"),
+        # A parameter no curve builder takes is refused, as for a symbol.
+        ("eval-operator", {"curve": {"kind": "flat", "params": {"slope": 1.0}}},
+         "curve.params: bad parameters for curve 'flat'"),
+        ("eval-operator", {"curve": {"kind": "sawtooth", "params": {
+            "amplitude": 0.5, "period": 2.0, "phase": 0.25}}},
+         "curve.params: bad parameters for curve 'sawtooth'"),
         ("bmo-norm", {"symbol": {"kind": ["sign"]}}, "config field symbol.kind must be a string"),
         ("bmo-norm", {"grid": 5}, "grid.step"),
         ("eval-operator", {"grid": [1, 2]}, "grid.step"),
@@ -314,7 +320,8 @@ class TestExitCodes:
             "bmo.max_length", "bmo.max_length.bool", "vmo.delta_ladder.entry",
             "vmo.delta_ladder.bool", "vmo.R_ladder.entry", "vmo.R_ladder.bool",
             "family.kind.unknown", "symbol.params.builder", "input.params.builder",
-            "symbol.params.unknown", "curve.kind.unknown", "symbol.kind.not_string",
+            "symbol.params.unknown", "curve.kind.unknown", "curve.params.unknown_flat",
+            "curve.params.unknown_sawtooth", "symbol.kind.not_string",
             "grid.not_object", "grid.list"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
         cfg = tmp_path / "c.json"
@@ -550,6 +557,29 @@ class TestDeterminism:
         assert names and names == sorted(f.name for f in (tmp_path / "b").iterdir())
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# SMALL with one check that cannot pass, by the subcommand that runs it: a
+# spread cap barely above 1, and a slope band no fitted slope meets.
+FAILING = {
+    "lemma41": {**SMALL, "lemma41": {**SMALL["lemma41"], "lower_spread_cap": 1.0001}},
+    "verify-homogeneity": {**SMALL, "homogeneity": {**SMALL["homogeneity"],
+                                                    "slope_band": 1e-4}},
+}
+RUNS = ([[name] for name in HANDLERS if name != "witness"]
+        + [["witness", "--case", case.value] for case in compactness.WitnessCase])
+
+
+@pytest.mark.parametrize("config", ["small", *FAILING])
+@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+def test_exit_status_is_the_verdict_of_the_reports(tmp_path, argv, config):
+    # 0 exactly when every report written has passed, else 1.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(FAILING.get(config, SMALL)))
+    rc = run(argv + ["--config", cfg, "--out-dir", tmp_path / "o"])
+    verdicts = [json.loads(p.read_text())["passed"] for p in (tmp_path / "o").glob("*.json")]
+    assert verdicts and rc == (0 if all(verdicts) else 1)
+    assert rc == int(argv[0] == config)
 
 
 @pytest.mark.parametrize("command, name, check", [

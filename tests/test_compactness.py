@@ -21,6 +21,7 @@ from cauchylab import (
     tail_decay_check,
     witness_separation,
 )
+from cauchylab import compactness
 from cauchylab.compactness import _require_geometry
 from cauchylab.symbols import indicator, smooth_bump, truncated_log
 
@@ -210,6 +211,19 @@ class TestWitness:
         np.testing.assert_array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
         assert rep.extras["min_offdiag"] > 0
+
+    @pytest.mark.parametrize("floor", ["measured", "median", "above_all"])
+    def test_passed_is_a_positive_separation_margin(self, monkeypatch, floor):
+        # A pair of distinct images passes only when farther apart than A3^(1/p).
+        d = distances(small_witness(truncated_log(0.0)))
+        off = d[~np.eye(len(d), dtype=bool)]
+        root = {"median": float(np.median(off)), "above_all": 100.0}.get(floor)
+        if root is not None:
+            monkeypatch.setattr(compactness, "_a3", lambda c1, eps, a1, p: root**p)
+        rep = small_witness(truncated_log(0.0))
+        assert rep.passed == (rep.extras["separation_margin"] > 0) == (floor == "measured")
+        assert rep.n_violations == np.count_nonzero(off <= rep.extras["a3_root"])
+        assert np.all(rep.columns["pass"][np.eye(len(d), dtype=bool).ravel()])
 
     def test_symbol_scaling_scales_distances(self):
         r1 = small_witness(truncated_log(0.0))
