@@ -21,6 +21,7 @@ from .bmo import (
     VmoProfile,
     bmo_norm,
     dyadic_sweep,
+    length_suprema,
     mean_deviation,
     mean_oscillation,
     median,

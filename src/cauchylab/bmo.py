@@ -14,7 +14,7 @@ an :class:`IntervalSweep` of center and radius arrays and
 ``oscillation_table`` an :class:`OscillationTable` that adds the
 oscillation array.  Both behave as read-only sequences whose rows are
 materialized as ``Interval`` objects only on access (by integer index or
-iteration), and both expose ``measures``, ``lowers`` and ``uppers``
+iteration); the sweep exposes ``measures``, ``lowers`` and ``uppers``
 arrays for bulk filtering.
 
 Every average, oscillation and median here is over the nodes an interval
@@ -58,6 +58,13 @@ are evaluated, by ``_range_oscillations`` with the path rule of the whole
 row set.  Each supremum therefore equals the largest table value over its
 family bit for bit, except that a row holding one value counts as 0.
 
+``length_suprema`` builds the ``bmo-norm`` report from one such family per
+dyadic length.  Each length reports, of its rows within ``TIE_RTOL`` of its
+supremum (all of them evaluated, since each bound exceeds its threshold),
+the one with the smallest center and that row's oscillation, so mirror rows
+that tie in exact arithmetic report the same row whatever the rounding.  A
+row holding one value counts as 0 there too: a constant symbol reports 0.
+
 The median of ``f`` over ``I`` is the smallest node value ``a`` such that
 both level sets ``{f > a}`` and ``{f < a}`` occupy at most half of the
 nodes in ``I``.  That choice is deterministic, is an exact minimizer of
@@ -68,13 +75,14 @@ the oscillation-split family at most one half in modulus.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import index
 from typing import List, Tuple
 
 import numpy as np
 
 from .errors import InputError
+from .reports import BoundReport
 from .sampling import Interval, SampledFunction
 
 # Cap on elements per sliding-window block in oscillation sweeps: 32768
@@ -96,6 +104,8 @@ _QUERY_ROWS = 8192
 # max |f|: far above the rounding of either path (the rank path's stated
 # 3e-14 (|M| + mean |f|) is at most 6e-14 max |f|).
 _BOUND_SLACK = 1e-12
+# Relative band within which two rows of one length count as tied in the bmo_norm report.
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,17 @@ class VmoProfile:
     small_scale: Tuple[Tuple[float, float], ...]
     large_scale: Tuple[Tuple[float, float], ...]
     far_away: Tuple[Tuple[float, float], ...]
+
+    def report(self) -> BoundReport:
+        """The ``vmo_profile`` report: one ``limit, parameter, lhs`` row per supremum."""
+        rows = [(field.name, par, sup) for field in fields(self)
+                for par, sup in getattr(self, field.name)]
+        limits, params, sups = map(np.asarray, zip(*rows))
+        return BoundReport(
+            inequality="oscillation suprema along the three vanishing limits (lower bounds)",
+            columns={"limit": limits, "parameter": params, "lhs": sups},
+            extras={},
+        )
 
 
 def _bounds_on_grid(f: SampledFunction, lowers, uppers) -> Tuple[np.ndarray, np.ndarray]:
@@ -157,7 +178,7 @@ def bmo_norm(f: SampledFunction, sweep: Sequence[Interval]) -> float:
     # The max is order-free; rows sorted by width make one run per width.
     order = np.argsort(hi - lo, kind="stable")
     everyone = np.ones((1, lo.size), dtype=bool)
-    return float(_suprema(f.real_values(), lo[order], hi[order], everyone)[0])
+    return float(_suprema(f.real_values(), lo[order], hi[order], everyone)[0][0])
 
 
 def median(f: SampledFunction, domain: Interval) -> float:
@@ -216,18 +237,6 @@ class OscillationTable(Sequence):
 
     intervals: IntervalSweep
     oscs: np.ndarray
-
-    @property
-    def lowers(self) -> np.ndarray:
-        return self.intervals.lowers
-
-    @property
-    def uppers(self) -> np.ndarray:
-        return self.intervals.uppers
-
-    @property
-    def measures(self) -> np.ndarray:
-        return self.intervals.measures
 
     def __len__(self) -> int:
         return self.oscs.size
@@ -329,9 +338,11 @@ def _width_runs(widths: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _suprema(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray, member: np.ndarray) -> np.ndarray:
+def _suprema(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             member: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Largest mean oscillation of the rows ``vals[lo:hi]`` in each family,
-    as ``_range_oscillations`` of all the rows gives it, bit for bit.
+    as ``_range_oscillations`` of all the rows gives it, bit for bit, with
+    the rows evaluated (ascending) and their oscillations.
 
     Family ``i`` holds the rows ``r`` with ``member[i, r]``; the rows come
     in runs of one width, in ascending width.  Each row gets the bound of
@@ -362,7 +373,8 @@ def _suprema(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray, member: np.ndarra
     del bounds  # freed before the evaluation peaks
     rows = np.flatnonzero(wanted)
     oscs = _range_oscillations(vals, lo, hi, rows)
-    return np.array([np.max(oscs, where=family, initial=0.0) for family in member[:, rows]])
+    sups = np.array([np.max(oscs, where=family, initial=0.0) for family in member[:, rows]])
+    return sups, rows, oscs
 
 
 def _direct_oscillations(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -563,6 +575,31 @@ def oscillation_table(f: SampledFunction) -> OscillationTable:
     return OscillationTable(_sweep(f), oscs)
 
 
+def length_suprema(f: SampledFunction, max_length: float | None = None) -> BoundReport:
+    """The ``bmo_norm`` report: per dyadic length at most ``max_length`` (all by
+    default), a row of largest mean oscillation ``lhs`` at the ``center`` the module
+    docstring picks; the extras are ``bmo_lower_bound`` and ``intervals_swept``."""
+    sweep = _sweep(f)
+    lengths, level = np.unique(sweep.measures, return_inverse=True)
+    if max_length is not None:
+        lengths = lengths[lengths <= max_length]
+        if not lengths.size:
+            raise InputError("no sweep intervals at or below bmo.max_length")
+    member = level == np.arange(lengths.size)[:, None]
+    sups, rows, oscs = _suprema(f.real_values(), *_dyadic_rows(f.count), member)
+    value = np.zeros(level.size)
+    value[rows] = oscs
+    best = []
+    for family, top in zip(member, sups):
+        tied = np.flatnonzero(family & (value >= (1.0 - TIE_RTOL) * top))
+        best.append(tied[np.argmin(sweep.centers[tied])])
+    return BoundReport(
+        inequality="sup_I mean oscillation over the dyadic sweep (lower bound)",
+        columns={"length": lengths, "center": sweep.centers[best], "lhs": value[best]},
+        extras={"bmo_lower_bound": float(sups.max()), "intervals_swept": int(member.sum())},
+    )
+
+
 def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
                 R_ladder: Sequence[float]) -> VmoProfile:
     """Oscillation suprema along the three vanishing-oscillation limits.
@@ -599,7 +636,7 @@ def vmo_profile(f: SampledFunction, delta_ladder: Sequence[float],
     np.greater_equal(sweep.lowers, floors, out=far)
     far |= sweep.uppers <= -floors
     del sweep
-    sups = _suprema(f.real_values(), *_dyadic_rows(f.count), member).tolist()
+    sups = _suprema(f.real_values(), *_dyadic_rows(f.count), member)[0].tolist()
     return VmoProfile(
         small_scale=tuple(zip(deltas, sups[: len(deltas)])),
         large_scale=tuple(zip(Rs, sups[len(deltas) : len(deltas) + len(Rs)])),

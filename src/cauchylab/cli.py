@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import compactness, symbols, testfn
-from .bmo import oscillation_table, vmo_profile
+from .bmo import length_suprema, vmo_profile
 from .commutator import apply_commutator, commutator_norm_lower, homogeneity_check
 from .config import ExperimentConfig
 from .errors import InputError
@@ -35,8 +35,6 @@ from .sampling import lp_norm, sample, sample_on, stack
 # summation rounding (about sqrt(N) eps, 2e-14 for N = 1e4 terms), not
 # discretization error, so its point is left out of ``observed_order``.
 RICHARDSON_FLOOR = 1e-12
-# Relative band within which two bmo-norm rows of one length count as tied.
-TIE_RTOL = 1e-12
 # A handler's reports by file name: ``main`` writes them and exits on their verdict.
 Reports = Dict[str, BoundReport]
 
@@ -71,16 +69,15 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Repor
     if args.convergence:
         lo_edge = f.origin - 0.5 * f.step
         hi_edge = f.origin + (f.count - 0.5) * f.step
+        # Level h is the output itself; h/2 and h/4 resample the input, at the output's nodes.
         xs = out.nodes
-        levels = []
-        for refine in (1, 2, 4):
-            fr = sample(f.source, lo_edge, hi_edge, f.count * refine)
-            levels.append(pv_values(kern, fr, xs))
-        num = np.abs(levels[0] - levels[1])
-        den = np.abs(levels[1] - levels[2])
+        half, quarter = (pv_values(kern, sample(f.source, lo_edge, hi_edge, f.count * refine), xs)
+                         for refine in (2, 4))
+        num = np.abs(out.values - half)
+        den = np.abs(half - quarter)
         with np.errstate(divide="ignore", invalid="ignore"):
             rich = np.where(den > 0, num / den, np.inf)
-        resolved = den > RICHARDSON_FLOOR * float(np.max(np.abs(levels[2]), initial=0.0))
+        resolved = den > RICHARDSON_FLOOR * float(np.max(np.abs(quarter), initial=0.0))
         with np.errstate(divide="ignore"):
             orders = np.log2(rich[resolved])
         finite = rich[np.isfinite(rich)]
@@ -105,49 +102,14 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Repor
 def _run_bmo_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     b = cfg.function("symbol")
     max_len = None if cfg.get("bmo.max_length") is None else cfg.number("bmo.max_length")
-    table = oscillation_table(b)
-    measures, centers, oscs = table.measures, table.intervals.centers, table.oscs
-    if max_len is not None:
-        keep = measures <= max_len
-        if not np.any(keep):
-            raise InputError("no sweep intervals at or below bmo.max_length")
-        measures, centers, oscs = measures[keep], centers[keep], oscs[keep]
-    # Each length reports, among its rows within TIE_RTOL of its largest
-    # oscillation, the one with the smallest center: mirror rows that tie in
-    # exact arithmetic then report the same row whatever the rounding.
-    lengths, group = np.unique(measures, return_inverse=True)
-    top = np.zeros(lengths.size)
-    np.maximum.at(top, group, oscs)
-    order = np.lexsort((centers, oscs < (1.0 - TIE_RTOL) * top[group], group))
-    best = order[np.unique(group[order], return_index=True)[1]]
-    return {"bmo_norm": BoundReport(
-        inequality="sup_I mean oscillation over the dyadic sweep (lower bound)",
-        columns={"length": lengths, "center": centers[best], "lhs": oscs[best]},
-        extras={"bmo_lower_bound": float(oscs.max()), "intervals_swept": int(oscs.size)},
-    )}
+    return {"bmo_norm": length_suprema(b, max_len)}
 
 
 def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     b = cfg.function("symbol")
     deltas = [cfg.number(key) for key in cfg.entries("vmo.delta_ladder")]
     radii = [cfg.number(key) for key in cfg.entries("vmo.R_ladder")]
-    profile = vmo_profile(b, deltas, radii)
-    kinds, params, sups = [], [], []
-    for kind, curve in (
-        ("small_scale", profile.small_scale),
-        ("large_scale", profile.large_scale),
-        ("far_away", profile.far_away),
-    ):
-        for par, sup in curve:
-            kinds.append(kind)
-            params.append(par)
-            sups.append(sup)
-    return {"vmo_profile": BoundReport(
-        inequality="oscillation suprema along the three vanishing limits (lower bounds)",
-        columns={"limit": np.asarray(kinds), "parameter": np.asarray(params),
-                 "lhs": np.asarray(sups)},
-        extras={},
-    )}
+    return {"vmo_profile": vmo_profile(b, deltas, radii).report()}
 
 
 def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
@@ -178,7 +140,7 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     upper_cap = cfg.number("lemma41.upper_spread_cap", above=1.0)
     tf = testfn.build_test_function(b, base, p)
     rep = testfn.annulus_ladder_reports(b, tf, ks, kern, a1, cells)
-    inter = [testfn.verify_intermediate_bounds(b, tf, k, kern, a1, cells) for k in ks]
+    inter = testfn.verify_intermediate_bounds(b, tf, ks, kern, a1, cells)
 
     low_c1, up_ratio = (c.tolist() for c in testfn._ladder_constants(rep, tf))
     lower_spread = max(low_c1) / min(low_c1) if min(low_c1) > 0 else np.inf

@@ -125,8 +125,8 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
         raise InputError("need at least two truncation factors to fit a slope")
     if len(set(ts)) < len(ts):
         raise InputError(f"t_ladder must not repeat an entry, got {ts}")
-    if ts[0] <= 2:
-        raise InputError("truncation factors must exceed 2")
+    if not all(2 < t < math.inf for t in ts):
+        raise InputError(f"t_ladder entries must be finite and exceed 2, got {ts}")
     R = float(support_radius)
     if not R > 0:
         raise InputError("support radius must be positive")
@@ -189,16 +189,16 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
 
 def small_scale_sequence(center: float, r0: float, ratio: float, count: int) -> Tuple[Interval, ...]:
     """Concentric intervals with radii shrinking by ``1/ratio`` each step."""
-    if not (ratio > 1 and r0 > 0 and count >= 2):
-        raise InputError("need ratio > 1, r0 > 0, count >= 2")
-    return tuple(Interval(center, r0 * ratio ** (-l)) for l in range(count))
+    if not (ratio > 1 and r0 > 0 and count >= 2 and float(count).is_integer()):
+        raise InputError(f"need ratio > 1, r0 > 0 and a whole count >= 2, got count {count}")
+    return tuple(Interval(center, r0 * ratio ** (-l)) for l in range(int(count)))
 
 
 def large_scale_sequence(center: float, r0: float, ratio: float, count: int) -> Tuple[Interval, ...]:
     """Concentric intervals with radii growing by ``ratio`` each step."""
-    if not (ratio > 1 and r0 > 0 and count >= 2):
-        raise InputError("need ratio > 1, r0 > 0, count >= 2")
-    return tuple(Interval(center, r0 * ratio**l) for l in range(count))
+    if not (ratio > 1 and r0 > 0 and count >= 2 and float(count).is_integer()):
+        raise InputError(f"need ratio > 1, r0 > 0 and a whole count >= 2, got count {count}")
+    return tuple(Interval(center, r0 * ratio**l) for l in range(int(count)))
 
 
 def far_away_sequence(c_eps: float, a2: float, count: int) -> Tuple[Interval, ...]:
@@ -208,11 +208,11 @@ def far_away_sequence(c_eps: float, a2: float, count: int) -> Tuple[Interval, ..
     the excluded ball and places each center one ``a2`` radius beyond it,
     which keeps the ``a2`` dilates pairwise disjoint with margin.
     """
-    if not (c_eps > 0 and a2 > 0 and count >= 2):
-        raise InputError("need c_eps > 0, a2 > 0, count >= 2")
+    if not (c_eps > 0 and a2 > 0 and count >= 2 and float(count).is_integer()):
+        raise InputError(f"need c_eps > 0, a2 > 0 and a whole count >= 2, got count {count}")
     out: List[Interval] = []
     x = 0.0
-    for _ in range(count):
+    for _ in range(int(count)):
         R = abs(x) + 4.0 * a2 * c_eps
         x = R + a2 * c_eps
         out.append(Interval(x, c_eps))
@@ -232,8 +232,10 @@ def choose_a2(c1: float, c2: float, epsilon: float, a1: float, p: float) -> floa
     ``A2 > A1``, so the outside spill of one image cannot eat more than
     half of the separation floor of another.
     """
-    if not (c1 > 0 and c2 > 0 and epsilon > 0):
-        raise InputError("need positive empirical constants and oscillation")
+    if not all(0 < v < math.inf for v in (c1, c2, epsilon)):
+        raise InputError("need positive, finite empirical constants and oscillation")
+    if not (p > 1 and np.isfinite(p)):
+        raise InputError(f"p must lie in (1, inf), got {p}")
     rhs = 2.0 * c2 / ((1.0 - 2.0 ** (1.0 - p)) * _a3(c1, epsilon, a1, p))
     m = max(
         math.floor(math.log2(rhs) / (p - 1.0)) + 1,
@@ -301,8 +303,8 @@ def witness_separation(b: SampledFunction, case: WitnessCase, sequence: Sequence
     seq = _require_geometry(case, a1, a2, sequence, p)
     if eval_cells < 1:
         raise InputError(f"need eval_cells >= 1, got {eval_cells}")
-    if nodes_per_radius < 1:
-        raise InputError(f"need nodes_per_radius >= 1, got {nodes_per_radius}")
+    if not 1 <= nodes_per_radius < math.inf:
+        raise InputError(f"need finite nodes_per_radius >= 1, got {nodes_per_radius}")
     if b.source is None:
         raise InputError(
             "witness sequences span many scales; the symbol must carry a "

@@ -162,6 +162,8 @@ def _random_pairs(n: int, rng: np.random.Generator, box: float, *more):
     """
     if n < 1:
         raise InputError("need at least one sample")
+    if not 0 < box < np.inf:
+        raise InputError(f"box must be positive and finite, got {box}")
     bounds = [(-box, box), (-box, box), *more]
     for a in range(0, n, _CHECK_CHUNK):
         columns = rng.random((min(_CHECK_CHUNK, n - a), len(bounds))).T

@@ -565,15 +565,17 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
 
 
 def _on_window(f: SampledFunction, window: Interval, values) -> SampledFunction:
-    """``values(xs)`` as a function on the midpoint lattice ``xs`` of ``f`` in ``window``.
+    """``values`` as a function on the midpoint lattice of ``f`` in ``window``.
 
     The one place that takes an operator's output points: the midpoints
-    of the input grid, which guarantee no collision with its nodes.
+    of the input grid, which guarantee no collision with its nodes.  Outputs
+    are evaluated at the output grid's own ``nodes``, the points they are reported at.
     """
     xs = f.midpoints_in(window)
     if xs.size == 0:
         raise InputError("evaluation window contains no midpoint-lattice points")
-    return SampledFunction(float(xs[0]), f.step, values(xs))
+    out = SampledFunction(float(xs[0]), f.step, np.zeros(xs.size))
+    return out.with_values(values(out.nodes))
 
 
 def apply_on_window(kernel: CauchyKernel, f: SampledFunction,

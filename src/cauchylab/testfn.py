@@ -27,9 +27,12 @@ integral by that power law; the empirical constants are outputs, and the
 meaningful pass criterion is their stability across ``k``.
 ``annulus_ladder_reports`` measures a whole ladder of levels in one
 commutator call and returns one report with a lower and an upper row
-per level.  Both annulus checks take ``a1``, whose ``floor(log2(a1))``
-is the smallest admissible level, and ``eval_cells``, the lattice cells
-per region; the intermediate bounds' slack and cap are module constants.
+per level.  ``verify_intermediate_bounds`` takes a ladder too: one
+``pv_values`` call over every level's annulus lattice, one median of ``b``
+on ``I``, and one report per level, in ladder order.  Both take ``a1``,
+whose ``floor(log2(a1))`` is the smallest admissible level, and
+``eval_cells``, the lattice cells per region; a level must be a whole
+number.  The intermediate bounds' slack and cap are module constants.
 """
 
 from __future__ import annotations
@@ -187,22 +190,29 @@ def _level_floor(a1: float) -> int:
     return int(math.floor(math.log2(a1)))
 
 
-def _require_level(ks: Sequence[int], a1: float, eval_cells: int) -> None:
-    """Reject ``a1 <= 4``, fewer than 8 cells, or a level below ``floor(log2(a1))``."""
+def _require_level(k_ladder: Sequence[int], a1: float, eval_cells: int) -> List[int]:
+    """The non-empty ladder as a list, once ``a1 > 4``, ``eval_cells >= 8`` and
+    every level is a whole number at least ``floor(log2(a1))``."""
     if not a1 > 4:
         raise InputError(f"need a1 > 4, got {a1}")
     if eval_cells < 8:
         raise InputError("need at least 8 evaluation cells")
+    ks = list(k_ladder)
+    if not ks:
+        raise InputError("level ladder must be non-empty")
     k_min = _level_floor(a1)
     for k in ks:
+        if not float(k).is_integer():
+            raise InputError(f"annulus level k = {k} is not a whole number")
         if k < k_min:
             raise InputError(f"annulus level k = {k} is below floor(log2(a1)) = {k_min}")
+    return ks
 
 
-def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
+def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k_ladder: Sequence[int],
                                kernel: CauchyKernel, a1: float = 8.0,
-                               eval_cells: int = 512) -> BoundReport:
-    """Check the two workhorse estimates behind the annulus power laws.
+                               eval_cells: int = 512) -> List[BoundReport]:
+    """Check the two workhorse estimates behind the annulus power laws, level by level.
 
     (i) pointwise on the annulus: the outer term
         ``B(y) = (b(y) - a) C(f)(y)`` is majorized by
@@ -213,69 +223,61 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k: int,
         ``k`` times a BMO lower bound of ``b`` over the dilate family;
         the ratio is recorded and capped by ``DRIFT_BOUND``.
 
-    The report is the one a report file keeps (``_cap_rows``): one row
-    per lattice point of the annulus, at most ``MAX_REPORT_ROWS`` of them,
-    the violations first.
+    Returns one report per level of ``k_ladder``, in ladder order, each the
+    one a report file keeps (``_cap_rows``): one row per lattice point of its
+    annulus, at most ``MAX_REPORT_ROWS`` of them, the violations first.
     """
-    _require_level([k], a1, eval_cells)
-    region = _annulus(tf.base, k, 1.0)
+    ks = _require_level(k_ladder, a1, eval_cells)
     base = tf.base
+    regions = [_annulus(base, k, 1.0) for k in ks]
+    dilates = [base.dilate(2.0 ** (k + 1)) for k in ks]
+    for region, dilate in zip(regions, dilates):
+        _require_sampled(b, region, "annulus")
+        _require_sampled(b, dilate, "dilated interval")
     p_conj = tf.p / (tf.p - 1.0)
     alpha = median(b, base)
-    dilate = base.dilate(2.0 ** (k + 1))
-    _require_sampled(b, region, "annulus")
-    _require_sampled(b, dilate, "dilated interval")
-
-    xs, _ = _cell_centres(region.lower, region.measure, eval_cells)
-    cf = pv_values(kernel, tf.f, xs)
-    b_at = b.value_at(xs).real
-    lhs = np.abs(b_at - alpha) * np.abs(cf)
     c_fold = kernel.smoothness_constant * 2.5
-    majorant = (
-        c_fold
-        * base.radius
-        * base.measure ** (1.0 / p_conj)
-        * np.abs(b_at - alpha)
-        / (base.center - xs) ** 2
-    )
-    pointwise_pass = lhs <= (1.0 + POINTWISE_SLACK) * majorant
-
-    wide = b
-    if b.source is not None:
+    scale = c_fold * base.radius * base.measure ** (1.0 / p_conj)
+    lattices = [_cell_centres(region.lower, region.measure, eval_cells)[0] for region in regions]
+    cfs = np.split(pv_values(kernel, tf.f, np.concatenate(lattices)), len(ks))
+    reports = []
+    for k, xs, cf, dilate in zip(ks, lattices, cfs, dilates):
+        b_at = b.value_at(xs).real
+        lhs = np.abs(b_at - alpha) * np.abs(cf)
+        majorant = scale * np.abs(b_at - alpha) / (base.center - xs) ** 2
+        pointwise_pass = lhs <= (1.0 + POINTWISE_SLACK) * majorant
         # The dilate family reaches far outside the base; resample rather
         # than silently measuring only the covered part.
-        wide = sample(b.source, dilate.lower, dilate.upper,
-                      max(4096, 4 * eval_cells))
-    drift = abs(median(wide, dilate) - alpha)
-    sweep = [base.dilate(2.0**j) for j in range(0, k + 2)]
-    bmo_lower = bmo_norm(wide, sweep)
-    drift_rhs = k * bmo_lower
-    drift_ratio = drift / drift_rhs if drift_rhs > 0 else (0.0 if drift == 0 else np.inf)
-    drift_pass = bool(drift_ratio <= DRIFT_BOUND)
-
-    return _cap_rows([BoundReport(
-        inequality=(
-            "|B(y)| <= C_fold r |I|^(1/p') |b(y)-a| / |x0-y|^2 on the annulus; "
-            "|median(b, 2^(k+1) I) - median(b, I)| <= drift_bound * k * bmo"
-        ),
-        columns={
-            "y": xs,
-            "lhs": lhs,
-            "rhs": (1.0 + POINTWISE_SLACK) * majorant,
-            "pass": pointwise_pass & drift_pass,
-        },
-        extras={
-            "k": k,
-            "c_fold": c_fold,
-            "pointwise_slack": POINTWISE_SLACK,
-            "pointwise_violations": int(np.sum(~pointwise_pass)),
-            "median_drift": drift,
-            "k_times_bmo": drift_rhs,
-            "drift_ratio": float(drift_ratio),
-            "drift_bound": DRIFT_BOUND,
-            "drift_pass": drift_pass,
-        },
-    )])
+        wide = b if b.source is None else sample(b.source, dilate.lower, dilate.upper,
+                                                  max(4096, 4 * eval_cells))
+        drift = abs(median(wide, dilate) - alpha)
+        drift_rhs = k * bmo_norm(wide, [base.dilate(2.0**j) for j in range(0, k + 2)])
+        drift_ratio = drift / drift_rhs if drift_rhs > 0 else (0.0 if drift == 0 else np.inf)
+        drift_pass = bool(drift_ratio <= DRIFT_BOUND)
+        reports.append(_cap_rows([BoundReport(
+            inequality=(
+                "|B(y)| <= C_fold r |I|^(1/p') |b(y)-a| / |x0-y|^2 on the annulus; "
+                "|median(b, 2^(k+1) I) - median(b, I)| <= drift_bound * k * bmo"
+            ),
+            columns={
+                "y": xs,
+                "lhs": lhs,
+                "rhs": (1.0 + POINTWISE_SLACK) * majorant,
+                "pass": pointwise_pass & drift_pass,
+            },
+            extras={
+                "k": k,
+                "c_fold": c_fold,
+                "pointwise_slack": POINTWISE_SLACK,
+                "pointwise_violations": int(np.sum(~pointwise_pass)),
+                "median_drift": drift,
+                "k_times_bmo": drift_rhs,
+                "drift_ratio": float(drift_ratio),
+                "drift_bound": DRIFT_BOUND,
+                "drift_pass": drift_pass,
+            },
+        )]))
+    return reports
 
 
 def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
@@ -295,10 +297,7 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
     of every level and both shell sides go through one
     ``commutator_values`` call.  A single level is a one-level ladder.
     """
-    ks = list(k_ladder)
-    _require_level(ks, a1, eval_cells)
-    if not ks:
-        raise InputError("level ladder must be non-empty")
+    ks = _require_level(k_ladder, a1, eval_cells)
     rights = [_annulus(tf.base, k, 1.0) for k in ks]
     lefts = [_annulus(tf.base, k, -1.0) for k in ks]
     half = max(8, eval_cells // 2)

@@ -31,7 +31,7 @@ def grid_fn(fn, lo=-2.0, hi=2.0, count=4000):
 
 
 def _rows(table):
-    return table.lowers, table.uppers, table.measures, table.oscs
+    return table.intervals.lowers, table.intervals.uppers, table.intervals.measures, table.oscs
 
 
 class TestRealCheck:
@@ -315,9 +315,9 @@ class TestSweep:
                 seq[5:40:3]
         assert list(table) == [table[k] for k in range(rows)]
         assert [I for I, _ in table] == list(sweep)
-        assert np.array_equal(table.measures, [I.measure for I in sweep])
-        assert np.array_equal(table.lowers, [I.lower for I in sweep])
-        assert np.array_equal(table.uppers, [I.upper for I in sweep])
+        assert np.array_equal(table.intervals.measures, [I.measure for I in sweep])
+        assert np.array_equal(table.intervals.lowers, [I.lower for I in sweep])
+        assert np.array_equal(table.intervals.uppers, [I.upper for I in sweep])
 
     def test_too_short_grid_rejected(self):
         # Two nodes hold no interval of length 2 steps.
@@ -374,7 +374,7 @@ class TestRankPath:
         f = SampledFunction(x[0], step, _long_row_values(kind, x, rng))
         vals = f.real_values()
         table = oscillation_table(f)
-        lo, hi = f.node_bounds(table.lowers, table.uppers)
+        lo, hi = f.node_bounds(table.intervals.lowers, table.intervals.uppers)
         wide = np.flatnonzero(hi - lo > bmo._DIRECT_WIDTH)
         runs = np.unique(hi[wide] - lo[wide]).size  # a table's rows are grouped by width
         assert bmo._rank_pays(count, wide.size, int(np.sum(hi[wide] - lo[wide])), runs)
@@ -471,10 +471,10 @@ class TestRankPath:
     def test_bmo_norm_equals_table_max_with_long_rows(self):
         f = SampledFunction(-1.3, 3.4 / 3999, np.random.default_rng(2).normal(size=4000))
         table = oscillation_table(f)
-        assert table.measures.max() > bmo._DIRECT_WIDTH * f.step
+        assert table.intervals.measures.max() > bmo._DIRECT_WIDTH * f.step
         assert bmo_norm(f, dyadic_sweep(f)) == table.oscs.max()
         # A sweep of long rows only: every row takes the rank path.
-        wide = np.rint(table.measures / f.step) - 1 > bmo._DIRECT_WIDTH
+        wide = np.rint(table.intervals.measures / f.step) - 1 > bmo._DIRECT_WIDTH
         long_rows = bmo.IntervalSweep(table.intervals.centers[wide], table.intervals.radii[wide])
         assert bmo_norm(f, long_rows) == table.oscs[wide].max()
 
@@ -489,7 +489,8 @@ class TestRankPath:
         monkeypatch.setattr(bmo, "_rank_oscillations", spy)
         f = grid_fn(lambda y: np.sin(5 * y) + (y > 0.3), count=4000)
         table = oscillation_table(f)
-        wide = int(np.count_nonzero(np.rint(table.measures / f.step) - 1 > bmo._DIRECT_WIDTH))
+        widths = np.rint(table.intervals.measures / f.step) - 1
+        wide = int(np.count_nonzero(widths > bmo._DIRECT_WIDTH))
         assert calls == [wide] and wide > 0
         # A few long intervals, as an annulus ladder passes, stay direct and exact.
         few = [I01.dilate(2.0**j) for j in range(-1, 2)]
@@ -573,9 +574,10 @@ class TestSuprema:
         deltas = rng.uniform(0.001, 1.2 * span, size=int(rng.integers(1, 5))).tolist()
         radii = rng.uniform(0.001, 0.6 * span, size=int(rng.integers(1, 4))).tolist()
         table = oscillation_table(f)
-        lo, hi = f.node_bounds(table.lowers, table.uppers)
+        lo, hi = f.node_bounds(table.intervals.lowers, table.intervals.uppers)
         oscs = np.where(_one_valued(f.real_values(), lo, hi), 0.0, table.oscs)
-        lowers, uppers, measures = table.lowers, table.uppers, table.measures
+        sweep = table.intervals
+        lowers, uppers, measures = sweep.lowers, sweep.uppers, sweep.measures
 
         def sup(mask):
             return float(oscs[mask].max()) if np.any(mask) else 0.0
@@ -593,7 +595,7 @@ class TestSuprema:
         f, _ = _supremum_case(kind, count, span, seed)
         vals = f.real_values()
         table = oscillation_table(f)
-        lo, hi = f.node_bounds(table.lowers, table.uppers)
+        lo, hi = f.node_bounds(table.intervals.lowers, table.intervals.uppers)
         bounds = bmo._row_bounds(vals, lo, hi, bmo._width_runs(hi - lo))
         one = _one_valued(vals, lo, hi)
         assert np.array_equal(bounds == 0, one)

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from cauchylab import (BoundReport, InputError, annulus_ladder_reports, commutator_norm_lower,
-                       homogeneity_check, oscillation_table, random_size_sweep,
-                       random_smoothness_sweep, verify_intermediate_bounds, witness_separation,
-                       write_report)
+from cauchylab import (BoundReport, InputError, Interval, annulus_ladder_reports,
+                       bmo_norm, build_test_function, commutator_norm_lower, dyadic_sweep,
+                       homogeneity_check, length_suprema, oscillation_table, random_size_sweep,
+                       random_smoothness_sweep, verify_intermediate_bounds, vmo_profile,
+                       witness_separation, write_report)
 from cauchylab import compactness
 from cauchylab.cli import HANDLERS, main
 from cauchylab.config import DEFAULTS, ExperimentConfig
@@ -409,9 +410,10 @@ class TestSubcommands:
         assert data["extras"]["intervals_swept"] == sum(800 - w for w in widths)
         table = oscillation_table(ExperimentConfig.from_dict(tree).function("symbol"))
         cols = data["columns"]
-        assert cols["length"] == sorted(set(table.measures[table.measures <= 0.1]))
+        measures = table.intervals.measures
+        assert cols["length"] == sorted(set(measures[measures <= 0.1]))
         for L, center, lhs in zip(cols["length"], cols["center"], cols["lhs"]):
-            rows = np.flatnonzero(table.measures == L)
+            rows = np.flatnonzero(measures == L)
             # Of the rows within 1e-12 relative of the maximum, the smallest center wins.
             top = table.oscs[rows].max()
             tied = rows[table.oscs[rows] >= (1 - 1e-12) * top]
@@ -419,7 +421,7 @@ class TestSubcommands:
             assert (center, lhs) == (table.intervals.centers[best], table.oscs[best])
         # A reported row may sit an ulp below its length's maximum, so the bound is
         # checked against the table, whose maximum it is.
-        assert data["extras"]["bmo_lower_bound"] == table.oscs[table.measures <= 0.1].max()
+        assert data["extras"]["bmo_lower_bound"] == table.oscs[measures <= 0.1].max()
 
         tree["bmo"]["max_length"] = 0.009  # below the shortest sweep length 0.01
         cfg.write_text(json.dumps(tree))
@@ -443,8 +445,33 @@ class TestSubcommands:
         assert max(cols["center"]) <= 0
         table = oscillation_table(ExperimentConfig.from_dict(tree).function("symbol"))
         for L, lhs in zip(cols["length"], cols["lhs"]):
-            top = table.oscs[table.measures == L].max()
+            top = table.oscs[table.intervals.measures == L].max()
             assert (1 - 1e-12) * top <= lhs <= top
+
+    @pytest.mark.parametrize("tree", [
+        {"grid": {"step": 0.005, "count": 800}},
+        {"symbol": {"kind": "truncated_log", "params": {}},
+         "grid": {"step": 0.001, "count": 3000}},
+        {"symbol": {"kind": "smooth_bump", "params": {"center": 0.3, "width": 0.5}}},
+        {"symbol": {"kind": "ramp", "params": {"slope": 2.0}}},
+    ], ids=["sign", "truncated_log_3000", "smooth_bump", "ramp"])
+    def test_bmo_norm_bound_is_the_library_bmo_norm(self, tmp_path, tree):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(tree))
+        assert run(["bmo-norm", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
+        data = json.loads((tmp_path / "o" / "bmo_norm.json").read_text())
+        f = ExperimentConfig.from_dict(tree).function("symbol")
+        assert data["extras"]["bmo_lower_bound"] == bmo_norm(f, dyadic_sweep(f))
+
+    def test_bmo_norm_of_a_constant_is_zero(self, tmp_path):
+        # A row of one repeated value averages to a few ulps of oscillation; it counts as 0.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"symbol": {"kind": "constant", "params": {"value": 0.1}},
+                                   "grid": {"count": 40, "step": 0.05}}))
+        assert run(["bmo-norm", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
+        data = json.loads((tmp_path / "o" / "bmo_norm.json").read_text())
+        assert data["extras"]["bmo_lower_bound"] == 0.0
+        assert set(data["columns"]["lhs"]) == {0.0}
 
     def test_vmo_profile_rows(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -582,24 +609,37 @@ def test_exit_status_is_the_verdict_of_the_reports(tmp_path, argv, config):
     assert rc == int(argv[0] == config)
 
 
-@pytest.mark.parametrize("command, name, check", [
-    ("verify-homogeneity", "homogeneity",
-     lambda cfg: homogeneity_check(cfg.curve(), [16.0, 64.0], 1.0, 128, 16)),
-    ("commutator-norm", "commutator_norm",
-     lambda cfg: commutator_norm_lower(
+def intermediate_reports(cfg):
+    """The lemma41 intermediate-bounds reports of the default six-level ladder, by file name."""
+    b, ks = cfg.function("symbol"), [3, 4, 5, 6, 7, 8]
+    tf = build_test_function(b, Interval(0.0, 1.0), 2.0)
+    reports = verify_intermediate_bounds(b, tf, ks, cfg.kernel(), eval_cells=64)
+    return {f"lemma41_intermediate_k{k}": rep for k, rep in zip(ks, reports)}
+
+
+@pytest.mark.parametrize("command, tree, check", [
+    ("verify-homogeneity", SMALL,
+     lambda cfg: {"homogeneity": homogeneity_check(cfg.curve(), [16.0, 64.0], 1.0, 128, 16)}),
+    ("commutator-norm", SMALL,
+     lambda cfg: {"commutator_norm": commutator_norm_lower(
          cfg.function("symbol"), 2.0,
          [cfg.function("commutator_norm.family.0"), cfg.function("commutator_norm.family.1")],
-         cfg.kernel(), cfg.interval("window"))),
-], ids=["verify-homogeneity", "commutator-norm"])
-def test_cli_writes_the_library_report(tmp_path, command, name, check):
-    # The subcommand adds nothing to the report of the library call on the same inputs.
+         cfg.kernel(), cfg.interval("window"))}),
+    ("bmo-norm", SMALL, lambda cfg: {"bmo_norm": length_suprema(cfg.function("symbol"))}),
+    ("vmo-profile", SMALL, lambda cfg: {"vmo_profile": vmo_profile(
+        cfg.function("symbol"), [0.0625, 0.125, 0.25, 0.5], [0.5, 1.0, 2.0]).report()}),
+    ("lemma41", {**SMALL, "lemma41": {"eval_cells": 64}}, intermediate_reports),
+], ids=["verify-homogeneity", "commutator-norm", "bmo-norm", "vmo-profile", "lemma41"])
+def test_cli_writes_the_library_report(tmp_path, command, tree, check):
+    # The subcommand adds nothing to the reports of the library call on the same inputs.
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(SMALL))
+    cfg.write_text(json.dumps(tree))
     run([command, "--config", cfg, "--out-dir", tmp_path / "cli"])
-    write_report(check(ExperimentConfig.from_dict(SMALL)), tmp_path / "lib", name)
-    for suffix in (".json", ".csv"):
-        cli_bytes = (tmp_path / "cli" / (name + suffix)).read_bytes()
-        assert cli_bytes == (tmp_path / "lib" / (name + suffix)).read_bytes()
+    for name, rep in check(ExperimentConfig.from_dict(tree)).items():
+        write_report(rep, tmp_path / "lib", name)
+        for suffix in (".json", ".csv"):
+            cli_bytes = (tmp_path / "cli" / (name + suffix)).read_bytes()
+            assert cli_bytes == (tmp_path / "lib" / (name + suffix)).read_bytes()
 
 
 @pytest.mark.parametrize("function, parameter, key", [
@@ -615,6 +655,7 @@ def test_cli_writes_the_library_report(tmp_path, command, name, check):
     (witness_separation, "nodes_per_radius", "witness.nodes_per_radius"),
     (random_size_sweep, "box", "kernel_check.box"),
     (random_smoothness_sweep, "box", "kernel_check.box"),
+    (length_suprema, "max_length", "bmo.max_length"),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_signature_default_mirrors_config_default(function, parameter, key):
     # A library caller who leaves a setting out gets what the CLI runs by default.

@@ -305,3 +305,29 @@ class TestWitness:
                                  eval_cells=2048, nodes_per_radius=32)
         assert rep.extras["min_offdiag"] > 0
 
+
+
+_SOURCED = sample_on(truncated_log(0.0), -2.0, 0.01, 401)
+_BUMP = sample(smooth_bump(0.0, 1.0, 1.0), -1.5, 1.5, 300)
+_CHI = sample(indicator(-1.0, 1.0), -1.5, 1.5, 300)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: small_scale_sequence(0.0, 0.2, 5.0, 2.5), "whole count >= 2, got count 2.5"),
+    (lambda: large_scale_sequence(0.0, 0.2, 5.0, 2.5), "whole count >= 2, got count 2.5"),
+    (lambda: far_away_sequence(0.3, 4.9, 2.5), "whole count >= 2, got count 2.5"),
+    (lambda: choose_a2(1.0, 1.0, 0.5, 4.2, 1.0), "p must lie in"),
+    (lambda: choose_a2(1.0, 1.0, 0.5, 4.2, 0.5), "p must lie in"),
+    (lambda: choose_a2(1.0, 1.0, np.inf, 4.2, 2.0), "finite empirical constants"),
+    (lambda: witness_separation(_SOURCED, WitnessCase.SMALL_SCALE,
+                                small_scale_sequence(0.0, 0.2, 5.0, 3), FLAT, 4.2, 4.9, 2.0,
+                                nodes_per_radius=np.inf), "finite nodes_per_radius"),
+    (lambda: tail_decay_check(_BUMP, 1.0, [_CHI], 2.0, [4.0, np.nan], FLAT), "t_ladder"),
+], ids=["small_scale_count", "large_scale_count", "far_away_count", "choose_a2_p_1",
+        "choose_a2_p_half", "choose_a2_epsilon_inf", "witness_nodes_per_radius_inf",
+        "tail_t_ladder_nan"])
+def test_library_refuses_bad_input(call, match):
+    # Each raised a bare TypeError, ZeroDivisionError, ValueError or
+    # OverflowError, or a message about a point rather than the ladder.
+    with pytest.raises(InputError, match=match):
+        call()

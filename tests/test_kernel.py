@@ -204,3 +204,12 @@ def test_smoothness_sweep_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("box", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("sweep", [random_size_sweep, random_smoothness_sweep])
+def test_box_must_be_positive_and_finite(sweep, box):
+    # A NaN or infinite box reported every sample as a violation, and a zero
+    # box a coincident pair.
+    with pytest.raises(InputError, match="box must be positive and finite"):
+        sweep(FLAT, 100, np.random.default_rng(0), box)

@@ -212,3 +212,11 @@ class TestWindowed:
                           for x in xs])
         np.testing.assert_allclose(vec, point, rtol=1e-10)
 
+
+    def test_output_values_belong_to_output_nodes(self):
+        # Each output value is the operator at the node the output reports it
+        # at, not at the midpoint that node rounds from.
+        lab = CauchyKernel.for_curve(LipschitzCurve.sawtooth(0.5, 2.0))
+        f = sample(indicator(-1.0, 1.0), -1.0, 1.0, 1000)
+        out = apply_on_window(lab, f, Interval(0.0, 2.0))
+        assert np.array_equal(pv_values(lab, f, out.nodes), out.values)

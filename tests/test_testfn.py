@@ -14,6 +14,7 @@ from cauchylab import (
     sample,
     sample_on,
     verify_intermediate_bounds,
+    write_report,
 )
 from cauchylab import testfn
 from cauchylab.reports import MAX_REPORT_ROWS
@@ -187,13 +188,20 @@ class TestAnnulusPieces:
             with pytest.raises(InputError, match="level"):
                 annulus_ladder_reports(b, tf, [k], FLAT)
             with pytest.raises(InputError, match="level"):
-                verify_intermediate_bounds(b, tf, k, FLAT)
+                verify_intermediate_bounds(b, tf, [k], FLAT)
+
+    @pytest.mark.parametrize("check", [annulus_ladder_reports, verify_intermediate_bounds])
+    def test_level_must_be_whole(self, check):
+        b = sample(sign_step(0.0), -1.25, 1.25, 1000)
+        tf = build_test_function(b, I01, 2.0)
+        with pytest.raises(InputError, match="k = 3.5 is not a whole number"):
+            check(b, tf, [3.5], FLAT)
 
     def test_constants_validation(self):
         b = sample(sign_step(0.0), -1.25, 1.25, 1000)
         tf = build_test_function(b, I01, 2.0)
         for check in (lambda **kw: annulus_ladder_reports(b, tf, [4], FLAT, **kw),
-                      lambda **kw: verify_intermediate_bounds(b, tf, 4, FLAT, **kw)):
+                      lambda **kw: verify_intermediate_bounds(b, tf, [4], FLAT, **kw)):
             with pytest.raises(InputError, match="a1 > 4"):
                 check(a1=4.0)
             with pytest.raises(InputError, match="8 evaluation cells"):
@@ -302,7 +310,7 @@ class TestIntermediateBounds:
     def test_sign_pointwise_majorant(self):
         b = sample(sign_step(0.0), -1.25, 1.25, 2500)
         tf = build_test_function(b, I01, 2.0)
-        rep = verify_intermediate_bounds(b, tf, 4, FLAT)
+        [rep] = verify_intermediate_bounds(b, tf, [4], FLAT)
         assert rep.extras["pointwise_violations"] == 0
         assert rep.passed
         # One row per lattice point, cut to the rows a report file keeps.
@@ -312,8 +320,34 @@ class TestIntermediateBounds:
         b = sample(truncated_log(0.0), -1.25, 1.25, 2500)
         tf = build_test_function(b, I01, 2.0)
         ratios = []
-        for k in range(2, 9):
-            rep = verify_intermediate_bounds(b, tf, k, FLAT, a1=4.2)
+        for rep in verify_intermediate_bounds(b, tf, range(2, 9), FLAT, a1=4.2):
             assert rep.extras["pointwise_violations"] == 0
             ratios.append(rep.extras["drift_ratio"])
         assert max(ratios) <= testfn.DRIFT_BOUND
+
+    @pytest.mark.parametrize("curve", [LipschitzCurve.flat(), LipschitzCurve.sawtooth(0.5, 2.0)])
+    def test_ladder_is_one_pv_call(self, tmp_path, monkeypatch, curve):
+        # Every level's lattice in one call, and each level's report equals
+        # the one-level ladder's, byte for byte.
+        kernel = CauchyKernel.for_curve(curve)
+        b = sample(truncated_log(0.0), -1.25, 1.25, 2500)
+        tf = build_test_function(b, I01, 2.0)
+        ks = [3, 5, 4]
+        calls = []
+        original = testfn.pv_values
+
+        def counted(*args):
+            calls.append(np.size(args[2]))
+            return original(*args)
+
+        monkeypatch.setattr(testfn, "pv_values", counted)
+        reps = verify_intermediate_bounds(b, tf, ks, kernel, eval_cells=64)
+        assert calls == [len(ks) * 64]
+        assert [rep.extras["k"] for rep in reps] == ks
+        for k, rep in zip(ks, reps):
+            [alone] = verify_intermediate_bounds(b, tf, [k], kernel, eval_cells=64)
+            write_report(rep, tmp_path / "ladder", f"k{k}")
+            write_report(alone, tmp_path / "alone", f"k{k}")
+            for suffix in (".json", ".csv"):
+                assert ((tmp_path / "ladder" / f"k{k}{suffix}").read_bytes()
+                        == (tmp_path / "alone" / f"k{k}{suffix}").read_bytes())
