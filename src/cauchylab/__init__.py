@@ -33,6 +33,7 @@ from .commutator import (
     commutator_norm_lower,
     commutator_values,
     homogeneity_check,
+    unit_images,
 )
 from .compactness import (
     WitnessCase,

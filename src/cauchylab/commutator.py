@@ -23,9 +23,11 @@ target, a cushion for quadrature error and the dropped imaginary part.
 On a ladder of two or more ``M`` the log-log slope of those minima
 against ``M`` must also lie within ``slope_band`` of -1.
 
-``commutator_norm_lower`` returns the report of the norm lower bound:
-the ratio ``|[b, C] f|_p / |f|_p`` of each member of a family, all from
-one block application, and their maximum.
+``unit_images`` is the one path of a family through the commutator: it
+refuses a member of zero ``L^p`` norm by its index, scales each member to
+unit norm and applies the block once.  ``commutator_norm_lower`` reports
+the norms of those images, ``|[b, C] f|_p / |f|_p`` per member, and their
+maximum, a lower bound for the norm; ``fk-diagnose`` measures them too.
 """
 
 from __future__ import annotations
@@ -130,6 +132,18 @@ def apply_commutator(b: SampledFunction, f: SampledFunction, kernel: CauchyKerne
     return _on_window(f, window, lambda xs: commutator_values(b, f, kernel, xs))
 
 
+def unit_images(b: SampledFunction, family: Sequence[SampledFunction], p: float,
+                kernel: CauchyKernel, window: Interval) -> SampledFunction:
+    """``[b, C] (f / |f|_p)`` of each member ``f`` on the window, one column per member."""
+    if len(family) == 0:
+        raise InputError("family must be non-empty")
+    block = stack(family)
+    norms = lp_norm(block, p)
+    if np.any(norms == 0.0):
+        raise InputError(f"family member {np.flatnonzero(norms == 0.0)[0]} has zero norm")
+    return apply_commutator(b, block.with_values(block.values / norms), kernel, window)
+
+
 def commutator_norm_lower(b: SampledFunction, p: float,
                           family: Sequence[SampledFunction], kernel: CauchyKernel,
                           window: Interval) -> BoundReport:
@@ -137,13 +151,7 @@ def commutator_norm_lower(b: SampledFunction, p: float,
 
     The extra ``norm_lower_bound`` is the largest ratio, a lower bound for the norm.
     """
-    if len(family) == 0:
-        raise InputError("family must be non-empty")
-    block = stack(family)
-    denom = lp_norm(block, p)
-    if np.any(denom == 0.0):
-        raise InputError("family member has zero norm")
-    ratios = lp_norm(apply_commutator(b, block, kernel, window), p) / denom
+    ratios = lp_norm(unit_images(b, family, p, kernel, window), p)
     return BoundReport(
         inequality="max_f |[b,C]f|_p / |f|_p over the family (lower bound)",
         columns={"member": np.arange(len(family)), "lhs": ratios},

@@ -44,9 +44,9 @@ from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import pv_values
 from .reports import BoundReport
-from .sampling import (Interval, SampledFunction, _cell_centres, _lp, _rowwise, lp_norm,
-                       sample_on, shift, stack)
-from .testfn import _ladder_constants, _level_floor, annulus_ladder_reports, build_test_function
+from .sampling import (Interval, SampledFunction, _cell_centres, _lp, _require_p, _rowwise,
+                       lp_norm, sample_on, shift, stack)
+from .testfn import _level_floor, annulus_ladder_reports, build_test_function
 
 TAIL_WINDOW_FACTOR = 20.0  # tail lattice reaches factor * t_max * R
 TAIL_CELLS_PER_SIDE = 2048
@@ -118,8 +118,7 @@ def tail_decay_check(b: SampledFunction, support_radius: float,
     tail norm over the family; the fit of log tail against log t is
     compared with the conjugate-exponent slope ``-1/p'``.
     """
-    if not (p > 1 and np.isfinite(p)):
-        raise InputError(f"p must lie in (1, inf), got {p}")
+    _require_p(p)
     ts = sorted(float(t) for t in t_ladder)
     if len(ts) < 2:
         raise InputError("need at least two truncation factors to fit a slope")
@@ -234,12 +233,12 @@ def choose_a2(c1: float, c2: float, epsilon: float, a1: float, p: float) -> floa
     """
     if not all(0 < v < math.inf for v in (c1, c2, epsilon)):
         raise InputError("need positive, finite empirical constants and oscillation")
-    if not (p > 1 and np.isfinite(p)):
-        raise InputError(f"p must lie in (1, inf), got {p}")
+    _require_p(p)
+    k_min = _level_floor(a1)
     rhs = 2.0 * c2 / ((1.0 - 2.0 ** (1.0 - p)) * _a3(c1, epsilon, a1, p))
     m = max(
         math.floor(math.log2(rhs) / (p - 1.0)) + 1,
-        _level_floor(a1) + 1,
+        k_min + 1,
     )
     return float(2.0**m)
 
@@ -247,12 +246,10 @@ def choose_a2(c1: float, c2: float, epsilon: float, a1: float, p: float) -> floa
 def _require_geometry(case: WitnessCase, a1: float, a2: float,
                       sequence: Sequence[Interval], p: float) -> Tuple[Interval, ...]:
     """The sequence as a tuple, once the constants and the case's geometry hold."""
-    if not a1 > 4:
-        raise InputError(f"need a1 > 4, got {a1}")
+    _level_floor(a1)
     if not a2 > a1:
         raise InputError(f"need a2 > a1, got a2 = {a2}, a1 = {a1}")
-    if not (p > 1 and np.isfinite(p)):
-        raise InputError(f"p must lie in (1, inf), got {p}")
+    _require_p(p)
     seq = tuple(sequence)
     if len(seq) < 2:
         raise InputError("interval sequence must have at least two entries")
@@ -294,7 +291,8 @@ def witness_separation(b: SampledFunction, case: WitnessCase, sequence: Sequence
     ``separation_margin`` is positive.  Its extras carry the case,
     the smallest off-diagonal distance ``min_offdiag``, the measured
     oscillation floor ``epsilon``, the empirical annulus constants
-    ``c1_empirical`` and ``c2_empirical``, the separation floor ``a3``
+    ``c1_empirical`` and ``c2_empirical`` (the extreme candidates of the
+    intervals' ``annulus_ladder_reports``), the separation floor ``a3``
     and its ``p``-th root ``a3_root``, the ``separation_margin``
     ``min_offdiag - a3_root`` (positive when the images stay farther apart
     than the floor), the ``a2`` used and the recommended one (see
@@ -323,8 +321,7 @@ def witness_separation(b: SampledFunction, case: WitnessCase, sequence: Sequence
 
     images: List[np.ndarray] = []
     oscillations: List[float] = []
-    c1_candidates: List[float] = []
-    c2_candidates: List[float] = []
+    ladders: List[BoundReport] = []
     for idx, I in enumerate(seq):
         refine = max(0, math.ceil(math.log2(h_eval * nodes_per_radius / I.radius)))
         h_l = h_eval / 2.0**refine
@@ -339,15 +336,12 @@ def witness_separation(b: SampledFunction, case: WitnessCase, sequence: Sequence
         except InputError as exc:
             raise InputError(f"interval {idx} of the sequence: {exc}") from exc
         oscillations.append(tf.epsilon)
-        ladder = annulus_ladder_reports(b_local, tf, k_ladder, kernel, C1_A1, C1_CELLS)
-        c1s, c2s = _ladder_constants(ladder, tf)
-        c1_candidates.extend(c1s.tolist())
-        c2_candidates.extend(c2s.tolist())
+        ladders.append(annulus_ladder_reports(b_local, tf, k_ladder, kernel, C1_A1, C1_CELLS))
         images.append(commutator_values(b_local, tf.f, kernel, xs))
 
     eps = min(oscillations)
-    c1 = min(c1_candidates)
-    c2 = max(c2_candidates)
+    c1 = min(ladder.extras["c1_candidate_min"] for ladder in ladders)
+    c2 = max(ladder.extras["c2_candidate_max"] for ladder in ladders)
     n = len(seq)
     dist = np.zeros((n, n))
     for i in range(n):

@@ -25,6 +25,7 @@ from .symbols import BUILDERS as SYMBOLS
 
 DEFAULTS: Dict[str, Any] = {
     "seed": 0,
+    "p": 2.0,  # the L^p exponent of lemma41, fk-diagnose, witness and commutator-norm
     "curve": {"kind": "flat", "params": {}},
     "grid": {"origin": None, "step": 0.001, "count": 2000},
     "symbol": {"kind": "sign", "params": {}},
@@ -41,7 +42,6 @@ DEFAULTS: Dict[str, Any] = {
     },
     "lemma41": {
         "interval": {"center": 0.0, "radius": 1.0},
-        "p": 2.0,
         "k_ladder": [3, 4, 5, 6, 7, 8],
         "a1": 8.0,
         "eval_cells": 512,
@@ -54,7 +54,6 @@ DEFAULTS: Dict[str, Any] = {
         "R_ladder": [0.5, 1.0, 2.0],
     },
     "fk": {
-        "p": 2.0,
         "t_ladder": [1.0, 2.0, 3.0],
         "z_steps": [1, 2, 4, 8, 16],
         "bump_positions": [-1.0, 0.0, 1.0],
@@ -63,13 +62,11 @@ DEFAULTS: Dict[str, Any] = {
     "witness": {
         "a1": 4.2,
         "a2": 4.9,
-        "p": 2.0,
         "sequence": {"center": 0.0, "r0": 0.2, "ratio": 5.0, "count": 4},
         "eval_cells": 8192,
         "nodes_per_radius": 64,
     },
     "commutator_norm": {
-        "p": 2.0,
         "family": [
             {"kind": "indicator", "params": {"lower": -1.0, "upper": 1.0}},
             {"kind": "smooth_bump", "params": {"center": 0.0, "height": 1.0, "width": 1.0}},

@@ -47,8 +47,8 @@ class LipschitzCurve:
     @staticmethod
     def sawtooth(amplitude: float, period: float) -> "LipschitzCurve":
         """Triangle wave with peak ``amplitude`` at one quarter period."""
-        if not period > 0:
-            raise InputError(f"sawtooth period must be positive, got {period}")
+        if not 0 < period < math.inf:
+            raise InputError(f"sawtooth period must be positive and finite, got {period}")
         if not np.isfinite(amplitude):
             raise InputError("sawtooth amplitude must be finite")
         L = 4.0 * abs(float(amplitude)) / float(period)

@@ -310,6 +310,12 @@ def _rowwise(u, values: np.ndarray) -> np.ndarray:
     return u.reshape(u.shape + (1,) * (values.ndim - u.ndim)) * values
 
 
+def _require_p(p: float) -> None:
+    """Refuse an exponent ``p`` outside ``(1, inf)``."""
+    if not (p > 1 and np.isfinite(p)):
+        raise InputError(f"p must lie in (1, inf), got {p}")
+
+
 def _lp(values: np.ndarray, step: float, p: float) -> float:
     """``(step * sum |values|^p)^(1/p)``; 0.0 for no values."""
     return float((step * np.sum(np.abs(values) ** p)) ** (1.0 / p))
@@ -321,8 +327,7 @@ def lp_norm(f: SampledFunction, p: float) -> Union[float, np.ndarray]:
     A float for one function; for a block, an array with one norm per
     column, each summed exactly as for that column alone.
     """
-    if not (p > 1 and np.isfinite(p)):
-        raise InputError(f"p must lie in (1, inf), got {p}")
+    _require_p(p)
     if f.values.ndim == 1:
         return _lp(f.values, f.step, p)
     return np.array([_lp(v, f.step, p) for v in f.values.T])

@@ -26,11 +26,13 @@ commutator image of ``f`` obeys a two-sided power law: the integral of
 integral by that power law; the empirical constants are outputs, and the
 meaningful pass criterion is their stability across ``k``.
 ``annulus_ladder_reports`` measures a whole ladder of levels in one
-commutator call and returns one report with a lower and an upper row
-per level.  ``verify_intermediate_bounds`` takes a ladder too: one
-``pv_values`` call over every level's annulus lattice, one median of ``b``
-on ``I``, and one report per level, in ladder order.  Both take ``a1``,
-whose ``floor(log2(a1))`` is the smallest admissible level, and
+commutator call and returns the ``lemma41`` report: a lower and an upper
+row per level, whose rows pass exactly when the spreads (max / min
+across levels) of the C1 and C2 candidates are within their caps.
+``verify_intermediate_bounds`` takes a ladder too: one ``pv_values``
+call over every level's annulus lattice, one median of ``b`` on ``I``,
+and one report per level, in ladder order.  Both take ``a1``, finite and
+above 4, whose ``floor(log2(a1))`` is the smallest admissible level, and
 ``eval_cells``, the lattice cells per region; a level must be a whole
 number.  The intermediate bounds' slack and cap are module constants.
 """
@@ -49,7 +51,7 @@ from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import pv_values
 from .reports import BoundReport, _cap_rows
-from .sampling import Interval, SampledFunction, _cell_centres, sample
+from .sampling import Interval, SampledFunction, _cell_centres, _require_p, sample
 
 POINTWISE_SLACK = 0.10  # cushion of the pointwise majorant check
 DRIFT_BOUND = 4.0  # recorded empirical cap of the median-drift to k * bmo ratio
@@ -74,8 +76,7 @@ def build_test_function(b: SampledFunction, base: Interval, p: float) -> TestFun
     Rejects a symbol with no oscillation on the interval (the split sets
     would be empty and the normalization meaningless).
     """
-    if not (p > 1 and np.isfinite(p)):
-        raise InputError(f"p must lie in (1, inf), got {p}")
+    _require_p(p)
     mask = b.node_mask(base)
     if not np.any(mask):
         raise InputError("base interval does not intersect the grid")
@@ -186,21 +187,21 @@ def _annulus(base: Interval, k: int, side: float) -> Interval:
 
 
 def _level_floor(a1: float) -> int:
-    """The smallest admissible annulus level, ``floor(log2(a1))``."""
+    """The smallest admissible annulus level, ``floor(log2(a1))``, for a finite ``a1 > 4``."""
+    if not 4 < a1 < math.inf:
+        raise InputError(f"need a finite a1 > 4, got {a1}")
     return int(math.floor(math.log2(a1)))
 
 
 def _require_level(k_ladder: Sequence[int], a1: float, eval_cells: int) -> List[int]:
-    """The non-empty ladder as a list, once ``a1 > 4``, ``eval_cells >= 8`` and
-    every level is a whole number at least ``floor(log2(a1))``."""
-    if not a1 > 4:
-        raise InputError(f"need a1 > 4, got {a1}")
+    """The non-empty ladder as a list, once ``a1`` is admissible (``_level_floor``),
+    ``eval_cells >= 8`` and every level is a whole number at least ``floor(log2(a1))``."""
+    k_min = _level_floor(a1)
     if eval_cells < 8:
         raise InputError("need at least 8 evaluation cells")
     ks = list(k_ladder)
     if not ks:
         raise InputError("level ladder must be non-empty")
-    k_min = _level_floor(a1)
     for k in ks:
         if not float(k).is_integer():
             raise InputError(f"annulus level k = {k} is not a whole number")
@@ -282,8 +283,10 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k_ladder: S
 
 def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
                            k_ladder: Sequence[int], kernel: CauchyKernel,
-                           a1: float = 8.0, eval_cells: int = 512) -> BoundReport:
-    """Lower and upper rows across a level ladder: lower rows first, each in ladder order.
+                           a1: float = 8.0, eval_cells: int = 512,
+                           lower_spread_cap: float = 3.0,
+                           upper_spread_cap: float = 10.0) -> BoundReport:
+    """The ``lemma41`` report: lower, then upper rows across a level ladder, in ladder order.
 
     The columns are ``k``, ``side`` (``"lower"`` or ``"upper"``), ``lhs``
     (the integral of ``|[b, C] f|^p`` over the row's region),
@@ -296,6 +299,12 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
     bounded ``ratio`` across levels is the upper power law.  The lattices
     of every level and both shell sides go through one
     ``commutator_values`` call.  A single level is a one-level ladder.
+
+    The extras are ``p``, ``epsilon`` and ``a_j`` of ``tf``, the C1
+    candidates' ``c1_candidate_min``, ``c1_candidate_max`` and ``lower_spread``
+    (max / min, inf once the min is 0), the upper ratios' ``c2_candidate_max``
+    and ``upper_spread``, and both caps.  Every row passes exactly when both
+    spreads are within their caps.
     """
     ks = _require_level(k_ladder, a1, eval_cells)
     rights = [_annulus(tf.base, k, 1.0) for k in ks]
@@ -308,6 +317,10 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
     lhs = np.asarray(integrals[:len(ks)] + [sum(shells[2 * i:2 * i + 2]) for i in range(len(ks))])
     # Python float powers, level by level: numpy's power may round differently.
     normalizer = np.asarray([2.0 ** (-k * (tf.p - 1.0)) for k in ks] * 2)
+    ratio = lhs / normalizer
+    c1, c2 = ratio[:len(ks)] / tf.epsilon**tf.p, ratio[len(ks):]
+    lower_spread, upper_spread = (c.max() / c.min() if c.min() > 0 else math.inf for c in (c1, c2))
+    within_caps = lower_spread <= lower_spread_cap and upper_spread <= upper_spread_cap
     return BoundReport(
         inequality=(
             "annulus integrals of |[b,C]f|^p follow the dyadic power law: "
@@ -318,12 +331,14 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
             "side": np.asarray(["lower"] * len(ks) + ["upper"] * len(ks)),
             "lhs": lhs,
             "normalizer": normalizer,
-            "ratio": lhs / normalizer,
+            "ratio": ratio,
+            "pass": np.full(2 * len(ks), within_caps),
+        },
+        extras={
+            "p": tf.p, "epsilon": tf.epsilon, "a_j": tf.a_j,
+            "c1_candidate_min": c1.min(), "c1_candidate_max": c1.max(),
+            "lower_spread": lower_spread, "lower_spread_cap": lower_spread_cap,
+            "c2_candidate_max": c2.max(),
+            "upper_spread": upper_spread, "upper_spread_cap": upper_spread_cap,
         },
     )
-
-
-def _ladder_constants(ladder: BoundReport, tf: TestFunction) -> Tuple[np.ndarray, np.ndarray]:
-    """The C1 and C2 candidates of a ladder report: lower ratios over ``eps^p``, upper ratios."""
-    ratio, lower = ladder.columns["ratio"], ladder.columns["side"] == "lower"
-    return ratio[lower] / tf.epsilon**tf.p, ratio[~lower]

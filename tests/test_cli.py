@@ -6,10 +6,12 @@ import pytest
 
 from cauchylab import (BoundReport, InputError, Interval, annulus_ladder_reports,
                        bmo_norm, build_test_function, commutator_norm_lower, dyadic_sweep,
-                       homogeneity_check, length_suprema, oscillation_table, random_size_sweep,
-                       random_smoothness_sweep, verify_intermediate_bounds, vmo_profile,
-                       witness_separation, write_report)
+                       fk_diagnose, homogeneity_check, large_scale_sequence, length_suprema,
+                       oscillation_table, random_size_sweep, random_smoothness_sweep, sample_on,
+                       small_scale_sequence, unit_images, verify_intermediate_bounds,
+                       vmo_profile, witness_separation, write_report)
 from cauchylab import compactness
+from cauchylab.symbols import smooth_bump
 from cauchylab.cli import HANDLERS, main
 from cauchylab.config import DEFAULTS, ExperimentConfig
 from cauchylab.reports import MAX_REPORT_ROWS, _cap_rows
@@ -161,9 +163,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("tree, key", [
         ({"tail": {"support_radius": 1.0, "p": 2.0}}, "tail"),
         ({"witness": {"case": "large"}}, "witness.case"),
-    ], ids=["tail", "witness.case"])
+        ({"lemma41": {"p": 2.0}}, "lemma41.p"),
+        ({"fk": {"p": 2.0}}, "fk.p"),
+        ({"witness": {"p": 2.0}}, "witness.p"),
+        ({"commutator_norm": {"p": 2.0}}, "commutator_norm.p"),
+    ], ids=["tail", "witness.case", "lemma41.p", "fk.p", "witness.p", "commutator_norm.p"])
     def test_removed_config_keys_exit_2(self, tmp_path, capsys, tree, key):
-        # The tail check is library-only; the witness case is the --case flag.
+        # The tail check is library-only; the witness case is the --case flag;
+        # the exponent is the one top-level key p.
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(tree))
         assert run(["witness", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
@@ -179,7 +186,7 @@ class TestExitCodes:
     ], ids=lambda argv: argv[1])
     def test_removed_flags_exit_2(self, tmp_path, argv):
         # Each value is set in the config: curve, homogeneity.M_ladder, symbol,
-        # lemma41.interval, lemma41.p and lemma41.k_ladder.
+        # lemma41.interval, p and lemma41.k_ladder.
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out-dir", tmp_path / "o"])
         assert exc.value.code == 2
@@ -204,11 +211,11 @@ class TestExitCodes:
         ("verify-homogeneity", {"homogeneity": {"r": 0}}, "homogeneity.r"),
         ("fk-diagnose", {"fk": {"bump_width": 0}}, "fk.bump_width"),
         ("lemma41", {"lemma41": {"a1": 2}}, "lemma41.a1"),
-        ("fk-diagnose", {"fk": {"p": 1}}, "fk.p"),
-        ("lemma41", {"lemma41": {"p": 1}}, "lemma41.p"),
-        ("witness", {"witness": {"p": 1}}, "witness.p"),
+        ("fk-diagnose", {"p": 1}, "config field p "),
+        ("lemma41", {"p": 1}, "config field p "),
+        ("witness", {"p": 1}, "config field p "),
         ("witness", {"witness": {"a1": 4}}, "witness.a1"),
-        ("commutator-norm", {"commutator_norm": {"p": 1}}, "commutator_norm.p"),
+        ("commutator-norm", {"p": 1}, "config field p "),
         ("verify-homogeneity", {"homogeneity": {"slack": -1}}, "homogeneity.slack"),
         ("verify-homogeneity", {"homogeneity": {"slope_band": "wide"}},
          "homogeneity.slope_band"),
@@ -225,6 +232,9 @@ class TestExitCodes:
         ("verify-homogeneity", {"homogeneity": {"M_ladder": [16.0, 64.0, 16]}},
          "homogeneity.M_ladder"),
         ("fk-diagnose", {"fk": {"bump_positions": [0.0, "x"]}}, "fk.bump_positions.1"),
+        # A bump with no node in its support has zero norm.
+        ("fk-diagnose", {"fk": {"bump_positions": [0.0, 50.0]}},
+         "family member 1 has zero norm"),
         ("witness", {"witness": {"sequence": {"center": "left"}}}, "witness.sequence.center"),
         ("witness", {"witness": {"sequence": {"r0": "big"}}}, "witness.sequence.r0"),
         ("witness", {"witness": {"sequence": {"ratio": "x"}}}, "witness.sequence.ratio"),
@@ -302,13 +312,13 @@ class TestExitCodes:
             "vmo.delta_ladder", "vmo.R_ladder", "fk.z_steps", "fk.t_ladder",
             "lemma41.k_ladder", "homogeneity.quadrature_cells", "kernel_check.samples",
             "lemma41.eval_cells", "witness.sequence.count", "kernel_check.box",
-            "homogeneity.r", "fk.bump_width", "lemma41.a1", "fk.p", "lemma41.p",
-            "witness.p", "witness.a1", "commutator_norm.p", "homogeneity.slack",
+            "homogeneity.r", "fk.bump_width", "lemma41.a1", "p.fk-diagnose", "p.lemma41",
+            "p.witness", "witness.a1", "p.commutator-norm", "homogeneity.slack",
             "homogeneity.slope_band", "lemma41.lower_spread_cap",
             "lemma41.upper_spread_cap", "witness.a2", "fk.z_steps.entry",
             "fk.t_ladder.entry", "lemma41.k_ladder.entry", "homogeneity.M_ladder.entry",
             "homogeneity.M_ladder.repeat", "homogeneity.M_ladder.repeat_apart",
-            "fk.bump_positions.entry", "witness.sequence.center", "witness.sequence.r0",
+            "fk.bump_positions.entry", "fk.bump_positions.off_grid", "witness.sequence.center", "witness.sequence.r0",
             "witness.sequence.ratio", "window.center", "lemma41.interval.center",
             "fk.z_steps.bool", "kernel_check.samples.bool", "fk.bump_width.bool",
             "seed.bool", "grid.count.bool", "grid.origin", "grid.origin.bool",
@@ -609,33 +619,69 @@ def test_exit_status_is_the_verdict_of_the_reports(tmp_path, argv, config):
     assert rc == int(argv[0] == config)
 
 
-def intermediate_reports(cfg):
-    """The lemma41 intermediate-bounds reports of the default six-level ladder, by file name."""
-    b, ks = cfg.function("symbol"), [3, 4, 5, 6, 7, 8]
+def lemma41_reports(cfg):
+    """The lemma41 reports of the default six-level ladder, by file name."""
+    b, ks, kernel = cfg.function("symbol"), [3, 4, 5, 6, 7, 8], cfg.kernel()
     tf = build_test_function(b, Interval(0.0, 1.0), 2.0)
-    reports = verify_intermediate_bounds(b, tf, ks, cfg.kernel(), eval_cells=64)
-    return {f"lemma41_intermediate_k{k}": rep for k, rep in zip(ks, reports)}
+    ladder = annulus_ladder_reports(b, tf, ks, kernel, eval_cells=64)
+    reports = verify_intermediate_bounds(b, tf, ks, kernel, eval_cells=64)
+    ladder.extras["intermediate_pass"] = all(rep.passed for rep in reports)
+    return {"lemma41": ladder,
+            **{f"lemma41_intermediate_k{k}": rep for k, rep in zip(ks, reports)}}
 
 
-@pytest.mark.parametrize("command, tree, check", [
-    ("verify-homogeneity", SMALL,
+def fk_reports(cfg):
+    """The fk-diagnose report of the default bumps, scaled to unit norm on one path."""
+    family = [sample_on(smooth_bump(pos, 1.0, 0.5), *cfg.grid()) for pos in (-1.0, 0.0, 1.0)]
+    images = unit_images(cfg.function("symbol"), family, 2.0, cfg.kernel(), cfg.interval("window"))
+    zs = [k * images.step for k in (1, 2, 4, 8, 16)]
+    return {"fk_diagnose": fk_diagnose(images, 2.0, [1.0, 2.0, 3.0], zs)}
+
+
+def witness_reports(case, build):
+    """The witness report of SMALL's two-interval sequence in one degeneration case."""
+    return lambda cfg: {"witness": witness_separation(
+        cfg.function("symbol"), case, build(0.0, 0.2, 5.0, 2), cfg.kernel(), 4.2, 4.9, 2.0,
+        512, 16)}
+
+
+def kernel_reports(cfg):
+    """The three verify-kernel sweeps, drawn in turn from the generator of seed 0."""
+    kernel, rng = cfg.kernel(), np.random.default_rng(0)
+    return {"kernel_size": random_size_sweep(kernel, 3000, rng),
+            "kernel_smoothness": random_smoothness_sweep(kernel, 3000, rng),
+            "kernel_smoothness_transposed":
+                random_smoothness_sweep(kernel, 3000, rng, transposed=True)}
+
+
+@pytest.mark.parametrize("argv, tree, check", [
+    (["verify-homogeneity"], SMALL,
      lambda cfg: {"homogeneity": homogeneity_check(cfg.curve(), [16.0, 64.0], 1.0, 128, 16)}),
-    ("commutator-norm", SMALL,
+    (["commutator-norm"], SMALL,
      lambda cfg: {"commutator_norm": commutator_norm_lower(
          cfg.function("symbol"), 2.0,
          [cfg.function("commutator_norm.family.0"), cfg.function("commutator_norm.family.1")],
          cfg.kernel(), cfg.interval("window"))}),
-    ("bmo-norm", SMALL, lambda cfg: {"bmo_norm": length_suprema(cfg.function("symbol"))}),
-    ("vmo-profile", SMALL, lambda cfg: {"vmo_profile": vmo_profile(
+    (["bmo-norm"], SMALL, lambda cfg: {"bmo_norm": length_suprema(cfg.function("symbol"))}),
+    (["vmo-profile"], SMALL, lambda cfg: {"vmo_profile": vmo_profile(
         cfg.function("symbol"), [0.0625, 0.125, 0.25, 0.5], [0.5, 1.0, 2.0]).report()}),
-    ("lemma41", {**SMALL, "lemma41": {"eval_cells": 64}}, intermediate_reports),
-], ids=["verify-homogeneity", "commutator-norm", "bmo-norm", "vmo-profile", "lemma41"])
-def test_cli_writes_the_library_report(tmp_path, command, tree, check):
+    (["lemma41"], {**SMALL, "lemma41": {"eval_cells": 64}}, lemma41_reports),
+    (["fk-diagnose"], SMALL, fk_reports),
+    (["witness", "--case", "small"], SMALL,
+     witness_reports(compactness.WitnessCase.SMALL_SCALE, small_scale_sequence)),
+    (["witness", "--case", "large"], SMALL,
+     witness_reports(compactness.WitnessCase.LARGE_SCALE, large_scale_sequence)),
+    (["verify-kernel"], SMALL, kernel_reports),
+], ids=["verify-homogeneity", "commutator-norm", "bmo-norm", "vmo-profile", "lemma41",
+        "fk-diagnose", "witness-small", "witness-large", "verify-kernel"])
+def test_cli_writes_the_library_report(tmp_path, argv, tree, check):
     # The subcommand adds nothing to the reports of the library call on the same inputs.
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(tree))
-    run([command, "--config", cfg, "--out-dir", tmp_path / "cli"])
-    for name, rep in check(ExperimentConfig.from_dict(tree)).items():
+    run(argv + ["--config", cfg, "--out-dir", tmp_path / "cli"])
+    reports = check(ExperimentConfig.from_dict(tree))
+    assert sorted(f.stem for f in (tmp_path / "cli").glob("*.json")) == sorted(reports)
+    for name, rep in reports.items():
         write_report(rep, tmp_path / "lib", name)
         for suffix in (".json", ".csv"):
             cli_bytes = (tmp_path / "cli" / (name + suffix)).read_bytes()
@@ -649,6 +695,8 @@ def test_cli_writes_the_library_report(tmp_path, command, tree, check):
     (homogeneity_check, "slope_band", "homogeneity.slope_band"),
     (annulus_ladder_reports, "a1", "lemma41.a1"),
     (annulus_ladder_reports, "eval_cells", "lemma41.eval_cells"),
+    (annulus_ladder_reports, "lower_spread_cap", "lemma41.lower_spread_cap"),
+    (annulus_ladder_reports, "upper_spread_cap", "lemma41.upper_spread_cap"),
     (verify_intermediate_bounds, "a1", "lemma41.a1"),
     (verify_intermediate_bounds, "eval_cells", "lemma41.eval_cells"),
     (witness_separation, "eval_cells", "witness.eval_cells"),

@@ -18,6 +18,7 @@ from cauchylab import (
     sample,
     sample_on,
     stack,
+    unit_images,
 )
 from cauchylab import operator
 from cauchylab.symbols import indicator, ramp
@@ -179,8 +180,11 @@ class TestNormLower:
     def test_zero_member_rejected(self):
         b = sample(lambda y: np.sin(y), -2, 2, 100)
         z = sample(lambda y: np.zeros_like(y), -2, 2, 100)
-        with pytest.raises(InputError, match="zero norm"):
+        f = sample(indicator(-1.0, 1.0), -2, 2, 100)
+        with pytest.raises(InputError, match="family member 0 has zero norm"):
             commutator_norm_lower(b, 2.0, [z], FLAT, Interval(0.0, 1.0))
+        with pytest.raises(InputError, match="family member 1 has zero norm"):
+            unit_images(b, [f, z, f, z], 2.0, FLAT, Interval(0.0, 1.0))
         with pytest.raises(InputError, match="non-empty"):
             commutator_norm_lower(b, 2.0, [], FLAT, Interval(0.0, 1.0))
 

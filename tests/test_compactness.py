@@ -225,6 +225,22 @@ class TestWitness:
         assert rep.n_violations == np.count_nonzero(off <= rep.extras["a3_root"])
         assert np.all(rep.columns["pass"][np.eye(len(d), dtype=bool).ravel()])
 
+    def test_empirical_constants_are_the_ladder_extremes(self, monkeypatch):
+        # C1 is the smallest lower candidate and C2 the largest upper one over
+        # the ladders of every interval of the sequence.
+        ladders = []
+        original = compactness.annulus_ladder_reports
+
+        def recording(*args):
+            ladders.append(original(*args))
+            return ladders[-1]
+
+        monkeypatch.setattr(compactness, "annulus_ladder_reports", recording)
+        rep = small_witness(truncated_log(0.0))
+        assert len(ladders) == 3
+        assert rep.extras["c1_empirical"] == min(l.extras["c1_candidate_min"] for l in ladders)
+        assert rep.extras["c2_empirical"] == max(l.extras["c2_candidate_max"] for l in ladders)
+
     def test_symbol_scaling_scales_distances(self):
         r1 = small_witness(truncated_log(0.0))
         lam = 2.0

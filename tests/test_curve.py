@@ -99,3 +99,10 @@ def test_parameter_validation():
         LipschitzCurve.sawtooth(1.0, 0.0)
     with pytest.raises(InputError):
         LipschitzCurve.smooth_bump(1.0, -1.0)
+
+
+@pytest.mark.parametrize("period", [np.inf, -np.inf, np.nan])
+def test_sawtooth_period_must_be_finite(period):
+    # An infinite period would make A, and every kernel value on the curve, NaN.
+    with pytest.raises(InputError, match="sawtooth period must be positive and finite"):
+        LipschitzCurve.sawtooth(0.5, period)

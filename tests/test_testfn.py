@@ -10,6 +10,7 @@ from cauchylab import (
     annulus_ladder_reports,
     build_test_function,
     check_invariants,
+    choose_a2,
     lp_norm,
     sample,
     sample_on,
@@ -209,6 +210,21 @@ class TestAnnulusPieces:
             with pytest.raises(InputError, match="whole number of cells, got 8.5"):
                 check(eval_cells=8.5)
 
+    @pytest.mark.parametrize("a1", [0.0, -1.0, np.nan, np.inf],
+                             ids=["zero", "minus_one", "nan", "inf"])
+    @pytest.mark.parametrize("entry", ["annulus_ladder_reports", "verify_intermediate_bounds",
+                                       "choose_a2"])
+    def test_a1_outside_four_to_inf_refused(self, entry, a1):
+        # a1 is checked in one place, ``_level_floor``, before any arithmetic on it.
+        b = sample(sign_step(0.0), -1.25, 1.25, 1000)
+        tf = build_test_function(b, I01, 2.0)
+        call = {"annulus_ladder_reports": lambda: annulus_ladder_reports(b, tf, [4], FLAT, a1=a1),
+                "verify_intermediate_bounds":
+                    lambda: verify_intermediate_bounds(b, tf, [4], FLAT, a1=a1),
+                "choose_a2": lambda: choose_a2(1.0, 1.0, 0.5, a1, 2.0)}[entry]
+        with pytest.raises(InputError, match="a1 > 4"):
+            call()
+
 
 def ladder_rows(rep, side):
     """The ``k``, ``lhs``, ``normalizer`` and ``ratio`` columns of one side's rows."""
@@ -227,6 +243,26 @@ class TestAnnulusReports:
         assert max(c1) / min(c1) <= 3.0
         up = ladder_rows(rep, "upper")["ratio"]
         assert max(up) / min(up) <= 10.0
+
+    def test_extras_and_verdict_come_from_the_rows(self):
+        # The C1 candidates are the lower ratios over eps^p, the C2 candidates
+        # the upper ratios; every row passes exactly when both spreads are capped.
+        b = sample(truncated_log(0.0), -1.25, 1.25, 2500)
+        tf = build_test_function(b, I01, 2.0)
+        rep = annulus_ladder_reports(b, tf, [3, 4, 5], FLAT)
+        c1 = ladder_rows(rep, "lower")["ratio"] / tf.epsilon**2
+        c2 = ladder_rows(rep, "upper")["ratio"]
+        assert rep.extras == {
+            "p": 2.0, "epsilon": tf.epsilon, "a_j": tf.a_j,
+            "c1_candidate_min": min(c1), "c1_candidate_max": max(c1),
+            "lower_spread": max(c1) / min(c1), "lower_spread_cap": 3.0,
+            "c2_candidate_max": max(c2),
+            "upper_spread": max(c2) / min(c2), "upper_spread_cap": 10.0,
+        }
+        assert rep.columns["pass"].tolist() == [True] * 6
+        for caps in ({"lower_spread_cap": 1.0001}, {"upper_spread_cap": 1.0001}):
+            tight = annulus_ladder_reports(b, tf, [3, 4, 5], FLAT, **caps)
+            assert tight.columns["pass"].tolist() == [False] * 6 and not tight.passed
 
     @pytest.mark.parametrize("curve", [LipschitzCurve.flat(), LipschitzCurve.sawtooth(0.5, 2.0)])
     def test_ladder_is_one_commutator_call(self, monkeypatch, curve):
