@@ -44,10 +44,11 @@ Reports = Dict[str, BoundReport]
 # ----- subcommand handlers ------------------------------------------
 
 
-def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
+def _run_verify_kernel(cfg: ExperimentConfig, args, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     n = cfg.integer("kernel_check.samples", 1)
     box = cfg.number("kernel_check.box")
+    rng = cfg.rng()
     return {
         "kernel_size": random_size_sweep(kern, n, rng, box),
         "kernel_smoothness": random_smoothness_sweep(kern, n, rng, box),
@@ -56,7 +57,7 @@ def _run_verify_kernel(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Repor
     }
 
 
-def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
+def _run_eval_operator(cfg: ExperimentConfig, args, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     f = cfg.function("input")
     out = apply_on_window(kern, f, cfg.interval("window"))
@@ -101,20 +102,20 @@ def _run_eval_operator(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Repor
     return reports
 
 
-def _run_bmo_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
+def _run_bmo_norm(cfg: ExperimentConfig, args, out_dir: Path) -> Reports:
     b = cfg.function("symbol")
     max_len = None if cfg.get("bmo.max_length") is None else cfg.number("bmo.max_length")
     return {"bmo_norm": length_suprema(b, max_len)}
 
 
-def _run_vmo_profile(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
+def _run_vmo_profile(cfg: ExperimentConfig, args, out_dir: Path) -> Reports:
     b = cfg.function("symbol")
     deltas = [cfg.number(key) for key in cfg.entries("vmo.delta_ladder")]
     radii = [cfg.number(key) for key in cfg.entries("vmo.R_ladder")]
     return {"vmo_profile": vmo_profile(b, deltas, radii).report()}
 
 
-def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
+def _run_verify_homogeneity(cfg: ExperimentConfig, args, out_dir: Path) -> Reports:
     curve = cfg.curve()
     # homogeneity_check needs M > 10, each M once.
     ladder = [cfg.number(key, above=10.0) for key in cfg.entries("homogeneity.M_ladder")]
@@ -129,7 +130,7 @@ def _run_verify_homogeneity(cfg: ExperimentConfig, args, rng, out_dir: Path) -> 
                                              cells, points, slack, band)}
 
 
-def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
+def _run_lemma41(cfg: ExperimentConfig, args, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     base = cfg.interval("lemma41.interval")
@@ -147,7 +148,7 @@ def _run_lemma41(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
     return {"lemma41": rep, **{f"lemma41_intermediate_k{k}": r for k, r in zip(ks, inter)}}
 
 
-def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
+def _run_fk_diagnose(cfg: ExperimentConfig, args, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     origin, step, count = cfg.grid()
@@ -164,7 +165,7 @@ def _run_fk_diagnose(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports
     return {"fk_diagnose": compactness.fk_diagnose(images, p, t_ladder, zs)}
 
 
-def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
+def _run_witness(cfg: ExperimentConfig, args, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     case = compactness.WitnessCase(args.case)
@@ -184,7 +185,7 @@ def _run_witness(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
         cfg.integer("witness.eval_cells", 1), cfg.integer("witness.nodes_per_radius", 1))}
 
 
-def _run_commutator_norm(cfg: ExperimentConfig, args, rng, out_dir: Path) -> Reports:
+def _run_commutator_norm(cfg: ExperimentConfig, args, out_dir: Path) -> Reports:
     kern = cfg.kernel()
     b = cfg.function("symbol")
     p = cfg.number("p", above=1.0)
@@ -238,9 +239,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                else ExperimentConfig.from_dict({}))
         if args.seed is not None:
             cfg.data["seed"] = args.seed
+        cfg.integer("seed", 0)  # validated for every subcommand; only verify-kernel draws
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        reports = HANDLERS[args.command](cfg, args, cfg.rng(), out_dir)
+        reports = HANDLERS[args.command](cfg, args, out_dir)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

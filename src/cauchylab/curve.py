@@ -52,6 +52,9 @@ class LipschitzCurve:
         if not np.isfinite(amplitude):
             raise InputError("sawtooth amplitude must be finite")
         L = 4.0 * abs(float(amplitude)) / float(period)
+        if not math.isfinite(L):
+            raise InputError(f"sawtooth Lipschitz constant 4 |amplitude| / period is not "
+                             f"finite for amplitude {amplitude}, period {period}")
         return LipschitzCurve(
             ProfileKind.SAWTOOTH, (float(amplitude), float(period)), L
         )
@@ -64,6 +67,9 @@ class LipschitzCurve:
         if not np.isfinite(height):
             raise InputError("bump height must be finite")
         L = abs(float(height)) / float(width) * math.sqrt(2.0 / math.e)
+        if not math.isfinite(L):
+            raise InputError(f"bump Lipschitz constant |height| / width * sqrt(2 / e) is not "
+                             f"finite for height {height}, width {width}")
         return LipschitzCurve(
             ProfileKind.SMOOTH_BUMP, (float(height), float(width)), L
         )

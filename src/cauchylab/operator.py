@@ -32,7 +32,12 @@ this order:
   only on the lattice offset, so one FFT correlation gives every sum.  It
   runs when no offset lies within rounding of ``-t`` or ``t`` and the
   padded FFT costs less than the dense sum.  It sums the dense set of
-  terms in another order.
+  terms in another order.  The kernel row's spectrum depends only on
+  ``(width, k0, h, t)``, the lattice geometry and the radius, so it is
+  computed once per such tuple and kept in a cache of ``_SPECTRA``
+  entries, which repeated passes on one grid, such as a commutator's
+  two, share.  A cached spectrum is read-only, so a hit gives the bits a
+  miss computes.
 * Multipole tree: any graph, when ``_tree_pays`` estimates that it does
   less work than the dense sum.  The estimate counts what each backend
   does with these inputs: dense one kernel pair per node and target; the
@@ -70,6 +75,7 @@ whatever the width of ``F``.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -114,6 +120,10 @@ _FAR_PAIRS = 2048
 # nodes peaked 24 MB higher than blocks of 2048, which were also faster
 # than blocks of 512.
 _TREE_BLOCK = 2048
+# Toeplitz kernel spectra kept by ``_kernel_spectrum``.  One grid and target
+# lattice needs one per radius ``t``: the principal value, which both passes
+# of a commutator share, and each truncation radius in use.
+_SPECTRA = 4
 
 
 def _points(xs) -> np.ndarray:
@@ -544,11 +554,7 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
         j = np.rint(edge / h + k0)  # the lattice offset nearest the edge
         if 0 <= j < width and abs((j - k0) * h - edge) <= 2.0 * tol:
             return None
-    m = np.arange(width) - k0
-    keep = np.abs(m * h) > t
-    kern = np.zeros(width)
-    np.divide(1.0, m, out=kern, where=keep)
-    kern_hat = np.fft.rfft(kern, size)
+    kern_hat = _kernel_spectrum(width, k0, h, float(t))  # a 0-d array ``t`` is no cache key
 
     def correlate(v: np.ndarray) -> np.ndarray:
         c = np.fft.irfft(np.conj(np.fft.rfft(v, size)) * kern_hat, size)
@@ -562,6 +568,25 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     if np.any(V.imag):
         out.imag = correlate(V.imag)
     return (out * factor).T
+
+
+@functools.lru_cache(maxsize=_SPECTRA)
+def _kernel_spectrum(width: int, k0: float, h: float, t: float) -> np.ndarray:
+    """``rfft`` of the Toeplitz kernel row ``1 / (j - k0)`` over ``width`` offsets, read-only.
+
+    Offset ``j`` is kept where ``|(j - k0) h| > t`` and is zero elsewhere; the
+    row is zero-padded to the next power of two.  The row depends on the
+    lattice geometry and ``t`` alone, so every pass on one grid and target
+    lattice reuses one spectrum.  The array is shared by every caller, so it
+    is read-only and a cache hit gives the bits a miss computes.
+    """
+    m = np.arange(width) - k0
+    keep = np.abs(m * h) > t
+    kern = np.zeros(width)
+    np.divide(1.0, m, out=kern, where=keep)
+    spectrum = np.fft.rfft(kern, 1 << (width - 1).bit_length())
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def _on_window(f: SampledFunction, window: Interval, values) -> SampledFunction:

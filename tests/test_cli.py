@@ -1,5 +1,9 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from cauchylab import (BoundReport, InputError, Interval, annulus_ladder_reports
                        oscillation_table, random_size_sweep, random_smoothness_sweep, sample_on,
                        small_scale_sequence, unit_images, verify_intermediate_bounds,
                        vmo_profile, witness_separation, write_report)
+import cauchylab
 from cauchylab import compactness
 from cauchylab.symbols import smooth_bump
 from cauchylab.cli import HANDLERS, main
@@ -305,6 +310,11 @@ class TestExitCodes:
         ("eval-operator", {"curve": {"kind": "sawtooth", "params": {
             "amplitude": 0.5, "period": 2.0, "phase": 0.25}}},
          "curve.params: bad parameters for curve 'sawtooth'"),
+        # An overflowing Lipschitz constant would make every kernel bound inf or NaN.
+        ("verify-kernel", {"curve": {"kind": "sawtooth",
+                                     "params": {"amplitude": 1e308, "period": 0.001}},
+                           "kernel_check": {"samples": 2000}},
+         "curve.params: sawtooth Lipschitz constant"),
         ("bmo-norm", {"symbol": {"kind": ["sign"]}}, "config field symbol.kind must be a string"),
         ("bmo-norm", {"grid": 5}, "grid.step"),
         ("eval-operator", {"grid": [1, 2]}, "grid.step"),
@@ -332,7 +342,8 @@ class TestExitCodes:
             "vmo.delta_ladder.bool", "vmo.R_ladder.entry", "vmo.R_ladder.bool",
             "family.kind.unknown", "symbol.params.builder", "input.params.builder",
             "symbol.params.unknown", "curve.kind.unknown", "curve.params.unknown_flat",
-            "curve.params.unknown_sawtooth", "symbol.kind.not_string",
+            "curve.params.unknown_sawtooth", "curve.params.lipschitz_overflow",
+            "symbol.kind.not_string",
             "grid.not_object", "grid.list"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, tree, key):
         cfg = tmp_path / "c.json"
@@ -617,6 +628,17 @@ def test_exit_status_is_the_verdict_of_the_reports(tmp_path, argv, config):
     verdicts = [json.loads(p.read_text())["passed"] for p in (tmp_path / "o").glob("*.json")]
     assert verdicts and rc == (0 if all(verdicts) else 1)
     assert rc == int(argv[0] == config)
+
+
+def test_only_verify_kernel_loads_numpy_random(tmp_path):
+    # Importing numpy.random costs time and memory; a subcommand that draws nothing skips it.
+    code = ("import sys; from cauchylab.cli import main; "
+            f"rc = main(['bmo-norm', '--out-dir', {str(tmp_path)!r}]); "
+            "print(rc, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cauchylab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
 def lemma41_reports(cfg):

@@ -106,3 +106,14 @@ def test_sawtooth_period_must_be_finite(period):
     # An infinite period would make A, and every kernel value on the curve, NaN.
     with pytest.raises(InputError, match="sawtooth period must be positive and finite"):
         LipschitzCurve.sawtooth(0.5, period)
+
+
+@pytest.mark.parametrize("build, args", [
+    (LipschitzCurve.sawtooth, (1e308, 0.001)),
+    (LipschitzCurve.sawtooth, (0.5, 1e-320)),
+    (LipschitzCurve.smooth_bump, (1e308, 1e-10)),
+], ids=["sawtooth.amplitude", "sawtooth.period", "smooth_bump"])
+def test_lipschitz_constant_must_be_finite(build, args):
+    # Finite parameters whose slope overflows would give inf kernel bounds and NaN kernels.
+    with pytest.raises(InputError, match="Lipschitz constant .* is not finite"):
+        build(*args)

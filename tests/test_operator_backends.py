@@ -6,6 +6,7 @@ decline must give exactly the dense result.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cauchylab.cli import main
 from cauchylab.curve import eval_A
 
 FLAT = LipschitzCurve.flat()
+SPECTRUM = operator._kernel_spectrum
 
 
 def _window(f, t):
@@ -178,6 +180,60 @@ class TestDispatch:
                     truncated_values(kernel, f, lattice, 10.25 * f.step),
                     truncated_values(kernel, f, off, 10.0 * f.step)):
             assert np.all(out.imag == 0.0)
+
+
+class TestKernelSpectrumCache:
+    """The Toeplitz kernel spectra kept by ``operator._kernel_spectrum``."""
+
+    def test_warm_calls_equal_cold_calls_bit_for_bit(self):
+        # pv and truncated sums interleaved on two grids, both target lattices
+        # and a flat and an affine graph; the two graphs share one spectrum.
+        calls = []
+        for f in (_grid(600, seed=1), _grid(1000, seed=2, real=True, lo=-3.0, hi=1.0)):
+            for par in (0, 1):
+                xs = _lattice(f, np.arange(100, 500), par)
+                for curve in (FLAT, LipschitzCurve.affine(0.75)):
+                    kernel = CauchyKernel.for_curve(curve)
+                    calls += [partial(pv_values, kernel, f, xs),
+                              partial(truncated_values, kernel, f, xs, 10.25 * f.step)]
+        cold = []
+        for call in calls:
+            SPECTRUM.cache_clear()
+            cold.append(call())
+        SPECTRUM.cache_clear()
+        warm = [call() for call in calls]
+        info = SPECTRUM.cache_info()
+        assert (info.hits, info.misses) == (8, 8)
+        for got, want in zip(warm, cold):
+            assert got.tobytes() == want.tobytes()
+
+    def test_cached_spectrum_rejects_writes(self):
+        SPECTRUM.cache_clear()
+        first = SPECTRUM(100, 60.5, 0.01, 0.0325)
+        assert SPECTRUM(100, 60.5, 0.01, 0.0325) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
+
+    def test_commutator_on_a_block_computes_one_spectrum(self):
+        block = _block(600, 3, [True, False, True], seed=5)
+        b = _grid(600, seed=6, real=True)
+        xs = _lattice(block, np.arange(100, 500), 1)
+        SPECTRUM.cache_clear()
+        out = commutator_values(b, block, CauchyKernel.for_curve(FLAT), xs)
+        assert out.shape == (xs.size, 3)
+        info = SPECTRUM.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_cache_stays_within_its_size(self):
+        f = _grid(600, seed=3)
+        kernel = CauchyKernel.for_curve(FLAT)
+        xs = _lattice(f, np.arange(100, 500), 1)
+        SPECTRUM.cache_clear()
+        for i in range(3 * operator._SPECTRA):
+            truncated_values(kernel, f, xs, (i + 0.25) * f.step)
+            info = SPECTRUM.cache_info()
+            assert info.misses == i + 1
+            assert info.currsize <= info.maxsize == operator._SPECTRA
 
 
 class TestDense:
