@@ -35,9 +35,12 @@ this order:
   terms in another order.  The kernel row's spectrum depends only on
   ``(width, k0, h, t)``, the lattice geometry and the radius, so it is
   computed once per such tuple and kept in a cache of ``_SPECTRA``
-  entries, which repeated passes on one grid, such as a commutator's
-  two, share.  A cached spectrum is read-only, so a hit gives the bits a
-  miss computes.
+  entries.  That saves work only where a spectrum is asked for again:
+  a commutator's second pass, or another call on the same grid, target
+  lattice and radius; a call on a new grid or radius computes it as
+  before.  A spectrum longer than ``_KEPT_SIZE`` is not kept, which
+  bounds the cache at about 4 MB.  A cached spectrum is read-only, so a
+  hit gives the bits a miss computes.
 * Multipole tree: any graph, when ``_tree_pays`` estimates that it does
   less work than the dense sum.  The estimate counts what each backend
   does with these inputs: dense one kernel pair per node and target; the
@@ -124,6 +127,10 @@ _TREE_BLOCK = 2048
 # lattice needs one per radius ``t``: the principal value, which both passes
 # of a commutator share, and each truncation radius in use.
 _SPECTRA = 4
+# The longest padded FFT whose spectrum is kept.  One costs 16 (size / 2 + 1)
+# bytes, so four stay under 4.2 MB; every grid of the default CLI runs
+# (at most 65536 with ``--convergence``) fits.
+_KEPT_SIZE = 1 << 17
 
 
 def _points(xs) -> np.ndarray:
@@ -554,7 +561,8 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
         j = np.rint(edge / h + k0)  # the lattice offset nearest the edge
         if 0 <= j < width and abs((j - k0) * h - edge) <= 2.0 * tol:
             return None
-    kern_hat = _kernel_spectrum(width, k0, h, float(t))  # a 0-d array ``t`` is no cache key
+    spectrum = _kernel_spectrum if size <= _KEPT_SIZE else _kernel_spectrum.__wrapped__
+    kern_hat = spectrum(width, k0, h, float(t), size)  # a 0-d array ``t`` is no cache key
 
     def correlate(v: np.ndarray) -> np.ndarray:
         c = np.fft.irfft(np.conj(np.fft.rfft(v, size)) * kern_hat, size)
@@ -571,20 +579,20 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
 
 
 @functools.lru_cache(maxsize=_SPECTRA)
-def _kernel_spectrum(width: int, k0: float, h: float, t: float) -> np.ndarray:
+def _kernel_spectrum(width: int, k0: float, h: float, t: float, size: int) -> np.ndarray:
     """``rfft`` of the Toeplitz kernel row ``1 / (j - k0)`` over ``width`` offsets, read-only.
 
     Offset ``j`` is kept where ``|(j - k0) h| > t`` and is zero elsewhere; the
-    row is zero-padded to the next power of two.  The row depends on the
-    lattice geometry and ``t`` alone, so every pass on one grid and target
-    lattice reuses one spectrum.  The array is shared by every caller, so it
-    is read-only and a cache hit gives the bits a miss computes.
+    row is zero-padded to ``size``, the FFT length of ``_toeplitz_sums``.  The
+    row depends on the lattice geometry and ``t`` alone, so every pass on one
+    grid and target lattice reuses one spectrum.  The array is shared by every
+    caller, so it is read-only and a cache hit gives the bits a miss computes.
     """
     m = np.arange(width) - k0
     keep = np.abs(m * h) > t
     kern = np.zeros(width)
     np.divide(1.0, m, out=kern, where=keep)
-    spectrum = np.fft.rfft(kern, 1 << (width - 1).bit_length())
+    spectrum = np.fft.rfft(kern, size)
     spectrum.flags.writeable = False
     return spectrum
 

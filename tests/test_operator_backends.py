@@ -209,8 +209,8 @@ class TestKernelSpectrumCache:
 
     def test_cached_spectrum_rejects_writes(self):
         SPECTRUM.cache_clear()
-        first = SPECTRUM(100, 60.5, 0.01, 0.0325)
-        assert SPECTRUM(100, 60.5, 0.01, 0.0325) is first
+        first = SPECTRUM(100, 60.5, 0.01, 0.0325, 128)
+        assert SPECTRUM(100, 60.5, 0.01, 0.0325, 128) is first
         with pytest.raises(ValueError, match="read-only"):
             first[0] = 0.0
 
@@ -234,6 +234,21 @@ class TestKernelSpectrumCache:
             info = SPECTRUM.cache_info()
             assert info.misses == i + 1
             assert info.currsize <= info.maxsize == operator._SPECTRA
+
+    def test_long_spectrum_is_not_kept(self, monkeypatch):
+        # 1000 nodes against 400 midpoints pad to 2048, over a limit of 1024.
+        f = _grid(1000, seed=4)
+        kernel = CauchyKernel.for_curve(FLAT)
+        xs = _lattice(f, np.arange(300, 700), 1)
+        SPECTRUM.cache_clear()
+        kept = pv_values(kernel, f, xs)
+        assert SPECTRUM.cache_info().currsize == 1
+        SPECTRUM.cache_clear()
+        monkeypatch.setattr(operator, "_KEPT_SIZE", 1024)
+        got = pv_values(kernel, f, xs)
+        info = SPECTRUM.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert got.tobytes() == kept.tobytes()
 
 
 class TestDense:
