@@ -41,8 +41,8 @@ from .errors import InputError
 from .kernel import CauchyKernel
 from .operator import _on_window, _points, pv_values
 from .reports import BoundReport
-from .sampling import (Interval, SampledFunction, _cell_centres, _rowwise, lp_norm, sample,
-                       stack)
+from .sampling import (Interval, SampledFunction, _cell_centres, _finite, _rowwise, lp_norm,
+                       sample, stack)
 
 
 def homogeneity_check(curve: LipschitzCurve, M_ladder: Sequence[float], r: float,
@@ -111,8 +111,8 @@ def commutator_values(b: SampledFunction, f: SampledFunction, kernel: CauchyKern
 
     ``f`` is one function, giving ``(len(xs),)``, or a block of ``c``,
     giving ``(len(xs), c)``; either way it costs two ``pv_values`` passes.
-    ``b_outer`` overrides the values of ``b`` at the evaluation points;
-    by default they come from ``b.value_at``.
+    ``b_outer`` overrides the values of ``b`` at the evaluation points and
+    must be finite; by default they come from ``b.value_at``.
     """
     _require_shared_grid(b, f)
     xs = _points(xs)
@@ -122,6 +122,7 @@ def commutator_values(b: SampledFunction, f: SampledFunction, kernel: CauchyKern
         b_outer = np.asarray(b_outer, dtype=np.complex128)
         if b_outer.shape != xs.shape:
             raise InputError("b_outer must match the evaluation points")
+        _finite(b_outer, "b_outer entry")
     bf = f.with_values(_rowwise(b.values, f.values))
     return _rowwise(b_outer, pv_values(kernel, f, xs)) - pv_values(kernel, bf, xs)
 

@@ -66,14 +66,18 @@ this order:
 
 Every sum takes one function or a block of ``c`` functions on one grid
 (``values`` of shape ``(n,)`` or ``(n, c)``, see ``sampling``) and returns
-``(len(xs),)`` or ``(len(xs), c)``.  A block costs one pass: the dense
-backend builds each kernel chunk once and multiplies it by all ``2 c``
-real columns ``[Re V, Im V]``, the tree backend walks each target down the
-tree once for all columns, and the FFT backend transforms all columns in
-one batched call.  On a curved graph building the chunk, not the
-product, is the cost, so a family of test functions is applied as one
-block.  The commutator ``b C(F) - C(b F)`` is two passes, one per term,
-whatever the width of ``F``.
+``(len(xs),)`` or ``(len(xs), c)``.  The backends sum real weight columns
+only.  ``_masked_sums`` is the one place that splits complex values: a
+real block ``V`` reaches the backends as its ``c`` columns, without a
+copy, and a complex one as the ``2 c`` columns ``[Re V, Im V]``, whose
+sums it joins back as ``S[:, :c] + 1j S[:, c:]``.  A block costs one pass:
+the dense backend builds each kernel chunk once and multiplies it by all
+weight columns, the tree backend walks each target down the tree once for
+all columns, and the FFT backend transforms all columns in one batched
+call.  On a curved graph building the chunk, not the product, is the
+cost, so a family of test functions is applied as one block.  The
+commutator ``b C(F) - C(b F)`` is two passes, one per term, whatever the
+width of ``F``.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ import numpy as np
 from .curve import LipschitzCurve, ProfileKind, eval_A
 from .errors import GridAlignmentError, InputError
 from .kernel import CauchyKernel
-from .sampling import ALIGNMENT_TOL, Interval, SampledFunction
+from .sampling import ALIGNMENT_TOL, Interval, SampledFunction, _finite
 
 # Cap on elements per kernel-matrix chunk of the dense backend; chunks
 # this size stay in cache, which is faster than larger ones.
@@ -104,9 +108,9 @@ _ORDER = 53
 # Nodes per leaf box; leaf sums are dense.
 _LEAF = 32
 # The work ``_tree_pays`` counts for each backend, in units of one dense
-# kernel pair, as (shared by a block's columns, added per column).  The
-# kernel build and the tree walk are shared; dense's matrix products and
-# the tree's moment, leaf and series arithmetic are per column.  Fitted once
+# kernel pair, as (shared by a block's columns, added per real weight
+# column).  The kernel build and the tree walk are shared; dense's matrix
+# products and the tree's moment, leaf and series arithmetic are per column.  Fitted once
 # (2-core x86-64, numpy 2.4) on a sawtooth graph: 64-8192 nodes against
 # 128-8192 targets inside, beside, spread around and far from the nodes,
 # 1-32 columns; the choice came within 2% of the faster backend's total.
@@ -134,14 +138,11 @@ _KEPT_SIZE = 1 << 17
 
 
 def _points(xs) -> np.ndarray:
-    """Evaluation points as a 1-d float array; a non-finite point raises."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    bad = np.flatnonzero(~np.isfinite(xs))
-    if bad.size:
-        raise InputError(
-            f"evaluation point {float(xs[bad[0]])} at index {int(bad[0])} is not finite"
-        )
-    return xs
+    """Evaluation points as a 1-d float array; other shapes and non-finite points raise."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim > 1:
+        raise InputError(f"evaluation points must be one-dimensional, got shape {xs.shape}")
+    return _finite(np.atleast_1d(xs), "evaluation point")
 
 
 def _check_alignment(xs: np.ndarray, f: SampledFunction) -> None:
@@ -181,9 +182,10 @@ def pv_values(kernel: CauchyKernel, f: SampledFunction, xs) -> np.ndarray:
 
 def truncated_values(kernel: CauchyKernel, f: SampledFunction, xs, t: float) -> np.ndarray:
     """Truncated integrals at many finite points, vectorized; shapes as ``pv_values``."""
-    if not t > 0:
-        raise InputError("truncation radius must be positive")
-    return _masked_sums(kernel, f, _points(xs), t)
+    radius = np.asarray(t)
+    if radius.ndim or radius.dtype.kind not in "iuf" or not radius > 0:
+        raise InputError(f"truncation radius must be a positive real scalar, got {t!r}")
+    return _masked_sums(kernel, f, _points(xs), float(radius))
 
 
 def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
@@ -193,52 +195,55 @@ def _masked_sums(kernel: CauchyKernel, f: SampledFunction, xs: np.ndarray,
     This is the one rule for the nodes a kernel sum drops: every backend
     drops ``|y - x| <= t`` for the float difference ``y - x``.  ``f`` is one
     function or a block; the result has one row per point and, for a
-    block, one column per function.  The Toeplitz FFT backend runs when
-    the curve is flat or affine, all targets share one lattice of the grid
-    (nodes or half-step midpoints, to rounding), no lattice offset ties
-    ``-t`` or ``t``, and the FFT is cheaper than the dense sum.
-    Otherwise the tree backend runs when ``_tree_pays`` estimates it does
-    less work for these nodes, targets and columns, and the dense backend,
-    the reference for both, takes the rest.
+    block, one column per function.  The backend is the first of the
+    Toeplitz FFT (unless ``_toeplitz_sums`` declines), the tree (when
+    ``_tree_pays``) and the dense sum, as the module docstring describes.
+    Each sums real weight columns ``W``: the ``(n, c)`` values ``V`` when
+    real, ``[Re V, Im V]`` when complex, whose sums ``S`` are joined back
+    as ``S[:, :c] + 1j S[:, c:]``.
     """
-    out = _toeplitz_sums(kernel.curve, f, xs, t)
-    if out is not None:
-        return out
-    if _tree_pays(f, xs):
-        return _tree_sums(kernel.curve, f, xs, t)
-    return _dense_sums(kernel.curve, f, xs, t)
+    V = f.values.reshape(f.count, -1)
+    c = V.shape[1]
+    W = np.concatenate([V.real, V.imag], axis=1) if np.iscomplexobj(V) else V
+    S = _toeplitz_sums(kernel.curve, f, W, xs, t)
+    if S is None:
+        backend = _tree_sums if _tree_pays(f, W, xs) else _dense_sums
+        S = backend(kernel.curve, f, W, xs, t)
+    if W is not V:
+        S = S[:, :c] + 1j * S[:, c:]
+    return S.reshape(xs.shape + f.values.shape[1:])
 
 
-def _dense_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
+def _dense_sums(curve: LipschitzCurve, f: SampledFunction, W: np.ndarray, xs: np.ndarray,
                 t: float) -> np.ndarray:
-    """``h * sum K(x, y) f(y)`` over nodes with ``|y - x| > t``, by chunks.
+    """``h * sum K(x, y) W(y)`` over the nodes ``y`` of ``f`` with ``|y - x| > t``, by chunks.
 
-    Each chunk of the kernel matrix is built once by ``_kernel_sums`` and
-    applied to the ``2 c`` columns ``[Re V, Im V]`` of the ``(n, c)`` value
-    block by two real matrix products.  ``A`` is evaluated once per call,
-    at the nodes and at every target.
+    ``W`` holds ``k`` real weight columns, one row per node (see
+    ``_masked_sums``); the result is ``(len(xs), k)`` and complex.  Each
+    chunk of the kernel matrix is built once by ``_kernel_sums`` and applied
+    to ``W`` by two real matrix products, one per plane.  ``A`` is
+    evaluated once per call, at the nodes and at every target.
     """
     nodes = f.nodes
-    V = f.values.reshape(f.count, -1)
-    W = np.concatenate([V.real, V.imag], axis=1)
     A_nodes = np.asarray(eval_A(curve, nodes), dtype=float)
     A_xs = np.asarray(eval_A(curve, xs), dtype=float)
-    out = np.empty((xs.size, V.shape[1]), dtype=np.complex128)
+    out = np.empty((xs.size, W.shape[1]), dtype=np.complex128)
     rows = max(1, _CHUNK_ELEMENTS // nodes.size)
     parts = [slice(a, a + rows) for a in range(0, xs.size, rows)]
     chunks = ((nodes, A_nodes, xs[p], A_xs[p], lambda M: M @ W) for p in parts)
     for p, (re, im) in zip(parts, _kernel_sums(chunks, t)):
         out.real[p], out.imag[p] = re, im
     out *= f.step
-    return out.reshape(xs.shape + f.values.shape[1:])
+    return out
 
 
 def _kernel_sums(chunks, t: float):
-    """Yield ``Re`` and ``Im`` of ``sum K(x, y) V(y)`` per chunk ``(y, A(y), x, A(x), apply)``.
+    """Yield ``Re`` and ``Im`` of ``sum K(x, y) W(y)`` per chunk ``(y, A(y), x, A(x), apply)``.
 
     One row per target ``x``; ``y`` is shared or one row per target.  The planes
-    ``D / (D^2 + dA^2)`` and ``dA / (D^2 + dA^2)`` (``Re K`` and ``-Im K``) are zero
-    where ``|D| <= t`` for ``D = y - x``; ``apply`` multiplies one by ``[Re V, Im V]``.
+    ``D / (D^2 + dA^2)`` and ``dA / (D^2 + dA^2)``, for ``D = y - x`` and
+    ``dA = A(x) - A(y)``, are ``Re K`` and ``Im K``, zero where ``|D| <= t``;
+    ``apply`` multiplies one by the real weight columns ``W``.
     The first chunk is the largest.  Its float and mask buffers are allocated once
     and every chunk is filled into them with ``out=``, so the time does not depend
     on where malloc places per-chunk temporaries (freeing and refaulting them once
@@ -253,7 +258,7 @@ def _kernel_sums(chunks, t: float):
         D, dA, inv, sq = (b[:size].reshape(shape) for b in floats)
         mask = flags[:size].reshape(shape)
         np.subtract(y, x[:, None], out=D)
-        np.subtract(A_y, A_x[:, None], out=dA)
+        np.subtract(A_x[:, None], A_y, out=dA)
         np.greater(np.abs(D, out=sq), t, out=mask)
         np.multiply(D, D, out=inv)
         inv += np.multiply(dA, dA, out=sq)
@@ -261,23 +266,21 @@ def _kernel_sums(chunks, t: float):
         inv *= mask
         D *= inv
         dA *= inv
-        P = apply(D)
-        Q = apply(dA)
-        c = P.shape[1] // 2
-        yield P[:, :c] + Q[:, c:], P[:, c:] - Q[:, :c]
+        yield apply(D), apply(dA)
 
 
-def _tree_pays(f: SampledFunction, xs: np.ndarray) -> bool:
-    """Whether the tree backend is estimated cheaper than dense for ``f`` at ``xs``.
+def _tree_pays(f: SampledFunction, W: np.ndarray, xs: np.ndarray) -> bool:
+    """Whether the tree backend is estimated cheaper than dense for ``W`` at ``xs``.
 
     Dense work is one kernel pair per node and target.  A target within one
     node span of the span's midpoint is near and walks every level to the
     leaves, while any other target is summed by the root box's series.  The
     tree builds moments for every node at each level a far pair uses: every
     level when some target is near, the root alone when none is.  Each count
-    is weighted by its ``_COST`` row for the ``c`` columns of ``f``.
+    is weighted by its ``_COST`` row for the ``c`` real weight columns of ``W``
+    on the nodes of ``f``.
     """
-    n, m, c = f.count, xs.size, f.values.size // f.count
+    n, m, c = f.count, xs.size, W.shape[1]
     span = f.upper - f.lower
     near = int(np.count_nonzero(np.abs(xs - (f.lower + 0.5 * span)) <= span))
     levels = (-(-n // _LEAF) - 1).bit_length() + 1 if near else 1
@@ -297,7 +300,7 @@ def _series_order(r: np.ndarray) -> np.ndarray:
     return np.clip(p, 0, _ORDER).astype(np.int64)
 
 
-def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
+def _tree_sums(curve: LipschitzCurve, f: SampledFunction, W: np.ndarray, xs: np.ndarray,
                t: float) -> np.ndarray:
     """The sums of ``_dense_sums`` by a binary multipole tree over the nodes.
 
@@ -307,7 +310,7 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     at most ``_LEAF`` nodes.  A box has a centre ``c`` (the midpoint of its
     node span and of its range of ``A``), a radius ``rho``, the largest
     ``|z_y - c|`` over its nodes, and moments
-    ``M_k = sum w_y ((z_y - c) / rho)^k`` for ``k <= _ORDER``, scaled so that
+    ``M_k = sum W_y ((z_y - c) / rho)^k`` for ``k <= _ORDER``, scaled so that
     no power overflows or underflows.  ``_tree_levels`` sets up a level's
     spans, centres and radii the first time the walk reaches it, and sums
     its moments directly from the nodes, with no translation between levels,
@@ -335,14 +338,12 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
     ``A`` is evaluated once at the nodes and once at the targets.
     """
     nodes = f.nodes
-    n = nodes.size
-    V = f.values.reshape(n, -1)
-    c = V.shape[1]
+    n, c = W.shape
     A_nodes = np.asarray(eval_A(curve, nodes), dtype=float)
     A_xs = np.asarray(eval_A(curve, xs), dtype=float)
     depth = (-(-n // _LEAF) - 1).bit_length()
-    weights = np.zeros((_LEAF << depth, 2 * c))
-    weights[:n] = np.concatenate([V.real, V.imag], axis=1)
+    weights = np.zeros((_LEAF << depth, c))
+    weights[:n] = W
     at = np.minimum(np.arange(weights.shape[0]), n - 1)
     leaf_nodes, leaf_A = nodes[at], A_nodes[at]
     offsets, x_first, x_last, centre, rho, moments, build = _tree_levels(
@@ -380,7 +381,7 @@ def _tree_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
         _leaf_sums(leaf_nodes, leaf_A, weights.T, x, A_x, tg, bx, t, acc)
         _far_sums(moments, centre, rho, zx, np.concatenate(far_t), np.concatenate(far_g), acc)
     out *= f.step
-    return out.reshape(xs.shape + f.values.shape[1:])
+    return out
 
 
 def _tree_levels(nodes: np.ndarray, A_nodes: np.ndarray, weights: np.ndarray, depth: int):
@@ -395,13 +396,13 @@ def _tree_levels(nodes: np.ndarray, A_nodes: np.ndarray, weights: np.ndarray, de
     also sums its moments on its first call.  Both use the node offsets
     ``z_y - c``, computed in one place: a box's radius is their largest
     modulus, and its moments sum powers of them divided by ``rho``.
-    ``weights`` holds ``[Re V, Im V]`` padded with zeros to ``_LEAF 2^depth``
-    rows.  The powers are built by chunks of ``chunk`` nodes, the largest
-    ``_LEAF 2^j`` that keeps a chunk of powers within ``_CHUNK_ELEMENTS``;
-    a chunk holds whole boxes or part of one box.  The chunk buffers are
-    allocated once and shared by every level.
+    ``weights`` holds the real weight columns padded with zeros to
+    ``_LEAF 2^depth`` rows.  The powers are built by chunks of ``chunk``
+    nodes, the largest ``_LEAF 2^j`` that keeps a chunk of powers within
+    ``_CHUNK_ELEMENTS``; a chunk holds whole boxes or part of one box.  The
+    chunk buffers are allocated once and shared by every level.
     """
-    n, c = nodes.size, weights.shape[1] // 2
+    n, c = nodes.size, weights.shape[1]
     z = nodes + 1j * A_nodes
     offsets = np.cumsum([0] + [-(-n // (_LEAF << (depth - l))) for l in range(depth + 1)])
     x_first, x_last, rho = np.full((3, offsets[-1]), np.nan)
@@ -437,8 +438,8 @@ def _tree_levels(nodes: np.ndarray, A_nodes: np.ndarray, weights: np.ndarray, de
         # A box of radius 0 holds nodes at its centre, whose offsets are 0.
         r = np.repeat(rho[boxes], size)[:n]
         np.divide(offset, r, out=offset, where=r > 0)
-        # The products run in real arithmetic, [Re p; Im p] @ [Re V, Im V],
-        # on the real matrix kernels the dense backend uses.
+        # The products run in real arithmetic, [Re p; Im p] @ W, on the real
+        # matrix kernels the dense backend uses.
         group = min(size, chunk)
         for a in range(0, n, chunk):
             for k in range(1, _ORDER + 1):
@@ -446,13 +447,12 @@ def _tree_levels(nodes: np.ndarray, A_nodes: np.ndarray, weights: np.ndarray, de
             planes[0] = powers.real
             planes[1] = powers.imag
             part = np.matmul(planes.reshape(2 * (_ORDER + 1), -1, group).transpose(1, 0, 2),
-                             weights[a:a + chunk].reshape(-1, group, 2 * c))
+                             weights[a:a + chunk].reshape(-1, group, c))
             b0 = boxes.start + a // size
             b1 = min(b0 + part.shape[0], boxes.stop)
-            re, im = part[:b1 - b0, :_ORDER + 1], part[:b1 - b0, _ORDER + 1:]
             box = moments[:, b0:b1]
-            box.real += (re[..., :c] - im[..., c:]).transpose(1, 0, 2)
-            box.imag += (re[..., c:] + im[..., :c]).transpose(1, 0, 2)
+            box.real += part[:b1 - b0, :_ORDER + 1].transpose(1, 0, 2)
+            box.imag += part[:b1 - b0, _ORDER + 1:].transpose(1, 0, 2)
 
     return offsets, x_first, x_last, centre, rho, moments, build
 
@@ -462,8 +462,8 @@ def _leaf_sums(nodes: np.ndarray, A_nodes: np.ndarray, W: np.ndarray, x: np.ndar
                acc: np.ndarray) -> None:
     """Add to ``acc[tg]`` the dense sums over the nodes of leaf ``leaf``, pair by pair.
 
-    ``W`` holds the ``2 c`` real columns ``[Re V, Im V]`` as rows.  The nodes
-    and ``W`` are padded to whole leaves: the last node repeated, with weight 0.
+    ``W`` holds the real weight columns as rows.  The nodes and ``W`` are
+    padded to whole leaves: the last node repeated, with weight 0.
     """
     rows = max(1, _CHUNK_ELEMENTS // (4 * _LEAF))
     parts = [slice(a, a + rows) for a in range(0, tg.size, rows)]
@@ -508,18 +508,18 @@ def _far_sums(moments: np.ndarray, centre: np.ndarray, rho: np.ndarray, zx: np.n
         np.add.at(acc, t, S)
 
 
-def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
+def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, W: np.ndarray, xs: np.ndarray,
                    t: float) -> Optional[np.ndarray]:
     """The sums of ``_dense_sums`` by one FFT correlation, or None.
 
     On a flat graph a target ``x = origin + (k + par/2) h`` on the node
     (``par = 0``) or midpoint (``par = 1``) lattice sees the node ``j``
     at offset ``(j - k - par/2) h``, so the kernel matrix is Toeplitz:
-    ``f`` is correlated with ``1 / (d - par/2)`` over the kept offsets.
+    ``W`` is correlated with ``1 / (d - par/2)`` over the kept offsets.
     An affine graph of slope ``s`` multiplies the flat kernel by
-    ``1 / (1 + i s)``.  ``Re f`` and ``Im f`` go through real FFTs, batched
-    over the columns of a block, so a real column on a flat graph gives
-    an exactly real result.
+    ``1 / (1 + i s)``.  The real weight columns ``W`` go through real FFTs
+    in one batched call, so a real column on a flat graph gives an exactly
+    real result.
 
     Returns None, leaving the input to the dense backend, when the curve
     is curved, the targets are empty, mixed or off-lattice, a lattice
@@ -562,20 +562,12 @@ def _toeplitz_sums(curve: LipschitzCurve, f: SampledFunction, xs: np.ndarray,
         if 0 <= j < width and abs((j - k0) * h - edge) <= 2.0 * tol:
             return None
     spectrum = _kernel_spectrum if size <= _KEPT_SIZE else _kernel_spectrum.__wrapped__
-    kern_hat = spectrum(width, k0, h, float(t), size)  # a 0-d array ``t`` is no cache key
-
-    def correlate(v: np.ndarray) -> np.ndarray:
-        c = np.fft.irfft(np.conj(np.fft.rfft(v, size)) * kern_hat, size)
-        return c.take(k_hi - k, axis=-1)
-
-    # One contiguous row per function: a block is transposed, while a
-    # single function is used as it is, without a copy.
-    V = f.values if f.values.ndim == 1 else np.ascontiguousarray(f.values.T)
-    out = np.zeros(V.shape[:-1] + xs.shape, dtype=np.complex128)
-    out.real = correlate(V.real)
-    if np.any(V.imag):
-        out.imag = correlate(V.imag)
-    return (out * factor).T
+    kern_hat = spectrum(width, k0, h, t, size)
+    # One contiguous row per weight column; a single column is not copied.
+    rows = np.fft.irfft(np.conj(np.fft.rfft(np.ascontiguousarray(W.T), size)) * kern_hat, size)
+    out = np.zeros((xs.size, W.shape[1]), dtype=np.complex128)
+    out.real = rows.take(k_hi - k, axis=-1).T
+    return out * factor
 
 
 @functools.lru_cache(maxsize=_SPECTRA)

@@ -1,10 +1,11 @@
 """Uniform grids, sampled functions, intervals, and L^p norms.
 
 Everything downstream (singular quadrature, oscillation sweeps,
-compactness diagnostics) works on one substrate: complex values on a
-uniform grid, integrated with the midpoint rule.  Grids are uniform on
-purpose, and shifts are restricted to whole grid steps, so translation
-and equicontinuity tests carry no interpolation error.
+compactness diagnostics) works on one substrate: real (float64) or
+complex (complex128) values on a uniform grid, integrated with the
+midpoint rule; real data stays real.  Grids are uniform on purpose, and
+shifts are restricted to whole grid steps, so translation and
+equicontinuity tests carry no interpolation error.
 
 Conventions
 -----------
@@ -95,13 +96,15 @@ class Interval:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Complex values on the uniform grid ``origin + i * step``.
+    """Real or complex values on the uniform grid ``origin + i * step``.
 
     ``values`` has shape ``(n,)`` for one function or ``(n, c)`` for a
-    block of ``c`` functions on the same ``n`` nodes.  ``source``, when
-    present, is the callable the samples were drawn from; it lets consumers
-    evaluate the same function off this grid (refined lattices, midpoints)
-    without interpolation.  Derived functions generally drop it.
+    block of ``c`` functions on the same ``n`` nodes, stored as a read-only
+    copy: float64 for real input (integers and booleans included) and
+    complex128 for complex input.  ``source``, when present, is the
+    callable the samples were drawn from; it lets consumers evaluate the
+    same function off this grid (refined lattices, midpoints) without
+    interpolation.  Derived functions generally drop it.
     """
 
     origin: float
@@ -114,12 +117,11 @@ class SampledFunction:
             raise InputError("grid origin and step must be finite")
         if not self.step > 0:
             raise InputError(f"grid step must be positive, got {self.step}")
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.array(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
         if vals.ndim not in (1, 2) or vals.size == 0:
             raise InputError("values must be a non-empty (n,) or (n, c) array")
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        if not np.isfinite(vals).all():
             raise InputError("all sampled values must be finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -178,17 +180,11 @@ class SampledFunction:
         return mask
 
     def real_values(self) -> np.ndarray:
-        """Real parts; rejects imaginary parts above ``1e-12`` of ``max(|f|, 1)``.
-
-        ``values`` is read-only, so the values are checked once per object
-        and the checked real parts are kept for later calls.
-        """
+        """Real values as stored; complex ones are checked by ``_checked_real`` on every call."""
         self.require_single("real_values")
-        real = self.__dict__.get("_real")
-        if real is None:
-            real = _checked_real(self.values)
-            object.__setattr__(self, "_real", real)
-        return real
+        if np.iscomplexobj(self.values):
+            return _checked_real(self.values)
+        return self.values
 
     def with_values(self, values) -> "SampledFunction":
         """Same grid, new values, no source callable."""
@@ -230,13 +226,13 @@ class SampledFunction:
         Uses ``source`` when available.  Otherwise points must lie inside
         the sampled range; on-node points return the node value and
         off-node points return the mean of the two bracketing nodes (the
-        cell-boundary value consistent with the midpoint rule).
+        cell-boundary value consistent with the midpoint rule).  A
+        non-finite point raises ``InputError`` either way.
         """
         self.require_single("value_at")
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        xs = _finite(np.atleast_1d(np.asarray(xs, dtype=float)), "evaluation point")
         if self.source is not None:
-            out = np.asarray(self.source(xs), dtype=np.complex128)
-            return out
+            return np.asarray(self.source(xs), dtype=np.complex128)
         h = self.step
         s = (xs - self.origin) / h
         if np.any(s < -ALIGNMENT_TOL) or np.any(s > self.count - 1 + ALIGNMENT_TOL):
@@ -253,6 +249,14 @@ class SampledFunction:
         out = np.where(on_node, self.values[idx], out)
         out = np.where(at_next, self.values[idx_hi], out)
         return out
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``; ``InputError`` names the first non-finite entry, as ``what``, and its index."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InputError(f"{what} {values.flat[bad[0]]} at index {int(bad[0])} is not finite")
+    return values
 
 
 def _checked_real(values: np.ndarray) -> np.ndarray:
@@ -337,7 +341,8 @@ def shift(f: SampledFunction, z: float) -> SampledFunction:
     """Translate: returns g with ``g(x) = f(x + z)``, zero-extended.
 
     ``z`` must be a whole number of grid steps so the result is exact.
-    A block shifts column by column.  The result has no source callable.
+    A block shifts column by column.  The result keeps the dtype of ``f``
+    and has no source callable.
     """
     k_real = z / f.step
     if not np.isfinite(k_real) or abs(k_real - round(k_real)) > ALIGNMENT_TOL:
@@ -346,7 +351,7 @@ def shift(f: SampledFunction, z: float) -> SampledFunction:
             "regrid the function or choose z = k * step"
         )
     k = round(k_real)
-    out = np.zeros(f.values.shape, dtype=np.complex128)
+    out = np.zeros_like(f.values)
     if k >= 0:
         if k < f.count:
             out[: f.count - k] = f.values[k:]

@@ -35,9 +35,9 @@ def _rows(table):
 
 
 class TestRealCheck:
-    def test_values_are_scanned_once_per_function(self, monkeypatch):
-        # Realness is a property of the read-only values, so two interval
-        # reads on one function check the whole grid only once.
+    def test_real_values_are_never_scanned_and_complex_ones_on_every_call(self, monkeypatch):
+        # Real values are stored as float64 and returned as they are; complex
+        # values are checked for a negligible imaginary part on every read.
         calls = []
         original = sampling._checked_real
 
@@ -47,11 +47,17 @@ class TestRealCheck:
 
         monkeypatch.setattr(sampling, "_checked_real", counted)
         f = grid_fn(lambda y: y)
+        assert f.values.dtype == np.float64
         first = bmo._real_on(f, I01)
         second = bmo._real_on(f, Interval(0.5, 0.25))
-        assert calls == [f.count]
-        np.testing.assert_array_equal(first, f.values.real[f.node_mask(I01)])
+        assert calls == []
+        assert f.real_values() is f.values
+        np.testing.assert_array_equal(first, f.values[f.node_mask(I01)])
         assert second.size == np.count_nonzero(f.node_mask(Interval(0.5, 0.25)))
+        g = f.with_values(f.values + 0j)
+        for _ in range(2):
+            np.testing.assert_array_equal(bmo._real_on(g, I01), first)
+        assert calls == [g.count, g.count]
 
     def test_complex_rejected_on_every_call(self):
         f = grid_fn(lambda y: y * (1 + 1j))

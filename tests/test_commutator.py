@@ -58,6 +58,14 @@ class TestApply:
         np.testing.assert_allclose(out.values.real, -2.0, atol=1e-3)
         np.testing.assert_allclose(out.values.imag, 0.0, atol=1e-12)
 
+    def test_non_finite_b_outer_rejected(self):
+        b, f = setup_pair(np.sign, indicator(-1.0, 1.0), count=200)
+        xs = b.midpoints_in(Interval(0.0, 1.0))
+        one_bad = np.where(np.arange(xs.size) == 7, np.inf, 1.0)
+        for bad, at in ((np.full(xs.size, np.nan), 0), (one_bad, 7)):
+            with pytest.raises(InputError, match=f"b_outer entry .* at index {at} is not finite"):
+                commutator_values(b, f, FLAT, xs, b_outer=bad)
+
     def test_grid_mismatch_rejected(self):
         b = sample(lambda y: y, -2, 2, 100)
         f = sample(lambda y: y, -2, 2, 200)
@@ -264,10 +272,12 @@ def _commutator_case(backend, seed, width):
     fs = [b.with_values(rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(width)]
     xs = b.origin + (np.arange(m) - (m - n) // 2 + 0.5) * h
     kernel = CauchyKernel.for_curve(curve)
-    if operator._toeplitz_sums(curve, stack(fs), xs, 0.5e-6 * h) is not None:
+    block = stack(fs)
+    W = np.concatenate([block.values.real, block.values.imag], axis=1)  # complex columns, split
+    if operator._toeplitz_sums(curve, block, W, xs, 0.5e-6 * h) is not None:
         picked = "toeplitz"
     else:
-        picked = "tree" if operator._tree_pays(stack(fs), xs) else "dense"
+        picked = "tree" if operator._tree_pays(block, W, xs) else "dense"
     assert picked == backend
     return b, fs, xs, kernel
 

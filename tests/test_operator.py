@@ -122,7 +122,8 @@ class TestPv:
         xs = f.midpoints_in(Interval(0.0, 2.5))
         cut = 0.5e-6 * f.step if t_steps is None else (t_steps + 0.25) * f.step
         dense_only = curve.kind is ProfileKind.SAWTOOTH
-        assert (operator._toeplitz_sums(curve, f, xs, cut) is None) == dense_only
+        W = np.stack([f.values.real, f.values.imag], axis=1)
+        assert (operator._toeplitz_sums(curve, f, W, xs, cut) is None) == dense_only
 
         def apply(u):
             if t_steps is None:
@@ -189,6 +190,28 @@ def test_non_finite_points_rejected(bad):
     for call in calls:
         with pytest.raises(InputError, match="index 1 is not finite"):
             call()
+
+
+@pytest.mark.parametrize("curve", [LipschitzCurve.flat(), LipschitzCurve.sawtooth(0.5, 2.0)])
+@pytest.mark.parametrize("call, message", [
+    (lambda k, f, xs: pv_values(k, f, xs.reshape(-1, 1)), r"one-dimensional, got shape \(4, 1\)"),
+    (lambda k, f, xs: truncated_values(k, f, xs.reshape(2, 2), 0.1),
+     r"one-dimensional, got shape \(2, 2\)"),
+    (lambda k, f, xs: commutator_values(f, f, k, xs.reshape(1, -1)),
+     r"one-dimensional, got shape \(1, 4\)"),
+    (lambda k, f, xs: truncated_values(k, f, xs, np.array([0.5, 0.6])),
+     r"positive real scalar, got array\(\[0.5, 0.6\]\)"),
+    (lambda k, f, xs: truncated_values(k, f, xs, 0.5 + 0.0j),
+     r"positive real scalar, got \(0.5\+0j\)"),
+    (lambda k, f, xs: truncated_values(k, f, xs, "0.5"), r"positive real scalar, got '0.5'"),
+    (lambda k, f, xs: truncated_values(k, f, xs, -0.5), r"positive real scalar, got -0.5"),
+], ids=["pv-points", "truncated-points", "commutator-points", "radius-array", "radius-complex",
+        "radius-string", "radius-negative"])
+def test_malformed_points_and_radii_rejected(curve, call, message):
+    f = sample(np.sign, -1, 1, 64)
+    xs = f.origin + (np.arange(4) + 10.5) * f.step
+    with pytest.raises(InputError, match=message):
+        call(CauchyKernel.for_curve(curve), f, xs)
 
 
 class TestWindowed:

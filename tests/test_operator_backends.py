@@ -7,6 +7,7 @@ decline must give exactly the dense result.
 
 import json
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +55,41 @@ def _rel_dev(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
+def _weights(f):
+    """The real weight columns of ``f``: ``V`` when real, ``[Re V, Im V]`` when complex."""
+    V = f.values.reshape(f.count, -1)
+    return np.concatenate([V.real, V.imag], axis=1) if np.iscomplexobj(V) else V
+
+
+class _Declined(Exception):
+    pass
+
+
+def _sums(backend, curve, f, xs, t):
+    """``_masked_sums`` of ``f`` with every kernel sum made by ``backend``.
+
+    ``f`` is split into real weight columns and joined back exactly as
+    ``_masked_sums`` does; None where ``backend`` declines the input.
+    """
+    def only(*args):
+        out = backend(*args)
+        if out is None:
+            raise _Declined
+        return out
+
+    # ``_masked_sums`` tries ``_toeplitz_sums`` first and returns what it gives.
+    with mock.patch.object(operator, "_toeplitz_sums", only):
+        try:
+            return operator._masked_sums(CauchyKernel.for_curve(curve), f, xs, t)
+        except _Declined:
+            return None
+
+
+TOEPLITZ = partial(_sums, operator._toeplitz_sums)
+TREE = partial(_sums, operator._tree_sums)
+DENSE = partial(_sums, operator._dense_sums)
+
+
 def _column(block, j):
     """Column ``j`` of a block as one function on the block's grid."""
     return block.with_values(block.values[:, j])
@@ -92,16 +128,16 @@ class TestToeplitzAgreesWithDense:
         xs = _lattice(f, ks, par)
         # A quarter step keeps the radius off both lattices of offsets.
         t = None if t_steps is None else (t_steps + 0.25) * f.step
-        fast = operator._toeplitz_sums(curve, f, xs, _window(f, t))
+        fast = TOEPLITZ(curve, f, xs, _window(f, t))
         assert fast is not None
-        dense = operator._dense_sums(curve, f, xs, _window(f, t))
+        dense = DENSE(curve, f, xs, _window(f, t))
         assert _rel_dev(fast, dense) <= 1e-10
 
     def test_benchmark_sized_flat_pv(self):
         f = _grid(8192, seed=3)
         xs = _lattice(f, np.arange(2048, 6145), 1)
-        fast = operator._toeplitz_sums(FLAT, f, xs, _window(f, None))
-        dense = operator._dense_sums(FLAT, f, xs, _window(f, None))
+        fast = TOEPLITZ(FLAT, f, xs, _window(f, None))
+        dense = DENSE(FLAT, f, xs, _window(f, None))
         assert fast is not None and _rel_dev(fast, dense) <= 1e-12
 
 
@@ -127,7 +163,7 @@ class TestOffsetWindow:
         t = (t_steps + t_frac) * f.step
         xs = _lattice(f, np.arange(first, first + n), par)
         got = operator._masked_sums(CauchyKernel.for_curve(curve), f, xs, t)
-        fast = operator._toeplitz_sums(curve, f, xs, t)
+        fast = TOEPLITZ(curve, f, xs, t)
         assert (fast is None) == (curve.kind is ProfileKind.SAWTOOTH)
         assert _rel_dev(got, _per_target_sums(curve, f, xs, t)) <= 1e-12
 
@@ -138,9 +174,9 @@ class TestDispatch:
         f = _grid(600)
         xs = _lattice(f, np.arange(100, 500), par)
         t = t_steps * f.step
-        assert operator._toeplitz_sums(FLAT, f, xs, t) is None
+        assert TOEPLITZ(FLAT, f, xs, t) is None
         got = truncated_values(CauchyKernel.for_curve(FLAT), f, xs, t)
-        np.testing.assert_array_equal(got, operator._dense_sums(FLAT, f, xs, t))
+        np.testing.assert_array_equal(got, DENSE(FLAT, f, xs, t))
 
     @pytest.mark.parametrize("case", ["mixed", "off_lattice", "far_apart"])
     def test_unsuitable_targets_go_dense(self, case):
@@ -153,15 +189,15 @@ class TestDispatch:
         else:
             xs = _lattice(f, [0, 10**6], 1)
         t = _window(f, None)
-        assert operator._toeplitz_sums(FLAT, f, xs, t) is None
+        assert TOEPLITZ(FLAT, f, xs, t) is None
         got = operator._masked_sums(CauchyKernel.for_curve(FLAT), f, xs, t)
-        np.testing.assert_array_equal(got, operator._dense_sums(FLAT, f, xs, t))
+        np.testing.assert_array_equal(got, DENSE(FLAT, f, xs, t))
 
     def test_curved_graph_goes_dense(self):
         f = _grid(600)
         xs = _lattice(f, np.arange(100, 500), 1)
         curve = LipschitzCurve.sawtooth(0.5, 2.0)
-        assert operator._toeplitz_sums(curve, f, xs, _window(f, None)) is None
+        assert TOEPLITZ(curve, f, xs, _window(f, None)) is None
 
     @pytest.mark.parametrize("curve", [FLAT, LipschitzCurve.sawtooth(0.5, 2.0)])
     def test_empty_targets(self, curve):
@@ -174,7 +210,7 @@ class TestDispatch:
         f = _grid(1024, real=True)
         kernel = CauchyKernel.for_curve(FLAT)
         lattice = _lattice(f, np.arange(0, 1024), 1)
-        assert operator._toeplitz_sums(FLAT, f, lattice, _window(f, None)) is not None
+        assert TOEPLITZ(FLAT, f, lattice, _window(f, None)) is not None
         off = lattice[:50] + 0.25 * f.step
         for out in (pv_values(kernel, f, lattice),
                     truncated_values(kernel, f, lattice, 10.25 * f.step),
@@ -314,10 +350,10 @@ class TestBlock:
         xs = _lattice(block, np.arange(first, first + n), par)
         if dense:
             def sums(u):
-                return operator._dense_sums(curve, u, xs, t)
+                return DENSE(curve, u, xs, t)
         else:
             kernel = CauchyKernel.for_curve(curve)
-            fast = operator._toeplitz_sums(curve, block, xs, t)
+            fast = TOEPLITZ(curve, block, xs, t)
             assert (fast is None) == (curve.kind is ProfileKind.SAWTOOTH)
 
             def sums(u):
@@ -367,7 +403,7 @@ class TestBlock:
             return original(curve, x)
 
         monkeypatch.setattr(operator, "eval_A", counted)
-        operator._dense_sums(curve, f, xs, _window(f, None))
+        DENSE(curve, f, xs, _window(f, None))
         assert sorted(calls) == sorted([f.count, xs.size])
 
 
@@ -406,8 +442,8 @@ class TestTree:
         far = f.origin + sides * (f.upper - f.lower) * (1.0 + reach * rng.random(200))
         t = _tree_radius(f, kind, a)
         for xs in (inside, far, np.concatenate([inside, far])):
-            got = operator._tree_sums(curve, f, xs, t)
-            want = operator._dense_sums(curve, f, xs, t)
+            got = TREE(curve, f, xs, t)
+            want = DENSE(curve, f, xs, t)
             assert got.shape == want.shape == (xs.size, c)
             if np.any(want):
                 assert _rel_dev(got, want) <= 1e-12
@@ -429,9 +465,9 @@ class TestTree:
         xs = np.concatenate([_lattice(block, np.arange(-50, n + 50), 1),
                              block.upper + np.linspace(1.0, 50.0, 40)])
         t = _tree_radius(block, kind, a)
-        got = operator._tree_sums(curve, block, xs, t)
+        got = TREE(curve, block, xs, t)
         for j in range(c):
-            want = operator._tree_sums(curve, _column(block, j), xs, t)
+            want = TREE(curve, _column(block, j), xs, t)
             assert want.shape == (xs.size,)
             assert _rel_dev(got[:, j], want) <= 1e-14
 
@@ -442,10 +478,10 @@ class TestTree:
         xs = np.concatenate([_lattice(block, ks, 1), block.upper + 0.01 * np.arange(1, 4000)])
         assert xs.size > 2 * operator._TREE_BLOCK and xs.size % operator._TREE_BLOCK
         for t in (_window(block, None), 7.3 * block.step):
-            got = operator._tree_sums(SAWTOOTH, block, xs, t)
-            assert _rel_dev(got, operator._dense_sums(SAWTOOTH, block, xs, t)) <= 1e-12
+            got = TREE(SAWTOOTH, block, xs, t)
+            assert _rel_dev(got, DENSE(SAWTOOTH, block, xs, t)) <= 1e-12
             for j in range(3):
-                want = operator._tree_sums(SAWTOOTH, _column(block, j), xs, t)
+                want = TREE(SAWTOOTH, _column(block, j), xs, t)
                 assert _rel_dev(got[:, j], want) <= 1e-14
 
     @staticmethod
@@ -475,10 +511,10 @@ class TestTree:
         t = _window(f, None)
         for targets, levels in ((xs, [0]), (np.concatenate([xs, _lattice(f, np.arange(2000), 1)]),
                                             list(range(7)))):
-            got = operator._tree_sums(SAWTOOTH, f, targets, t)
+            got = TREE(SAWTOOTH, f, targets, t)
             offsets, moments = trees[-1][0], trees[-1][5]
             assert self._levels_where(offsets, lambda b: np.any(moments[:, b])) == levels
-            assert _rel_dev(got, operator._dense_sums(SAWTOOTH, f, targets, t)) <= 1e-12
+            assert _rel_dev(got, DENSE(SAWTOOTH, f, targets, t)) <= 1e-12
 
     def test_far_targets_set_up_the_root_boxes_alone(self, monkeypatch):
         # A far-only call sets up the spans, centres and radii of level 0
@@ -487,7 +523,7 @@ class TestTree:
         far = f.upper + 3.0 * (f.upper - f.lower) + np.arange(600) * 0.01
         trees = self._spy_levels(monkeypatch)
         for targets, levels in ((far, [0]), (_lattice(f, np.arange(2000), 1), list(range(7)))):
-            operator._tree_sums(SAWTOOTH, f, targets, _window(f, None))
+            TREE(SAWTOOTH, f, targets, _window(f, None))
             offsets, *geometry = trees[-1][:5]
             for per_box in geometry:
                 unset = np.isnan(per_box)
@@ -501,8 +537,8 @@ class TestTree:
         xs = np.concatenate([1e4 + np.arange(500) * 0.5, -1e4 - np.arange(500) * 0.5,
                              _lattice(f, np.arange(0, 2000, 7), 1)])
         for curve in (SAWTOOTH, FLAT):
-            got = operator._tree_sums(curve, f, xs, _window(f, None))
-            want = operator._dense_sums(curve, f, xs, _window(f, None))
+            got = TREE(curve, f, xs, _window(f, None))
+            want = DENSE(curve, f, xs, _window(f, None))
             assert np.all(np.isfinite(got))
             assert _rel_dev(got, want) <= 1e-12
             assert _rel_dev(got[:1000], want[:1000]) <= 1e-12
@@ -520,16 +556,16 @@ class TestTree:
         f = _block(2000, 3, [True, False, True], seed=12)
         xs = _lattice(f, np.arange(-3000, 5000), 1)
         t = _window(f, None)
-        assert operator._tree_pays(f, xs)
+        assert operator._tree_pays(f, _weights(f), xs)
         got = operator._masked_sums(CauchyKernel.for_curve(SAWTOOTH), f, xs, t)
-        np.testing.assert_array_equal(got, operator._tree_sums(SAWTOOTH, f, xs, t))
-        assert _rel_dev(got, operator._dense_sums(SAWTOOTH, f, xs, t)) <= 1e-12
+        np.testing.assert_array_equal(got, TREE(SAWTOOTH, f, xs, t))
+        assert _rel_dev(got, DENSE(SAWTOOTH, f, xs, t)) <= 1e-12
 
     def test_small_inputs_stay_dense(self):
         # Targets spread over the nodes, where the tree walks to the most leaves.
         for n, m in [(600, 800), (1000, 121), (operator._CHUNK_ELEMENTS + 7, 4), (64, 10**6)]:
             f = _grid(n, real=True)
-            assert not operator._tree_pays(f, np.linspace(f.lower, f.upper, m))
+            assert not operator._tree_pays(f, _weights(f), np.linspace(f.lower, f.upper, m))
 
     def test_tree_evaluates_the_profile_twice_per_call(self, monkeypatch):
         f = _block(1500, 2, [True, False], seed=5)
@@ -542,8 +578,65 @@ class TestTree:
             return original(curve, x)
 
         monkeypatch.setattr(operator, "eval_A", counted)
-        operator._tree_sums(SAWTOOTH, f, xs, _window(f, None))
+        TREE(SAWTOOTH, f, xs, _window(f, None))
         assert sorted(calls) == sorted([f.count, xs.size])
+
+
+BACKENDS = {"toeplitz": operator._toeplitz_sums, "tree": operator._tree_sums,
+            "dense": operator._dense_sums}
+
+
+class TestComplexSplit:
+    """Backends sum real weight columns; ``_masked_sums`` splits and joins complex values."""
+
+    @given(
+        backend=st.sampled_from(sorted(BACKENDS)),
+        n=st.integers(100, 400),
+        c=st.sampled_from([1, 2, 3]),
+        real=st.lists(st.booleans(), min_size=3, max_size=3),
+        t_steps=st.one_of(st.just(None), st.integers(0, 40)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40)
+    def test_complex_block_is_its_real_and_imaginary_sums_joined(self, backend, n, c, real,
+                                                                  t_steps, seed):
+        curve = FLAT if backend == "toeplitz" else SAWTOOTH
+        block = _block(n, c, real[:c], seed)
+        xs = _lattice(block, np.arange(-n // 4, n + n // 4), 1)
+        t = _window(block, None if t_steps is None else (t_steps + 0.3) * block.step)
+        sums = BACKENDS[backend]
+        got = _sums(sums, curve, block, xs, t)
+        re, im = (sums(curve, block, part, xs, t) for part in (block.values.real,
+                                                               block.values.imag))
+        assert got.shape == re.shape == im.shape == (xs.size, c)
+        assert _rel_dev(got, re + 1j * im) <= 1e-14
+
+    @pytest.mark.parametrize("backend, curve, n, m", [("toeplitz", FLAT, 600, 400),
+                                                      ("tree", SAWTOOTH, 2000, 8000),
+                                                      ("dense", SAWTOOTH, 300, 600)])
+    def test_a_real_block_reaches_the_backend_as_its_columns(self, monkeypatch, backend,
+                                                             curve, n, m):
+        # One real function, a real block of 3 and a complex block of 3.
+        seen = []
+        name = f"_{backend}_sums"
+        original = getattr(operator, name)
+
+        def spy(curve, f, W, xs, t):
+            seen.append(W)
+            return original(curve, f, W, xs, t)
+
+        monkeypatch.setattr(operator, name, spy)
+        block = _block(n, 3, [True] * 3, seed=21)
+        block = block.with_values(block.values.real)
+        single = _column(block, 0)
+        xs = _lattice(block, np.arange(m) - (m - n) // 2, 1)
+        kernel = CauchyKernel.for_curve(curve)
+        for f in (single, block, block.with_values(block.values * (1.0 - 2.0j))):
+            pv_values(kernel, f, xs)
+        assert [W.shape for W in seen] == [(n, 1), (n, 3), (n, 6)]
+        assert all(W.dtype == np.float64 for W in seen)
+        assert np.shares_memory(seen[0], single.values)
+        assert np.shares_memory(seen[1], block.values)
 
 
 # Backend of every kernel sum three lab invocations make on the sawtooth
@@ -568,14 +661,14 @@ class TestLabBackends:
         picked = {}
         dense, tree = operator._dense_sums, operator._tree_sums
 
-        def spy_dense(curve, f, xs, t):
+        def spy_dense(curve, f, W, xs, t):
             picked.setdefault((f.count, xs.size), set()).add("dense")
-            return dense(curve, f, xs, t)
+            return dense(curve, f, W, xs, t)
 
-        def spy_tree(curve, f, xs, t):
+        def spy_tree(curve, f, W, xs, t):
             picked.setdefault((f.count, xs.size), set()).add("tree")
-            got = tree(curve, f, xs, t)
-            assert _rel_dev(got, dense(curve, f, xs, t)) <= 1e-12
+            got = tree(curve, f, W, xs, t)
+            assert _rel_dev(got, dense(curve, f, W, xs, t)) <= 1e-12
             return got
 
         monkeypatch.setattr(operator, "_dense_sums", spy_dense)

@@ -158,6 +158,28 @@ class TestSampledFunction:
         with pytest.raises(InputError):
             bare.value_at(10.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_value_at_rejects_a_non_finite_point(self, bad):
+        f = sample(lambda y: y**2, -1, 1, 100)
+        bare = SampledFunction(f.origin, f.step, f.values)
+        for g in (f, bare):
+            with pytest.raises(InputError, match=f"point {bad} at index 1 is not finite"):
+                g.value_at([0.0, bad])
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([1, 2, 3], np.float64), ([True, False, True], np.float64),
+        (np.arange(3, dtype=np.float32), np.float64), (np.ones((3, 2)), np.float64),
+        (np.arange(3) * 1j, np.complex128), (np.ones(3, dtype=np.complex64), np.complex128),
+        (np.ones((3, 2)) + 0j, np.complex128),
+    ])
+    def test_real_values_stay_real(self, values, dtype):
+        f = SampledFunction(0.0, 0.5, values)
+        assert f.values.dtype == dtype
+        assert shift(f, 0.5).values.dtype == dtype
+        assert f.scaled(2.0).values.dtype == dtype
+        if f.values.ndim == 1:
+            assert stack([f, f]).values.dtype == dtype
+
     def test_midpoints_avoid_nodes(self):
         f = sample(lambda y: y, -1, 1, 50)
         xs = f.midpoints_in(Interval(0.0, 0.5))
