@@ -18,10 +18,10 @@ for each ``M`` of the ladder, so the window holds by construction for
 every ``M > 10``, and returns one report with a row per ``M``.  A row
 compares ``pi`` times the smallest computed modulus on ``I0`` (restoring
 the conventional prefactor that the target constant ``2 / ((L^2 + 1) M)``
-is stated with) with a positive ``slack`` (0.9 by default) times the
-target, a cushion for quadrature error and the dropped imaginary part.
-On a ladder of two or more ``M`` the log-log slope of those minima
-against ``M`` must also lie within ``slope_band`` of -1.
+is stated with) with ``HOMOGENEITY_SLACK`` times the target, a cushion
+for quadrature error and the dropped imaginary part.  On a ladder of two
+or more ``M`` the log-log slope of those minima against ``M`` must also
+lie within ``SLOPE_BAND`` of -1.
 
 ``unit_images`` is the one path of a family through the commutator: it
 refuses a member of zero ``L^p`` norm by its index, scales each member to
@@ -44,10 +44,12 @@ from .reports import BoundReport
 from .sampling import (Interval, SampledFunction, _cell_centres, _finite, _rowwise, lp_norm,
                        sample, stack)
 
+HOMOGENEITY_SLACK = 0.9  # cushion of the homogeneity lower bound
+SLOPE_BAND = 0.1  # pass band of the fitted slope against M around -1
+
 
 def homogeneity_check(curve: LipschitzCurve, M_ladder: Sequence[float], r: float,
-                      quadrature_cells: int = 2048, eval_points: int = 128,
-                      slack: float = 0.9, slope_band: float = 0.1) -> BoundReport:
+                      quadrature_cells: int = 2048, eval_points: int = 128) -> BoundReport:
     """Lower bound for ``|C(chi_I1)|`` on ``I0`` against ``2 / ((L^2 + 1) M)``, per ``M``.
 
     ``I0 = I(0, r)`` and ``I1 = I(1.2 (M + 1) r, r)``; for ``M > 10``
@@ -56,10 +58,10 @@ def homogeneity_check(curve: LipschitzCurve, M_ladder: Sequence[float], r: float
     ``I1`` carries ``quadrature_cells`` cells and ``I0`` one
     ``eval_points``-point lattice shared by every ``M``.  Each row holds
     ``M``, the raw minimum modulus ``raw_min``, ``lhs = pi * raw_min`` and
-    ``rhs = slack * target``; it passes when ``lhs >= rhs``.  With two or
-    more ``M`` (which must be distinct) the extras add the fitted
-    ``slope`` of log ``lhs`` against log ``M``, and a row passes only if
-    also ``|slope + 1| <= slope_band``.
+    ``rhs = HOMOGENEITY_SLACK * target``; it passes when ``lhs >= rhs``.
+    With two or more ``M`` (which must be distinct) the extras add the
+    fitted ``slope`` of log ``lhs`` against log ``M``, and a row passes
+    only if also ``|slope + 1| <= SLOPE_BAND``.
     """
     Ms = np.asarray(M_ladder, dtype=float)
     if Ms.size == 0:
@@ -72,9 +74,6 @@ def homogeneity_check(curve: LipschitzCurve, M_ladder: Sequence[float], r: float
         raise InputError(f"need r > 0, got {r}")
     if eval_points < 1:
         raise InputError(f"need eval_points >= 1, got {eval_points}")
-    for name, value in (("slack", slack), ("slope_band", slope_band)):
-        if not (value > 0 and np.isfinite(value)):
-            raise InputError(f"need a finite {name} > 0, got {value}")
     I0 = Interval(0.0, r)
     kernel = CauchyKernel.for_curve(curve)
     xs, _ = _cell_centres(I0.lower, I0.measure, eval_points)
@@ -85,13 +84,13 @@ def homogeneity_check(curve: LipschitzCurve, M_ladder: Sequence[float], r: float
         raw_min[i] = np.abs(pv_values(kernel, chi, xs)).min()
     L = curve.lipschitz_constant
     lhs = np.pi * raw_min
-    rhs = slack * (2.0 / ((L * L + 1.0) * Ms))
+    rhs = HOMOGENEITY_SLACK * (2.0 / ((L * L + 1.0) * Ms))
     passed = lhs >= rhs
-    extras = {"L": L, "r": r, "slack": slack}
+    extras = {"L": L, "r": r, "slack": HOMOGENEITY_SLACK}
     if Ms.size >= 2:
         slope = float(np.polyfit(np.log(Ms), np.log(lhs), 1)[0])
-        extras.update(slope=slope, slope_target=-1.0, slope_band=slope_band)
-        passed &= abs(slope + 1.0) <= slope_band
+        extras.update(slope=slope, slope_target=-1.0, slope_band=SLOPE_BAND)
+        passed &= abs(slope + 1.0) <= SLOPE_BAND
     return BoundReport(
         inequality="min_x pi |C(chi_I1)(x)| >= slack * 2/((L^2+1) M); slope vs M is -1",
         columns={"M": Ms, "lhs": lhs, "rhs": rhs, "raw_min": raw_min, "pass": passed},

@@ -37,16 +37,12 @@ DEFAULTS: Dict[str, Any] = {
         "r": 1.0,
         "quadrature_cells": 2048,
         "eval_points": 128,
-        "slack": 0.9,
-        "slope_band": 0.1,
     },
     "lemma41": {
         "interval": {"center": 0.0, "radius": 1.0},
         "k_ladder": [3, 4, 5, 6, 7, 8],
         "a1": 8.0,
         "eval_cells": 512,
-        "lower_spread_cap": 3.0,
-        "upper_spread_cap": 10.0,
     },
     "bmo": {"max_length": None},
     "vmo": {

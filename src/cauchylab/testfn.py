@@ -28,13 +28,15 @@ meaningful pass criterion is their stability across ``k``.
 ``annulus_ladder_reports`` measures a whole ladder of levels in one
 commutator call and returns the ``lemma41`` report: a lower and an upper
 row per level, whose rows pass exactly when the spreads (max / min
-across levels) of the C1 and C2 candidates are within their caps.
+across levels) of the C1 and C2 candidates are within ``LOWER_SPREAD_CAP``
+and ``UPPER_SPREAD_CAP``.
 ``verify_intermediate_bounds`` takes a ladder too: one ``pv_values``
 call over every level's annulus lattice, one median of ``b`` on ``I``,
 and one report per level, in ladder order.  Both take ``a1``, finite and
 above 4, whose ``floor(log2(a1))`` is the smallest admissible level, and
 ``eval_cells``, the lattice cells per region; a level must be a whole
-number.  The intermediate bounds' slack and cap are module constants.
+number.  The spread caps and the intermediate bounds' slack and cap are
+module constants.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ from .sampling import Interval, SampledFunction, _cell_centres, _require_p, samp
 
 POINTWISE_SLACK = 0.10  # cushion of the pointwise majorant check
 DRIFT_BOUND = 4.0  # recorded empirical cap of the median-drift to k * bmo ratio
+LOWER_SPREAD_CAP = 3.0  # cap of the C1 candidates' spread across levels
+UPPER_SPREAD_CAP = 10.0  # cap of the C2 candidates' spread across levels
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,10 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k_ladder: S
         times the pointwise size cap of ``f``), checked with ``POINTWISE_SLACK``;
     (ii) median drift: ``|median(b, 2^(k+1) I) - median(b, I)|`` against
         ``k`` times a BMO lower bound of ``b`` over the dilate family;
-        the ratio is recorded and capped by ``DRIFT_BOUND``.
+        the ratio is recorded and capped by ``DRIFT_BOUND``.  A symbol with
+        a source callable is resampled across each dilate on
+        ``max(4096, 4 eval_cells, 2^(k+2))`` cell-centred nodes, which keeps
+        at least two across the base at every level; that grid grows as ``2^k``.
 
     Returns one report per level of ``k_ladder``, in ladder order, each the
     one a report file keeps (``_cap_rows``): one row per lattice point of its
@@ -250,7 +257,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k_ladder: S
         # The dilate family reaches far outside the base; resample rather
         # than silently measuring only the covered part.
         wide = b if b.source is None else sample(b.source, dilate.lower, dilate.upper,
-                                                  max(4096, 4 * eval_cells))
+                                                  max(4096, 4 * eval_cells, 2 ** (k + 2)))
         drift = abs(median(wide, dilate) - alpha)
         drift_rhs = k * bmo_norm(wide, [base.dilate(2.0**j) for j in range(0, k + 2)])
         drift_ratio = drift / drift_rhs if drift_rhs > 0 else (0.0 if drift == 0 else np.inf)
@@ -283,9 +290,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k_ladder: S
 
 def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
                            k_ladder: Sequence[int], kernel: CauchyKernel,
-                           a1: float = 8.0, eval_cells: int = 512,
-                           lower_spread_cap: float = 3.0,
-                           upper_spread_cap: float = 10.0) -> BoundReport:
+                           a1: float = 8.0, eval_cells: int = 512) -> BoundReport:
     """The ``lemma41`` report: lower, then upper rows across a level ladder, in ladder order.
 
     The columns are ``k``, ``side`` (``"lower"`` or ``"upper"``), ``lhs``
@@ -303,8 +308,8 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
     The extras are ``p``, ``epsilon`` and ``a_j`` of ``tf``, the C1
     candidates' ``c1_candidate_min``, ``c1_candidate_max`` and ``lower_spread``
     (max / min, inf once the min is 0), the upper ratios' ``c2_candidate_max``
-    and ``upper_spread``, and both caps.  Every row passes exactly when both
-    spreads are within their caps.
+    and ``upper_spread``, and both caps.  Every row passes exactly when
+    ``lower_spread <= LOWER_SPREAD_CAP`` and ``upper_spread <= UPPER_SPREAD_CAP``.
     """
     ks = _require_level(k_ladder, a1, eval_cells)
     rights = [_annulus(tf.base, k, 1.0) for k in ks]
@@ -320,7 +325,7 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
     ratio = lhs / normalizer
     c1, c2 = ratio[:len(ks)] / tf.epsilon**tf.p, ratio[len(ks):]
     lower_spread, upper_spread = (c.max() / c.min() if c.min() > 0 else math.inf for c in (c1, c2))
-    within_caps = lower_spread <= lower_spread_cap and upper_spread <= upper_spread_cap
+    within_caps = lower_spread <= LOWER_SPREAD_CAP and upper_spread <= UPPER_SPREAD_CAP
     return BoundReport(
         inequality=(
             "annulus integrals of |[b,C]f|^p follow the dyadic power law: "
@@ -337,8 +342,8 @@ def annulus_ladder_reports(b: SampledFunction, tf: TestFunction,
         extras={
             "p": tf.p, "epsilon": tf.epsilon, "a_j": tf.a_j,
             "c1_candidate_min": c1.min(), "c1_candidate_max": c1.max(),
-            "lower_spread": lower_spread, "lower_spread_cap": lower_spread_cap,
+            "lower_spread": lower_spread, "lower_spread_cap": LOWER_SPREAD_CAP,
             "c2_candidate_max": c2.max(),
-            "upper_spread": upper_spread, "upper_spread_cap": upper_spread_cap,
+            "upper_spread": upper_spread, "upper_spread_cap": UPPER_SPREAD_CAP,
         },
     )

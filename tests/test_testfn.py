@@ -260,8 +260,10 @@ class TestAnnulusReports:
             "upper_spread": max(c2) / min(c2), "upper_spread_cap": 10.0,
         }
         assert rep.columns["pass"].tolist() == [True] * 6
-        for caps in ({"lower_spread_cap": 1.0001}, {"upper_spread_cap": 1.0001}):
-            tight = annulus_ladder_reports(b, tf, [3, 4, 5], FLAT, **caps)
+        for cap in ("LOWER_SPREAD_CAP", "UPPER_SPREAD_CAP"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(testfn, cap, 1.0001)
+                tight = annulus_ladder_reports(b, tf, [3, 4, 5], FLAT)
             assert tight.columns["pass"].tolist() == [False] * 6 and not tight.passed
 
     @pytest.mark.parametrize("curve", [LipschitzCurve.flat(), LipschitzCurve.sawtooth(0.5, 2.0)])
