@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
@@ -225,5 +226,9 @@ class ExperimentConfig:
         """The interval at ``key``: any finite ``center`` and a positive ``radius``."""
         return Interval(self.number(f"{key}.center", above=None), self.number(f"{key}.radius"))
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.integer("seed", 0))
+    def rng(self) -> random.Random:
+        """The run's one seeded generator, the standard library's Mersenne Twister.
+
+        ``verify-kernel``'s three sweeps draw from it in turn.
+        """
+        return random.Random(self.integer("seed", 0))

@@ -20,9 +20,10 @@ bound follows from ``|u + iv| >= |u|`` and the smoothness bound carries a
 factor-2 cushion away from the admissibility boundary.
 
 The random sweeps draw, check and cut their samples ``_CHECK_CHUNK`` at a
-time.  They draw sample-major from the caller's generator, any
-``np.random.Generator``: each sample takes its columns from consecutive
-draws of ``rng.random``, so the samples do not depend on the chunk size.
+time.  They draw sample-major from the caller's ``random.Random``, read as
+little-endian 64-bit words of ``rng.randbytes``: each sample takes its
+columns from consecutive words, so the samples do not depend on the chunk
+size.
 A sweep returns the report a report file keeps (``_cap_rows``): at most
 ``MAX_REPORT_ROWS`` rows, the violations first and then the worst rows by
 lhs/rhs ratio, with ``n_violations`` counted over every chunk and, past
@@ -33,6 +34,7 @@ count.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,16 +151,17 @@ def check_smoothness(kernel: CauchyKernel, x, y, y_prime, transposed: bool = Fal
     )
 
 
-def _random_pairs(n: int, rng: np.random.Generator, box: float, *more):
+def _random_pairs(n: int, rng: random.Random, box: float, *more):
     """Chunks of ``n`` random off-diagonal pairs ``(x, y)`` in ``[-box, box]``.
 
     A chunk is ``[x, y, *rest]`` of ``_CHECK_CHUNK`` rows (the last one
     shorter), with one more uniform column per ``(low, high)`` in ``more``.
-    The draws are sample-major: with ``k`` columns, sample ``i`` takes draws
-    ``k i .. k i + k - 1`` of ``rng.random``, and column ``j`` maps its draw
-    ``u`` to ``low + (high - low) u``.  The samples, and the state ``rng`` is
-    left in, therefore depend on ``n`` but not on ``_CHECK_CHUNK``, and any
-    ``np.random.Generator`` works.
+    The draws are sample-major little-endian 64-bit words of
+    ``rng.randbytes``: with ``k`` columns, sample ``i`` takes words
+    ``k i .. k i + k - 1``, and column ``j`` maps its word ``w`` to the
+    53-bit uniform ``u = (w >> 11) 2^-53`` and then to
+    ``low + (high - low) u``.  The samples, and the state ``rng`` is left
+    in, therefore depend on ``n`` but not on ``_CHECK_CHUNK``.
     """
     if n < 1:
         raise InputError("need at least one sample")
@@ -166,7 +169,9 @@ def _random_pairs(n: int, rng: np.random.Generator, box: float, *more):
         raise InputError(f"box must be positive and finite, got {box}")
     bounds = [(-box, box), (-box, box), *more]
     for a in range(0, n, _CHECK_CHUNK):
-        columns = rng.random((min(_CHECK_CHUNK, n - a), len(bounds))).T
+        rows = min(_CHECK_CHUNK, n - a)
+        words = np.frombuffer(rng.randbytes(8 * rows * len(bounds)), dtype="<u8")
+        columns = ((words >> 11) * 2.0**-53).reshape(rows, len(bounds)).T
         for column, (low, high) in zip(columns, bounds):
             # In place, column by column: one broadcast over the whole block
             # would run an inner loop of only k draws per sample.
@@ -193,7 +198,7 @@ def _swept(checks) -> BoundReport:
     return rep
 
 
-def random_size_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generator,
+def random_size_sweep(kernel: CauchyKernel, n: int, rng: random.Random,
                       box: float = 50.0) -> BoundReport:
     """Size estimate on ``n`` random off-diagonal pairs in ``[-box, box]``.
 
@@ -203,7 +208,7 @@ def random_size_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generator,
     return _swept(check_size(kernel, x, y) for x, y in _random_pairs(n, rng, box))
 
 
-def random_smoothness_sweep(kernel: CauchyKernel, n: int, rng: np.random.Generator,
+def random_smoothness_sweep(kernel: CauchyKernel, n: int, rng: random.Random,
                             box: float = 50.0, transposed: bool = False) -> BoundReport:
     """Smoothness estimate on ``n`` random admissible triples.
 

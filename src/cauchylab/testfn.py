@@ -35,8 +35,8 @@ call over every level's annulus lattice, one median of ``b`` on ``I``,
 and one report per level, in ladder order.  Both take ``a1``, finite and
 above 4, whose ``floor(log2(a1))`` is the smallest admissible level, and
 ``eval_cells``, the lattice cells per region; a level must be a whole
-number.  The spread caps and the intermediate bounds' slack and cap are
-module constants.
+number.  The spread caps and the intermediate bounds' slack, drift cap
+and resample cap are module constants.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .sampling import Interval, SampledFunction, _cell_centres, _require_p, samp
 
 POINTWISE_SLACK = 0.10  # cushion of the pointwise majorant check
 DRIFT_BOUND = 4.0  # recorded empirical cap of the median-drift to k * bmo ratio
+DRIFT_NODES = 1 << 20  # most nodes the median-drift resample of one level may hold
 LOWER_SPREAD_CAP = 3.0  # cap of the C1 candidates' spread across levels
 UPPER_SPREAD_CAP = 10.0  # cap of the C2 candidates' spread across levels
 
@@ -214,6 +215,11 @@ def _require_level(k_ladder: Sequence[int], a1: float, eval_cells: int) -> List[
     return ks
 
 
+def _drift_nodes(k: int, eval_cells: int) -> int:
+    """Nodes of level ``k``'s median-drift resample: at least two across the base."""
+    return max(4096, 4 * eval_cells, 2 ** (k + 2))
+
+
 def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k_ladder: Sequence[int],
                                kernel: CauchyKernel, a1: float = 8.0,
                                eval_cells: int = 512) -> List[BoundReport]:
@@ -229,13 +235,23 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k_ladder: S
         the ratio is recorded and capped by ``DRIFT_BOUND``.  A symbol with
         a source callable is resampled across each dilate on
         ``max(4096, 4 eval_cells, 2^(k+2))`` cell-centred nodes, which keeps
-        at least two across the base at every level; that grid grows as ``2^k``.
+        at least two across the base at every level; that grid grows as
+        ``2^k``, so a ladder with a level whose resample would hold more than
+        ``DRIFT_NODES`` nodes is refused before anything is computed.
 
     Returns one report per level of ``k_ladder``, in ladder order, each the
     one a report file keeps (``_cap_rows``): one row per lattice point of its
     annulus, at most ``MAX_REPORT_ROWS`` of them, the violations first.
     """
     ks = _require_level(k_ladder, a1, eval_cells)
+    nodes = _drift_nodes(max(ks), eval_cells)
+    if b.source is not None and nodes > DRIFT_NODES:
+        k_max = DRIFT_NODES.bit_length() - 3  # the largest k with 2^(k+2) <= DRIFT_NODES
+        largest = (f"the largest admissible level is {k_max}"
+                   if _drift_nodes(k_max, eval_cells) <= DRIFT_NODES
+                   else f"no level is admissible with {eval_cells} evaluation cells")
+        raise InputError(f"k_ladder: level k = {max(ks)} would resample the symbol on "
+                         f"{nodes} nodes, above the cap of {DRIFT_NODES}; {largest}")
     base = tf.base
     regions = [_annulus(base, k, 1.0) for k in ks]
     dilates = [base.dilate(2.0 ** (k + 1)) for k in ks]
@@ -257,7 +273,7 @@ def verify_intermediate_bounds(b: SampledFunction, tf: TestFunction, k_ladder: S
         # The dilate family reaches far outside the base; resample rather
         # than silently measuring only the covered part.
         wide = b if b.source is None else sample(b.source, dilate.lower, dilate.upper,
-                                                  max(4096, 4 * eval_cells, 2 ** (k + 2)))
+                                                  _drift_nodes(k, eval_cells))
         drift = abs(median(wide, dilate) - alpha)
         drift_rhs = k * bmo_norm(wide, [base.dilate(2.0**j) for j in range(0, k + 2)])
         drift_ratio = drift / drift_rhs if drift_rhs > 0 else (0.0 if drift == 0 else np.inf)

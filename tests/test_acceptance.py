@@ -5,6 +5,7 @@ asserts the criterion at its stated tolerance and runtime budget.
 """
 
 import json
+import random
 import time
 
 import numpy as np
@@ -60,7 +61,8 @@ def witness_pair():
     return out
 
 
-def test_c01_kernel_standard_estimates(rng):
+def test_c01_kernel_standard_estimates():
+    rng = random.Random(20260810)
     t0 = time.perf_counter()
     worst = 0
     for curve in (LipschitzCurve.flat(), LipschitzCurve.affine(1.0),

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -355,6 +356,15 @@ class TestExitCodes:
         assert run([command, "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
         assert key in capsys.readouterr().err
 
+    def test_lemma41_level_past_the_resample_cap_exit_2(self, tmp_path, capsys):
+        # Level 19's median-drift resample would hold 2^21 nodes, over testfn.DRIFT_NODES.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lemma41": {"k_ladder": [3, 19]}}))
+        assert run(["lemma41", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "k_ladder" in err and "the largest admissible level is 18" in err
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_constant_symbol_guard_exit_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"symbol": {"kind": "constant", "params": {"value": 2.0}}}))
@@ -650,15 +660,23 @@ def test_exit_status_is_the_verdict_of_the_reports(tmp_path, monkeypatch, argv, 
     assert rc == int(argv[0] == config)
 
 
-def test_only_verify_kernel_loads_numpy_random(tmp_path):
-    # Importing numpy.random costs time and memory; a subcommand that draws nothing skips it.
+def test_no_subcommand_loads_numpy_random(tmp_path):
+    # Importing numpy.random costs time and memory, and nothing draws from it:
+    # verify-kernel draws from the standard library's seeded generator.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(SMALL))
+    runs = [["verify-kernel"], ["eval-operator"], ["eval-operator", "--convergence"],
+            ["bmo-norm"], ["vmo-profile"], ["verify-homogeneity"], ["lemma41"],
+            ["fk-diagnose"], ["witness", "--case", "small"], ["witness", "--case", "large"],
+            ["commutator-norm"]]
     code = ("import sys; from cauchylab.cli import main; "
-            f"rc = main(['bmo-norm', '--out-dir', {str(tmp_path)!r}]); "
-            "print(rc, 'numpy.random' in sys.modules)")
+            f"rcs = [main(argv + ['--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / 'o')!r}]) "
+            f"for argv in {runs!r}]; "
+            "print(rcs, 'numpy.random' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(cauchylab.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+                          text=True, timeout=300)
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(runs)} False", done.stderr
 
 
 def lemma41_reports(cfg):
@@ -689,7 +707,7 @@ def witness_reports(case, build):
 
 def kernel_reports(cfg):
     """The three verify-kernel sweeps, drawn in turn from the generator of seed 0."""
-    kernel, rng = cfg.kernel(), np.random.default_rng(0)
+    kernel, rng = cfg.kernel(), random.Random(0)
     return {"kernel_size": random_size_sweep(kernel, 3000, rng),
             "kernel_smoothness": random_smoothness_sweep(kernel, 3000, rng),
             "kernel_smoothness_transposed":

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from functools import partial
 
@@ -72,8 +73,8 @@ def test_size_affine_value():
     assert rep.columns["rhs"][0] == 1.0
 
 
-def test_size_sweep_sawtooth(rng):
-    rep = random_size_sweep(SAW, 100_000, rng)
+def test_size_sweep_sawtooth():
+    rep = random_size_sweep(SAW, 100_000, random.Random(20260810))
     assert rep.passed and rep.extras["n_violations"] == 0
 
 
@@ -86,7 +87,8 @@ def test_smoothness_trivial_and_arithmetic():
     assert rep.passed
 
 
-def test_smoothness_sweeps(rng):
+def test_smoothness_sweeps():
+    rng = random.Random(20260810)
     for transposed in (False, True):
         rep = random_smoothness_sweep(SAW, 100_000, rng, transposed=transposed)
         assert rep.passed and rep.extras["n_violations"] == 0
@@ -117,7 +119,9 @@ def test_modulus_symmetry_exact(rng):
 
 def whole_column_report(kernel, n, rng, sweep, box=50.0):
     """The full report of one sweep's draws, all ``n`` samples drawn at once, sample-major."""
-    u = rng.random((n, 2 if sweep == "size" else 3))
+    k = 2 if sweep == "size" else 3
+    words = np.frombuffer(rng.randbytes(8 * n * k), dtype="<u8")
+    u = ((words >> 11) * 2.0**-53).reshape(n, k)
     x = -box + 2 * box * u[:, 0]
     y = -box + 2 * box * u[:, 1]
     coincide = y == x
@@ -141,7 +145,7 @@ STREAM_CASES = [
 
 @pytest.mark.parametrize("kernel, sweep, n", STREAM_CASES)
 def test_sweep_is_the_capped_whole_column_report(kernel, sweep, n):
-    streamed, whole = np.random.default_rng(n), np.random.default_rng(n)
+    streamed, whole = random.Random(n), random.Random(n)
     got = SWEEPS[sweep](kernel, n, streamed)
     full = whole_column_report(kernel, n, whole, sweep)
     want = _cap_rows([full])
@@ -154,13 +158,13 @@ def test_sweep_is_the_capped_whole_column_report(kernel, sweep, n):
     for name, column in want.columns.items():
         assert got.columns[name].dtype == column.dtype
         assert got.columns[name].tobytes() == column.tobytes()
-    assert streamed.bit_generator.state == whole.bit_generator.state
+    assert streamed.getstate() == whole.getstate()
 
 
 @pytest.mark.parametrize("sweep", ["smoothness", "transposed"])
 def test_failing_sweep_writes_at_most_the_cap(sweep):
-    got = SWEEPS[sweep](TIGHT, 100_000, np.random.default_rng(3))
-    full = whole_column_report(TIGHT, 100_000, np.random.default_rng(3), sweep)
+    got = SWEEPS[sweep](TIGHT, 100_000, random.Random(3))
+    full = whole_column_report(TIGHT, 100_000, random.Random(3), sweep)
     assert full.n_violations > MAX_REPORT_ROWS  # about 0.3% of 100000 triples fail
     assert got.n_rows == MAX_REPORT_ROWS and got.n_violations == MAX_REPORT_ROWS
     assert got.extras["n_violations"] == full.n_violations
@@ -169,33 +173,20 @@ def test_failing_sweep_writes_at_most_the_cap(sweep):
 
 @pytest.mark.parametrize("sweep, columns", [("size", 2), ("smoothness", 3)])
 def test_sweep_leaves_the_generator_as_whole_column_draws(sweep, columns):
-    streamed, whole = np.random.default_rng(5), np.random.default_rng(5)
+    streamed, whole = random.Random(5), random.Random(5)
     for g in (streamed, whole):
-        g.integers(0, 10, dtype=np.int32)  # buffers the other 32-bit half
+        g.gauss(0.0, 1.0)  # keeps the second normal of its pair for the next call
     SWEEPS[sweep](SAW, 1000, streamed)
-    whole.uniform(size=columns * 1000)
-    assert whole.bit_generator.state["has_uint32"] == 1
-    assert streamed.bit_generator.state == whole.bit_generator.state
-    np.testing.assert_array_equal(streamed.integers(0, 10, 9, dtype=np.int32),
-                                  whole.integers(0, 10, 9, dtype=np.int32))
-
-
-@pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937, np.random.Philox],
-                         ids=lambda bits: bits.__name__)
-def test_sweep_takes_any_generator(bits):
-    for sweep, n in (("size", 16385), ("smoothness", 201), ("transposed", 16385)):
-        streamed, whole = np.random.Generator(bits(n)), np.random.Generator(bits(n))
-        got = SWEEPS[sweep](SAW, n, streamed)
-        want = _cap_rows([whole_column_report(SAW, n, whole, sweep)])
-        assert got.extras == want.extras
-        for name, column in want.columns.items():
-            assert got.columns[name].tobytes() == column.tobytes()
-        np.testing.assert_equal(streamed.bit_generator.state, whole.bit_generator.state)
+    whole.randbytes(8 * columns * 1000)
+    assert whole.getstate()[2] is not None
+    assert streamed.getstate() == whole.getstate()
+    assert ([streamed.gauss(0.0, 1.0), streamed.random()]
+            == [whole.gauss(0.0, 1.0), whole.random()])
 
 
 def test_smoothness_sweep_peak_memory():
-    # Whole 100k-sample columns peak at about 6.4 MiB here, one chunk at a time at about 2.5.
-    rng = np.random.default_rng(8191)
+    # Whole 100k-sample columns peak at about 6.4 MiB here, one chunk at a time at about 2.9.
+    rng = random.Random(8191)
     random_smoothness_sweep(LAB, 1000, rng)
     tracemalloc.start()
     try:
@@ -212,4 +203,4 @@ def test_box_must_be_positive_and_finite(sweep, box):
     # A NaN or infinite box reported every sample as a violation, and a zero
     # box a coincident pair.
     with pytest.raises(InputError, match="box must be positive and finite"):
-        sweep(FLAT, 100, np.random.default_rng(0), box)
+        sweep(FLAT, 100, random.Random(0), box)

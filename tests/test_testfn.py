@@ -363,6 +363,38 @@ class TestIntermediateBounds:
             ratios.append(rep.extras["drift_ratio"])
         assert max(ratios) <= testfn.DRIFT_BOUND
 
+    def test_resample_cap_bounds_the_ladder(self, monkeypatch):
+        # At a cap of 2^13 nodes level 11 resamples on 2^13 and runs as without
+        # the cap; level 12 would need 2^14 and is refused before any kernel sum.
+        b = sample(truncated_log(0.0), -1.25, 1.25, 2500)
+        tf = build_test_function(b, I01, 2.0)
+        uncapped = verify_intermediate_bounds(b, tf, [3, 11], FLAT, eval_cells=64)
+        monkeypatch.setattr(testfn, "DRIFT_NODES", 1 << 13)
+        capped = verify_intermediate_bounds(b, tf, [3, 11], FLAT, eval_cells=64)
+        for got, want in zip(capped, uncapped):
+            assert got.extras == want.extras
+            for name, column in want.columns.items():
+                assert got.columns[name].tobytes() == column.tobytes()
+
+        def refused(*args):
+            raise AssertionError("a refused ladder reached the kernel sums")
+
+        monkeypatch.setattr(testfn, "pv_values", refused)
+        with pytest.raises(InputError, match=r"k_ladder: level k = 12 would resample the "
+                                             r"symbol on 16384 nodes.*largest admissible "
+                                             r"level is 11$"):
+            verify_intermediate_bounds(b, tf, [3, 12, 4], FLAT, eval_cells=64)
+        with pytest.raises(InputError, match="no level is admissible with 4096 evaluation"):
+            verify_intermediate_bounds(b, tf, [3], FLAT, eval_cells=4096)
+
+    def test_sourceless_symbol_is_not_resampled_or_capped(self, monkeypatch):
+        b_s = sample_on(truncated_log(0.0), -17.0, 1 / 64, 34 * 64 + 1)
+        b = SampledFunction(b_s.origin, b_s.step, b_s.values)  # no source
+        tf = build_test_function(b, I01, 2.0)
+        monkeypatch.setattr(testfn, "DRIFT_NODES", 1)
+        [rep] = verify_intermediate_bounds(b, tf, [3], FLAT, eval_cells=64)
+        assert rep.extras["k"] == 3
+
     @pytest.mark.parametrize("curve", [LipschitzCurve.flat(), LipschitzCurve.sawtooth(0.5, 2.0)])
     def test_ladder_is_one_pv_call(self, tmp_path, monkeypatch, curve):
         # Every level's lattice in one call, and each level's report equals
